@@ -3,8 +3,9 @@ trust-region sequential-QP model-predictive controller.
 
 Subpackages / modules:
 
-* ``numerics``   dense matrix kernels (exponential, directional derivative,
-                 eigenvalue moduli) and a reverse-mode tape.
+* ``numerics``   dense matrix kernels (exponential, directional derivative),
+                 batched LAPACK eigenvalues and eigenvectors, and a
+                 reverse-mode tape.
 * ``simulators`` cart-pole and reactor-separator ground-truth dynamics.
 * ``datagen``    seeded excitation rollouts, windowing, dataset container.
 * ``model``      encoder, operator generator, bilinear coupling,

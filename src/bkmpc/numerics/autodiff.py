@@ -12,13 +12,17 @@ Adjoint conventions worth noting:
 * ``expm``: the gradient of ``exp(M)`` contracted with an upstream
   cotangent G is the directional derivative of exp at M^T in direction G,
   evaluated with the same block-augmented exponential as the forward pass.
-* ``eig_penalty``: for a simple eigenvalue with right/left vectors x, y,
-  d(lambda)/dM = conj(y) x^T / (y* x). Conjugate pairs are handled as one
-  group (their contributions are conjugate, so the pair contributes twice
-  the real part). Groups whose moduli collide within 1e-8, and eigenvalues
-  whose left/right vectors are near-orthogonal, get their gradient dropped
-  for that matrix while the penalty value is kept; eigensolver failures
-  are logged and skip that matrix entirely.
+* ``eig_penalty``: with the right eigenvectors as the columns of V and
+  W = V^-1, d(lambda_i)/dM = W[i, :]^T V[:, i]^T (Magnus 1985). The
+  forward pass makes one eigenvalue call on every matrix that passes the
+  row-sum prefilter; the adjoint makes one eigenvector call on every
+  matrix with an active hinge. Conjugate pairs are handled as one group
+  (their contributions are conjugate, so the pair contributes twice the
+  real part). Groups whose moduli collide within 1e-8, and near-defective
+  eigenvalues (1 < 1e-12 |V[:, i]| |W[i, :]|), get their gradient dropped
+  for that matrix while the penalty value is kept. A matrix that is
+  non-finite, or on which LAPACK does not converge, is skipped with one
+  warning on the ``bkmpc.numerics`` logger.
 """
 
 import logging
@@ -193,16 +197,8 @@ def exp(x):
     return _unary("exp", np.exp, x)
 
 
-def expm1(x):
-    return _unary("expm1", np.expm1, x)
-
-
 def tanh(x):
     return _unary("tanh", np.tanh, x)
-
-
-def relu(x):
-    return _unary("relu", lambda v: np.maximum(v, 0.0), x)
 
 
 def softplus(x):
@@ -294,66 +290,75 @@ def eig_penalty(A, margin):
     A has shape (..., n, n); the result drops the two matrix axes. An
     infinity-norm prefilter short-circuits matrices that provably cannot
     have a modulus above the threshold (the hinge, and its gradient, are
-    exactly zero there).
+    exactly zero there); the rest go to one eigenvalue call.
     """
     tape = _tape_of(A)
     val = A.value
-    batch_shape = val.shape[:-2]
     flat = val.reshape((-1,) + val.shape[-2:])
     thresh = 1.0 - margin
+    finite = np.isfinite(flat).all(axis=(1, 2))
+    for _ in range(int((~finite).sum())):
+        logger.warning("non-finite matrix inside eig_penalty; skipping its penalty")
+    idx = np.flatnonzero(finite & (np.abs(flat).sum(axis=2).max(axis=1) >= thresh))
     pens = np.zeros(flat.shape[0])
-    saved = [None] * flat.shape[0]
-    for i, Ai in enumerate(flat):
-        if not np.all(np.isfinite(Ai)):
-            logger.warning(
-                "non-finite matrix inside eig_penalty; skipping its penalty"
-            )
-            continue
-        if np.abs(Ai).sum(axis=1).max() < thresh:
-            continue
-        try:
-            lams = eig_values(Ai)
-        except ConvergenceError:
-            logger.warning(
-                "eigensolver did not converge inside eig_penalty; "
-                "skipping the penalty for this matrix"
-            )
-            continue
-        mods = np.abs(lams)
-        pens[i] = np.maximum(mods - thresh, 0.0).sum()
-        if np.any(mods > thresh):
-            saved[i] = lams
+    active = idx[:0]
+    if idx.size:
+        lams, ok = _each_matrix(eig_values, flat[idx], "the penalty")
+        idx, mods = idx[ok], np.abs(lams)
+        pens[idx] = np.maximum(mods - thresh, 0.0).sum(axis=1)
+        active = idx[(mods > thresh).any(axis=1)]
     return tape._record(
         "eig_penalty",
         (A,),
-        pens.reshape(batch_shape),
-        (thresh, saved),
+        pens.reshape(val.shape[:-2]),
+        (thresh, active),
     )
 
 
-def _eig_penalty_grad(Ai, lams, thresh, gscale):
-    """Gradient of the hinge sum for one matrix; see module docstring."""
-    groups = []
-    for lam in lams:
-        if abs(lam) <= thresh or lam.imag < 0.0:
-            continue
-        weight = 1.0 if lam.imag == 0.0 else 2.0
-        groups.append([abs(lam), lam, weight, True])
-    groups.sort(key=lambda g: g[0])
-    for a, b in zip(groups, groups[1:]):
-        if b[0] - a[0] < _CLUSTER_TOL:
-            a[3] = b[3] = False
-    g = np.zeros_like(Ai)
-    for mod, lam, weight, keep in groups:
-        if not keep:
-            continue
-        x, y = eigen_pair(Ai, lam)
-        denom = np.vdot(y, x)
-        if abs(denom) < 1e-12 * np.linalg.norm(x) * np.linalg.norm(y):
-            continue
-        dlam = np.outer(np.conj(y), x) / denom
-        g += weight * np.real(np.conj(lam) / mod * dlam)
-    return gscale * g
+def _each_matrix(fn, stack, what):
+    """``fn(stack)`` and the positions of the matrices it covers.
+
+    After a ConvergenceError on the stack, each matrix is tried alone; every
+    one that still fails is logged once and left out of the result.
+    """
+    try:
+        return fn(stack), np.arange(len(stack))
+    except ConvergenceError:
+        pass
+    ok = []
+    for i in range(len(stack)):
+        try:
+            fn(stack[i : i + 1])
+            ok.append(i)
+        except ConvergenceError:
+            logger.warning(
+                "eigensolver did not converge inside eig_penalty; "
+                "skipping %s for this matrix", what
+            )
+    ok = np.array(ok, dtype=int)
+    return fn(stack[ok]), ok
+
+
+def _eig_penalty_grad(stack, thresh, gscale):
+    """Gradient of the hinge sums of a (k, n, n) stack, matrix i scaled by
+    ``gscale[i]``; see the module docstring."""
+    grad = np.zeros_like(stack)
+    (lam, V, W), ok = _each_matrix(eigen_pair, stack, "the hinge gradient")
+    mods = np.abs(lam)
+    # one group per real eigenvalue or conjugate pair (imag >= 0) above the threshold
+    group = (mods > thresh) & (lam.imag >= 0.0)
+    close = np.abs(mods[:, :, None] - mods[:, None, :]) < _CLUSTER_TOL
+    close &= group[:, :, None] & group[:, None, :]
+    close &= ~np.eye(lam.shape[-1], dtype=bool)
+    keep = group & ~close.any(axis=2)
+    # near-defective: |y* x| < 1e-12 |x| |y| for right/left vectors x, y
+    keep &= 1e-12 * np.linalg.norm(V, axis=1) * np.linalg.norm(W, axis=2) <= 1.0
+    weight = np.where(lam.imag == 0.0, 1.0, 2.0)
+    coef = np.divide(weight * np.conj(lam), mods, out=np.zeros_like(lam), where=keep)
+    # sum_i coef_i d(lambda_i)/dM = (V diag(coef) W)^T
+    dmod = np.real(V @ (coef[:, :, None] * W))
+    grad[ok] = gscale[ok, None, None] * np.swapaxes(dmod, -1, -2)
+    return grad
 
 
 def _adj_add(n, vals, g):
@@ -431,15 +436,14 @@ def _adj_expm(n, vals, g):
 
 
 def _adj_eig_penalty(n, vals, g):
-    thresh, saved = n.ctx
+    thresh, active = n.ctx
     A = vals[0]
     flat = A.reshape((-1,) + A.shape[-2:])
     gflat = np.asarray(g, dtype=float).reshape(-1)
+    idx = active[gflat[active] != 0.0]
     out = np.zeros_like(flat)
-    for i, lams in enumerate(saved):
-        if lams is None or gflat[i] == 0.0:
-            continue
-        out[i] = _eig_penalty_grad(flat[i], lams, thresh, gflat[i])
+    if idx.size:
+        out[idx] = _eig_penalty_grad(flat[idx], thresh, gflat[idx])
     return (out.reshape(A.shape),)
 
 
@@ -450,9 +454,7 @@ _ADJOINTS = {
     "div": _adj_div,
     "neg": lambda n, vals, g: (-g,),
     "exp": lambda n, vals, g: (g * n.value,),
-    "expm1": lambda n, vals, g: (g * (n.value + 1.0),),
     "tanh": lambda n, vals, g: (g * (1.0 - n.value**2),),
-    "relu": lambda n, vals, g: (g * (vals[0] > 0.0),),
     "softplus": lambda n, vals, g: (g * 0.5 * (1.0 + np.tanh(0.5 * vals[0])),),
     "neg_celu": lambda n, vals, g: (
         g * np.where(vals[0] < 0.0, 1.0, np.exp(-np.maximum(vals[0], 0.0))),

@@ -1,216 +1,55 @@
-"""Real nonsymmetric eigenvalue moduli via Hessenberg reduction plus
-implicitly shifted (Francis double-shift) QR iteration.
+"""Eigenvalues and eigenvectors of stacks of real nonsymmetric matrices.
 
-The solver only tracks eigenvalues (no Schur vectors); right and left
-eigenvectors for selected eigenvalues are recovered afterwards by shifted
-inverse iteration on the original matrix. Exceptional ad-hoc shifts are
-injected every 10 sweeps of a stuck block to break shift cycling.
+Every function takes a single ``(n, n)`` matrix or a ``(..., n, n)`` stack
+and makes one LAPACK call (``geev`` through ``numpy.linalg``) for the whole
+stack. ``eigen_pair`` also returns W = V^-1: its rows are the left
+eigenvectors, scaled so that W V = I, which is the normalization the
+eigenvalue derivative d(lambda_i)/dM = W[i, :]^T V[:, i]^T needs.
 """
 
 import numpy as np
 
-_EPS = np.finfo(float).eps
-# Sweep budget per matrix: 30 Francis sweeps per eigenvalue dimension.
-_SWEEPS_PER_DIM = 30
-
 
 class ConvergenceError(RuntimeError):
-    """QR iteration exhausted its sweep budget.
-
-    Carries the partially reduced Hessenberg matrix in ``partial_matrix``.
-    """
-
-    def __init__(self, message, partial_matrix):
-        super().__init__(message)
-        self.partial_matrix = partial_matrix
+    """LAPACK did not converge (or returned singular eigenvectors)."""
 
 
-def hessenberg(M):
-    """Householder reduction to upper Hessenberg form (similarity)."""
-    H = np.array(M, dtype=float)
-    n = H.shape[0]
-    for k in range(n - 2):
-        x = H[k + 1 :, k]
-        norm = np.linalg.norm(x)
-        if norm == 0.0:
-            continue
-        v = x.copy()
-        v[0] += np.copysign(norm, x[0] if x[0] != 0.0 else 1.0)
-        v /= np.linalg.norm(v)
-        H[k + 1 :, k:] -= 2.0 * np.outer(v, v @ H[k + 1 :, k:])
-        H[:, k + 1 :] -= 2.0 * np.outer(H[:, k + 1 :] @ v, v)
-    return H
-
-
-def _eig2(a, b, c, d):
-    """Eigenvalues of [[a, b], [c, d]] as a complex pair."""
-    tr2 = 0.5 * (a + d)
-    det = a * d - b * c
-    disc = tr2 * tr2 - det
-    if disc >= 0.0:
-        root = np.sqrt(disc)
-        l1 = tr2 + root if tr2 >= 0.0 else tr2 - root
-        l2 = det / l1 if l1 != 0.0 else tr2 - np.copysign(root, tr2)
-        return complex(l1), complex(l2)
-    root = np.sqrt(-disc)
-    return complex(tr2, root), complex(tr2, -root)
-
-
-def _francis_sweep(H, lo, hi, exceptional):
-    """One implicit double-shift bulge chase on the active block [lo..hi]."""
-    if exceptional:
-        # Ad-hoc shifts from the subdiagonal magnitudes; breaks cycling.
-        s = abs(H[hi, hi - 1]) + (abs(H[hi - 1, hi - 2]) if hi - 1 > lo else 0.0)
-        tr = 1.5 * s
-        det = 0.5625 * s * s
-    else:
-        tr = H[hi - 1, hi - 1] + H[hi, hi]
-        det = H[hi - 1, hi - 1] * H[hi, hi] - H[hi - 1, hi] * H[hi, hi - 1]
-
-    for k in range(lo, hi):
-        if k == lo:
-            # First column of (H - l1 I)(H - l2 I) within the block.
-            x = (
-                H[lo, lo] * H[lo, lo]
-                + H[lo, lo + 1] * H[lo + 1, lo]
-                - tr * H[lo, lo]
-                + det
-            )
-            y = H[lo + 1, lo] * (H[lo, lo] + H[lo + 1, lo + 1] - tr)
-            z = H[lo + 2, lo + 1] * H[lo + 1, lo] if lo + 2 <= hi else 0.0
-        else:
-            x = H[k, k - 1]
-            y = H[k + 1, k - 1]
-            z = H[k + 2, k - 1] if k + 2 <= hi else 0.0
-        r = min(k + 2, hi)
-        v = np.array([x, y, z][: r - k + 1])
-        scale = np.abs(v).sum()
-        if scale == 0.0:
-            continue
-        v = v / scale
-        alpha = np.linalg.norm(v)
-        if alpha == 0.0:
-            continue
-        if v[0] != 0.0:
-            alpha = np.copysign(alpha, v[0])
-        v[0] += alpha
-        v /= np.linalg.norm(v)
-        if k > lo:
-            H[k, k - 1] = -alpha * scale
-            H[k + 1 : r + 1, k - 1] = 0.0
-        # Similarity restricted to the decoupled active block.
-        H[k : r + 1, k : hi + 1] -= 2.0 * np.outer(v, v @ H[k : r + 1, k : hi + 1])
-        top = min(hi, k + 3)
-        H[lo : top + 1, k : r + 1] -= 2.0 * np.outer(H[lo : top + 1, k : r + 1] @ v, v)
-
-
-def eig_values(M, max_sweeps=None):
-    """All eigenvalues of a square real matrix as a complex array.
-
-    Raises ConvergenceError (carrying the partially reduced matrix) if the
-    sweep budget, 30 per dimension by default, is exhausted.
-    """
+def _checked(M):
     M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {M.shape}")
+    if M.ndim < 2 or M.shape[-1] != M.shape[-2]:
+        raise ValueError(f"expected square matrices, got shape {M.shape}")
     if not np.all(np.isfinite(M)):
         raise ValueError("matrix contains non-finite entries")
-    n = M.shape[0]
-    if n == 0:
-        return np.zeros(0, dtype=complex)
-    if n == 1:
-        return np.array([complex(M[0, 0])])
+    return M
 
-    H = hessenberg(M)
-    budget = max_sweeps if max_sweeps is not None else _SWEEPS_PER_DIM * n
-    anorm = np.abs(H).sum()
-    eigs = []
-    hi = n - 1
-    sweeps = 0
-    block_iters = 0
-    while hi >= 0:
-        # Deflate: zero negligible subdiagonals, find the active block start.
-        lo = hi
-        while lo > 0:
-            s = abs(H[lo - 1, lo - 1]) + abs(H[lo, lo])
-            if s == 0.0:
-                s = anorm
-            if abs(H[lo, lo - 1]) <= _EPS * s:
-                H[lo, lo - 1] = 0.0
-                break
-            lo -= 1
-        if lo == hi:
-            eigs.append(complex(H[hi, hi]))
-            hi -= 1
-            block_iters = 0
-            continue
-        if lo == hi - 1:
-            l1, l2 = _eig2(H[lo, lo], H[lo, hi], H[hi, lo], H[hi, hi])
-            eigs.extend([l1, l2])
-            hi -= 2
-            block_iters = 0
-            continue
-        sweeps += 1
-        block_iters += 1
-        if sweeps > budget:
-            raise ConvergenceError(
-                f"QR iteration did not converge within {budget} sweeps "
-                f"(block [{lo}, {hi}])",
-                H,
-            )
-        _francis_sweep(H, lo, hi, exceptional=(block_iters % 10 == 0))
-    return np.array(eigs[::-1])
+
+def eig_values(M):
+    """All eigenvalues of each matrix of a stack, complex, shape (..., n)."""
+    M = _checked(M)
+    try:
+        lam = np.linalg.eigvals(M)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"eigenvalues did not converge: {exc}") from exc
+    return lam.astype(complex)
+
+
+def eigen_pair(M):
+    """(lam, V, W) for each matrix of a stack: eigenvalues, right
+    eigenvectors as the columns of V, and W = V^-1."""
+    M = _checked(M)
+    try:
+        lam, V = np.linalg.eig(M)
+        W = np.linalg.inv(V)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"eigenvectors did not converge: {exc}") from exc
+    return lam.astype(complex), V.astype(complex), W.astype(complex)
+
+
+def eig_moduli(M):
+    """Eigenvalue moduli of each matrix of a stack, sorted descending."""
+    return np.sort(np.abs(eig_values(M)), axis=-1)[..., ::-1]
 
 
 def spectral_radius(M):
-    """max |eigenvalue| of M."""
-    return float(np.max(np.abs(eig_values(M))))
-
-
-def _inverse_iteration(M, lam, rng, iters=3):
-    """Right eigenvector of M for the (simple) eigenvalue lam."""
-    n = M.shape[0]
-    shift = lam + 1e-12 * (1.0 + abs(lam))
-    A = M.astype(complex) - shift * np.eye(n)
-    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    v /= np.linalg.norm(v)
-    for _ in range(iters):
-        try:
-            w = np.linalg.solve(A, v)
-        except np.linalg.LinAlgError:
-            A = A - (1e-10 * (1.0 + abs(lam))) * np.eye(n)
-            w = np.linalg.solve(A, v)
-        v = w / np.linalg.norm(w)
-    return v
-
-
-def eigen_pair(M, lam, seed=0):
-    """Right and left eigenvectors (x, y) for a simple eigenvalue lam.
-
-    y satisfies y* M = lam y*, obtained as the right eigenvector of M^T at
-    the conjugate eigenvalue.
-    """
-    M = np.asarray(M, dtype=float)
-    rng = np.random.default_rng(seed)
-    x = _inverse_iteration(M, lam, rng)
-    y = _inverse_iteration(M.T, np.conj(lam), rng)
-    return x, y
-
-
-def eig_moduli(M, vector_threshold=None):
-    """Sorted (descending) eigenvalue moduli of a square real matrix.
-
-    With ``vector_threshold`` set, also returns a list of
-    ``(eigenvalue, right_vector, left_vector)`` triples for every
-    eigenvalue whose modulus is >= the threshold.
-    """
-    vals = eig_values(M)
-    moduli = np.sort(np.abs(vals))[::-1]
-    if vector_threshold is None:
-        return moduli
-    triples = []
-    for lam in vals:
-        if abs(lam) >= vector_threshold:
-            x, y = eigen_pair(M, lam)
-            triples.append((lam, x, y))
-    return moduli, triples
+    """max |eigenvalue| of each matrix of a stack."""
+    return np.abs(eig_values(M)).max(axis=-1)

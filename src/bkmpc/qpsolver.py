@@ -141,52 +141,3 @@ def solve_box_qp(
         z_best, lam_best, obj, r_best, best[0], max_iter, "max-iter"
     )
 
-
-def enumerate_box_qp(p):
-    """Brute-force oracle: try every active-set sign pattern.
-
-    Only sensible for strictly convex problems of small dimension; walks
-    all 3^n assignments of {free, at-lb, at-ub}, solves the reduced
-    equality system, and keeps the best primal/dual-feasible candidate.
-    """
-    n = p.n
-    best_x, best_obj = None, np.inf
-    for code in range(3**n):
-        pattern = []
-        c = code
-        for _ in range(n):
-            pattern.append(c % 3)
-            c //= 3
-        x = np.empty(n)
-        free = [i for i, s in enumerate(pattern) if s == 0]
-        for i, s in enumerate(pattern):
-            if s == 1:
-                x[i] = p.lb[i]
-            elif s == 2:
-                x[i] = p.ub[i]
-        if free:
-            idx = np.array(free)
-            fixed = np.array([i for i in range(n) if pattern[i] != 0], dtype=int)
-            rhs = -p.g[idx]
-            if fixed.size:
-                rhs = rhs - p.H[np.ix_(idx, fixed)] @ x[fixed]
-            try:
-                x[idx] = np.linalg.solve(p.H[np.ix_(idx, idx)], rhs)
-            except np.linalg.LinAlgError:
-                continue
-            if np.any(x[idx] < p.lb[idx] - 1e-9) or np.any(x[idx] > p.ub[idx] + 1e-9):
-                continue
-        grad = p.H @ x + p.g
-        ok = True
-        for i, s in enumerate(pattern):
-            if s == 1 and grad[i] < -1e-9:
-                ok = False
-            elif s == 2 and grad[i] > 1e-9:
-                ok = False
-        if not ok:
-            continue
-        obj = float(0.5 * x @ p.H @ x + p.g @ x)
-        if obj < best_obj - 1e-15:
-            best_obj = obj
-            best_x = x.copy()
-    return best_x, best_obj

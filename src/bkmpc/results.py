@@ -13,13 +13,17 @@ the one in the JSON summary. ``forecast`` and ``diagnose`` still write
 """
 
 import json
+import os
 import subprocess
 
 
 def git_rev():
+    """``git describe`` of the checkout this package is imported from, or
+    ``unknown``; independent of the working directory."""
     try:
         out = subprocess.run(
             ["git", "describe", "--always", "--dirty"],
+            cwd=os.path.dirname(os.path.abspath(__file__)),
             capture_output=True,
             text=True,
             timeout=10,

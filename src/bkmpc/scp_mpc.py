@@ -42,6 +42,11 @@ from .qpsolver import QpProblem, solve_box_qp
 _MPC_EPISODE_SPACE = 2**33
 
 
+class SolverInvariantError(RuntimeError):
+    """An accepted SCP step left the trust region, or the accepted
+    objectives increased."""
+
+
 @dataclass(frozen=True)
 class MpcConfig:
     horizon: int = 30
@@ -258,7 +263,11 @@ def scp_solve(cfg, params, bundle, coupling, z0, nominal_u_norm, u_prev_raw,
         z_cand = plan_rollout(bundle, coupling, z0, cand, period)
         J_cand = plan_cost(cfg, params, bundle, z_cand, cand, u_prev_raw)
         if J_cand <= J:
-            assert np.max(np.abs(du)) <= trust + 1e-9
+            step = float(np.max(np.abs(du)))
+            if not step <= trust + 1e-9:
+                raise SolverInvariantError(
+                    f"accepted step {step:.6g} exceeds the trust radius {trust:.6g}"
+                )
             u, z_nom, J = cand, z_cand, J_cand
             info.accepted.append(True)
             info.objectives.append(J)
@@ -270,9 +279,10 @@ def scp_solve(cfg, params, bundle, coupling, z0, nominal_u_norm, u_prev_raw,
     info.trust_final = trust
     if cfg.assert_descent:
         seq = info.objectives
-        assert all(b <= a + 1e-12 for a, b in zip(seq, seq[1:])), (
-            "accepted objectives must be non-increasing"
-        )
+        if not all(b <= a + 1e-12 for a, b in zip(seq, seq[1:])):
+            raise SolverInvariantError(
+                f"accepted objectives must be non-increasing: {seq}"
+            )
     plan = Plan(u, z_nom, J, bundle, bundle.checksum())
     return plan, info, sol
 

@@ -2,8 +2,9 @@
 
 Oracles here are deliberately independent of the code paths they check:
 the exponential oracle is a plain Taylor sum in extended precision, the
-determinant oracle is a tiny partial-pivot LU, and gradient checks are
-central finite differences over tape leaves.
+determinant oracle is a tiny partial-pivot LU, the box-QP oracle
+enumerates every active set, and gradient checks are central finite
+differences over tape leaves.
 """
 
 import numpy as np
@@ -82,3 +83,53 @@ def tape_gradcheck(build, values, rtol, h=1e-6):
         denom = max(np.linalg.norm(g_fd), np.linalg.norm(g_ad), 1e-12)
         worst = max(worst, np.linalg.norm(g_ad - g_fd) / denom)
     return worst
+
+
+def enumerate_box_qp(p):
+    """Brute-force oracle: try every active-set sign pattern.
+
+    Only sensible for strictly convex problems of small dimension; walks
+    all 3^n assignments of {free, at-lb, at-ub}, solves the reduced
+    equality system, and keeps the best primal/dual-feasible candidate.
+    """
+    n = p.n
+    best_x, best_obj = None, np.inf
+    for code in range(3**n):
+        pattern = []
+        c = code
+        for _ in range(n):
+            pattern.append(c % 3)
+            c //= 3
+        x = np.empty(n)
+        free = [i for i, s in enumerate(pattern) if s == 0]
+        for i, s in enumerate(pattern):
+            if s == 1:
+                x[i] = p.lb[i]
+            elif s == 2:
+                x[i] = p.ub[i]
+        if free:
+            idx = np.array(free)
+            fixed = np.array([i for i in range(n) if pattern[i] != 0], dtype=int)
+            rhs = -p.g[idx]
+            if fixed.size:
+                rhs = rhs - p.H[np.ix_(idx, fixed)] @ x[fixed]
+            try:
+                x[idx] = np.linalg.solve(p.H[np.ix_(idx, idx)], rhs)
+            except np.linalg.LinAlgError:
+                continue
+            if np.any(x[idx] < p.lb[idx] - 1e-9) or np.any(x[idx] > p.ub[idx] + 1e-9):
+                continue
+        grad = p.H @ x + p.g
+        ok = True
+        for i, s in enumerate(pattern):
+            if s == 1 and grad[i] < -1e-9:
+                ok = False
+            elif s == 2 and grad[i] > 1e-9:
+                ok = False
+        if not ok:
+            continue
+        obj = float(0.5 * x @ p.H @ x + p.g @ x)
+        if obj < best_obj - 1e-15:
+            best_obj = obj
+            best_x = x.copy()
+    return best_x, best_obj

@@ -1,5 +1,7 @@
 """Reverse-mode tape: every registered adjoint against finite differences."""
 
+import logging
+
 import numpy as np
 import pytest
 
@@ -32,8 +34,6 @@ def test_sum_exp_matrix_matches_fd():
         ("mul", lambda t, ls: ad.vsum(ls[0] * ls[1] * ls[0])),
         ("div", lambda t, ls: ad.vsum(ls[0] / (ls[1] * ls[1] + 2.0))),
         ("neg", lambda t, ls: ad.vsum(ad.exp(-ls[0]) * ls[1])),
-        ("expm1", lambda t, ls: ad.vsum(ad.expm1(ls[0]) + ls[1])),
-        ("relu", lambda t, ls: ad.vsum(ad.relu(ls[0] - ls[1]))),
         ("softplus", lambda t, ls: ad.vsum(ad.softplus(ls[0] * ls[1]))),
         ("neg_celu", lambda t, ls: ad.vsum(ad.neg_celu(ls[0] * 3.0 + ls[1]))),
         ("phi1", lambda t, ls: ad.vsum(ad.phi1(ls[0], ad.softplus(ls[1])))),
@@ -143,6 +143,91 @@ def test_eig_penalty_batch_shape():
     assert pen.value.shape == (2,)
     assert pen.value[0] == pytest.approx(0.15, abs=1e-10)
     assert pen.value[1] == 0.0
+
+
+def _rot(r, t):
+    return r * np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]])
+
+
+def _hinge_stack():
+    """Finite 3x3 matrices covering every branch of the hinge at margin 0.05."""
+    rng = np.random.default_rng(103)
+    pair = np.zeros((3, 3))
+    pair[:2, :2] = _rot(1.08, 0.7)
+    pair[2, 2] = 0.3
+    both = np.zeros((3, 3))
+    both[:2, :2] = _rot(1.1, 0.4)
+    both[2, 2] = 1.3
+    return np.stack([
+        np.diag([0.5, 0.3, -0.2]),  # fails the row-sum prefilter
+        np.array([[0.5, 0.6, 0.0], [0.0, 0.5, 0.0], [0.0, 0.0, 0.1]]),  # passes it, inactive
+        np.diag([1.2, 0.4, -0.1]) + 0.05 * rng.standard_normal((3, 3)),  # active real
+        pair + 0.02 * rng.standard_normal((3, 3)),  # active complex pair
+        both + 0.02 * rng.standard_normal((3, 3)),  # active pair and real
+    ])
+
+
+# equal moduli: both groups are a cluster, so its gradient is dropped
+_CLUSTERED = np.diag([1.1, -1.1, 0.2])
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_eig_penalty_stack_matches_per_matrix_and_fd():
+    stack = np.concatenate([_hinge_stack(), _CLUSTERED[None]])
+    tape = Tape()
+    a = tape.leaf(stack)
+    pen = ad.eig_penalty(a, 0.05)
+    single = [float(ad.eig_penalty(tape.leaf(M), 0.05).value) for M in stack]
+    assert np.allclose(pen.value, single, rtol=1e-13, atol=0.0)
+    assert np.all(pen.value[:2] == 0.0) and np.all(pen.value[2:] > 0.0)
+    grads = backward(tape, ad.vsum(pen))
+    assert np.all(grads[a][:2] == 0.0) and np.all(grads[a][-1] == 0.0)
+
+    # distinct upstream weights per matrix; the clustered one rides along as a constant
+    w = np.arange(1.0, 7.0)
+    build = lambda t, ls: ad.vsum(
+        ad.eig_penalty(ad.concat([ls[0], t.constant(_CLUSTERED[None])]), 0.05)
+        * t.constant(w)
+    )
+    assert tape_gradcheck(build, [_hinge_stack()], rtol=1e-5, h=1e-6) <= 1e-5
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_eig_penalty_skips_each_failing_matrix_once(monkeypatch, caplog):
+    good = _hinge_stack()
+    tape = Tape()
+    a_ref = tape.leaf(good)
+    ref = ad.eig_penalty(a_ref, 0.05)
+    g_ref = backward(tape, ad.vsum(ref))[a_ref]
+
+    stack = good.copy()
+    stack[1, 0, 0] = np.nan  # non-finite: skipped before any LAPACK call
+    values_fail, vectors_fail = stack[2].copy(), stack[3].copy()
+
+    def failing_on(real, bad):
+        def call(M, *args):
+            if np.any(np.all(np.asarray(M) == bad, axis=(-2, -1))):
+                raise np.linalg.LinAlgError("did not converge")
+            return real(M, *args)
+        return call
+
+    monkeypatch.setattr(np.linalg, "eigvals", failing_on(np.linalg.eigvals, values_fail))
+    monkeypatch.setattr(np.linalg, "eig", failing_on(np.linalg.eig, vectors_fail))
+    tape = Tape()
+    a = tape.leaf(stack)
+    with caplog.at_level(logging.WARNING, logger="bkmpc.numerics"):
+        pen = ad.eig_penalty(a, 0.05)
+        forward_warnings = len(caplog.records)
+        grads = backward(tape, ad.vsum(pen))[a]
+    assert forward_warnings == 2
+    # the eigenvector failure keeps its penalty and loses only its gradient
+    assert len(caplog.records) == 3
+    assert all(r.name == "bkmpc.numerics" for r in caplog.records)
+    assert pen.value[1] == 0.0 and pen.value[2] == 0.0
+    keep = [0, 3, 4]
+    assert np.allclose(pen.value[keep], ref.value[keep], rtol=1e-13, atol=0.0)
+    assert np.all(grads[1:4] == 0.0)
+    assert np.allclose(grads[[0, 4]], g_ref[[0, 4]], rtol=1e-12, atol=1e-15)
 
 
 def test_unsupported_op_raises():

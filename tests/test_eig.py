@@ -1,9 +1,10 @@
-"""Nonsymmetric eigenvalue moduli and eigenvector recovery."""
+"""Nonsymmetric eigenvalues, moduli and eigenvectors."""
 
 import numpy as np
 import pytest
 
 from bkmpc.numerics import ConvergenceError, eig_moduli, eig_values, spectral_radius
+from bkmpc.numerics.eig import eigen_pair
 from helpers import lu_det
 
 
@@ -63,28 +64,35 @@ def test_spectral_radius():
     assert spectral_radius(np.diag([0.3, -0.8])) == pytest.approx(0.8, abs=1e-12)
 
 
-def test_convergence_error_carries_partial():
+def test_linalg_error_becomes_convergence_error(monkeypatch):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
     M = np.random.default_rng(43).standard_normal((6, 6))
-    with pytest.raises(ConvergenceError) as ei:
-        eig_values(M, max_sweeps=0)
-    partial = ei.value.partial_matrix
-    assert partial.shape == (6, 6)
-    # eigenvalues are preserved by the (partial) similarity reduction
-    ref = np.sort(np.abs(np.linalg.eigvals(M)))
-    got = np.sort(np.abs(np.linalg.eigvals(partial)))
-    assert np.allclose(ref, got, atol=1e-8)
+    monkeypatch.setattr(np.linalg, "eigvals", fail)
+    monkeypatch.setattr(np.linalg, "eig", fail)
+    for solve in (eig_values, eigen_pair):
+        with pytest.raises(ConvergenceError) as ei:
+            solve(M)
+        assert isinstance(ei.value.__cause__, np.linalg.LinAlgError)
 
 
-def test_eigen_pairs_for_moduli_above_threshold():
+def test_eigen_pair_residuals_on_a_stack():
     rng = np.random.default_rng(47)
-    M = rng.standard_normal((6, 6))
-    mods, triples = eig_moduli(M, vector_threshold=0.5)
-    assert all(abs(lam) >= 0.5 for lam, _, _ in triples)
-    for lam, x, y in triples:
-        assert np.linalg.norm(M @ x - lam * x) <= 1e-8 * np.linalg.norm(x)
-        assert np.linalg.norm(np.conj(y) @ M - lam * np.conj(y)) <= 1e-8
+    M = rng.standard_normal((5, 6, 6))
+    lam, V, W = eigen_pair(M)
+    assert lam.shape == (5, 6) and V.shape == W.shape == (5, 6, 6)
+    assert np.any(lam.imag != 0.0)
+    norm = lambda X: np.linalg.norm(X, axis=(1, 2))
+    L = lam[:, None, :]
+    assert np.all(norm(M @ V - V * L) <= 1e-12 * norm(M) * norm(V))
+    assert np.all(norm(W @ M - np.swapaxes(L, 1, 2) * W) <= 1e-12 * norm(M) * norm(W))
+    assert np.allclose(W @ V, np.eye(6), atol=1e-10)
+    assert np.array_equal(eig_values(M), np.stack([eig_values(m) for m in M]))
 
 
 def test_rejects_nonsquare():
     with pytest.raises(ValueError):
         eig_values(np.zeros((2, 3)))
+    with pytest.raises(ValueError):
+        eig_values(np.array([[1.0, np.inf], [0.0, 1.0]]))

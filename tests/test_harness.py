@@ -8,6 +8,7 @@ import pytest
 
 from bkmpc import datagen as dg
 from bkmpc import model as mdl
+from bkmpc import results
 from bkmpc import simulators as sim
 from bkmpc.cli import main
 from bkmpc.svgplot import Series, emit_svg
@@ -248,6 +249,13 @@ def test_config_file_defaults(tmp_path):
     assert rc == 0
     ds = dg.read_dataset(out)
     assert ds.counts()["test"] == 30 and ds.seed == 9
+
+
+def test_git_rev_independent_of_cwd(tmp_path, monkeypatch):
+    monkeypatch.chdir(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+    at_root = results.git_rev()
+    monkeypatch.chdir(tmp_path)
+    assert results.git_rev() == at_root
 
 
 def test_usage_errors_exit_one():

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from bkmpc.qpsolver import QpProblem, enumerate_box_qp, kkt_residual, solve_box_qp
+from bkmpc.qpsolver import QpProblem, kkt_residual, solve_box_qp
+from helpers import enumerate_box_qp
 
 
 def random_problem(rng, n, box_scale=1.0):

@@ -259,6 +259,28 @@ def test_scp_monotone_descent_random_bilinear():
         assert plan.objective == seq[-1]
 
 
+def test_step_outside_trust_region_raises(monkeypatch):
+    # a QP step that lowers the cost but leaves the trust region is an
+    # invariant violation, raised even under python -O
+    rng = np.random.default_rng(23)
+    b = make_bundle(3, 1, 4, rng)
+    params = tiny_mpc_params(dz=3)
+    cfg = default_cfg(n_scp=1, trust_init=0.01)
+    real = mpc.solve_box_qp
+
+    def unboxed(qp, **kw):
+        wide = np.full(qp.g.shape, 1e3)
+        return real(mpc.QpProblem(qp.H, qp.g, -wide, wide), **kw)
+
+    monkeypatch.setattr(mpc, "solve_box_qp", unboxed)
+    with pytest.raises(mpc.SolverInvariantError, match="trust radius"):
+        mpc.scp_solve(
+            cfg, params, b, None, rng.standard_normal(3),
+            np.zeros((cfg.horizon, 1)), np.zeros(1),
+            np.array([-200.0]), np.array([200.0]),
+        )
+
+
 def test_plan_invariant_rollout_consistency():
     rng = np.random.default_rng(31)
     params = tiny_mpc_params(dz=2)
