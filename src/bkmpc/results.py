@@ -9,7 +9,8 @@ The ``mpc_summary``, ``lead_table``, ``wall_table`` and ``cost_band``
 tables write their floats through :func:`fmt_float` at round-trip
 precision, so a value read back from the CSV equals the one in memory and
 the one in the JSON summary. ``forecast`` and ``diagnose`` still write
-``.10g``.
+``.10g``; ``trainlog`` and ``episodelog`` keep their per-column formats.
+Every table, the two logs included, is written by :func:`write_csv`.
 """
 
 import json
@@ -82,6 +83,17 @@ BAND_COLUMNS = (
     "schema", "preset", "model", "seed", "git", "controller", "lead",
     "step", "mean_running_avg", "band_halfwidth", "episodes_alive",
 )
+
+TRAINLOG_SCHEMA = "trainlog.v1"
+TRAINLOG_COLUMNS = (
+    "schema", "preset", "model", "seed", "git", "epoch", "lr", "train_loss",
+    "val_loss", "g_norm", "wall_s", "test_mse", "is_best",
+)
+
+#: the per-step episode log; its state and control columns (x0.., u0..)
+#: follow ``step`` and depend on the system, so ``EpisodeLog.to_csv``
+#: builds the header
+EPISODELOG_SCHEMA = "episodelog.v2"
 
 DIAG_SCHEMA = "diagnose.v1"
 DIAG_COLUMNS = (

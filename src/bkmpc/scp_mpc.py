@@ -10,7 +10,10 @@ from the current history:
    coupling exponential with the held input map;
 3. eliminate the linearized dynamics to get a dense QP in control
    increments over the intersection of the feasible box and an
-   infinity-norm trust region;
+   infinity-norm trust region, and solve it to a KKT point by projected
+   Newton (``qpsolver``), warm-started from the previous QP's solution;
+   the episode log counts, per solve, the QPs that did not end
+   ``solved``;
 4. accept the increment if the true (frozen-bundle) objective does not
    increase, otherwise halve the trust radius.
 
@@ -34,6 +37,7 @@ import numpy as np
 
 from . import datagen as dg
 from . import model as mdl
+from . import results
 from . import simulators as sim
 from .model import ContractViolation
 from .numerics import dense, eig_values
@@ -60,7 +64,6 @@ class MpcConfig:
     episodes: int = 10
     episode_len: int = 1_000
     qp_eps_abs: float = 1e-6
-    qp_eps_rel: float = 1e-6
     qp_max_iter: int = 4_000
     assert_descent: bool = True
 
@@ -253,7 +256,6 @@ def scp_solve(cfg, params, bundle, coupling, z0, nominal_u_norm, u_prev_raw,
             qp,
             warm=sol,
             eps_abs=cfg.qp_eps_abs,
-            eps_rel=cfg.qp_eps_rel,
             max_iter=cfg.qp_max_iter,
         )
         info.qp_iterations += sol.iterations
@@ -371,6 +373,8 @@ class EpisodeLog:
     running_avg: np.ndarray = None
     scp_iterations: np.ndarray = None
     qp_iterations: np.ndarray = None
+    qp_unsolved: np.ndarray = None  # non-"solved" QP statuses per solve
+    trust_final: np.ndarray = None  # final trust radius; nan between solves
     solve_wall_s: np.ndarray = None
     spectral_radius: np.ndarray = None
     gershgorin_straddle: np.ndarray = None
@@ -397,31 +401,32 @@ class EpisodeLog:
             + [f"x{i}" for i in range(n)]
             + [f"u{i}" for i in range(m)]
             + ["stage_cost", "running_avg", "scp_iters", "qp_iters",
-               "solve_wall_s", "spectral_radius", "gershgorin_straddle",
-               "bundle_checksum"]
+               "qp_unsolved", "trust_final", "solve_wall_s", "spectral_radius",
+               "gershgorin_straddle", "bundle_checksum"]
         )
         base = (
-            f"episodelog.v1,{self.preset},{self.controller},{self.lead},"
-            f"{self.seed},{self.episode_index},{git_rev}"
+            results.EPISODELOG_SCHEMA, self.preset, self.controller, self.lead,
+            self.seed, self.episode_index, git_rev,
         )
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(",".join(head) + "\n")
-            for t in range(self.steps):
-                vals = (
-                    [f"{v:.17g}" for v in self.states[t]]
-                    + [f"{v:.17g}" for v in self.controls[t]]
-                    + [
-                        f"{self.stage_costs[t]:.10g}",
-                        f"{self.running_avg[t]:.10g}",
-                        str(int(self.scp_iterations[t])),
-                        str(int(self.qp_iterations[t])),
-                        f"{self.solve_wall_s[t]:.6g}",
-                        f"{self.spectral_radius[t]:.10g}",
-                        str(int(self.gershgorin_straddle[t])),
-                        self.bundle_checksums[t],
-                    ]
-                )
-                fh.write(base + f",{t}," + ",".join(vals) + "\n")
+        rows = [
+            base + (t,)
+            + tuple(f"{v:.17g}" for v in self.states[t])
+            + tuple(f"{v:.17g}" for v in self.controls[t])
+            + (
+                f"{self.stage_costs[t]:.10g}",
+                f"{self.running_avg[t]:.10g}",
+                int(self.scp_iterations[t]),
+                int(self.qp_iterations[t]),
+                int(self.qp_unsolved[t]),
+                results.fmt_float(self.trust_final[t]),
+                f"{self.solve_wall_s[t]:.6g}",
+                f"{self.spectral_radius[t]:.10g}",
+                int(self.gershgorin_straddle[t]),
+                self.bundle_checksums[t],
+            )
+            for t in range(self.steps)
+        ]
+        results.write_csv(path, head, rows)
 
 
 def run_episode(sim_cfg, params, mpc_cfg, controller="scp5", lead=0,
@@ -449,8 +454,8 @@ def run_episode(sim_cfg, params, mpc_cfg, controller="scp5", lead=0,
     ref = np.asarray(mpc_cfg.x_ref)
 
     rows = {k: [] for k in (
-        "state", "control", "cost", "avg", "scp_it", "qp_it", "wall",
-        "rho", "straddle", "checksum",
+        "state", "control", "cost", "avg", "scp_it", "qp_it", "qp_unsolved",
+        "trust", "wall", "rho", "straddle", "checksum",
     )}
     queue = []
     plan = None
@@ -480,10 +485,14 @@ def run_episode(sim_cfg, params, mpc_cfg, controller="scp5", lead=0,
             queue = [raw_plan[i] for i in range(min(lead + 1, raw_plan.shape[0]))]
             scp_it = len(info.accepted)
             qp_it = info.qp_iterations
+            qp_unsolved = sum(status != "solved" for status in info.qp_status)
+            trust = info.trust_final
         else:
             wall = 0.0
             scp_it = 0
             qp_it = 0
+            qp_unsolved = 0
+            trust = np.nan
 
         u_raw = sim.clip_control(sim_cfg, queue.pop(0))
         u_norm = (u_raw - plan.bundle.control_mean) / plan.bundle.control_std
@@ -502,6 +511,8 @@ def run_episode(sim_cfg, params, mpc_cfg, controller="scp5", lead=0,
         rows["avg"].append(cum / (step + 1))
         rows["scp_it"].append(scp_it)
         rows["qp_it"].append(qp_it)
+        rows["qp_unsolved"].append(qp_unsolved)
+        rows["trust"].append(trust)
         rows["wall"].append(wall)
         rows["rho"].append(rho)
         rows["straddle"].append(straddle)
@@ -532,6 +543,8 @@ def run_episode(sim_cfg, params, mpc_cfg, controller="scp5", lead=0,
         running_avg=np.asarray(rows["avg"]),
         scp_iterations=np.asarray(rows["scp_it"]),
         qp_iterations=np.asarray(rows["qp_it"]),
+        qp_unsolved=np.asarray(rows["qp_unsolved"], dtype=int),
+        trust_final=np.asarray(rows["trust"], dtype=float),
         solve_wall_s=np.asarray(rows["wall"]),
         spectral_radius=np.asarray(rows["rho"]),
         gershgorin_straddle=np.asarray(rows["straddle"], dtype=bool),

@@ -16,6 +16,7 @@ import numpy as np
 
 from . import datagen as dg
 from . import model as mdl
+from . import results
 from .numerics import DomainError
 
 
@@ -111,20 +112,17 @@ class TrainLog:
     best_test_mse: float = np.nan
 
     def to_csv(self, path, git_rev="unknown"):
-        cols = (
-            "schema,preset,model,seed,git,epoch,lr,train_loss,val_loss,"
-            "g_norm,wall_s,test_mse,is_best\n"
-        )
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(cols)
-            for i, ep in enumerate(self.epochs):
-                fh.write(
-                    f"trainlog.v1,{self.preset},{self.kind},{self.seed},"
-                    f"{git_rev},{ep},{self.lrs[i]:.10g},"
-                    f"{self.train_losses[i]:.10g},{self.val_losses[i]:.10g},"
-                    f"{self.g_norms[i]:.10g},{self.wall_seconds[i]:.4f},"
-                    f"{self.test_mses[i]:.10g},{int(ep == self.best_epoch)}\n"
-                )
+        rows = [
+            (
+                results.TRAINLOG_SCHEMA, self.preset, self.kind, self.seed,
+                git_rev, ep, f"{self.lrs[i]:.10g}",
+                f"{self.train_losses[i]:.10g}", f"{self.val_losses[i]:.10g}",
+                f"{self.g_norms[i]:.10g}", f"{self.wall_seconds[i]:.4f}",
+                f"{self.test_mses[i]:.10g}", int(ep == self.best_epoch),
+            )
+            for i, ep in enumerate(self.epochs)
+        ]
+        results.write_csv(path, results.TRAINLOG_COLUMNS, rows)
 
 
 def batch_loss(params, states, controls, batch_size=512, eval_mode=True):

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from bkmpc.qpsolver import QpProblem, kkt_residual, solve_box_qp
+from bkmpc import qpsolver
+from bkmpc.qpsolver import QpProblem, QpSolution, kkt_residual, solve_box_qp
 from helpers import enumerate_box_qp
 
 
@@ -14,6 +15,20 @@ def random_problem(rng, n, box_scale=1.0):
     lb = -box_scale * rng.uniform(0.2, 1.5, n)
     ub = box_scale * rng.uniform(0.2, 1.5, n)
     return QpProblem(H, g, lb, ub)
+
+
+def objective(p, x):
+    return float(0.5 * x @ p.H @ x + p.g @ x)
+
+
+def assert_matches_oracle(p):
+    sol = solve_box_qp(p)
+    assert sol.status == "solved"
+    x_ref, _ = enumerate_box_qp(p)
+    assert x_ref is not None
+    assert np.max(np.abs(sol.x - x_ref)) <= 1e-6
+    prim, dual = kkt_residual(p, sol.x, sol.dual)
+    assert prim <= 1e-9 and dual <= 1e-6
 
 
 def test_clipped_scalar_optimum():
@@ -39,14 +54,13 @@ def test_matches_enumeration_oracle():
     rng = np.random.default_rng(61)
     for _ in range(60):
         n = int(rng.integers(2, 7))
-        p = random_problem(rng, n)
-        sol = solve_box_qp(p)
-        assert sol.status == "solved"
-        x_ref, _ = enumerate_box_qp(p)
-        assert x_ref is not None
-        assert np.max(np.abs(sol.x - x_ref)) <= 1e-6
-        prim, dual = kkt_residual(p, sol.x, sol.dual)
-        assert prim <= 1e-9 and dual <= 1e-6
+        assert_matches_oracle(random_problem(rng, n))
+
+
+def test_matches_enumeration_oracle_n7_n8():
+    rng = np.random.default_rng(62)
+    for n in (7, 7, 8, 8):
+        assert_matches_oracle(random_problem(rng, n))
 
 
 def test_kkt_residual_examples():
@@ -119,3 +133,102 @@ def test_intake_symmetrization():
     H = np.array([[2.0, 1.0], [0.0, 2.0]])
     p = QpProblem(H, np.zeros(2), -np.ones(2), np.ones(2))
     assert np.array_equal(p.H, p.H.T)
+
+
+def test_psd_hessian_zero_curvature_direction():
+    # r_weights=(0,) makes the condensed H singular; the free block then
+    # fails a plain Cholesky
+    p = QpProblem(np.diag([1.0, 0.0]), np.array([-1.0, -1.0]), np.full(2, -2.0), np.full(2, 2.0))
+    sol = solve_box_qp(p)
+    assert sol.status == "solved"
+    assert np.allclose(sol.x, [1.0, 2.0], atol=1e-8)
+
+
+def test_psd_hessian_low_rank():
+    rng = np.random.default_rng(83)
+    A = rng.standard_normal((8, 20))
+    p = QpProblem(A.T @ A, 3.0 * rng.standard_normal(20), -rng.uniform(0.2, 1.5, 20), rng.uniform(0.2, 1.5, 20))
+    sol = solve_box_qp(p)
+    assert sol.status == "solved"
+    prim, dual = kkt_residual(p, sol.x, sol.dual)
+    assert prim == 0.0 and dual <= 1e-6
+
+
+def test_linear_objective_goes_to_the_corner():
+    # H = 0: no shift makes the free block factor, so only the
+    # projected-gradient step moves
+    p = QpProblem(np.zeros((3, 3)), np.array([1.0, -2.0, 0.5]), np.full(3, -1.0), np.array([1.0, 3.0, 2.0]))
+    sol = solve_box_qp(p)
+    assert sol.status == "solved"
+    assert np.array_equal(sol.x, [-1.0, 3.0, -1.0])
+    assert sol.objective == pytest.approx(-7.5, abs=1e-12)
+
+
+def test_ill_conditioned_n90():
+    rng = np.random.default_rng(89)
+    Q, _ = np.linalg.qr(rng.standard_normal((90, 90)))
+    H = (Q * np.logspace(0.0, -8.0, 90)) @ Q.T
+    p = QpProblem(H, rng.standard_normal(90), -rng.uniform(0.5, 2.0, 90), rng.uniform(0.5, 2.0, 90))
+    assert np.linalg.cond(p.H) == pytest.approx(1e8, rel=1e-2)
+    sol = solve_box_qp(p)
+    assert sol.status == "solved"
+    prim, dual = kkt_residual(p, sol.x, sol.dual)
+    assert prim == 0.0 and dual <= 1e-6
+
+
+def test_fixed_entries_and_infinite_box():
+    rng = np.random.default_rng(97)
+    p = random_problem(rng, 6)
+    p.lb[[1, 4]] = p.ub[[1, 4]] = [0.3, -0.2]
+    sol = solve_box_qp(p)
+    assert sol.status == "solved"
+    assert sol.x[1] == 0.3 and sol.x[4] == -0.2
+    assert_matches_oracle(p)
+
+    free = QpProblem(p.H, p.g, np.full(6, -np.inf), np.full(6, np.inf))
+    sol = solve_box_qp(free)
+    assert sol.status == "solved"
+    assert sol.iterations == 2  # one Newton step, then the check
+    assert np.allclose(sol.x, np.linalg.solve(p.H, -p.g), atol=1e-9)
+    assert np.array_equal(sol.dual, np.zeros(6))
+
+
+def test_ascent_newton_direction_falls_back_to_projected_gradient(monkeypatch):
+    # a Newton direction that points uphill is never taken: every arc
+    # trial is refused and the projected-gradient step moves instead
+    monkeypatch.setattr(qpsolver, "_newton_direction", lambda H, grad, free: grad)
+    rng = np.random.default_rng(107)
+    A = 0.3 * rng.standard_normal((5, 5))
+    p = QpProblem(np.eye(5) + A.T @ A, 2.0 * rng.standard_normal(5), -0.5 * np.ones(5), 0.5 * np.ones(5))
+    sol = solve_box_qp(p)
+    assert sol.iterations > 2
+    assert sol.objective < objective(p, np.zeros(5))
+    assert_matches_oracle(p)
+
+
+def test_non_finite_problem_stalls_at_once():
+    H = np.eye(3)
+    H[0, 1] = H[1, 0] = np.nan
+    sol = solve_box_qp(QpProblem(H, np.ones(3), -np.ones(3), np.ones(3)))
+    assert sol.status == "stalled" and sol.iterations == 1
+
+
+def test_warm_resolve_from_optimum_takes_one_iteration():
+    rng = np.random.default_rng(101)
+    for n in (5, 30):
+        p = random_problem(rng, n, box_scale=0.3)
+        cold = solve_box_qp(p)
+        again = solve_box_qp(p, warm=cold)
+        assert again.status == "solved" and again.iterations == 1
+        assert np.array_equal(again.x, cold.x)
+
+
+def test_objective_not_above_clipped_warm_start():
+    rng = np.random.default_rng(103)
+    for _ in range(20):
+        p = random_problem(rng, 12, box_scale=0.5)
+        start = 2.0 * rng.standard_normal(12)
+        warm = QpSolution(start, np.zeros(12), 0.0, 0.0, 0.0, 0, "solved")
+        sol = solve_box_qp(p, warm=warm)
+        assert sol.status == "solved"
+        assert sol.objective <= objective(p, np.clip(start, p.lb, p.ub))

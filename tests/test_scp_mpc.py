@@ -391,10 +391,21 @@ def test_episode_truncates_on_termination():
 
 
 def test_episode_log_csv(tmp_path):
-    log = run_smoke_episode("bilinear", "scp1", steps=12)
+    # lead 1: every other step is a solve, so both kinds of row appear
+    log = run_smoke_episode("bilinear", "scp1", lead=1, steps=12)
     path = tmp_path / "ep.csv"
     log.to_csv(path, git_rev="dead01")
     lines = path.read_text().strip().split("\n")
     assert len(lines) == 1 + log.steps
     assert lines[0].startswith("schema,preset,controller,lead")
-    assert "episodelog.v1" in lines[1]
+    assert "episodelog.v2" in lines[1]
+    header = lines[0].split(",")
+    rows = [line.split(",") for line in lines[1:]]
+    unsolved = [int(r[header.index("qp_unsolved")]) for r in rows]
+    trust = [float(r[header.index("trust_final")]) for r in rows]
+    assert unsolved == log.qp_unsolved.tolist()
+    assert np.array_equal(trust, log.trust_final, equal_nan=True)
+    solved_steps = log.solve_wall_s > 0
+    assert solved_steps.any() and not solved_steps.all()
+    assert np.all(np.isfinite(log.trust_final[solved_steps]))
+    assert np.all(np.isnan(log.trust_final[~solved_steps]))

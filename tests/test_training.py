@@ -175,3 +175,23 @@ def test_trainlog_csv(tmp_path):
     assert len(lines) == 3
     assert lines[0].startswith("schema,preset,model,seed,git,epoch")
     assert lines[1].startswith("trainlog.v1,cartpole-ti,bilinear")
+
+
+def test_trainlog_csv_row_text(tmp_path):
+    # trainlog.v1 text, pinned column by column
+    log = tr.TrainLog(
+        preset="rscp-ti", kind="linear", seed=7, epochs=[0, 1],
+        lrs=[1e-3, 0.00095], train_losses=[2.0 / 3.0, 0.123456789012345],
+        val_losses=[1.5, 12345.678901234], g_norms=[0.0, 3.25],
+        wall_seconds=[0.1, 12.3456789], test_mses=[np.nan, 1e-9], best_epoch=1,
+    )
+    path = tmp_path / "log.csv"
+    log.to_csv(path, git_rev="abc123")
+    assert path.read_text() == (
+        "schema,preset,model,seed,git,epoch,lr,train_loss,val_loss,g_norm,"
+        "wall_s,test_mse,is_best\n"
+        "trainlog.v1,rscp-ti,linear,7,abc123,0,0.001,0.6666666667,1.5,0,"
+        "0.1000,nan,0\n"
+        "trainlog.v1,rscp-ti,linear,7,abc123,1,0.00095,0.123456789,"
+        "12345.6789,3.25,12.3457,1e-09,1\n"
+    )
