@@ -204,7 +204,7 @@ def _run_episode_batch(cfg, seed, test, mode, want, budget, batch_size):
 
     def advance_prefix():
         nonlocal prefix_next, prefix_windows
-        while prefix_next in finished:
+        while prefix_next in finished and prefix_windows < want:
             n_ctl = len(finished[prefix_next].controls)
             prefix_windows += max(n_ctl - WINDOW_LEN + 1, 0)
             prefix_next += 1

@@ -503,10 +503,18 @@ def forecast_se(params, states_raw, controls_raw):
 # inference-side (plain ndarray) dynamics
 
 
-def spectral_penalty(a_disc, margin):
-    """sum_j max(0, |lambda_j| - (1 - margin)) for one square matrix."""
-    tape = ad.Tape()
-    return float(ad.eig_penalty(tape.leaf(a_disc), margin).value)
+def held_step(bundle):
+    """(e_d, B_phi) of a single ndarray bundle: the diagonal hold step
+    exp(a .* delta) and the held input map phi1(a, delta) .* Bcont."""
+    e_d = np.exp(bundle.a_act * bundle.delta)
+    b_diag = dense.phi1(bundle.a_act, bundle.delta)[:, None] * bundle.b_cont
+    return e_d, b_diag
+
+
+def coupling_generators(G, u_seq_n, period):
+    """(T, dz, dz) coupling generators P(u_k) T of a (T, m) control
+    sequence in normalized units."""
+    return np.einsum("kj,jab->kab", np.asarray(u_seq_n, dtype=float), G) * period
 
 
 def discretize(bundle, G, u_n, period):
@@ -515,33 +523,30 @@ def discretize(bundle, G, u_n, period):
     ``u_n`` is in normalized control units; with no coupling the factor
     is skipped entirely (identically the identity).
     """
-    e_d = np.exp(bundle.a_act * bundle.delta)
-    b_diag = dense.phi1(bundle.a_act, bundle.delta)[:, None] * bundle.b_cont
+    e_d, b_diag = held_step(bundle)
     if G is None:
         return DiscreteOperators(np.diag(e_d), b_diag)
-    P = np.einsum("j,jkl->kl", np.asarray(u_n, dtype=float), G) * period
-    e_p = dense.matrix_exp(P)
+    e_p = dense.matrix_exp(coupling_generators(G, np.atleast_2d(u_n), period))[0]
     return DiscreteOperators(e_p * e_d[None, :], e_p @ b_diag)
 
 
 def rollout(z0, u_seq_n, bundle, G, period):
-    """Frozen-bundle rollout; returns (latents (T+1, dz), decoded (T, n))."""
+    """Frozen-bundle rollout; returns (latents (T+1, dz), decoded (T, n)).
+
+    All T coupling factors come from one batched exponential before the
+    latent loop (one shared scaling exponent, see ``dense``); each step
+    is then the split form e_p[k] @ (e_d * z + B_phi @ u_k). The decoder
+    is applied to the T new latents in one product after the loop.
+    """
     u_seq_n = np.asarray(u_seq_n, dtype=float)
-    e_d = np.exp(bundle.a_act * bundle.delta)
-    b_diag = dense.phi1(bundle.a_act, bundle.delta)[:, None] * bundle.b_cont
-    z = np.asarray(z0, dtype=float)
-    lat = [z]
-    dec = []
-    for u in u_seq_n:
-        drift = e_d * z + b_diag @ u
-        if G is None:
-            z = drift
-        else:
-            P = np.einsum("j,jkl->kl", u, G) * period
-            z = dense.matrix_exp(P) @ drift
-        lat.append(z)
-        dec.append(bundle.decoder @ z)
-    return np.asarray(lat), np.asarray(dec)
+    e_d, b_diag = held_step(bundle)
+    e_p = None if G is None else dense.matrix_exp(coupling_generators(G, u_seq_n, period))
+    lat = np.empty((u_seq_n.shape[0] + 1, e_d.shape[0]))
+    lat[0] = z0
+    for k, u in enumerate(u_seq_n):
+        drift = e_d * lat[k] + b_diag @ u
+        lat[k + 1] = drift if e_p is None else e_p[k] @ drift
+    return lat, lat[1:] @ bundle.decoder.T
 
 
 def bundle_for_history(params, states_raw, controls_raw):

@@ -8,9 +8,12 @@ from the current history:
    times the diagonal hold step (the map is affine in the latent), and
    the control Jacobian combines the directional derivative of the
    coupling exponential with the held input map;
-3. eliminate the linearized dynamics to get a dense QP in control
-   increments over the intersection of the feasible box and an
-   infinity-norm trust region, and solve it to a KKT point by projected
+3. eliminate the linearized dynamics: each residual of the objective
+   (``cost_residuals``: decoded tracking errors, then control
+   increments) becomes affine in the stacked control increments du,
+   res + J du, so the condensed QP is the weighted least-squares problem
+   min sum w (res + J du)^2 over the intersection of the feasible box and
+   an infinity-norm trust region; solve it to a KKT point by projected
    Newton (``qpsolver``), warm-started from the previous QP's solution;
    the episode log counts, per solve, the QPs that did not end
    ``solved``;
@@ -124,15 +127,14 @@ def linearize(bundle, coupling, plan_u_norm, z_nom, period):
     """
     H, m = plan_u_norm.shape
     dz = z_nom.shape[1]
-    e_d = np.exp(bundle.a_act * bundle.delta)
-    b_diag = dense.phi1(bundle.a_act, bundle.delta)[:, None] * bundle.b_cont
+    e_d, b_diag = mdl.held_step(bundle)
 
     if coupling is None:
         a_t = np.tile(np.diag(e_d), (H, 1, 1))
         b_t = np.tile(b_diag, (H, 1, 1))
         return a_t, b_t
 
-    P = np.einsum("kj,jab->kab", plan_u_norm, coupling) * period  # (H, dz, dz)
+    P = mdl.coupling_generators(coupling, plan_u_norm, period)  # (H, dz, dz)
     drift = z_nom[:H] * e_d[None, :] + plan_u_norm @ b_diag.T  # (H, dz)
     # one batched block exponential for all (step, channel) directions
     Ms = np.repeat(P, m, axis=0)
@@ -155,20 +157,27 @@ def decode_raw(params, bundle, z):
     return params.state_mean + params.state_std * (z @ bundle.decoder.T)
 
 
-def plan_cost(cfg, params, bundle, z_nom, u_norm, u_prev_raw):
-    """True frozen-bundle objective of a plan, raw-space weights."""
+def cost_residuals(cfg, params, bundle, z_nom, u_norm, u_prev_raw):
+    """The plan objective as (w, res), objective = sum(w * res**2).
+
+    ``res`` stacks the raw-space decoded tracking errors of steps 1..H
+    (weights q, the terminal step H weighted by p), then the raw control
+    increments u_0 - u_prev, u_1 - u_0, ... (weights r).
+    """
     H = u_norm.shape[0]
-    q = np.asarray(cfg.q_weights)
-    p = np.asarray(cfg.p_weights)
-    r = np.asarray(cfg.r_weights)
-    ref = np.asarray(cfg.x_ref)
-    xhat = decode_raw(params, bundle, z_nom)  # (H+1, n)
-    err = xhat - ref
-    cost = float(np.sum(err[1:H] ** 2 * q)) + float(np.sum(err[H] ** 2 * p))
+    w_track = np.tile(np.asarray(cfg.q_weights, dtype=float), (H, 1))
+    w_track[-1] = cfg.p_weights
+    err = decode_raw(params, bundle, z_nom[1:]) - np.asarray(cfg.x_ref)
     u_raw = bundle.control_mean + bundle.control_std * u_norm
     du = np.diff(np.vstack([u_prev_raw, u_raw]), axis=0)
-    cost += float(np.sum(du**2 * r))
-    return cost
+    w = np.concatenate([w_track.ravel(), np.tile(cfg.r_weights, H)])
+    return w, np.concatenate([err.ravel(), du.ravel()])
+
+
+def plan_cost(cfg, params, bundle, z_nom, u_norm, u_prev_raw):
+    """True frozen-bundle objective of a plan, raw-space weights."""
+    w, res = cost_residuals(cfg, params, bundle, z_nom, u_norm, u_prev_raw)
+    return float(w @ res**2)
 
 
 def condense(cfg, params, bundle, a_t, b_t, z_nom, u_norm, u_prev_raw,
@@ -176,18 +185,17 @@ def condense(cfg, params, bundle, a_t, b_t, z_nom, u_norm, u_prev_raw,
     """Eliminate the linearized dynamics into a dense box QP in du.
 
     The increment enters the latent perturbation as dz_{k+1} =
-    A_k dz_k + B_k du_k with dz_0 = 0; tracking, terminal, and
-    control-increment penalties are expanded to quadratic form in the
-    stacked du (constants dropped). The box intersects feasibility
-    (bounds minus nominal) with the infinity-norm trust region.
+    A_k dz_k + B_k du_k with dz_0 = 0, so every residual of
+    ``cost_residuals`` is affine in the stacked du with Jacobian J: the
+    decoded responses W_k of steps 1..H over the increment difference
+    operator D = kron(I - shift, diag(control_std)). The objective's
+    quadratic model is then H = 2 J^T W J, g = 2 J^T W res (constants
+    dropped). The box intersects feasibility (bounds minus nominal) with
+    the infinity-norm trust region.
     """
     H, m = u_norm.shape
     dz = z_nom.shape[1]
     N = H * m
-    q = np.asarray(cfg.q_weights)
-    p = np.asarray(cfg.p_weights)
-    r = np.asarray(cfg.r_weights)
-    ref = np.asarray(cfg.x_ref)
 
     lb_n = (control_low - bundle.control_mean) / bundle.control_std
     ub_n = (control_high - bundle.control_mean) / bundle.control_std
@@ -200,38 +208,19 @@ def condense(cfg, params, bundle, a_t, b_t, z_nom, u_norm, u_prev_raw,
         )
     lo = np.minimum(lo, hi)
 
-    dec_scaled = params.state_std[:, None] * bundle.decoder  # (n, dz)
-    Hq = np.zeros((N, N))
-    gq = np.zeros(N)
-
+    # latent responses M_k = d z_k / d du for k = 1..H
+    resp = np.empty((H, dz, N))
     M = np.zeros((dz, N))
-    xhat = decode_raw(params, bundle, z_nom)
-    for k in range(1, H + 1):
-        j = k - 1
+    for j in range(H):
         M = a_t[j] @ M
         M[:, j * m : (j + 1) * m] += b_t[j]
-        W = dec_scaled @ M  # (n, N)
-        wvec = p if k == H else q
-        Wq = W * wvec[:, None]
-        Hq += 2.0 * (W.T @ Wq)
-        gq += 2.0 * (Wq.T @ (xhat[k] - ref))
-
-    sd = bundle.control_std
-    u_raw = bundle.control_mean + sd * u_norm
-    prev = np.asarray(u_prev_raw, dtype=float)
-    for k in range(H):
-        D = np.zeros((m, N))
-        D[:, k * m : (k + 1) * m] = np.diag(sd)
-        if k > 0:
-            D[:, (k - 1) * m : k * m] -= np.diag(sd)
-            base = u_raw[k] - u_raw[k - 1]
-        else:
-            base = u_raw[0] - prev
-        Dr = D * r[:, None]
-        Hq += 2.0 * (D.T @ Dr)
-        gq += 2.0 * (Dr.T @ base)
-
-    return QpProblem(Hq, gq, lo, hi)
+        resp[j] = M
+    dec_scaled = params.state_std[:, None] * bundle.decoder  # (n, dz)
+    D = np.kron(np.eye(H) - np.eye(H, k=-1), np.diag(bundle.control_std))
+    J = np.vstack([(dec_scaled @ resp).reshape(-1, N), D])
+    w, res = cost_residuals(cfg, params, bundle, z_nom, u_norm, u_prev_raw)
+    WJ = w[:, None] * J
+    return QpProblem(2.0 * (J.T @ WJ), 2.0 * (WJ.T @ res), lo, hi)
 
 
 def scp_solve(cfg, params, bundle, coupling, z0, nominal_u_norm, u_prev_raw,

@@ -10,6 +10,7 @@ differences over tape leaves.
 import numpy as np
 
 from bkmpc.numerics import Tape, backward
+from bkmpc.numerics import autodiff as ad
 
 
 def taylor_expm(M, terms=200):
@@ -22,6 +23,11 @@ def taylor_expm(M, terms=200):
         term = term @ M / k
         acc = acc + term
     return acc.astype(float)
+
+
+def spectral_penalty(a_disc, margin):
+    """sum_j max(0, |lambda_j| - (1 - margin)) for one square matrix."""
+    return float(ad.eig_penalty(Tape().leaf(a_disc), margin).value)
 
 
 def lu_det(M):

@@ -117,6 +117,22 @@ def test_generation_deterministic_and_batch_independent():
     assert np.array_equal(a.states, b.states)
     assert np.array_equal(a.controls, b.controls)
     assert np.array_equal(a.split, b.split)
+    # the lockstep runner returns the same shortest episode prefix at any
+    # batch size
+    cfg = sim.preset("cartpole-ti")
+    runs = [
+        dg._run_episode_batch(cfg, 7, False, "train", 150, 10_000, batch)
+        for batch in (1, 3, 64)
+    ]
+    ref = runs[0]
+    windows = [max(len(ep.controls) - dg.WINDOW_LEN + 1, 0) for ep in ref]
+    assert sum(windows) >= 150 > sum(windows[:-1])
+    for eps in runs[1:]:
+        assert len(eps) == len(ref)
+        for x, y in zip(eps, ref):
+            assert x.index == y.index
+            assert np.array_equal(np.asarray(x.states), np.asarray(y.states))
+            assert np.array_equal(np.asarray(x.controls), np.asarray(y.controls))
 
 
 def test_progress_error_when_starved():

@@ -5,7 +5,7 @@ import pytest
 
 from bkmpc import model
 from bkmpc.numerics import dense
-from helpers import fd_gradient
+from helpers import fd_gradient, spectral_penalty
 
 TOY = dict(
     latent_dim=2, rank=2, conv_kernel=3, hidden=8, lookback=6, horizon=5
@@ -240,6 +240,28 @@ def test_zero_coupling_rollout_equals_linear_exactly():
     assert np.max(np.abs(da - db)) <= 1e-12
 
 
+def test_batched_rollout_matches_stepped_discretize():
+    # one step's generator exceeds the degree-13 switching radius, so the
+    # batch's shared scaling exponent is nonzero and differs from the one
+    # most single steps would use on their own
+    rng = np.random.default_rng(43)
+    dz, m, T = 5, 2, 30
+    b = random_bundle(dz, m, 3, rng, stable=True)
+    G = 0.3 * rng.standard_normal((m, dz, dz))
+    u = 0.5 * rng.standard_normal((T, m))
+    u[11] = [12.0, -9.0]
+    norms = np.abs(model.coupling_generators(G, u, 1.0)).sum(axis=1).max(axis=1)
+    assert norms[11] > dense._THETA13 and np.median(norms) < dense._THETA13
+    z0 = rng.standard_normal(dz)
+    lat, dec = model.rollout(z0, u, b, G, 1.0)
+    z = z0
+    for k in range(T):
+        ops = model.discretize(b, G, u[k], 1.0)
+        z = ops.a_disc @ z + ops.b_disc @ u[k]
+        assert np.linalg.norm(lat[k + 1] - z) <= 1e-12 * np.linalg.norm(z)
+        assert np.allclose(dec[k], b.decoder @ z, rtol=1e-12, atol=0)
+
+
 def test_one_step_state_jacobian_is_operator_product():
     # the step is affine in z: differences propagate through E_P E_D exactly
     rng = np.random.default_rng(31)
@@ -305,8 +327,8 @@ def test_strict_containment_witness():
 
 
 def test_spectral_penalty_values():
-    assert model.spectral_penalty(np.diag([0.9, 0.5]), 0.05) == 0.0
-    assert model.spectral_penalty(np.diag([1.1]), 0.05) == pytest.approx(0.15, abs=1e-12)
+    assert spectral_penalty(np.diag([0.9, 0.5]), 0.05) == 0.0
+    assert spectral_penalty(np.diag([1.1]), 0.05) == pytest.approx(0.15, abs=1e-12)
 
 
 def test_spectral_penalty_inactive_for_stable_bundles():
@@ -316,11 +338,11 @@ def test_spectral_penalty_inactive_for_stable_bundles():
     for _ in range(200):
         b = random_bundle(5, 1, 2, rng, stable=True)
         ops = model.discretize(b, None, np.zeros(1), 1.0)
-        assert model.spectral_penalty(ops.a_disc, 0.05) == 0.0
+        assert spectral_penalty(ops.a_disc, 0.05) == 0.0
 
 
 def test_spectral_penalty_monotone_in_modulus():
-    vals = [model.spectral_penalty(np.diag([lam, 0.5]), 0.05) for lam in
+    vals = [spectral_penalty(np.diag([lam, 0.5]), 0.05) for lam in
             (0.90, 0.96, 1.00, 1.10, 1.50)]
     assert all(b >= a for a, b in zip(vals, vals[1:]))
     assert vals[0] == 0.0 and vals[-1] > 0.0

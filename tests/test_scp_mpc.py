@@ -164,6 +164,42 @@ def test_condense_scalar_closed_form():
     assert sol.x[0] == pytest.approx(du_closed, abs=1e-6 / Hq * 2)
 
 
+def test_condense_is_exact_quadratic_model_of_plan_cost():
+    # linear dynamics make the plan cost quadratic in the increments, so
+    # the condensed (H, g) reproduce every cost change exactly, the
+    # cross-step control-increment terms included
+    rng = np.random.default_rng(29)
+    params = tiny_mpc_params(system="rscp", kind="linear", dz=4)
+    n, m, Hz = 9, 3, 6
+    params.state_mean = rng.standard_normal(n)
+    params.state_std = rng.uniform(0.5, 2.0, n)
+    b = make_bundle(4, m, n, rng)
+    cfg = mpc.MpcConfig(
+        horizon=Hz,
+        q_weights=tuple(rng.uniform(0.5, 2.0, n)),
+        p_weights=tuple(rng.uniform(2.0, 5.0, n)),
+        r_weights=tuple(rng.uniform(0.5, 2.0, m)),
+        x_ref=tuple(rng.standard_normal(n)),
+    )
+    z0 = rng.standard_normal(4)
+    u = rng.standard_normal((Hz, m))
+    u_prev = rng.standard_normal(m)
+    z_nom = mpc.plan_rollout(b, None, z0, u, 1.0)
+    a_t, b_t = mpc.linearize(b, None, u, z_nom, 1.0)
+    qp = mpc.condense(
+        cfg, params, b, a_t, b_t, z_nom, u, u_prev,
+        np.full(m, -1e3), np.full(m, 1e3), trust=1e3,
+    )
+    J0 = mpc.plan_cost(cfg, params, b, z_nom, u, u_prev)
+    for _ in range(5):
+        du = rng.standard_normal(Hz * m)
+        cand = u + du.reshape(Hz, m)
+        z_cand = mpc.plan_rollout(b, None, z0, cand, 1.0)
+        change = mpc.plan_cost(cfg, params, b, z_cand, cand, u_prev) - J0
+        lin, quad = qp.g @ du, 0.5 * du @ qp.H @ du
+        assert change == pytest.approx(lin + quad, abs=1e-10 * (J0 + abs(lin) + quad))
+
+
 def test_condense_trust_zero_forces_no_change():
     rng = np.random.default_rng(13)
     b = make_bundle(3, 1, 4, rng)

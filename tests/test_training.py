@@ -80,6 +80,7 @@ def test_training_determinism():
         assert np.array_equal(f1.arrays[k], f2.arrays[k])
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_divergence_snapshot():
     ds = tiny_dataset()
     # an astronomically large decoder bias makes the loss overflow to inf
