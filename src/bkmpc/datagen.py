@@ -14,6 +14,16 @@ excitation and are cut into maximally overlapping (stride 1) windows of
 episodes (disjoint streams and episode ids), never from training
 episodes. Normalization statistics are computed from the training subset
 only.
+
+Each split takes the shortest index-ordered prefix of episodes whose
+windows reach the request. A lockstep runner simulates the episodes as
+rows of lane arrays. It admits episode ``i`` only while ``i`` is less
+than the first unfinished episode plus the lane count; the lane count
+starts at 1 and doubles whenever an episode ends short of the request.
+One long RSCP episode therefore runs alone, while short CartPole episodes
+quickly fill all lanes. Admission only decides how much simulation runs
+ahead of the prefix: each episode's draws come from its own stream in a
+fixed order, so the data is a pure function of (seed, request).
 """
 
 import json
@@ -31,6 +41,8 @@ HORIZON = 30
 _TRAIN_SPACE = 0
 _TEST_SPACE = 2**32
 _TEST_EPISODE_OFFSET = 2**31  # keeps stored test episode ids disjoint
+
+_CHUNK = 256  # excitation draws per refill of a lane's buffer
 
 _MAGIC = b"BKDS"
 _VERSION = 1
@@ -57,11 +69,6 @@ def episode_rng(seed, episode_index, test=False):
     return np.random.Generator(np.random.Philox(key=[seed, space + episode_index]))
 
 
-def sample_excitation(cfg, rng):
-    """Per-step uniform excitation over the control box."""
-    return rng.uniform(cfg.control_low, cfg.control_high)
-
-
 #: RSCP initial-state half-widths around the verified fixed point,
 #: ordered (xA, xB, T) per vessel.
 RSCP_INIT_HALFWIDTH = np.array([0.05, 0.05, 10.0, 0.05, 0.05, 10.0, 0.02, 0.05, 10.0])
@@ -74,25 +81,6 @@ def sample_initial_state(cfg, rng):
         )
     center = np.asarray(cfg.x_fixed)
     return rng.uniform(center - RSCP_INIT_HALFWIDTH, center + RSCP_INIT_HALFWIDTH)
-
-
-def run_excitation_episode(cfg, rng, mode="train"):
-    """Roll one episode; returns (states (L+1, n), controls (L, m), reason)."""
-    state = sample_initial_state(cfg, rng)
-    t = 0.0
-    states = [state]
-    controls = []
-    step = 0
-    while True:
-        reason = sim.check_termination(cfg, state, step, mode=mode)
-        if reason is not None:
-            break
-        u = sim.clip_control(cfg, sample_excitation(cfg, rng))
-        state, t = sim.step_euler(cfg, state, u, t)
-        states.append(state)
-        controls.append(u)
-        step += 1
-    return np.asarray(states), np.asarray(controls).reshape(len(controls), -1), reason
 
 
 def _episode_windows(cfg, states, controls):
@@ -154,97 +142,105 @@ def split_permutation(split_seed, pool_size):
     return gen.permutation(pool_size)
 
 
-class _EpisodeSlot:
-    """One live episode inside the lockstep batch runner.
+def _grown(a, axis, size):
+    """``a`` zero-padded along ``axis`` to length ``size``."""
+    pad = [(0, 0)] * a.ndim
+    pad[axis] = (0, size - a.shape[axis])
+    return np.pad(a, pad)
 
-    Draws come from the episode's own stream in the same order as
-    ``run_excitation_episode`` (initial state first, then one excitation
-    per step, pre-drawn in chunks), so lockstep batching reproduces the
-    sequential episodes bit for bit in any scheduling order.
+
+def _run_episode_batch(cfg, seed, test, mode, want, budget, max_lanes=512):
+    """Lockstep episode runner over lane arrays.
+
+    Returns ``[(states (L+1, n), controls (L, m)), ...]`` for the shortest
+    index-ordered prefix of episodes whose cumulative window count reaches
+    ``want``; list position is the episode index.
+
+    Running episodes are the rows of the lane arrays ``episode``, ``x``,
+    ``t`` and ``step``. Each also owns a slot of the per-lane buffers: one
+    of ``_CHUNK`` excitation draws, refilled from the episode's own stream
+    whenever ``step % _CHUNK == 0``, and one holding its trajectory so far,
+    which doubles in length as needed. One lockstep step makes one clip,
+    one termination check and one ``deriv_batch`` call for all lanes.
+
+    Admission: episode ``i`` starts only while ``i < prefix_next + lanes``,
+    where ``prefix_next`` is the first episode not yet finished. ``lanes``
+    starts at 1 and doubles, up to ``max_lanes``, in every step in which
+    an episode ends while the request is still unmet. Admission decides
+    only how much work runs ahead of the prefix, never the result: every
+    episode draws from its own stream in the order the sequential episode
+    does, and the prefix is taken in index order, so the result is a pure
+    function of (seed, want).
     """
-
-    __slots__ = ("index", "rng", "state", "t", "step", "states", "controls", "buf", "pos")
-
-    CHUNK = 256
-
-    def __init__(self, cfg, seed, index, test):
-        self.index = index
-        self.rng = episode_rng(seed, index, test=test)
-        self.state = sample_initial_state(cfg, self.rng)
-        self.t = 0.0
-        self.step = 0
-        self.states = [self.state]
-        self.controls = []
-        self.buf = None
-        self.pos = 0
-
-    def next_control(self, cfg):
-        if self.buf is None or self.pos >= self.buf.shape[0]:
-            self.buf = self.rng.uniform(
-                cfg.control_low, cfg.control_high, size=(self.CHUNK, cfg.control_dim)
-            )
-            self.pos = 0
-        u = self.buf[self.pos]
-        self.pos += 1
-        return u
-
-
-def _run_episode_batch(cfg, seed, test, mode, want, budget, batch_size):
-    """Lockstep episode runner.
-
-    Returns the shortest index-ordered prefix of episodes whose cumulative
-    window count reaches ``want``: the result is a pure function of
-    (seed, want) and does not depend on the batch size used to run it.
-    """
+    n, m = cfg.state_dim, cfg.control_dim
+    lanes, cap = 1, _CHUNK
+    episode, slot, step = (np.zeros(0, dtype=int) for _ in range(3))
+    x, t = np.zeros((0, n)), np.zeros(0)
+    buf = np.zeros((lanes, _CHUNK, m))
+    traj_x = np.zeros((lanes, cap, n))
+    traj_u = np.zeros((lanes, cap, m))
+    rngs = [None] * lanes
+    free = list(range(lanes))
     finished = {}
-    prefix_next = 0  # first episode index not yet finished
-    prefix_windows = 0
-    next_episode = 0
-    slots = []
-
-    def advance_prefix():
-        nonlocal prefix_next, prefix_windows
-        while prefix_next in finished and prefix_windows < want:
-            n_ctl = len(finished[prefix_next].controls)
-            prefix_windows += max(n_ctl - WINDOW_LEN + 1, 0)
-            prefix_next += 1
+    prefix_next = prefix_windows = next_episode = 0
+    ended = False
 
     while True:
-        advance_prefix()
+        while prefix_next in finished and prefix_windows < want:
+            prefix_windows += max(len(finished[prefix_next][1]) - WINDOW_LEN + 1, 0)
+            prefix_next += 1
         if prefix_windows >= want:
             break
-        while len(slots) < batch_size and next_episode < budget:
-            slots.append(_EpisodeSlot(cfg, seed, next_episode, test))
-            next_episode += 1
-        if not slots:
+        if ended and lanes < max_lanes:
+            old, lanes = lanes, min(2 * lanes, max_lanes)
+            buf, traj_x, traj_u = (_grown(a, 0, lanes) for a in (buf, traj_x, traj_u))
+            rngs += [None] * (lanes - old)
+            free += range(old, lanes)
+
+        new = np.arange(next_episode, min(prefix_next + lanes, budget))
+        if new.size:
+            new_slot = np.array([free.pop() for _ in new])
+            x_new = np.empty((new.size, n))
+            for j, (i, s) in enumerate(zip(new, new_slot)):
+                rngs[s] = episode_rng(seed, i, test=test)
+                x_new[j] = sample_initial_state(cfg, rngs[s])
+            traj_x[new_slot, 0] = x_new
+            episode = np.concatenate([episode, new])
+            slot = np.concatenate([slot, new_slot])
+            step = np.concatenate([step, np.zeros(new.size, dtype=int)])
+            x = np.concatenate([x, x_new])
+            t = np.concatenate([t, np.zeros(new.size)])
+            next_episode += new.size
+        if not episode.size:
             raise ProgressError(
                 f"{prefix_windows}/{want} {mode} windows after {next_episode} "
                 "episodes; termination is starving window production"
             )
-        states = np.stack([s.state for s in slots])
-        steps = np.array([s.step for s in slots])
-        codes = sim.check_termination_batch(cfg, states, steps, mode=mode)
-        keep = []
-        for i, slot in enumerate(slots):
-            if codes[i]:
-                finished[slot.index] = slot
-            else:
-                keep.append(slot)
-        slots = keep
-        if not slots:
-            continue
-        controls = np.stack(
-            [sim.clip_control(cfg, s.next_control(cfg)) for s in slots]
-        )
-        states = np.stack([s.state for s in slots])
-        ts = np.array([s.t for s in slots])
-        nxt = states + cfg.dt * sim.deriv_batch(cfg, states, controls, ts)
-        for i, slot in enumerate(slots):
-            slot.state = nxt[i]
-            slot.t += cfg.dt
-            slot.step += 1
-            slot.states.append(nxt[i])
-            slot.controls.append(controls[i])
+
+        stop = sim.check_termination_batch(cfg, x, step, mode=mode) != 0
+        ended = bool(stop.any())
+        if ended:
+            for i, s, k in zip(episode[stop], slot[stop], step[stop]):
+                finished[i] = traj_x[s, : k + 1].copy(), traj_u[s, :k].copy()
+                free.append(s)
+            keep = ~stop
+            episode, slot, step, x, t = (a[keep] for a in (episode, slot, step, x, t))
+            if not episode.size:
+                continue
+
+        for s in slot[step % _CHUNK == 0]:
+            buf[s] = rngs[s].uniform(
+                cfg.control_low, cfg.control_high, size=(_CHUNK, m)
+            )
+        if step.max() + 1 >= cap:
+            cap *= 2
+            traj_x, traj_u = _grown(traj_x, 1, cap), _grown(traj_u, 1, cap)
+        u = sim.clip_control(cfg, buf[slot, step % _CHUNK])
+        x = x + cfg.dt * sim.deriv_batch(cfg, x, u, t)
+        traj_x[slot, step + 1] = x
+        traj_u[slot, step] = u
+        t = t + cfg.dt
+        step = step + 1
 
     return [finished[i] for i in range(prefix_next)]
 
@@ -256,32 +252,20 @@ def _collect(cfg, seed, target, test, budget):
     runner interleaved the work.
     """
     mode = "test" if test else "train"
-    batch = 64 if cfg.system == "rscp" else 512
-    episodes = _run_episode_batch(cfg, seed, test, mode, target, budget, batch)
+    episodes = _run_episode_batch(cfg, seed, test, mode, target, budget)
+    offset = _TEST_EPISODE_OFFSET if test else 0
     parts_s, parts_c, parts_t, parts_e = [], [], [], []
-    have = 0
-    for ep in episodes:
-        got = _episode_windows(
-            cfg,
-            np.asarray(ep.states),
-            np.asarray(ep.controls).reshape(len(ep.controls), -1),
-        )
+    for index, (states, controls) in enumerate(episodes):
+        got = _episode_windows(cfg, states, controls)
         if got is None:
             continue
         ws, wc, t0 = got
         parts_s.append(ws)
         parts_c.append(wc)
         parts_t.append(t0)
-        eid = ep.index + (_TEST_EPISODE_OFFSET if test else 0)
-        parts_e.append(np.full(ws.shape[0], eid, dtype=np.uint32))
-        have += ws.shape[0]
-        if have >= target:
-            break
-    states = np.concatenate(parts_s)[:target]
-    controls = np.concatenate(parts_c)[:target]
-    times = np.concatenate(parts_t)[:target]
-    eps = np.concatenate(parts_e)[:target]
-    return states, controls, times, eps
+        parts_e.append(np.full(ws.shape[0], index + offset, dtype=np.uint32))
+    parts = (parts_s, parts_c, parts_t, parts_e)
+    return tuple(np.concatenate(p)[:target] for p in parts)
 
 
 def generate_dataset(
@@ -393,27 +377,3 @@ def read_dataset(path):
         control_mean=np.asarray(header["control_mean"]),
         control_std=np.asarray(header["control_std"]),
     )
-
-
-def export_csv(ds, path):
-    """Flat inspection dump: one row per window step."""
-    n, wl, sd = ds.states.shape
-    cd = ds.controls.shape[2]
-    cols = (
-        ["window", "step", "split", "episode", "start_time"]
-        + [f"x{i}" for i in range(sd)]
-        + [f"u{i}" for i in range(cd)]
-    )
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(cols) + "\n")
-        for w in range(n):
-            base = (
-                f"{w},{{step}},{SPLIT_NAMES[int(ds.split[w])]},"
-                f"{int(ds.episode_id[w])},{ds.start_time[w]:.10g}"
-            )
-            for s in range(wl):
-                row = base.format(step=s)
-                vals = [f"{v:.17g}" for v in ds.states[w, s]] + [
-                    f"{v:.17g}" for v in ds.controls[w, s]
-                ]
-                fh.write(row + "," + ",".join(vals) + "\n")

@@ -150,12 +150,6 @@ class ModelParams:
             seed=self.seed,
         )
 
-    def normalize_states(self, x):
-        return (np.asarray(x, dtype=float) - self.state_mean) / self.state_std
-
-    def denormalize_states(self, xn):
-        return np.asarray(xn, dtype=float) * self.state_std + self.state_mean
-
 
 def init_params(hyper, state_mean, state_std, control_train_std, preset="", seed=0):
     """Seeded initialization.
@@ -298,15 +292,6 @@ def encode_batch(pv, x_norm):
     tape = pv.tape
     x = x_norm if isinstance(x_norm, ad.Var) else tape.constant(x_norm)
     return _mlp(x, pv["enc_w1"], pv["enc_b1"], pv["enc_w2"], pv["enc_b2"])
-
-
-def encode(params, x_norm):
-    """Inference encoder; accepts one state or a batch."""
-    tape = ad.Tape()
-    pv = ParamVars(tape, params)
-    x = np.atleast_2d(np.asarray(x_norm, dtype=float))
-    out = encode_batch(pv, x).value
-    return out[0] if np.ndim(x_norm) == 1 else out
 
 
 def window_control_stats(params, u_hist_raw):

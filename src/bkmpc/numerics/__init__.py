@@ -6,7 +6,7 @@ from .dense import (
     phi1,
     phi1_partials,
 )
-from .eig import ConvergenceError, eig_moduli, eig_values, spectral_radius
+from .eig import ConvergenceError, eig_values
 from .autodiff import Grads, Tape, UnsupportedOpError, Var, backward
 
 __all__ = [
@@ -17,9 +17,7 @@ __all__ = [
     "phi1",
     "phi1_partials",
     "ConvergenceError",
-    "eig_moduli",
     "eig_values",
-    "spectral_radius",
     "Tape",
     "Var",
     "Grads",

@@ -43,13 +43,3 @@ def eigen_pair(M):
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"eigenvectors did not converge: {exc}") from exc
     return lam.astype(complex), V.astype(complex), W.astype(complex)
-
-
-def eig_moduli(M):
-    """Eigenvalue moduli of each matrix of a stack, sorted descending."""
-    return np.sort(np.abs(eig_values(M)), axis=-1)[..., ::-1]
-
-
-def spectral_radius(M):
-    """max |eigenvalue| of each matrix of a stack."""
-    return np.abs(eig_values(M)).max(axis=-1)

@@ -201,13 +201,6 @@ def _recycle_composition_batch(cfg, xa3, xb3):
     return aA * xa3 / denom, aB * xb3 / denom, aC * xc3 / denom
 
 
-def _recycle_composition(cfg, xa3, xb3):
-    xar, xbr, xcr = _recycle_composition_batch(
-        cfg, np.asarray([xa3], dtype=float), np.asarray([xb3], dtype=float)
-    )
-    return float(xar[0]), float(xbr[0]), float(xcr[0])
-
-
 def rscp_deriv_batch(cfg, states, duties, ts):
     """Vectorized nine-component balance, units per hour."""
     s = np.asarray(states, dtype=float)
@@ -367,18 +360,6 @@ def rscp_fixed_point(cfg, duties, x0=None, tol=1e-9, max_iter=60):
             J[:, j] = (rscp_deriv(cfg, xp, duties, 0.0) - rscp_deriv(cfg, xm, duties, 0.0)) / (2 * h)
         x = x - np.linalg.solve(J, f)
     raise RuntimeError("fixed-point refinement did not converge")
-
-
-def steady_state_residual(cfg, state=None, duties=None):
-    """Balance residual at the operating point, per second of process time.
-
-    The governing balances are written per hour; the residual quoted at
-    the sampling timescale (the simulator steps in 18 s increments)
-    divides by 3600.
-    """
-    state = np.asarray(state if state is not None else cfg.x_set, dtype=float)
-    duties = np.asarray(duties if duties is not None else cfg.q_nominal, dtype=float)
-    return rscp_deriv(cfg, state, duties, 0.0) / 3600.0
 
 
 # ---------------------------------------------------------------------------

@@ -215,22 +215,3 @@ def train(ds, params, cfg, log_test=False):
     if te_states.shape[0]:
         log.best_test_mse = evaluate_forecast(best_params, te_states, te_controls)
     return params, best_params, log
-
-
-@dataclass
-class SelectionMetrics:
-    best_checkpoint: float
-    mean_final: float
-    truncated_window: bool  # fewer epochs available than requested
-
-
-def selection_metrics(val_losses, test_mses, final_window=50):
-    """Test MSE at the best-validation epoch, and the final-window mean."""
-    val = np.asarray(val_losses, dtype=float)
-    test = np.asarray(test_mses, dtype=float)
-    if val.shape != test.shape or val.size == 0:
-        raise ValueError("need matching, non-empty per-epoch series")
-    best = float(test[int(np.argmin(val))])
-    k = min(final_window, test.size)
-    mean_final = float(np.mean(test[-k:]))
-    return SelectionMetrics(best, mean_final, k < final_window)

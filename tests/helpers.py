@@ -4,11 +4,14 @@ Oracles here are deliberately independent of the code paths they check:
 the exponential oracle is a plain Taylor sum in extended precision, the
 determinant oracle is a tiny partial-pivot LU, the box-QP oracle
 enumerates every active set, and gradient checks are central finite
-differences over tape leaves.
+differences over tape leaves. The sequential excitation episode is the
+oracle for the lockstep data-generation runner.
 """
 
 import numpy as np
 
+from bkmpc import datagen as dg
+from bkmpc import simulators as sim
 from bkmpc.numerics import Tape, backward
 from bkmpc.numerics import autodiff as ad
 
@@ -139,3 +142,28 @@ def enumerate_box_qp(p):
             best_obj = obj
             best_x = x.copy()
     return best_x, best_obj
+
+
+def sample_excitation(cfg, rng):
+    """Per-step uniform excitation over the control box."""
+    return rng.uniform(cfg.control_low, cfg.control_high)
+
+
+def run_excitation_episode(cfg, rng, mode="train"):
+    """Roll one episode step by step; returns (states (L+1, n), controls
+    (L, m), reason)."""
+    state = dg.sample_initial_state(cfg, rng)
+    t = 0.0
+    states = [state]
+    controls = []
+    step = 0
+    while True:
+        reason = sim.check_termination(cfg, state, step, mode=mode)
+        if reason is not None:
+            break
+        u = sim.clip_control(cfg, sample_excitation(cfg, rng))
+        state, t = sim.step_euler(cfg, state, u, t)
+        states.append(state)
+        controls.append(u)
+        step += 1
+    return np.asarray(states), np.asarray(controls).reshape(len(controls), -1), reason

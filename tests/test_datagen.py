@@ -5,6 +5,7 @@ import pytest
 
 from bkmpc import datagen as dg
 from bkmpc import simulators as sim
+from helpers import run_excitation_episode, sample_excitation
 
 
 def small_dataset(preset="cartpole-ti", train=400, test=120, seed=1):
@@ -16,7 +17,7 @@ def small_dataset(preset="cartpole-ti", train=400, test=120, seed=1):
 def test_excitation_distribution_cartpole():
     cfg = sim.preset("cartpole-ti")
     rng = np.random.default_rng(2)
-    draws = np.array([dg.sample_excitation(cfg, rng)[0] for _ in range(100_000)])
+    draws = np.array([sample_excitation(cfg, rng)[0] for _ in range(100_000)])
     assert abs(draws.mean()) < 0.3
     assert draws.min() >= -20.0 and draws.max() <= 20.0
 
@@ -26,14 +27,14 @@ def test_excitation_stays_in_duty_box():
     rng = np.random.default_rng(3)
     lo, hi = cfg.control_low, cfg.control_high
     for _ in range(2000):
-        u = dg.sample_excitation(cfg, rng)
+        u = sample_excitation(cfg, rng)
         assert np.all(u >= lo) and np.all(u <= hi)
 
 
 def test_excitation_deterministic():
     cfg = sim.preset("rscp-ti")
-    a = [dg.sample_excitation(cfg, dg.episode_rng(7, 3)) for _ in range(5)]
-    b = [dg.sample_excitation(cfg, dg.episode_rng(7, 3)) for _ in range(5)]
+    a = [sample_excitation(cfg, dg.episode_rng(7, 3)) for _ in range(5)]
+    b = [sample_excitation(cfg, dg.episode_rng(7, 3)) for _ in range(5)]
     assert np.array_equal(np.asarray(a), np.asarray(b))
 
 
@@ -93,7 +94,7 @@ def test_windows_contiguous_in_episode():
     w = 0
     ep = int(ds.episode_id[w])
     rng = dg.episode_rng(ds.seed, ep)
-    states, controls, _ = dg.run_excitation_episode(cfg, rng)
+    states, controls, _ = run_excitation_episode(cfg, rng)
     i = int(round(ds.start_time[w] / cfg.dt))
     assert np.array_equal(ds.states[w], states[i : i + 60])
     assert np.array_equal(ds.controls[w], controls[i : i + 60])
@@ -118,21 +119,61 @@ def test_generation_deterministic_and_batch_independent():
     assert np.array_equal(a.controls, b.controls)
     assert np.array_equal(a.split, b.split)
     # the lockstep runner returns the same shortest episode prefix at any
-    # batch size
+    # lane cap, and each episode equals its sequential roll bit for bit
+    for cfg, seed in (
+        (sim.preset("cartpole-ti"), 7),
+        (sim.preset("rscp-tv", train_horizon=150), 3),
+    ):
+        runs = [
+            dg._run_episode_batch(
+                cfg, seed, False, "train", 150, 10_000, max_lanes=cap
+            )
+            for cap in (1, 3, 64)
+        ]
+        ref = [
+            run_excitation_episode(cfg, dg.episode_rng(seed, i))[:2]
+            for i in range(len(runs[0]))
+        ]
+        windows = [max(len(c) - dg.WINDOW_LEN + 1, 0) for _, c in ref]
+        assert sum(windows) >= 150 > sum(windows[:-1])
+        for eps in runs:
+            assert len(eps) == len(ref)
+            for (xs, us), (ys, vs) in zip(eps, ref):
+                assert np.array_equal(xs, ys)
+                assert np.array_equal(us, vs)
+
+
+def _count_episodes(monkeypatch):
+    started = []
+    sample = dg.sample_initial_state
+
+    def counted(cfg, rng):
+        started.append(1)
+        return sample(cfg, rng)
+
+    monkeypatch.setattr(dg, "sample_initial_state", counted)
+    return started
+
+
+def test_rscp_starts_one_episode_per_split(monkeypatch):
+    # one 500-step (300-step) episode covers 320 (96) windows, so the
+    # runner must not start a second one
+    cfg = sim.preset("rscp-ti", train_horizon=500, test_horizon=300)
+    started = _count_episodes(monkeypatch)
+    for test, want in ((False, 320), (True, 96)):
+        started.clear()
+        states, _, _, _ = dg._collect(cfg, 101, want, test, 500_000)
+        assert states.shape[0] == want
+        assert len(started) == 1
+
+
+def test_cartpole_run_ahead_bounded_by_lane_cap(monkeypatch):
     cfg = sim.preset("cartpole-ti")
-    runs = [
-        dg._run_episode_batch(cfg, 7, False, "train", 150, 10_000, batch)
-        for batch in (1, 3, 64)
-    ]
-    ref = runs[0]
-    windows = [max(len(ep.controls) - dg.WINDOW_LEN + 1, 0) for ep in ref]
-    assert sum(windows) >= 150 > sum(windows[:-1])
-    for eps in runs[1:]:
-        assert len(eps) == len(ref)
-        for x, y in zip(eps, ref):
-            assert x.index == y.index
-            assert np.array_equal(np.asarray(x.states), np.asarray(y.states))
-            assert np.array_equal(np.asarray(x.controls), np.asarray(y.controls))
+    started = _count_episodes(monkeypatch)
+    for cap in (1, 3, 64):
+        started.clear()
+        eps = dg._run_episode_batch(cfg, 7, True, "test", 128, 500_000, max_lanes=cap)
+        assert len(eps) <= len(started) <= len(eps) + cap
 
 
 def test_progress_error_when_starved():
@@ -176,11 +217,3 @@ def test_truncation_rejected(tmp_path):
     p.write_bytes(raw[: len(raw) - 100])
     with pytest.raises(dg.IntegrityError):
         dg.read_dataset(p)
-
-
-def test_csv_export_row_count(tmp_path):
-    ds = small_dataset(train=70, test=30)
-    p = tmp_path / "d.csv"
-    dg.export_csv(ds, p)
-    lines = p.read_text().strip().split("\n")
-    assert len(lines) == 1 + ds.states.shape[0] * 60

@@ -72,6 +72,18 @@ def test_eval_forecast_table(workdir, tmp_path):
         assert parts[0] == "forecast.v1"
         assert parts[1] == "cartpole-ti"
         assert float(parts[6]) > 0
+    # mean_50 is the mean of the last (at most) 50 finite test MSEs of the
+    # run's training log
+    for kind in ("linear", "bilinear"):
+        with open(workdir / f"run-{kind}" / f"{kind}-trainlog.csv") as fh:
+            header = fh.readline().strip().split(",")
+            col = header.index("test_mse")
+            mses = np.array([float(r.split(",")[col]) for r in fh])
+        mses = mses[np.isfinite(mses)]
+        assert mses.size
+        rows = [ln.split(",") for ln in lines[1:]]
+        (row,) = [r for r in rows if r[2] == kind and r[5] == "mean_50"]
+        assert row[6] == f"{np.mean(mses[-50:]):.10g}"
 
 
 def test_eval_forecast_missing_checkpoint(tmp_path):

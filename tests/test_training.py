@@ -135,26 +135,6 @@ def test_forecast_permutation_invariant():
     assert a == pytest.approx(b, rel=1e-12)
 
 
-def test_selection_metrics():
-    const = tr.selection_metrics([3.0, 2.0, 1.0], [5.0, 5.0, 5.0])
-    assert const.best_checkpoint == 5.0 and const.mean_final == 5.0
-    assert const.truncated_window
-
-    val = np.ones(10)
-    val[6] = 0.1  # best-val epoch 7 of 10 (index 6)
-    test = np.arange(10.0)
-    m = tr.selection_metrics(val, test, final_window=50)
-    assert m.best_checkpoint == 6.0
-
-    # oscillating series: the final-window mean exceeds the spike minimum
-    rng = np.random.default_rng(11)
-    val = 1.0 + 0.5 * np.sin(np.arange(100)) + 0.1 * rng.standard_normal(100)
-    test = 1.0 + 0.5 * np.sin(np.arange(100))
-    m = tr.selection_metrics(val, test, final_window=50)
-    assert m.mean_final > m.best_checkpoint
-    assert not m.truncated_window
-
-
 def test_test_mse_logging_policy():
     ds = tiny_dataset()
     p = tiny_params(ds)
