@@ -519,8 +519,9 @@ def rollout(z0, u_seq_n, bundle, G, period):
     """Frozen-bundle rollout; returns (latents (T+1, dz), decoded (T, n)).
 
     All T coupling factors come from one batched exponential before the
-    latent loop (one shared scaling exponent, see ``dense``); each step
-    is then the split form e_p[k] @ (e_d * z + B_phi @ u_k). The decoder
+    latent loop; each matrix is scaled on its own (see ``dense``), so each
+    factor equals that step's exponential computed alone. Each step is
+    then the split form e_p[k] @ (e_d * z + B_phi @ u_k). The decoder
     is applied to the T new latents in one product after the loop.
     """
     u_seq_n = np.asarray(u_seq_n, dtype=float)

@@ -11,7 +11,8 @@ Adjoint conventions worth noting:
 
 * ``expm``: the gradient of ``exp(M)`` contracted with an upstream
   cotangent G is the directional derivative of exp at M^T in direction G,
-  evaluated with the same block-augmented exponential as the forward pass.
+  evaluated by ``dense.matrix_exp_frechet``: the Frechet recurrence of the
+  same scaled rational approximant as the forward pass.
 * ``eig_penalty``: with the right eigenvectors as the columns of V and
   W = V^-1, d(lambda_i)/dM = W[i, :]^T V[:, i]^T (Magnus 1985). The
   forward pass makes one eigenvalue call on every matrix that passes the

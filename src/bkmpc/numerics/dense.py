@@ -1,15 +1,19 @@
 """Dense small-matrix kernels.
 
-Provides the matrix exponential (scaling-and-squaring with a fixed
+Provides the matrix exponential (scaling and squaring with a fixed
 degree-13 diagonal rational approximant), its directional (Frechet)
-derivative via the block-augmented exponential, and the stabilized
-hold integral ``phi1(a, d) = (exp(a*d) - 1)/a``.
+derivative by the Al-Mohy--Higham recurrence on that same approximant,
+and the stabilized hold integral ``phi1(a, d) = (exp(a*d) - 1)/a``.
 
 All routines operate on float64 ndarrays and accept an arbitrary number
-of leading batch axes on the matrix arguments; the batch path shares one
-scaling exponent (the per-batch maximum), which only adds squarings and
-never costs accuracy.
+of leading batch axes on the matrix arguments. Each matrix of a batch
+gets its own scaling exponent, the smallest s with ||M||_1 / 2**s <=
+theta13 (Higham 2005), so a result never depends on the other matrices
+of its stack: every matrix of a batched call equals its solo call bit
+for bit.
 """
+
+import math
 
 import numpy as np
 
@@ -43,6 +47,11 @@ _B13 = (
 )
 _THETA13 = 5.371920351148152
 
+# The coefficients divided by b0. At A = 0 the denominator V - U is then
+# exactly I, so exp(0) = I and L(0, E) = E hold exactly without a special
+# case (a LAPACK solve with b0 * I returns 1 - 1.1e-16 on the diagonal).
+_B = tuple(b / _B13[0] for b in _B13)
+
 
 def _as_square(M, name):
     M = np.asarray(M, dtype=float)
@@ -53,69 +62,117 @@ def _as_square(M, name):
     return M
 
 
-def matrix_exp(M):
-    """exp(M) for square M, batched over leading axes.
+def _norms(M):
+    """1-norms of the matrices of M, flattened over the batch axes."""
+    return np.abs(M).sum(axis=-2).max(axis=-1).ravel() if M.size else np.zeros(0)
 
-    Scaling and squaring: halve M until its 1-norm is below the degree-13
-    switching radius, evaluate the rational approximant, then square back.
-    exp(0) is the identity exactly.
-    """
-    M = _as_square(M, "matrix_exp input")
-    n = M.shape[-1]
-    norm1 = np.abs(M).sum(axis=-2).max(axis=-1) if M.size else 0.0
-    top = float(np.max(norm1)) if np.ndim(norm1) else float(norm1)
-    if top == 0.0:
-        # exp(0) is the identity exactly; keeps the zero-coupling step
-        # bit-identical to the plain diagonal hold step
-        return np.broadcast_to(np.eye(n), M.shape).copy()
-    s = 0 if top <= _THETA13 else int(np.ceil(np.log2(top / _THETA13)))
-    A = M / (2.0**s) if s else M
 
-    eye = np.broadcast_to(np.eye(n), A.shape)
+def _squarings(norm1):
+    """Per-matrix squaring counts s with norm1 / 2**s <= theta13, or None
+    when no matrix needs any (the input is then used unscaled)."""
+    if not norm1.size or norm1.max() <= _THETA13:
+        return None
+    return np.ceil(np.log2(np.maximum(norm1, _THETA13) / _THETA13)).astype(int)
+
+
+def _pade13(A):
+    """Parts of the approximant r(A) = (V - U)^-1 (V + U) of a (B, n, n)
+    stack: the powers (A2, A4, A6), the inner sums (W1, Z1, W), U = A W
+    and V = A6 Z1 + Z2."""
+    b = _B
+    eye = np.eye(A.shape[-1])
     A2 = A @ A
     A4 = A2 @ A2
     A6 = A4 @ A2
-    b = _B13
-    U = A @ (
-        A6 @ (b[13] * A6 + b[11] * A4 + b[9] * A2)
-        + b[7] * A6
-        + b[5] * A4
-        + b[3] * A2
-        + b[1] * eye
-    )
-    V = (
-        A6 @ (b[12] * A6 + b[10] * A4 + b[8] * A2)
-        + b[6] * A6
-        + b[4] * A4
-        + b[2] * A2
-        + b[0] * eye
-    )
-    E = np.linalg.solve(V - U, V + U)
-    for _ in range(s):
-        E = E @ E
-    return E
+    W1 = b[13] * A6 + b[11] * A4 + b[9] * A2
+    Z1 = b[12] * A6 + b[10] * A4 + b[8] * A2
+    W = A6 @ W1 + b[7] * A6 + b[5] * A4 + b[3] * A2 + b[1] * eye
+    V = A6 @ Z1 + b[6] * A6 + b[4] * A4 + b[2] * A2 + b[0] * eye
+    return (A2, A4, A6), (W1, Z1, W), A @ W, V
+
+
+def matrix_exp(M):
+    """exp(M) for square M, batched over leading axes.
+
+    Scaling and squaring: halve each matrix until its 1-norm is below the
+    degree-13 switching radius, evaluate the rational approximant, then
+    square back. exp(0) is the identity exactly.
+    """
+    M = _as_square(M, "matrix_exp input")
+    n = M.shape[-1]
+    norm1 = _norms(M)
+    if not norm1.any():
+        # exp(0) is the identity exactly; keeps the zero-coupling step
+        # bit-identical to the plain diagonal hold step
+        return np.broadcast_to(np.eye(n), M.shape).copy()
+    A = M.reshape(norm1.size, n, n)
+    s = _squarings(norm1)
+    if s is not None:
+        A = A * np.ldexp(1.0, -s)[:, None, None]
+    _, _, U, V = _pade13(A)
+    X = np.linalg.solve(V - U, V + U)
+    if s is not None:
+        for j in range(1, s.max() + 1):
+            i = np.flatnonzero(s >= j)
+            X[i] = X[i] @ X[i]
+    return X.reshape(M.shape)
 
 
 def matrix_exp_frechet(M, E):
     """Return (exp(M), L(M, E)) with L the directional derivative of exp.
 
-    Uses the block identity  exp([[M, E], [0, M]]) = [[exp(M), L(M,E)],
-    [0, exp(M)]], so the derivative is exact for the same approximant that
-    produced exp(M). Batched over leading axes of M/E jointly.
+    E has M's shape, or M's shape with one direction axis inserted before
+    the matrix axes, ``(..., k, n, n)``; L has E's shape. The derivative
+    is that of the same scaled approximant that gives exp(M), by the
+    recurrence of Al-Mohy and Higham (SIAM J. Matrix Anal. Appl. 30(4),
+    2009, Alg. 6.4) on n x n matrices: the k directions share the powers
+    of A, the approximant's parts and one inverse of V - U, which serves
+    both r = (V - U)^-1 (V + U) and the derivative's solve. Squaring back
+    takes L <- r L + L r along with r <- r r.
     """
     M = _as_square(M, "matrix_exp_frechet M")
     E = _as_square(E, "matrix_exp_frechet E")
-    if M.shape != E.shape:
+    batch, n = M.shape[:-2], M.shape[-1]
+    if E.shape != M.shape and E.shape[:-3] + E.shape[-2:] != M.shape:
         raise DimensionError(
-            f"direction shape {E.shape} does not match matrix shape {M.shape}"
+            f"direction shape {E.shape} is neither the matrix shape {M.shape} "
+            "nor that shape with one direction axis before the matrix axes"
         )
-    n = M.shape[-1]
-    blk = np.zeros(M.shape[:-2] + (2 * n, 2 * n))
-    blk[..., :n, :n] = M
-    blk[..., :n, n:] = E
-    blk[..., n:, n:] = M
-    W = matrix_exp(blk)
-    return W[..., :n, :n], W[..., :n, n:]
+    B = math.prod(batch)
+    k = E.shape[-3] if E.ndim > M.ndim else 1
+    A = M.reshape(B, n, n)
+    D = E.reshape(B, k, n, n)
+    s = _squarings(_norms(M))
+    if s is not None:
+        scale = np.ldexp(1.0, -s)[:, None, None]
+        A = A * scale
+        D = D * scale[:, None]
+    (A2, A4, A6), (W1, Z1, W), U, V = _pade13(A)
+    Q_inv = np.linalg.inv(V - U)
+    X = Q_inv @ (V + U)
+
+    # derivatives of the parts toward each direction; a new axis 1 on the
+    # shared parts broadcasts them over the k directions
+    A, A2, A4, A6, W1, Z1, W, Q_inv, R = (
+        T[:, None] for T in (A, A2, A4, A6, W1, Z1, W, Q_inv, X)
+    )
+    b = _B
+    M2 = A @ D + D @ A
+    M4 = A2 @ M2 + M2 @ A2
+    M6 = A4 @ M2 + M4 @ A2
+    Lw = A6 @ (b[13] * M6 + b[11] * M4 + b[9] * M2) + M6 @ W1
+    Lw += b[7] * M6 + b[5] * M4 + b[3] * M2
+    Lu = A @ Lw + D @ W
+    Lv = A6 @ (b[12] * M6 + b[10] * M4 + b[8] * M2) + M6 @ Z1
+    Lv += b[6] * M6 + b[4] * M4 + b[2] * M2
+    L = Q_inv @ (Lu + Lv + (Lu - Lv) @ R)
+    if s is not None:
+        for j in range(1, s.max() + 1):
+            i = np.flatnonzero(s >= j)
+            Xi = X[i]
+            L[i] = Xi[:, None] @ L[i] + L[i] @ Xi[:, None]
+            X[i] = Xi @ Xi
+    return X.reshape(M.shape), L.reshape(E.shape)
 
 
 # Below |a*d| < _PHI1_SMALL the series for phi1 and its a-partial is exact

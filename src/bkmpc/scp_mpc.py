@@ -130,18 +130,15 @@ def linearize(bundle, coupling, plan_u_norm, z_nom, period):
     e_d, b_diag = mdl.held_step(bundle)
 
     if coupling is None:
-        a_t = np.tile(np.diag(e_d), (H, 1, 1))
-        b_t = np.tile(b_diag, (H, 1, 1))
+        a_t = np.broadcast_to(np.diag(e_d), (H, dz, dz)).copy()
+        b_t = np.broadcast_to(b_diag, (H, dz, m)).copy()
         return a_t, b_t
 
     P = mdl.coupling_generators(coupling, plan_u_norm, period)  # (H, dz, dz)
     drift = z_nom[:H] * e_d[None, :] + plan_u_norm @ b_diag.T  # (H, dz)
-    # one batched block exponential for all (step, channel) directions
-    Ms = np.repeat(P, m, axis=0)
-    Es = np.tile(coupling, (H, 1, 1))
-    e_p_rep, L = dense.matrix_exp_frechet(Ms, Es)
-    e_p = e_p_rep[::m] if m > 1 else e_p_rep
-    L = L.reshape(H, m, dz, dz)
+    # one Frechet call: each step's exponential and its m channel
+    # directions, which share that step's powers and factorization
+    e_p, L = dense.matrix_exp_frechet(P, np.broadcast_to(coupling, (H, m, dz, dz)))
     a_t = e_p * e_d[None, None, :]
     b_t = period * np.einsum("kjab,kb->kaj", L, drift) + e_p @ b_diag
     return a_t, b_t

@@ -2,6 +2,7 @@
 
 Oracles here are deliberately independent of the code paths they check:
 the exponential oracle is a plain Taylor sum in extended precision, the
+Frechet-derivative oracle is the block-augmented exponential, the
 determinant oracle is a tiny partial-pivot LU, the box-QP oracle
 enumerates every active set, and gradient checks are central finite
 differences over tape leaves. The sequential excitation episode is the
@@ -12,7 +13,7 @@ import numpy as np
 
 from bkmpc import datagen as dg
 from bkmpc import simulators as sim
-from bkmpc.numerics import Tape, backward
+from bkmpc.numerics import Tape, backward, matrix_exp
 from bkmpc.numerics import autodiff as ad
 
 
@@ -26,6 +27,21 @@ def taylor_expm(M, terms=200):
         term = term @ M / k
         acc = acc + term
     return acc.astype(float)
+
+
+def block_frechet(M, E):
+    """(exp(M), L(M, E)) from the block identity
+    exp([[M, E], [0, M]]) = [[exp(M), L(M, E)], [0, exp(M)]],
+    batched over the leading axes of M and E jointly."""
+    M = np.asarray(M, dtype=float)
+    E = np.asarray(E, dtype=float)
+    n = M.shape[-1]
+    blk = np.zeros(M.shape[:-2] + (2 * n, 2 * n))
+    blk[..., :n, :n] = M
+    blk[..., :n, n:] = E
+    blk[..., n:, n:] = M
+    W = matrix_exp(blk)
+    return W[..., :n, :n], W[..., :n, n:]
 
 
 def spectral_penalty(a_disc, margin):

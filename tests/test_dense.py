@@ -12,12 +12,21 @@ from bkmpc.numerics import (
     phi1,
     phi1_partials,
 )
-from helpers import taylor_expm
+from bkmpc.numerics.dense import _THETA13
+from helpers import block_frechet, taylor_expm
 
 
 def test_exp_zero_is_identity_exactly():
-    E = matrix_exp(np.zeros((3, 3)))
-    assert np.max(np.abs(E - np.eye(3))) <= 1e-15
+    assert np.array_equal(matrix_exp(np.zeros((3, 3))), np.eye(3))
+    # a zero matrix next to a companion that needs squarings (s = 3)
+    rng = np.random.default_rng(2)
+    Ms = np.zeros((2, 3, 3))
+    Ms[1] = rng.standard_normal((3, 3))
+    Ms[1] *= 40.0 / np.abs(Ms[1]).sum(axis=0).max()
+    assert np.array_equal(matrix_exp(Ms)[0], np.eye(3))
+    E = rng.standard_normal((2, 3, 3))
+    X, L = matrix_exp_frechet(Ms, E)
+    assert np.array_equal(X[0], np.eye(3)) and np.array_equal(L[0], E[0])
 
 
 def test_exp_diagonal_closed_form():
@@ -109,9 +118,64 @@ def test_frechet_linear_in_direction():
     assert np.max(np.abs(L12 - al * L1 - be * L2)) <= 1e-12 * scale
 
 
+def _with_norm(rng, n, norm1):
+    M = rng.standard_normal((n, n))
+    return M * (norm1 / np.abs(M).sum(axis=0).max())
+
+
+def _rel1(X, ref):
+    return np.abs(X - ref).sum(axis=-2).max() / np.abs(ref).sum(axis=-2).max()
+
+
+def test_frechet_matches_block_oracle():
+    rng = np.random.default_rng(29)
+    for n in (4, 15):
+        for norm1 in (0.0, 0.1, 0.5, 3.0, 12.0, 40.0):
+            for _ in range(3):
+                M = _with_norm(rng, n, norm1)
+                E = rng.standard_normal((n, n))
+                X, L = matrix_exp_frechet(M, E)
+                X_ref, L_ref = block_frechet(M, E)
+                assert _rel1(X, X_ref) <= 1e-13
+                assert _rel1(L, L_ref) <= 1e-13
+
+
+def test_frechet_direction_stack_equals_separate_calls():
+    rng = np.random.default_rng(31)
+    M = np.stack([_with_norm(rng, 5, v) for v in (0.3, 2.0, 9.0)])
+    E = rng.standard_normal((3, 4, 5, 5))
+    X, L = matrix_exp_frechet(M, E)
+    assert L.shape == E.shape
+    for j in range(4):
+        X_j, L_j = matrix_exp_frechet(M, E[:, j])
+        assert np.array_equal(X, X_j) and np.array_equal(L[:, j], L_j)
+
+
+def test_stack_members_equal_solo_calls():
+    # norms on both sides of the switching radius: squaring counts 0 to 3
+    rng = np.random.default_rng(37)
+    norms = (0.0, 0.5, 0.99 * _THETA13, 1.01 * _THETA13, 12.0, 40.0)
+    Ms = np.stack([_with_norm(rng, 6, v) for v in norms])
+    Es = rng.standard_normal(Ms.shape)
+    expm = matrix_exp(Ms)
+    X, L = matrix_exp_frechet(Ms, Es)
+    for i in range(len(norms)):
+        assert np.array_equal(expm[i], matrix_exp(Ms[i]))
+        X_i, L_i = matrix_exp_frechet(Ms[i], Es[i])
+        assert np.array_equal(X[i], X_i) and np.array_equal(L[i], L_i)
+
+
 def test_frechet_shape_mismatch():
-    with pytest.raises(DimensionError):
-        matrix_exp_frechet(np.zeros((3, 3)), np.zeros((2, 2)))
+    cases = [
+        ((3, 3), (2, 2)),
+        ((4, 3, 3), (5, 3, 3)),  # batch axes differ
+        ((4, 3, 3), (2, 4, 3, 3)),  # direction axis before the batch axis
+        ((3, 3), (2, 2, 3, 3)),  # two direction axes
+        ((4, 3, 3), (3, 3)),
+    ]
+    for m_shape, e_shape in cases:
+        with pytest.raises(DimensionError):
+            matrix_exp_frechet(np.zeros(m_shape), np.zeros(e_shape))
 
 
 def test_phi1_limit_and_closed_form():
