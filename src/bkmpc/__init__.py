@@ -6,12 +6,14 @@ Subpackages / modules:
 * ``numerics``   dense matrix kernels (exponential, directional derivative),
                  batched LAPACK eigenvalues and eigenvectors, and a
                  reverse-mode tape.
-* ``simulators`` cart-pole and reactor-separator ground-truth dynamics.
+* ``simulators`` cart-pole and reactor-separator ground-truth dynamics,
+                 batched over rows of states.
 * ``datagen``    seeded excitation rollouts, windowing, dataset container.
 * ``model``      encoder, operator generator, bilinear coupling,
-                 split-form discretization, rollout, training loss.
-* ``training``   optimizer loop, schedules, checkpoints, forecast metrics.
-* ``qpsolver``   dense box-constrained QP via over-relaxed splitting.
+                 split-form discretization, rollout, training loss,
+                 checkpoints.
+* ``training``   optimizer loop, schedules, forecast metrics.
+* ``qpsolver``   dense box-constrained QP by projected Newton.
 * ``scp_mpc``    linearization, condensation, trust-region solve loop,
                  receding-horizon and lead-time execution.
 * ``cli``        command-line harness emitting CSV / JSON / SVG artifacts.

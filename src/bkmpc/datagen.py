@@ -161,7 +161,7 @@ def _run_episode_batch(cfg, seed, test, mode, want, budget, max_lanes=512):
     of ``_CHUNK`` excitation draws, refilled from the episode's own stream
     whenever ``step % _CHUNK == 0``, and one holding its trajectory so far,
     which doubles in length as needed. One lockstep step makes one clip,
-    one termination check and one ``deriv_batch`` call for all lanes.
+    one termination check and one ``step_euler`` call for all lanes.
 
     Admission: episode ``i`` starts only while ``i < prefix_next + lanes``,
     where ``prefix_next`` is the first episode not yet finished. ``lanes``
@@ -236,10 +236,9 @@ def _run_episode_batch(cfg, seed, test, mode, want, budget, max_lanes=512):
             cap *= 2
             traj_x, traj_u = _grown(traj_x, 1, cap), _grown(traj_u, 1, cap)
         u = sim.clip_control(cfg, buf[slot, step % _CHUNK])
-        x = x + cfg.dt * sim.deriv_batch(cfg, x, u, t)
+        x, t = sim.step_euler(cfg, x, u, t)
         traj_x[slot, step + 1] = x
         traj_u[slot, step] = u
-        t = t + cfg.dt
         step = step + 1
 
     return [finished[i] for i in range(prefix_next)]

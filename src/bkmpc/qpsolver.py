@@ -61,8 +61,6 @@ class QpSolution:
     x: np.ndarray
     dual: np.ndarray  # box multiplier (stationarity: Hx + g + dual = 0)
     objective: float
-    primal_residual: float
-    dual_residual: float
     iterations: int
     status: str  # "solved" | "max-iter" | "stalled" | "infeasible-box"
 
@@ -119,7 +117,7 @@ def solve_box_qp(p, warm=None, eps_abs=1e-6, max_iter=4000):
     ``max_iter`` gradient evaluations are made before ``max-iter``."""
     if np.any(p.lb > p.ub):
         nan = np.full(p.n, np.nan)
-        return QpSolution(nan, nan, np.nan, np.inf, np.inf, 0, "infeasible-box")
+        return QpSolution(nan, nan, np.nan, 0, "infeasible-box")
 
     if warm is not None and warm.x.shape == (p.n,) and np.all(np.isfinite(warm.x)):
         x = np.clip(warm.x, p.lb, p.ub)
@@ -160,4 +158,4 @@ def solve_box_qp(p, warm=None, eps_abs=1e-6, max_iter=4000):
 
     dual = np.where(clamped, -grad, 0.0)
     obj = float(0.5 * x @ p.H @ x + p.g @ x)
-    return QpSolution(x, dual, obj, 0.0, stationarity, it, status)
+    return QpSolution(x, dual, obj, it, status)

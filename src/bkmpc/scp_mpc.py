@@ -28,9 +28,8 @@ model is bit-identical arithmetic.
 
 Lead-time execution commits the first ``d + 1`` planned controls to a
 queue and re-plans only when the queue empties; neither the plan nor the
-operator bundle is re-evaluated inside a commitment window (the only
-supported regeneration policy). ``d = 0`` recovers standard
-receding-horizon control.
+operator bundle is re-evaluated inside a commitment window. ``d = 0``
+recovers standard receding-horizon control.
 """
 
 import time
@@ -48,6 +47,9 @@ from .qpsolver import QpProblem, solve_box_qp
 
 _MPC_EPISODE_SPACE = 2**33
 
+#: the trust-region loop stops once the radius falls below this
+_TRUST_MIN = 1e-9
+
 
 class SolverInvariantError(RuntimeError):
     """An accepted SCP step left the trust region, or the accepted
@@ -59,16 +61,11 @@ class MpcConfig:
     horizon: int = 30
     n_scp: int = 5
     trust_init: float = 1.0  # normalized control units
-    trust_min: float = 1e-9
     q_weights: tuple = ()
     r_weights: tuple = ()
     p_weights: tuple = ()
     x_ref: tuple = ()
-    episodes: int = 10
     episode_len: int = 1_000
-    qp_eps_abs: float = 1e-6
-    qp_max_iter: int = 4_000
-    assert_descent: bool = True
 
 
 def mpc_preset(system, **overrides):
@@ -238,12 +235,7 @@ def scp_solve(cfg, params, bundle, coupling, z0, nominal_u_norm, u_prev_raw,
             cfg, params, bundle, a_t, b_t, z_nom, u, u_prev_raw,
             control_low, control_high, trust,
         )
-        sol = solve_box_qp(
-            qp,
-            warm=sol,
-            eps_abs=cfg.qp_eps_abs,
-            max_iter=cfg.qp_max_iter,
-        )
+        sol = solve_box_qp(qp, warm=sol)
         info.qp_iterations += sol.iterations
         info.qp_status.append(sol.status)
         du = sol.x.reshape(u.shape)
@@ -262,15 +254,14 @@ def scp_solve(cfg, params, bundle, coupling, z0, nominal_u_norm, u_prev_raw,
         else:
             info.accepted.append(False)
             trust *= 0.5
-            if trust < cfg.trust_min:
+            if trust < _TRUST_MIN:
                 break
     info.trust_final = trust
-    if cfg.assert_descent:
-        seq = info.objectives
-        if not all(b <= a + 1e-12 for a, b in zip(seq, seq[1:])):
-            raise SolverInvariantError(
-                f"accepted objectives must be non-increasing: {seq}"
-            )
+    seq = info.objectives
+    if not all(b <= a + 1e-12 for a, b in zip(seq, seq[1:])):
+        raise SolverInvariantError(
+            f"accepted objectives must be non-increasing: {seq}"
+        )
     plan = Plan(u, z_nom, J, bundle, bundle.checksum())
     return plan, info, sol
 
@@ -289,61 +280,6 @@ def stability_diagnostics(a_disc):
 
 
 CONTROLLER_KINDS = ("linear", "scp1", "scp5")
-
-
-class Controller:
-    """Receding-horizon wrapper owning warm-start state across calls."""
-
-    def __init__(self, params, mpc_cfg, kind, control_low, control_high):
-        if kind not in CONTROLLER_KINDS:
-            raise KeyError(f"unknown controller '{kind}'")
-        if kind == "linear" and mdl.g_norm(params) != 0.0:
-            raise ValueError(
-                "the linear controller requires a coupling-free model"
-            )
-        self.params = params
-        self.cfg = mpc_cfg
-        self.kind = kind
-        self.n_scp = 1 if kind in ("linear", "scp1") else mpc_cfg.n_scp
-        self.coupling = None if kind == "linear" else mdl.coupling_matrices(params)
-        self.control_low = control_low
-        self.control_high = control_high
-        self.prev_plan = None
-        self.qp_warm = None
-        self.u_prev_raw = 0.5 * (control_low + control_high)
-
-    def _nominal(self, bundle):
-        H = self.cfg.horizon
-        m = self.params.hyper.control_dim
-        if self.prev_plan is None:
-            u = np.zeros((H, m))
-        else:
-            # shift-and-hold the previous plan, re-expressed in the new
-            # bundle's normalized units
-            raw = self.prev_plan.u_raw()
-            raw = np.vstack([raw[1:], raw[-1]])
-            u = (raw - bundle.control_mean) / bundle.control_std
-        lb = (self.control_low - bundle.control_mean) / bundle.control_std
-        ub = (self.control_high - bundle.control_mean) / bundle.control_std
-        return np.clip(u, lb, ub)
-
-    def solve(self, bundle, z0):
-        plan, info, sol = scp_solve(
-            self.cfg,
-            self.params,
-            bundle,
-            self.coupling,
-            z0,
-            self._nominal(bundle),
-            self.u_prev_raw,
-            self.control_low,
-            self.control_high,
-            qp_warm=self.qp_warm,
-            n_scp=self.n_scp,
-        )
-        self.prev_plan = plan
-        self.qp_warm = sol
-        return plan, info
 
 
 @dataclass
@@ -416,10 +352,17 @@ class EpisodeLog:
 
 
 def run_episode(sim_cfg, params, mpc_cfg, controller="scp5", lead=0,
-                regen="never", seed=0, episode_index=0):
-    """Closed-loop episode under the lead-time commitment protocol."""
-    if regen != "never":
-        raise ValueError("only the regen='never' commitment policy exists")
+                seed=0, episode_index=0):
+    """Closed-loop episode under the lead-time commitment protocol.
+
+    Between solves the runner keeps the previous plan (shifted into the
+    next nominal), the last QP solution (the next warm start) and the
+    last applied control (the reference of the first control increment).
+    """
+    if controller not in CONTROLLER_KINDS:
+        raise KeyError(f"unknown controller '{controller}'")
+    if controller == "linear" and mdl.g_norm(params) != 0.0:
+        raise ValueError("the linear controller requires a coupling-free model")
     if lead < 0:
         raise ValueError("lead must be >= 0")
 
@@ -432,9 +375,9 @@ def run_episode(sim_cfg, params, mpc_cfg, controller="scp5", lead=0,
     hist_states = [state.copy() for _ in range(h.lookback)]
     hist_controls = [neutral.copy() for _ in range(h.lookback)]
 
-    ctl = Controller(
-        params, mpc_cfg, controller, sim_cfg.control_low, sim_cfg.control_high
-    )
+    coupling = None if controller == "linear" else mdl.coupling_matrices(params)
+    n_scp = mpc_cfg.n_scp if controller == "scp5" else 1
+    low, high = sim_cfg.control_low, sim_cfg.control_high
     q = np.asarray(mpc_cfg.q_weights)
     r = np.asarray(mpc_cfg.r_weights)
     ref = np.asarray(mpc_cfg.x_ref)
@@ -444,19 +387,19 @@ def run_episode(sim_cfg, params, mpc_cfg, controller="scp5", lead=0,
         "trust", "wall", "rho", "straddle", "checksum",
     )}
     queue = []
-    plan = None
+    plan = qp_warm = None
     cum = 0.0
     solves = 0
     termination = "horizon"
-    t = 0.0
+    t = np.zeros(1)
     u_prev = neutral.copy()
 
     for step in range(mpc_cfg.episode_len):
-        reason = sim.check_termination(sim_cfg, state, step, mode="test")
-        if reason == "horizon":
-            reason = None  # the episode length below governs the horizon
-        if reason is not None:
-            termination = reason
+        # the episode length, not the simulator's test horizon, ends the
+        # loop, so the check sees step 0
+        code = sim.check_termination_batch(sim_cfg, state[None], [0], mode="test")[0]
+        if code:
+            termination = sim.TERM_REASONS[code]
             break
 
         if not queue:
@@ -464,7 +407,23 @@ def run_episode(sim_cfg, params, mpc_cfg, controller="scp5", lead=0,
             bundle, z0 = mdl.bundle_for_history(
                 params, np.asarray(hist_states), np.asarray(hist_controls)
             )
-            plan, info = ctl.solve(bundle, z0)
+            if plan is None:
+                nominal = np.zeros((mpc_cfg.horizon, h.control_dim))
+            else:
+                # shift-and-hold the previous plan, re-expressed in the
+                # new bundle's normalized units
+                raw = plan.u_raw()
+                raw = np.vstack([raw[1:], raw[-1]])
+                nominal = (raw - bundle.control_mean) / bundle.control_std
+            nominal = np.clip(
+                nominal,
+                (low - bundle.control_mean) / bundle.control_std,
+                (high - bundle.control_mean) / bundle.control_std,
+            )
+            plan, info, qp_warm = scp_solve(
+                mpc_cfg, params, bundle, coupling, z0, nominal, u_prev,
+                low, high, qp_warm=qp_warm, n_scp=n_scp,
+            )
             wall = time.perf_counter() - t0
             solves += 1
             raw_plan = plan.u_raw()
@@ -482,9 +441,7 @@ def run_episode(sim_cfg, params, mpc_cfg, controller="scp5", lead=0,
 
         u_raw = sim.clip_control(sim_cfg, queue.pop(0))
         u_norm = (u_raw - plan.bundle.control_mean) / plan.bundle.control_std
-        ops = mdl.discretize(
-            plan.bundle, ctl.coupling, u_norm, h.coupling_period
-        )
+        ops = mdl.discretize(plan.bundle, coupling, u_norm, h.coupling_period)
         rho, straddle = stability_diagnostics(ops.a_disc)
 
         stage = float(np.sum((state - ref) ** 2 * q)) + float(
@@ -504,7 +461,8 @@ def run_episode(sim_cfg, params, mpc_cfg, controller="scp5", lead=0,
         rows["straddle"].append(straddle)
         rows["checksum"].append(plan.checksum)
 
-        state, t = sim.step_euler(sim_cfg, state, u_raw, t)
+        x_next, t = sim.step_euler(sim_cfg, state[None], u_raw[None], t)
+        state = x_next[0]
         # histories hold (state, control applied at that state) pairs; the
         # final slot is provisional until its control is chosen, so first
         # complete it, then push the new state with a hold-last control
@@ -513,7 +471,6 @@ def run_episode(sim_cfg, params, mpc_cfg, controller="scp5", lead=0,
         hist_controls.append(u_raw.copy())
         hist_states.pop(0)
         hist_controls.pop(0)
-        ctl.u_prev_raw = u_raw
         u_prev = u_raw
 
     k = len(rows["state"])

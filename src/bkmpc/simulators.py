@@ -30,6 +30,11 @@ sub-stepping:
 Nominal heat duties solve the temperature balances exactly at the
 published operating point, and a Newton refinement of the full balance
 gives the fixed point used to center initial-state sampling.
+
+Every function here works on rows: ``states`` is (E, n), ``controls``
+(E, m) and ``ts`` or ``step_indices`` (E,), one entry per independent
+item, so E = 1 is a single trajectory and E > 1 steps lanes in lockstep.
+Each row's result depends on that row alone.
 """
 
 import dataclasses
@@ -139,7 +144,8 @@ def clip_control(cfg, u):
 
 
 def cartpole_deriv_batch(cfg, states, forces, ts):
-    """Vectorized equations of motion over a batch of (state, force, t)."""
+    """(xdot, xddot, thetadot, thetaddot) per row; theta measured from
+    upright."""
     states = np.asarray(states, dtype=float)
     xd = states[:, 1]
     th = states[:, 2]
@@ -177,13 +183,6 @@ def cartpole_deriv_batch(cfg, states, forces, ts):
     return np.stack([xd, xdd, thd, thdd], axis=1)
 
 
-def cartpole_deriv(cfg, state, force, t):
-    """(xdot, xddot, thetadot, thetaddot); theta measured from upright."""
-    return cartpole_deriv_batch(
-        cfg, np.asarray(state, dtype=float)[None, :], [force], [t]
-    )[0]
-
-
 # ---------------------------------------------------------------------------
 # RSCP
 
@@ -202,7 +201,7 @@ def _recycle_composition_batch(cfg, xa3, xb3):
 
 
 def rscp_deriv_batch(cfg, states, duties, ts):
-    """Vectorized nine-component balance, units per hour."""
+    """Nine-component balance per row, units per hour."""
     s = np.asarray(states, dtype=float)
     q = np.asarray(duties, dtype=float).reshape(s.shape[0], 3)
     xa1, xb1, T1 = s[:, 0], s[:, 1], s[:, 2]
@@ -269,38 +268,27 @@ def rscp_deriv_batch(cfg, states, duties, ts):
     return d
 
 
-def rscp_deriv(cfg, state, duties, t):
-    """Nine-component balance, units per hour."""
-    return rscp_deriv_batch(
-        cfg, np.asarray(state, dtype=float)[None, :], np.asarray(duties)[None, :], [t]
-    )[0]
-
-
 def deriv_batch(cfg, states, controls, ts):
     if cfg.system == "cartpole":
         return cartpole_deriv_batch(cfg, states, controls, ts)
     return rscp_deriv_batch(cfg, states, controls, ts)
 
 
-def deriv(cfg, state, control, t):
-    if cfg.system == "cartpole":
-        return cartpole_deriv(cfg, state, float(np.asarray(control).reshape(-1)[0]), t)
-    return rscp_deriv(cfg, state, control, t)
+def step_euler(cfg, states, controls, ts):
+    """One forward-Euler step of every row at the sampling period;
+    returns (states', ts')."""
+    states = np.asarray(states, dtype=float)
+    return states + cfg.dt * deriv_batch(cfg, states, controls, ts), ts + cfg.dt
 
 
-def step_euler(cfg, state, control, t):
-    """One forward-Euler step at the sampling period; returns (state', t')."""
-    state = np.asarray(state, dtype=float)
-    d = deriv(cfg, state, control, t)
-    return state + cfg.dt * d, t + cfg.dt
-
-
-_TERM_REASONS = (None, "horizon", "nonfinite", "angle", "position",
-                 "composition", "temperature")
+#: termination reason of each code of ``check_termination_batch``
+TERM_REASONS = (None, "horizon", "nonfinite", "angle", "position",
+                "composition", "temperature")
 
 
 def check_termination_batch(cfg, states, step_indices, mode="train"):
-    """Integer reason codes (0 = continue) indexing ``_TERM_REASONS``."""
+    """Integer reason code per row (0 = continue), indexing
+    ``TERM_REASONS``."""
     states = np.asarray(states, dtype=float)
     steps = np.asarray(step_indices)
     horizon = cfg.train_horizon if mode == "train" else cfg.test_horizon
@@ -322,42 +310,36 @@ def check_termination_batch(cfg, states, step_indices, mode="train"):
     return codes
 
 
-def check_termination(cfg, state, step_index, mode="train"):
-    """None to continue, else a short reason string."""
-    code = check_termination_batch(
-        cfg, np.asarray(state, dtype=float)[None, :], [step_index], mode=mode
-    )[0]
-    return _TERM_REASONS[code]
-
-
 # ---------------------------------------------------------------------------
 # RSCP operating point
 
 
-def rscp_nominal_duties(cfg, x_op=None):
-    """Heat duties that zero the three temperature balances at ``x_op``."""
-    x_op = np.asarray(x_op if x_op is not None else cfg.x_set, dtype=float)
-    base = rscp_deriv(cfg, x_op, np.zeros(3), 0.0)
+def rscp_nominal_duties(cfg):
+    """Heat duties that zero the three temperature balances at the
+    published operating point."""
+    base = rscp_deriv_batch(cfg, np.asarray(cfg.x_set)[None], np.zeros((1, 3)), [0.0])[0]
     rho_cp = cfg.rho * cfg.cp
     vols = np.asarray(cfg.volumes)
     return -base[[2, 5, 8]] * rho_cp * vols
 
 
-def rscp_fixed_point(cfg, duties, x0=None, tol=1e-9, max_iter=60):
-    """Newton refinement of the full nine-component balance at fixed duties."""
-    x = np.array(x0 if x0 is not None else cfg.x_set, dtype=float)
-    for _ in range(max_iter):
-        f = rscp_deriv(cfg, x, duties, 0.0)
-        if np.max(np.abs(f)) < tol:
+def rscp_fixed_point(cfg, duties):
+    """Newton refinement of the full nine-component balance at fixed
+    duties, from the published operating point. Each iteration evaluates
+    the point and its nine central-difference pairs in one 19-row call."""
+    x = np.array(cfg.x_set, dtype=float)
+    rows = np.arange(9)
+    q = np.broadcast_to(np.asarray(duties, dtype=float), (19, 3))
+    for _ in range(60):
+        h = 1e-6 * np.maximum(1.0, np.abs(x))
+        pts = np.tile(x, (19, 1))
+        pts[1 + rows, rows] += h
+        pts[10 + rows, rows] -= h
+        d = rscp_deriv_batch(cfg, pts, q, np.zeros(19))
+        f = d[0]
+        if np.max(np.abs(f)) < 1e-9:
             return x
-        J = np.empty((9, 9))
-        for j in range(9):
-            h = 1e-6 * max(1.0, abs(x[j]))
-            xp = x.copy()
-            xp[j] += h
-            xm = x.copy()
-            xm[j] -= h
-            J[:, j] = (rscp_deriv(cfg, xp, duties, 0.0) - rscp_deriv(cfg, xm, duties, 0.0)) / (2 * h)
+        J = (d[1:10] - d[10:]).T / (2 * h)
         x = x - np.linalg.solve(J, f)
     raise RuntimeError("fixed-point refinement did not converge")
 

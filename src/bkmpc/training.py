@@ -125,13 +125,13 @@ class TrainLog:
         results.write_csv(path, results.TRAINLOG_COLUMNS, rows)
 
 
-def batch_loss(params, states, controls, batch_size=512, eval_mode=True):
-    """Size-weighted mean loss over a window set."""
+def batch_loss(params, states, controls, batch_size=512):
+    """Size-weighted mean evaluation-mode loss over a window set."""
     total, count = 0.0, 0
     for start in range(0, states.shape[0], batch_size):
         sl = slice(start, start + batch_size)
         b = states[sl].shape[0]
-        total += mdl.loss_value(params, states[sl], controls[sl], eval_mode) * b
+        total += mdl.loss_value(params, states[sl], controls[sl], eval_mode=True) * b
         count += b
     return total / max(count, 1)
 

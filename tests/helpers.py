@@ -169,17 +169,22 @@ def run_excitation_episode(cfg, rng, mode="train"):
     """Roll one episode step by step; returns (states (L+1, n), controls
     (L, m), reason)."""
     state = dg.sample_initial_state(cfg, rng)
-    t = 0.0
+    t = np.zeros(1)
     states = [state]
     controls = []
     step = 0
     while True:
-        reason = sim.check_termination(cfg, state, step, mode=mode)
-        if reason is not None:
+        code = sim.check_termination_batch(cfg, state[None], [step], mode=mode)[0]
+        if code:
             break
         u = sim.clip_control(cfg, sample_excitation(cfg, rng))
-        state, t = sim.step_euler(cfg, state, u, t)
+        x, t = sim.step_euler(cfg, state[None], u[None], t)
+        state = x[0]
         states.append(state)
         controls.append(u)
         step += 1
-    return np.asarray(states), np.asarray(controls).reshape(len(controls), -1), reason
+    return (
+        np.asarray(states),
+        np.asarray(controls).reshape(len(controls), -1),
+        sim.TERM_REASONS[code],
+    )

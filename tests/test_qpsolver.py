@@ -228,7 +228,7 @@ def test_objective_not_above_clipped_warm_start():
     for _ in range(20):
         p = random_problem(rng, 12, box_scale=0.5)
         start = 2.0 * rng.standard_normal(12)
-        warm = QpSolution(start, np.zeros(12), 0.0, 0.0, 0.0, 0, "solved")
+        warm = QpSolution(start, np.zeros(12), 0.0, 0, "solved")
         sol = solve_box_qp(p, warm=warm)
         assert sol.status == "solved"
         assert sol.objective <= objective(p, np.clip(start, p.lb, p.ub))

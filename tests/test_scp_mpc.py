@@ -393,17 +393,10 @@ def test_linear_controller_rejects_coupled_model():
     params = tiny_mpc_params("cartpole", kind="bilinear", seed=7)
     params.arrays["cpl_l"][:] = 0.3
     params.arrays["cpl_r"][:] = 0.2
-    with pytest.raises(ValueError):
-        mpc.Controller(
-            params, default_cfg(), "linear", np.array([-20.0]), np.array([20.0])
+    with pytest.raises(ValueError, match="coupling-free"):
+        mpc.run_episode(
+            sim.preset("cartpole-ti"), params, default_cfg(), controller="linear"
         )
-
-
-def test_regen_policy_validated():
-    cfg_sim = sim.preset("cartpole-ti")
-    params = tiny_mpc_params("cartpole", seed=7)
-    with pytest.raises(ValueError):
-        mpc.run_episode(cfg_sim, params, default_cfg(), lead=1, regen="always")
 
 
 def test_episode_truncates_on_termination():

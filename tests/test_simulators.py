@@ -6,9 +6,14 @@ import pytest
 from bkmpc import simulators as sim
 
 
+def one_row(cfg, state, control, t):
+    """``deriv_batch`` on the single row (state, control, t)."""
+    return sim.deriv_batch(cfg, np.asarray(state, dtype=float)[None], np.atleast_1d(control)[None], [t])[0]
+
+
 def test_cartpole_equilibrium():
     cfg = sim.preset("cartpole-ti")
-    d = sim.cartpole_deriv(cfg, np.zeros(4), 0.0, 0.0)
+    d = one_row(cfg, np.zeros(4), 0.0, 0.0)
     assert np.allclose(d, 0.0, atol=1e-15)
 
 
@@ -16,7 +21,7 @@ def test_cartpole_full_force_derivative():
     # frictionless closed form with g=10, m_c=1, m_p=0.1, l=0.5:
     # thetadd = (-F/1.1) / (0.5*(4/3 - 0.1/1.1)), xdd = (F + 0.05*(-thetadd))/1.1
     cfg = sim.preset("cartpole-ti")
-    d = sim.cartpole_deriv(cfg, np.zeros(4), 20.0, 0.0)
+    d = one_row(cfg, np.zeros(4), 20.0, 0.0)
     assert abs(d[1] - 19.512) < 1e-3
     assert abs(d[3] - (-29.268)) < 1e-3
 
@@ -25,13 +30,12 @@ def test_cartpole_tv_matches_ti_when_modifier_vanishes():
     tv = sim.preset("cartpole-tv")
     ti = sim.preset("cartpole-ti", mu_cart=5e-4, mu_pole=2e-6)
     rng = np.random.default_rng(3)
-    for _ in range(20):
-        s = rng.uniform([-2, -1, -0.3, -1], [2, 1, 0.3, 1])
-        f = rng.uniform(-20, 20)
-        t = rng.integers(0, 100) * np.pi  # sin(omega*t) = 0 at omega = 1
-        a = sim.cartpole_deriv(tv, s, f, t)
-        b = sim.cartpole_deriv(ti, s, f, 0.0)
-        assert np.allclose(a, b, atol=1e-9)
+    s = rng.uniform([-2, -1, -0.3, -1], [2, 1, 0.3, 1], size=(20, 4))
+    f = rng.uniform(-20, 20, size=(20, 1))
+    t = rng.integers(0, 100, size=20) * np.pi  # sin(omega*t) = 0 at omega = 1
+    a = sim.cartpole_deriv_batch(tv, s, f, t)
+    b = sim.cartpole_deriv_batch(ti, s, f, np.zeros(20))
+    assert np.allclose(a, b, atol=1e-9)
 
 
 def test_cartpole_energy_drift_second_order():
@@ -52,8 +56,8 @@ def test_cartpole_energy_drift_second_order():
     drifts = []
     for dt in (0.02, 0.01):
         cfg_dt = sim.preset("cartpole-ti", dt=dt)
-        s1, _ = sim.step_euler(cfg_dt, s0, np.zeros(1), 0.0)
-        drifts.append(abs(energy(s1) - energy(s0)))
+        s1, _ = sim.step_euler(cfg_dt, s0[None], np.zeros((1, 1)), np.zeros(1))
+        drifts.append(abs(energy(s1[0]) - energy(s0)))
     ratio = drifts[0] / drifts[1]
     assert 3.0 < ratio < 5.0
 
@@ -62,7 +66,7 @@ def test_rscp_steady_state_residual():
     cfg = sim.preset("rscp-ti")
     # balance residual per second of process time (the balances are per hour)
     x_set, q_nominal = np.asarray(cfg.x_set), np.asarray(cfg.q_nominal)
-    res = sim.rscp_deriv(cfg, x_set, q_nominal, 0.0) / 3600.0
+    res = one_row(cfg, x_set, q_nominal, 0.0) / 3600.0
     assert np.max(np.abs(res[[2, 5, 8]])) < 1e-6
     assert np.max(np.abs(res[[0, 1, 3, 4, 6, 7]])) < 4e-3
 
@@ -79,10 +83,11 @@ def test_rscp_duty_gain_is_inverse_heat_capacity():
     s = np.array(cfg.x_fixed) + rng.normal(0, [0.01] * 2 + [2.0] + [0.01] * 2 + [2.0] + [0.01] * 2 + [2.0])
     q0 = np.asarray(cfg.q_nominal)
     h = 1000.0
+    # row 0 at the nominal duties, row 1 + i with vessel i's duty raised
+    duties = q0 + np.vstack([np.zeros(3), h * np.eye(3)])
+    d = sim.rscp_deriv_batch(cfg, np.tile(s, (4, 1)), duties, np.zeros(4))
     for i, vol in enumerate(cfg.volumes):
-        dq = np.zeros(3)
-        dq[i] = h
-        diff = sim.rscp_deriv(cfg, s, q0 + dq, 0.0) - sim.rscp_deriv(cfg, s, q0, 0.0)
+        diff = d[1 + i] - d[0]
         expect = h / (cfg.rho * cfg.cp * vol)
         assert diff[3 * i + 2] == pytest.approx(expect, rel=1e-9)
     # vessel 1 explicitly: 1/4200 K h / kJ
@@ -95,7 +100,8 @@ def test_rscp_duty_additivity_exact_structure():
     s = np.array(cfg.x_fixed)
     qa = np.asarray(cfg.q_nominal) + rng.uniform(-1e6, 1e6, 3)
     qb = np.asarray(cfg.q_nominal) + rng.uniform(-1e6, 1e6, 3)
-    diff = sim.rscp_deriv(cfg, s, qa, 0.0) - sim.rscp_deriv(cfg, s, qb, 0.0)
+    d = sim.rscp_deriv_batch(cfg, np.tile(s, (2, 1)), np.vstack([qa, qb]), np.zeros(2))
+    diff = d[0] - d[1]
     assert np.allclose(diff[[0, 1, 3, 4, 6, 7]], 0.0, atol=1e-12)
     expect = (qa - qb) / (cfg.rho * cfg.cp * np.asarray(cfg.volumes))
     assert np.allclose(diff[[2, 5, 8]], expect, rtol=1e-9)
@@ -123,7 +129,7 @@ def test_rscp_degenerate_composition_raises():
     bad = np.array(cfg.x_fixed)
     bad[6], bad[7] = -2.0, 0.1  # equilibrium denominator goes negative
     with pytest.raises(sim.InvalidStateError):
-        sim.rscp_deriv(cfg, bad, cfg.q_nominal, 0.0)
+        one_row(cfg, bad, cfg.q_nominal, 0.0)
 
 
 def test_rscp_tv_matches_ti_at_time_zero():
@@ -132,51 +138,75 @@ def test_rscp_tv_matches_ti_at_time_zero():
     rng = np.random.default_rng(13)
     s = np.array(ti.x_fixed) + rng.normal(0, 0.01, 9)
     q = np.asarray(ti.q_nominal) * 1.1
-    assert np.array_equal(sim.rscp_deriv(tv, s, q, 0.0), sim.rscp_deriv(ti, s, q, 0.0))
+    assert np.array_equal(one_row(tv, s, q, 0.0), one_row(ti, s, q, 0.0))
     # and decays kinetics later
-    d_late = sim.rscp_deriv(tv, s, q, 10.0)
-    assert not np.allclose(d_late, sim.rscp_deriv(ti, s, q, 10.0))
+    d_late = one_row(tv, s, q, 10.0)
+    assert not np.allclose(d_late, one_row(ti, s, q, 10.0))
 
 
 def test_step_euler_fixed_point_stays():
     cfg = sim.preset("rscp-ti")
     s0 = np.array(cfg.x_fixed)
-    s1, t1 = sim.step_euler(cfg, s0, np.asarray(cfg.q_nominal), 0.0)
-    assert t1 == cfg.dt
-    assert np.max(np.abs(s1 - s0)) <= 1e-10
+    s1, t1 = sim.step_euler(cfg, s0[None], np.asarray(cfg.q_nominal)[None], np.zeros(1))
+    assert t1.tolist() == [cfg.dt]
+    assert np.max(np.abs(s1[0] - s0)) <= 1e-10
 
 
 def test_step_euler_cartpole_derived_value():
     cfg = sim.preset("cartpole-ti")
-    s1, _ = sim.step_euler(cfg, np.zeros(4), np.array([20.0]), 0.0)
-    assert np.allclose(s1, [0.0, 0.39024, 0.0, -0.58536], atol=2e-5)
+    s1, _ = sim.step_euler(cfg, np.zeros((1, 4)), np.array([[20.0]]), np.zeros(1))
+    assert np.allclose(s1[0], [0.0, 0.39024, 0.0, -0.58536], atol=2e-5)
 
 
 def test_step_euler_from_published_point_moves_little():
     cfg = sim.preset("rscp-ti")
     s0 = np.asarray(cfg.x_set)
-    s1, _ = sim.step_euler(cfg, s0, np.asarray(cfg.q_nominal), 0.0)
+    s1, _ = sim.step_euler(cfg, s0[None], np.asarray(cfg.q_nominal)[None], np.zeros(1))
     # 18-second step times the per-second residual bound
-    assert np.max(np.abs(s1 - s0)) <= 18.0 * 4e-3
+    assert np.max(np.abs(s1[0] - s0)) <= 18.0 * 4e-3
+
+
+@pytest.mark.parametrize("name", ["cartpole-tv", "rscp-tv"])
+def test_step_euler_rows_equal_one_row_calls(name):
+    # a row's step depends on that row alone, bit for bit, whatever the
+    # number of rows; distinct times exercise the time-varying terms
+    cfg = sim.preset(name)
+    rng = np.random.default_rng(17)
+    E = 7
+    if cfg.system == "cartpole":
+        x = rng.uniform([-2, -1, -0.2, -1], [2, 1, 0.2, 1], size=(E, 4))
+    else:
+        x = np.array(cfg.x_fixed) + rng.normal(0, [0.01, 0.01, 2.0] * 3, size=(E, 9))
+    u = rng.uniform(cfg.control_low, cfg.control_high, size=(E, cfg.control_dim))
+    ts = rng.uniform(0.0, 50.0 * cfg.dt, size=E)
+    x1, t1 = sim.step_euler(cfg, x, u, ts)
+    assert x1.shape == (E, cfg.state_dim) and len(set(ts)) == E
+    for i in range(E):
+        xi, ti = sim.step_euler(cfg, x[i : i + 1], u[i : i + 1], ts[i : i + 1])
+        assert xi[0].tobytes() == x1[i].tobytes()
+        assert ti[0] == t1[i]
+
+
+def reasons(cfg, states, steps, mode="train"):
+    codes = sim.check_termination_batch(cfg, np.asarray(states, dtype=float), steps, mode=mode)
+    return [sim.TERM_REASONS[c] for c in codes]
 
 
 def test_termination_rules():
     cp = sim.preset("cartpole-ti")
-    assert sim.check_termination(cp, np.array([0, 0, 0.35, 0]), 10) == "angle"
-    assert sim.check_termination(cp, np.array([10.5, 0, 0, 0]), 10) == "position"
-    assert sim.check_termination(cp, np.zeros(4), 20_040) == "horizon"
-    assert sim.check_termination(cp, np.zeros(4), 1_000, mode="test") == "horizon"
-    assert sim.check_termination(cp, np.zeros(4), 10) is None
+    states = [[0, 0, 0.35, 0], [10.5, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [np.nan, 0, 0, 0]]
+    steps = [10, 10, 20_040, 10, 10]
+    assert reasons(cp, states, steps) == ["angle", "position", "horizon", None, "nonfinite"]
+    assert reasons(cp, np.zeros((2, 4)), [1_000, 999], mode="test") == ["horizon", None]
 
     rs = sim.preset("rscp-ti")
     ok = np.array(rs.x_fixed)
-    assert sim.check_termination(rs, ok, 10) is None
     bad = ok.copy()
     bad[0] = 1.2
-    assert sim.check_termination(rs, bad, 10) == "composition"
     hot = ok.copy()
     hot[2] = 710.0
-    assert sim.check_termination(rs, hot, 10) == "temperature"
+    rows = [ok, bad, hot]
+    assert reasons(rs, rows, [10, 10, 10]) == [None, "composition", "temperature"]
 
 
 def test_preset_overrides_and_unknown():
@@ -184,6 +214,20 @@ def test_preset_overrides_and_unknown():
     assert cfg.dt == 0.01
     with pytest.raises(KeyError):
         sim.preset("pendulum")
+
+
+def test_rscp_operating_point_pinned():
+    # the Newton refinement of the operating point, to the last bit
+    pinned = bytes.fromhex(
+        "7da5cc6fca19cd3fc26df55d5e11e53fa5c3bfe4db2b7d40fbceb63917e0cf3f"
+        "04f2d29f4670e43fa9a6afaaddba7c4086f7aa4ebf26b53f60e5f0451833e63f"
+        "f9c91c3f49dc7c40"
+    )
+    duties = bytes.fromhex("0949201577e54541d92e286efb2a2e4141bfe79690de4741")
+    for name in ("rscp-ti", "rscp-tv"):
+        cfg = sim.preset(name)
+        assert np.asarray(cfg.x_fixed).tobytes() == pinned
+        assert np.asarray(cfg.q_nominal).tobytes() == duties
 
 
 def test_neutral_control_is_box_center():

@@ -1,9 +1,14 @@
 """Rules on the package source itself."""
 
 import ast
+import importlib
 import pathlib
+import sys
+from types import SimpleNamespace
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
+BENCH = ROOT / "bench"
 
 
 def test_no_assert_statements_in_package():
@@ -19,3 +24,28 @@ def test_no_assert_statements_in_package():
         ]
     assert list(SRC.rglob("*.py")), f"no package source under {SRC}"
     assert found == []
+
+
+def test_bench_wrapped_names_exist(monkeypatch):
+    # the traced bench wraps functions at the names their callers look
+    # them up by; a deleted or renamed one would otherwise fail only when
+    # the bench runs
+    monkeypatch.syspath_prepend(str(BENCH))
+    bench_modules = ("common", "spans", "layers", "pipeline")
+    try:
+        pipeline = importlib.import_module("pipeline")
+        mods = SimpleNamespace(**{
+            name.rsplit(".", 1)[-1]: importlib.import_module(name)
+            for name in pipeline._MODULES
+        })
+        points = pipeline.instrument_points(mods, rec=None)
+    finally:
+        for name in bench_modules:
+            sys.modules.pop(name, None)
+    missing = [
+        f"{getattr(owner, '__name__', owner)}.{attr}"
+        for owner, attr, *_ in points
+        if not hasattr(owner, attr)
+    ]
+    assert len(points) > 20
+    assert missing == []
