@@ -35,26 +35,27 @@ def build_parser():
     p = _Parser(prog="bkmpc", description=__doc__)
     p.add_argument("--config", help="JSON file with per-command defaults")
     sub = p.add_subparsers(dest="command", required=True)
+    p.commands = sub
 
     g = sub.add_parser("gen-data", help="generate a windowed dataset")
     g.add_argument("--preset", required=True, choices=sim.PRESET_NAMES)
     g.add_argument("--out", required=True)
-    g.add_argument("--train-windows", type=int, default=None)
-    g.add_argument("--test-windows", type=int, default=None)
-    g.add_argument("--seed", type=int, default=None)
+    g.add_argument("--train-windows", type=int, default=39_900)
+    g.add_argument("--test-windows", type=int, default=4_000)
+    g.add_argument("--seed", type=int, default=1)
 
     t = sub.add_parser("train", help="train a model on a dataset")
     t.add_argument("--data", required=True)
     t.add_argument("--model", required=True, choices=("linear", "bilinear"))
     t.add_argument("--out", required=True)
-    t.add_argument("--epochs", type=int, default=None)
-    t.add_argument("--seed", type=int, default=None)
-    t.add_argument("--batch-size", type=int, default=None)
-    t.add_argument("--lr", type=float, default=None)
-    t.add_argument("--latent-dim", type=int, default=None)
-    t.add_argument("--hidden", type=int, default=None)
+    t.add_argument("--epochs", type=int, default=401)
+    t.add_argument("--seed", type=int, default=1)
+    t.add_argument("--batch-size", type=int, default=256)
+    t.add_argument("--lr", type=float, default=1e-3)
+    t.add_argument("--latent-dim", type=int)
+    t.add_argument("--hidden", type=int)
     t.add_argument("--no-log-test", action="store_true")
-    t.add_argument("--log-test-every", type=int, default=None)
+    t.add_argument("--log-test-every", type=int, default=10)
 
     e = sub.add_parser("eval-forecast", help="forecast-MSE table from runs")
     e.add_argument("--data", required=True)
@@ -67,20 +68,20 @@ def build_parser():
     r.add_argument("--preset", required=True, choices=sim.PRESET_NAMES)
     r.add_argument("--controller", required=True,
                    choices=mpc.CONTROLLER_KINDS)
-    r.add_argument("--episodes", type=int, default=None)
-    r.add_argument("--lead", type=int, default=None)
-    r.add_argument("--seed", type=int, default=None)
-    r.add_argument("--episode-len", type=int, default=None)
+    r.add_argument("--episodes", type=int, default=10)
+    r.add_argument("--lead", type=int, default=0)
+    r.add_argument("--seed", type=int, default=1)
+    r.add_argument("--episode-len", type=int, default=1_000)
     r.add_argument("--out", required=True)
 
     s = sub.add_parser("lead-sweep", help="commitment-window sweep")
     s.add_argument("--preset", required=True, choices=sim.PRESET_NAMES)
     s.add_argument("--linear-ckpt", required=True)
     s.add_argument("--bilinear-ckpt", required=True)
-    s.add_argument("--lead", default=None, help="comma list, default 0,1,3,5")
-    s.add_argument("--episodes", type=int, default=None)
-    s.add_argument("--seed", type=int, default=None)
-    s.add_argument("--episode-len", type=int, default=None)
+    s.add_argument("--lead", default="0,1,3,5", help="comma list, default %(default)s")
+    s.add_argument("--episodes", type=int, default=10)
+    s.add_argument("--seed", type=int, default=1)
+    s.add_argument("--episode-len", type=int, default=1_000)
     s.add_argument("--out", required=True)
 
     d = sub.add_parser("diagnose", help="coupling norms and disk diagnostics")
@@ -90,31 +91,24 @@ def build_parser():
     return p
 
 
-_DEFAULTS = {
-    "gen-data": {"train_windows": 39_900, "test_windows": 4_000, "seed": 1},
-    "train": {
-        "epochs": 401, "seed": 1, "batch_size": 256, "lr": 1e-3,
-        "latent_dim": None, "hidden": None, "log_test_every": 10,
-    },
-    "eval-forecast": {},
-    "run-mpc": {"episodes": 10, "lead": 0, "seed": 1, "episode_len": 1_000},
-    "lead-sweep": {
-        "lead": "0,1,3,5", "episodes": 10, "seed": 1, "episode_len": 1_000,
-    },
-    "diagnose": {},
-}
+def parse_args(argv=None):
+    """CLI > config-file > built-in default, per option.
 
-
-def _resolve(args):
-    """CLI > config-file > built-in default, per option."""
-    config = {}
+    The ``--config`` file's section for the command becomes the command
+    parser's defaults; keys that name no option of the command are
+    ignored.
+    """
+    parser = build_parser()
+    args = parser.parse_args(argv)
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
-            config = json.load(fh)
-    section = config.get(args.command, {})
-    for key, builtin in _DEFAULTS.get(args.command, {}).items():
-        if getattr(args, key, None) is None:
-            setattr(args, key, section.get(key, builtin))
+            section = json.load(fh).get(args.command, {})
+        command_parser = parser.commands.choices[args.command]
+        command_parser.set_defaults(**{
+            k: v for k, v in section.items()
+            if k in vars(args) and k not in ("command", "config")
+        })
+        args = parser.parse_args(argv)
     return args
 
 
@@ -194,15 +188,6 @@ def cmd_train(args):
     return 0
 
 
-def _read_trainlog(path):
-    rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-        for line in fh:
-            rows.append(dict(zip(header, line.strip().split(","))))
-    return rows
-
-
 def cmd_eval_forecast(args):
     ds = dg.read_dataset(args.data)
     te_s, te_c = ds.subset(dg.SPLIT_TEST)
@@ -225,7 +210,7 @@ def cmd_eval_forecast(args):
             if os.path.exists(logpath):
                 mses = [
                     float(r["test_mse"])
-                    for r in _read_trainlog(logpath)
+                    for r in results.read_csv(logpath)
                     if r["test_mse"] != "nan"
                 ]
                 if mses:
@@ -233,7 +218,7 @@ def cmd_eval_forecast(args):
             for metric, value in (("best", best), ("mean_50", mean50)):
                 rows.append((
                     results.FORECAST_SCHEMA, ds.preset, kind, params.seed,
-                    rev, metric, f"{value:.10g}", te_s.shape[0],
+                    rev, metric, results.fmt_float(value), te_s.shape[0],
                 ))
     os.makedirs(args.out, exist_ok=True)
     _echo_config(args, args.out)
@@ -408,23 +393,16 @@ def cmd_diagnose(args):
         rows.append((
             results.DIAG_SCHEMA, params.preset, params.hyper.kind,
             params.seed, rev, "coupling_frobenius_norm",
-            f"{mdl.g_norm(params):.10g}", os.path.basename(path),
+            results.fmt_float(mdl.g_norm(params)), os.path.basename(path),
         ))
     for path in args.episode_log:
-        with open(path, "r", encoding="utf-8") as fh:
-            header = fh.readline().strip().split(",")
-            idx = header.index("gershgorin_straddle")
-            pidx = header.index("preset")
-            cidx = header.index("controller")
-            flags, preset, ctl = [], "", ""
-            for line in fh:
-                parts = line.strip().split(",")
-                flags.append(int(parts[idx]))
-                preset, ctl = parts[pidx], parts[cidx]
+        log_rows = results.read_csv(path)
+        flags = [int(r["gershgorin_straddle"]) for r in log_rows]
+        last = log_rows[-1] if log_rows else {"preset": "", "controller": ""}
         rows.append((
-            results.DIAG_SCHEMA, preset, ctl, "-", rev,
+            results.DIAG_SCHEMA, last["preset"], last["controller"], "-", rev,
             "gershgorin_straddle_fraction",
-            f"{float(np.mean(flags)) if flags else 0.0:.6g}",
+            results.fmt_float(np.mean(flags) if flags else 0.0),
             os.path.basename(path),
         ))
     os.makedirs(args.out, exist_ok=True)
@@ -446,14 +424,11 @@ _COMMANDS = {
 
 
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parse_args(argv)
+        return _COMMANDS[args.command](args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
-    try:
-        args = _resolve(args)
-        return _COMMANDS[args.command](args)
     except BrokenPipeError:
         return 2
     except Exception as exc:  # runtime failures map to exit code 2

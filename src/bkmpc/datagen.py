@@ -5,8 +5,8 @@ own Philox stream with key ``(seed, space + episode_index)`` where
 ``space`` is 0 for training-pool episodes and 2**32 for test episodes, so
 episodes can be generated in any order (or in parallel) and still produce
 identical data. The train/validation split permutes the pooled windows
-with a separate Philox stream keyed by the split seed alone, making the
-split a pure function of (split seed, pool size).
+with a separate Philox stream keyed by the fixed ``SPLIT_SEED`` alone,
+making the split a pure function of the pool size.
 
 Episodes roll the simulator under per-step i.i.d. uniform control
 excitation and are cut into maximally overlapping (stride 1) windows of
@@ -26,13 +26,13 @@ ahead of the prefix: each episode's draws come from its own stream in a
 fixed order, so the data is a pure function of (seed, request).
 """
 
-import json
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import simulators as sim
+from .results import read_container, write_container
+from .results import FormatError, IntegrityError  # noqa: F401  (re-exported)
 
 WINDOW_LEN = 60
 LOOKBACK = 30
@@ -47,20 +47,16 @@ _CHUNK = 256  # excitation draws per refill of a lane's buffer
 _MAGIC = b"BKDS"
 _VERSION = 1
 
+#: the seed of the train/validation split permutation, recorded in the
+#: container
+SPLIT_SEED = 1
+
 SPLIT_TRAIN, SPLIT_VAL, SPLIT_TEST = 0, 1, 2
 SPLIT_NAMES = {SPLIT_TRAIN: "train", SPLIT_VAL: "val", SPLIT_TEST: "test"}
 
 
 class ProgressError(RuntimeError):
     """Episode budget exhausted before the window targets were met."""
-
-
-class FormatError(ValueError):
-    """Container magic or version is wrong."""
-
-
-class IntegrityError(ValueError):
-    """Container is truncated or carries trailing garbage."""
 
 
 def episode_rng(seed, episode_index, test=False):
@@ -272,7 +268,6 @@ def generate_dataset(
     train_pool=39_900,
     test_windows=4_000,
     seed=1,
-    split_seed=1,
     episode_budget=500_000,
 ):
     """Excite, window, split, and normalize; see the module docstring."""
@@ -280,7 +275,7 @@ def generate_dataset(
     tr_s, tr_c, tr_t, tr_e = _collect(cfg, seed, train_pool, False, episode_budget)
     te_s, te_c, te_t, te_e = _collect(cfg, seed, test_windows, True, episode_budget)
 
-    perm = split_permutation(split_seed, train_pool)
+    perm = split_permutation(SPLIT_SEED, train_pool)
     n_train = int(round(0.8 * train_pool))
     split = np.empty(train_pool + test_windows, dtype=np.uint8)
     split[:train_pool][perm[:n_train]] = SPLIT_TRAIN
@@ -295,7 +290,7 @@ def generate_dataset(
         episode_id=np.concatenate([tr_e, te_e]),
         start_time=np.concatenate([tr_t, te_t]),
         seed=seed,
-        split_seed=split_seed,
+        split_seed=SPLIT_SEED,
     )
     _compute_stats(ds)
     return ds
@@ -319,60 +314,36 @@ def write_dataset(ds, path):
         "control_mean": ds.control_mean.tolist(),
         "control_std": ds.control_std.tolist(),
     }
-    blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<II", _VERSION, len(blob)))
-        fh.write(blob)
-        fh.write(ds.states.astype("<f8").tobytes())
-        fh.write(ds.controls.astype("<f8").tobytes())
-        fh.write(ds.split.astype("u1").tobytes())
-        fh.write(ds.episode_id.astype("<u4").tobytes())
-        fh.write(ds.start_time.astype("<f8").tobytes())
+    payload = [
+        (ds.states, "<f8"),
+        (ds.controls, "<f8"),
+        (ds.split, "u1"),
+        (ds.episode_id, "<u4"),
+        (ds.start_time, "<f8"),
+    ]
+    write_container(path, _MAGIC, _VERSION, header, payload)
 
 
-def _read_exact(fh, count, what):
-    buf = fh.read(count)
-    if len(buf) != count:
-        raise IntegrityError(f"truncated container while reading {what}")
-    return buf
+def _dataset_layout(header):
+    n, wl = header["windows"], header["window_len"]
+    return [
+        ("states", "<f8", (n, wl, header["state_dim"])),
+        ("controls", "<f8", (n, wl, header["control_dim"])),
+        ("split", "u1", (n,)),
+        ("episode_id", "<u4", (n,)),
+        ("start_time", "<f8", (n,)),
+    ]
 
 
 def read_dataset(path):
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != _MAGIC:
-            raise FormatError(f"bad magic {magic!r}, expected {_MAGIC!r}")
-        version, hlen = struct.unpack("<II", _read_exact(fh, 8, "header"))
-        if version != _VERSION:
-            raise FormatError(f"unsupported container version {version}")
-        header = json.loads(_read_exact(fh, hlen, "header json"))
-        n = header["windows"]
-        wl = header["window_len"]
-        sd = header["state_dim"]
-        cd = header["control_dim"]
-        states = np.frombuffer(
-            _read_exact(fh, n * wl * sd * 8, "states"), dtype="<f8"
-        ).reshape(n, wl, sd)
-        controls = np.frombuffer(
-            _read_exact(fh, n * wl * cd * 8, "controls"), dtype="<f8"
-        ).reshape(n, wl, cd)
-        split = np.frombuffer(_read_exact(fh, n, "split"), dtype="u1")
-        episode = np.frombuffer(_read_exact(fh, n * 4, "episode ids"), dtype="<u4")
-        start = np.frombuffer(_read_exact(fh, n * 8, "start times"), dtype="<f8")
-        if fh.read(1):
-            raise IntegrityError("trailing bytes after container payload")
+    header, arrays = read_container(path, _MAGIC, _VERSION, _dataset_layout)
     return Dataset(
         preset=header["preset"],
-        states=states.copy(),
-        controls=controls.copy(),
-        split=split.copy(),
-        episode_id=episode.copy(),
-        start_time=start.copy(),
         seed=header["seed"],
         split_seed=header["split_seed"],
         state_mean=np.asarray(header["state_mean"]),
         state_std=np.asarray(header["state_std"]),
         control_mean=np.asarray(header["control_mean"]),
         control_std=np.asarray(header["control_std"]),
+        **arrays,
     )

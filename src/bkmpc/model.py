@@ -31,12 +31,13 @@ Conventions:
   control slotted at that final pair.
 """
 
+import dataclasses
 import json
-import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from . import results
 from .numerics import autodiff as ad
 from .numerics import dense
 
@@ -458,11 +459,6 @@ def loss_forward(params, states_raw, controls_raw, eval_mode=False):
     return tape, pv, loss, mse, penalty
 
 
-def loss_value(params, states_raw, controls_raw, eval_mode=False):
-    _, _, loss, _, _ = loss_forward(params, states_raw, controls_raw, eval_mode)
-    return float(loss.value)
-
-
 def loss_and_grads(params, states_raw, controls_raw):
     """Loss plus gradient arrays keyed by parameter name."""
     tape, pv, loss, _, _ = loss_forward(params, states_raw, controls_raw)
@@ -470,18 +466,6 @@ def loss_and_grads(params, states_raw, controls_raw):
 
     grads = backward(tape, loss)
     return float(loss.value), {k: grads[pv[k]] for k in params.arrays}
-
-
-def forecast_se(params, states_raw, controls_raw):
-    """Sum of squared decoded-prediction errors (normalized space) and
-    the contributing element count, for pooled-MSE evaluation."""
-    tape, pv, _, mse, _ = loss_forward(params, states_raw, controls_raw, eval_mode=True)
-    B = np.asarray(states_raw).shape[0]
-    T = params.hyper.horizon
-    n = params.hyper.state_dim
-    # mse is mean over batch of (1/T) sum_k ||err_k||^2; rescale to SSE
-    sse = float(mse.value) * B * T
-    return sse, B * T * n
 
 
 # ---------------------------------------------------------------------------
@@ -567,60 +551,33 @@ def bundle_for_history(params, states_raw, controls_raw):
 
 def save_checkpoint(params, path, meta=None):
     h = params.hyper
+    hyper = dataclasses.asdict(h)
+    del hyper["kind"]
+    spec = _param_spec(h)
     header = {
         "kind": h.kind,
         "preset": params.preset,
         "seed": params.seed,
-        "hyper": {
-            "state_dim": h.state_dim,
-            "control_dim": h.control_dim,
-            "latent_dim": h.latent_dim,
-            "rank": h.rank,
-            "conv_kernel": h.conv_kernel,
-            "hidden": h.hidden,
-            "lookback": h.lookback,
-            "horizon": h.horizon,
-            "coupling_period": h.coupling_period,
-            "stability_weight": h.stability_weight,
-            "stability_margin": h.stability_margin,
-        },
+        "hyper": hyper,
         "state_mean": params.state_mean.tolist(),
         "state_std": params.state_std.tolist(),
         "control_floor": params.control_floor.tolist(),
-        "params": [[name, list(shape)] for name, shape in _param_spec(h)],
+        "params": [[name, list(shape)] for name, shape in spec],
     }
-    blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<II", _VERSION, len(blob)))
-        fh.write(blob)
-        for name, _ in _param_spec(h):
-            fh.write(params.arrays[name].astype("<f8").tobytes())
+    payload = [(params.arrays[name], "<f8") for name, _ in spec]
+    results.write_container(path, _MAGIC, _VERSION, header, payload)
     if meta is not None:
         with open(f"{path}.json", "w", encoding="utf-8") as fh:
             json.dump(meta, fh, sort_keys=True, indent=1)
 
 
 def load_checkpoint(path):
-    from .datagen import FormatError, IntegrityError, _read_exact
-
-    with open(path, "rb") as fh:
-        if fh.read(4) != _MAGIC:
-            raise FormatError("not a checkpoint container")
-        version, hlen = struct.unpack("<II", _read_exact(fh, 8, "header"))
-        if version != _VERSION:
-            raise FormatError(f"unsupported checkpoint version {version}")
-        header = json.loads(_read_exact(fh, hlen, "header json"))
-        hyper = ModelHyper(kind=header["kind"], **header["hyper"])
-        arrays = {}
-        for name, shape in header["params"]:
-            count = int(np.prod(shape)) if shape else 1
-            buf = _read_exact(fh, count * 8, name)
-            arrays[name] = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
-        if fh.read(1):
-            raise IntegrityError("trailing bytes after checkpoint payload")
+    header, arrays = results.read_container(
+        path, _MAGIC, _VERSION,
+        lambda hd: [(name, "<f8", shape) for name, shape in hd["params"]],
+    )
     return ModelParams(
-        hyper=hyper,
+        hyper=ModelHyper(kind=header["kind"], **header["hyper"]),
         arrays=arrays,
         state_mean=np.asarray(header["state_mean"]),
         state_std=np.asarray(header["state_std"]),

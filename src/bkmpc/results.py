@@ -1,21 +1,40 @@
-"""CSV / JSON artifact writers with schema versions and provenance.
+"""Artifact writers and readers: versioned CSV tables, JSON summaries,
+and the binary container framing of datasets and checkpoints.
 
 Every emitted table row carries (preset, model, seed, git revision) so
 aggregate numbers trace back to the runs that produced them. Schema names
 are versioned in the first column; any column change bumps the version,
 and a change of a column's float format counts as a column change.
 
-The ``mpc_summary``, ``lead_table``, ``wall_table`` and ``cost_band``
-tables write their floats through :func:`fmt_float` at round-trip
-precision, so a value read back from the CSV equals the one in memory and
-the one in the JSON summary. ``forecast`` and ``diagnose`` still write
-``.10g``; ``trainlog`` and ``episodelog`` keep their per-column formats.
-Every table, the two logs included, is written by :func:`write_csv`.
+The ``forecast``, ``mpc_summary``, ``lead_table``, ``wall_table``,
+``cost_band`` and ``diagnose`` tables write their floats through
+:func:`fmt_float` at round-trip precision, so a value read back from the
+CSV equals the one in memory and the one in the JSON summary; ``trainlog``
+and ``episodelog`` keep their per-column formats. Every table, the two
+logs included, is written by :func:`write_csv` and read by
+:func:`read_csv`.
+
+A container (``.bkds`` dataset, ``.bkcp`` checkpoint) is: the 4 magic
+bytes; the version and header length as ``<II``; the header as sorted,
+compact JSON; then the payload arrays back to back, each in its little-
+endian dtype. The reader takes exactly the bytes the header's layout
+names and rejects a short file or trailing bytes.
 """
 
 import json
 import os
+import struct
 import subprocess
+
+import numpy as np
+
+
+class FormatError(ValueError):
+    """Container magic or version is wrong."""
+
+
+class IntegrityError(ValueError):
+    """Container is truncated or carries trailing garbage."""
 
 
 def git_rev():
@@ -48,13 +67,63 @@ def write_csv(path, columns, rows):
             fh.write(",".join(str(v) for v in row) + "\n")
 
 
+def read_csv(path):
+    """Rows of a table written by :func:`write_csv`, as dicts of text."""
+    with open(path, "r", encoding="utf-8") as fh:
+        header = fh.readline().rstrip("\n").split(",")
+        return [dict(zip(header, line.rstrip("\n").split(","))) for line in fh]
+
+
 def write_json(path, obj):
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(obj, fh, sort_keys=True, indent=1)
         fh.write("\n")
 
 
-FORECAST_SCHEMA = "forecast.v1"
+def write_container(path, magic, version, header, payload):
+    """Write a container; ``payload`` is a sequence of (array, dtype)."""
+    blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    with open(path, "wb") as fh:
+        fh.write(magic)
+        fh.write(struct.pack("<II", version, len(blob)))
+        fh.write(blob)
+        for arr, dtype in payload:
+            fh.write(np.asarray(arr, dtype=dtype).tobytes())
+
+
+def _read_exact(fh, count, what):
+    buf = fh.read(count)
+    if len(buf) != count:
+        raise IntegrityError(f"truncated container while reading {what}")
+    return buf
+
+
+def read_container(path, magic, version, layout):
+    """Read a container; returns (header, {name: array}).
+
+    ``layout(header)`` lists the payload as (name, dtype, shape) in file
+    order.
+    """
+    with open(path, "rb") as fh:
+        got = fh.read(len(magic))
+        if got != magic:
+            raise FormatError(f"bad magic {got!r}, expected {magic!r}")
+        got_version, hlen = struct.unpack("<II", _read_exact(fh, 8, "header"))
+        if got_version != version:
+            raise FormatError(f"unsupported container version {got_version}")
+        header = json.loads(_read_exact(fh, hlen, "header json"))
+        arrays = {}
+        for name, dtype, shape in layout(header):
+            dtype = np.dtype(dtype)
+            size = int(np.prod(shape)) * dtype.itemsize
+            buf = _read_exact(fh, size, name)
+            arrays[name] = np.frombuffer(buf, dtype=dtype).reshape(shape).copy()
+        if fh.read(1):
+            raise IntegrityError("trailing bytes after container payload")
+    return header, arrays
+
+
+FORECAST_SCHEMA = "forecast.v2"
 FORECAST_COLUMNS = (
     "schema", "preset", "model", "seed", "git", "metric", "mse", "test_windows",
 )
@@ -95,7 +164,7 @@ TRAINLOG_COLUMNS = (
 #: builds the header
 EPISODELOG_SCHEMA = "episodelog.v2"
 
-DIAG_SCHEMA = "diagnose.v1"
+DIAG_SCHEMA = "diagnose.v2"
 DIAG_COLUMNS = (
     "schema", "preset", "model", "seed", "git", "quantity", "value", "source",
 )

@@ -6,12 +6,15 @@ Frechet-derivative oracle is the block-augmented exponential, the
 determinant oracle is a tiny partial-pivot LU, the box-QP oracle
 enumerates every active set, and gradient checks are central finite
 differences over tape leaves. The sequential excitation episode is the
-oracle for the lockstep data-generation runner.
+oracle for the lockstep data-generation runner, and the size-weighted
+evaluation-mode loss over batches is the oracle for training's
+validation loss.
 """
 
 import numpy as np
 
 from bkmpc import datagen as dg
+from bkmpc import model
 from bkmpc import simulators as sim
 from bkmpc.numerics import Tape, backward, matrix_exp
 from bkmpc.numerics import autodiff as ad
@@ -188,3 +191,20 @@ def run_excitation_episode(cfg, rng, mode="train"):
         np.asarray(controls).reshape(len(controls), -1),
         sim.TERM_REASONS[code],
     )
+
+
+def loss_value(params, states_raw, controls_raw, eval_mode=False):
+    """Scalar ``model.loss_forward`` loss of a window batch."""
+    _, _, loss, _, _ = model.loss_forward(params, states_raw, controls_raw, eval_mode)
+    return float(loss.value)
+
+
+def val_loss(params, ds, batch=512):
+    """Size-weighted mean evaluation-mode loss of the val split."""
+    states, controls = ds.subset(dg.SPLIT_VAL)
+    total = 0.0
+    for start in range(0, states.shape[0], batch):
+        sl = slice(start, start + batch)
+        b = states[sl].shape[0]
+        total += loss_value(params, states[sl], controls[sl], eval_mode=True) * b
+    return total / max(states.shape[0], 1)

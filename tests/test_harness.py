@@ -10,6 +10,7 @@ from bkmpc import datagen as dg
 from bkmpc import model as mdl
 from bkmpc import results
 from bkmpc import simulators as sim
+from bkmpc import training as tr
 from bkmpc.cli import main
 from bkmpc.svgplot import Series, emit_svg
 
@@ -69,7 +70,7 @@ def test_eval_forecast_table(workdir, tmp_path):
     assert lines[0].startswith("schema,preset,model")
     for line in lines[1:]:
         parts = line.split(",")
-        assert parts[0] == "forecast.v1"
+        assert parts[0] == "forecast.v2"
         assert parts[1] == "cartpole-ti"
         assert float(parts[6]) > 0
     # mean_50 is the mean of the last (at most) 50 finite test MSEs of the
@@ -83,7 +84,29 @@ def test_eval_forecast_table(workdir, tmp_path):
         assert mses.size
         rows = [ln.split(",") for ln in lines[1:]]
         (row,) = [r for r in rows if r[2] == kind and r[5] == "mean_50"]
-        assert row[6] == f"{np.mean(mses[-50:]):.10g}"
+        assert row[6] == results.fmt_float(np.mean(mses[-50:]))
+
+
+def test_eval_forecast_best_reads_back_exactly(workdir, tmp_path):
+    # the table's best MSE reads back equal to the in-memory evaluation,
+    # and a second run writes the same bytes
+    ds = dg.read_dataset(workdir / "cp.bkds")
+    te_s, te_c = ds.subset(dg.SPLIT_TEST)
+    outs = [tmp_path / "a", tmp_path / "b"]
+    for out in outs:
+        rc = main([
+            "eval-forecast", "--data", str(workdir / "cp.bkds"),
+            "--run", str(workdir / "run-bilinear"), "--out", str(out),
+        ])
+        assert rc == 0
+    text = (outs[0] / "forecast.csv").read_bytes()
+    assert text == (outs[1] / "forecast.csv").read_bytes()
+    (row,) = [
+        r for r in results.read_csv(outs[0] / "forecast.csv")
+        if r["metric"] == "best"
+    ]
+    best = mdl.load_checkpoint(workdir / "run-bilinear" / "bilinear-best.bkcp")
+    assert float(row["mse"]) == tr.evaluate_forecast(best, te_s, te_c)
 
 
 def test_eval_forecast_missing_checkpoint(tmp_path):
@@ -104,8 +127,6 @@ def test_eval_forecast_zero_coupling_twins(tmp_path, workdir):
     bil.arrays["cpl_l"][:] = 0.0
     bil.arrays["cpl_r"][:] = 0.0
     lin = bil.linear_twin()
-    from bkmpc import training as tr
-
     te_s, te_c = ds.subset(dg.SPLIT_TEST)
     a = tr.evaluate_forecast(bil, te_s, te_c)
     b = tr.evaluate_forecast(lin, te_s, te_c)
@@ -246,6 +267,14 @@ def test_diagnose_cli(workdir, tmp_path):
     assert len(lines) == 3
     assert "coupling_frobenius_norm" in lines[1]
     assert "gershgorin_straddle_fraction" in lines[2]
+    rows = results.read_csv(out / "diagnose.csv")
+    assert [r["schema"] for r in rows] == ["diagnose.v2"] * 2
+    best = mdl.load_checkpoint(workdir / "run-bilinear" / "bilinear-best.bkcp")
+    assert float(rows[0]["value"]) == mdl.g_norm(best)
+    log = results.read_csv(ep_out / "episode-scp1-d0-ep0.csv")
+    flags = [int(r["gershgorin_straddle"]) for r in log]
+    assert float(rows[1]["value"]) == np.mean(flags)
+    assert rows[1]["preset"] == "cartpole-ti"
 
 
 def test_config_file_defaults(tmp_path):
@@ -261,6 +290,39 @@ def test_config_file_defaults(tmp_path):
     assert rc == 0
     ds = dg.read_dataset(out)
     assert ds.counts()["test"] == 30 and ds.seed == 9
+
+
+def test_config_precedence_and_effective_config(workdir, tmp_path):
+    # a flag beats the config file, the config file beats the built-in
+    # default, and keys that name no option are ignored
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "run-mpc": {"episodes": 3, "seed": 5, "bogus": 7},
+        "train": {"lead": 4},
+    }))
+    ckpt = str(workdir / "run-linear" / "linear-best.bkcp")
+
+    def effective(name, *config):
+        out = tmp_path / name
+        rc = main([
+            *config, "run-mpc", "--ckpt", ckpt, "--preset", "cartpole-ti",
+            "--controller", "linear", "--episodes", "1", "--episode-len", "3",
+            "--out", str(out),
+        ])
+        assert rc == 0
+        got = json.loads((out / "effective_config.json").read_text())
+        assert got.pop("git") == results.git_rev()
+        return got
+
+    base = {
+        "command": "run-mpc", "ckpt": ckpt, "preset": "cartpole-ti",
+        "controller": "linear", "episodes": 1, "lead": 0, "seed": 1,
+        "episode_len": 3, "out": str(tmp_path / "plain"),
+    }
+    assert effective("plain") == base
+    assert effective("cfg", "--config", str(cfg)) == {
+        **base, "seed": 5, "out": str(tmp_path / "cfg"),
+    }
 
 
 def test_git_rev_independent_of_cwd(tmp_path, monkeypatch):

@@ -1,12 +1,17 @@
 """Encoder, operator generation, discretization, rollout, loss."""
 
+import hashlib
+import json
+import pathlib
+
 import numpy as np
 import pytest
 
+from bkmpc import datagen as dg
 from bkmpc import model
 from bkmpc.numerics import Tape, backward, dense
 from bkmpc.numerics import autodiff as ad
-from helpers import fd_gradient, spectral_penalty
+from helpers import fd_gradient, loss_value, spectral_penalty
 
 TOY = dict(
     latent_dim=2, rank=2, conv_kernel=3, hidden=8, lookback=6, horizon=5
@@ -374,7 +379,7 @@ def test_loss_perfect_predictions_zero():
         u_n = (u_pred - bundle.control_mean) / bundle.control_std
         _, dec = model.rollout(z0, u_n, bundle, None, h.coupling_period)
         S[w, h.lookback :] = dec * p.state_std + p.state_mean
-    assert model.loss_value(p, S, C) <= 1e-20
+    assert loss_value(p, S, C) <= 1e-20
 
 
 def test_loss_penalty_weight_zero_reduces_to_mse():
@@ -387,7 +392,7 @@ def test_loss_penalty_weight_zero_reduces_to_mse():
         hyper=h0, arrays=p.arrays, state_mean=p.state_mean,
         state_std=p.state_std, control_floor=p.control_floor,
     )
-    assert model.loss_value(p0, S, C) == pytest.approx(float(mse.value), rel=1e-12)
+    assert loss_value(p0, S, C) == pytest.approx(float(mse.value), rel=1e-12)
 
 
 def test_loss_gradient_matches_fd_toy():
@@ -400,7 +405,7 @@ def test_loss_gradient_matches_fd_toy():
         def f(arr, name=name):
             q = p.copy()
             q.arrays[name] = arr
-            return model.loss_value(q, S, C)
+            return loss_value(q, S, C)
 
         g_fd = fd_gradient(f, p.arrays[name])
         denom = max(np.linalg.norm(g_fd), np.linalg.norm(grads[name]), 1e-10)
@@ -412,7 +417,7 @@ def test_linear_twin_identical_loss():
     p = toy_params(seed=21)
     lin = p.linear_twin()
     S, C = toy_windows(p)
-    assert model.loss_value(p, S, C, eval_mode=True) == model.loss_value(
+    assert loss_value(p, S, C, eval_mode=True) == loss_value(
         lin, S, C, eval_mode=True
     )
 
@@ -460,5 +465,33 @@ def test_checkpoint_roundtrip_bitwise(tmp_path):
     for k in p.arrays:
         assert np.array_equal(q.arrays[k], p.arrays[k])
     S, C = toy_windows(p)
-    assert model.loss_value(q, S, C) == model.loss_value(p, S, C)
+    assert loss_value(q, S, C) == loss_value(p, S, C)
     assert (tmp_path / "m.bkcp.json").exists()
+
+
+FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "bench" / "fixtures"
+
+
+@pytest.mark.parametrize("preset", ["cartpole-ti", "rscp-ti"])
+def test_fixture_checkpoint_resave_reproduces_hash(preset, tmp_path):
+    # the writer reproduces the committed container byte for byte
+    entry = json.loads((FIXTURES / "provenance.json").read_text())
+    entry = entry["checkpoints"][preset]
+    p = model.load_checkpoint(FIXTURES / entry["file"])
+    path = tmp_path / entry["file"]
+    model.save_checkpoint(p, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == entry["sha256"]
+
+
+def test_checkpoint_truncated_or_trailing_rejected(tmp_path):
+    p = toy_params(seed=29)
+    path = tmp_path / "m.bkcp"
+    model.save_checkpoint(p, path)
+    raw = path.read_bytes()
+    for bad in (raw[:-8], raw + b"\0"):
+        path.write_bytes(bad)
+        with pytest.raises(dg.IntegrityError):
+            model.load_checkpoint(path)
+    path.write_bytes(b"BKDS" + raw[4:])
+    with pytest.raises(dg.FormatError):
+        model.load_checkpoint(path)

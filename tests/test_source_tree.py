@@ -26,6 +26,25 @@ def test_no_assert_statements_in_package():
     assert found == []
 
 
+def test_no_private_names_imported_across_modules():
+    # a module's _-prefixed names are its own; another module that needs
+    # one should get a public name instead
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            if node.level == 0 and not (node.module or "").startswith("bkmpc"):
+                continue
+            found += [
+                f"{path.relative_to(SRC)}:{node.lineno} {alias.name}"
+                for alias in node.names
+                if alias.name.startswith("_")
+            ]
+    assert found == []
+
+
 def test_bench_wrapped_names_exist(monkeypatch):
     # the traced bench wraps functions at the names their callers look
     # them up by; a deleted or renamed one would otherwise fail only when

@@ -7,6 +7,7 @@ from bkmpc import datagen as dg
 from bkmpc import model as mdl
 from bkmpc import training as tr
 from bkmpc import simulators as sim
+from helpers import val_loss
 
 
 def tiny_dataset(seed=1):
@@ -44,13 +45,12 @@ def test_gradient_clipping_global_norm():
 def test_decoupled_decay_exact_shrink():
     ds = tiny_dataset()
     p = tiny_params(ds)
-    cfg = tr.TrainConfig(lr=1e-2, weight_decay=1e-1)
-    opt = tr.Adam(cfg)
+    opt = tr.Adam()
     before = {k: v.copy() for k, v in p.arrays.items()}
     zero = {k: np.zeros_like(v) for k, v in p.arrays.items()}
     opt.step(p, zero, lr=1e-2)
     for k in before:
-        assert np.array_equal(p.arrays[k], before[k] * (1 - 1e-2 * 1e-1))
+        assert np.array_equal(p.arrays[k], before[k] * (1 - 1e-2 * tr.WEIGHT_DECAY))
 
 
 def test_one_epoch_changes_params_and_logs_row():
@@ -98,6 +98,22 @@ def test_divergence_snapshot():
         tr.train(ds, q, cfg)
 
 
+def test_val_losses_match_size_weighted_eval_loss():
+    # the logged validation loss is the size-weighted evaluation-mode
+    # loss of the val split, on a model with nonzero coupling
+    ds = tiny_dataset()
+    p = tiny_params(ds)
+    rng = np.random.default_rng(11)
+    p.arrays["cpl_l"] = 0.3 * rng.standard_normal(p.arrays["cpl_l"].shape)
+    p.arrays["cpl_r"] = 0.3 * rng.standard_normal(p.arrays["cpl_r"].shape)
+    cfg = tr.TrainConfig(epochs=2, batch_size=16, seed=4)
+    final, _, log = tr.train(ds, p, cfg)
+    assert mdl.g_norm(final) > 0.1
+    for batch in (512, 3):
+        want = val_loss(final, ds, batch=batch)
+        assert log.val_losses[-1] == pytest.approx(want, rel=1e-14, abs=0.0)
+
+
 def test_checkpoint_roundtrip_bitwise_eval(tmp_path):
     ds = tiny_dataset()
     p = tiny_params(ds)
@@ -135,10 +151,11 @@ def test_forecast_permutation_invariant():
     assert a == pytest.approx(b, rel=1e-12)
 
 
-def test_test_mse_logging_policy():
+def test_test_mse_logging_policy(monkeypatch):
+    monkeypatch.setattr(tr, "LOG_TEST_FINAL", 2)
     ds = tiny_dataset()
     p = tiny_params(ds)
-    cfg = tr.TrainConfig(epochs=8, batch_size=16, log_test_every=4, log_test_final=2)
+    cfg = tr.TrainConfig(epochs=8, batch_size=16, log_test_every=4)
     _, _, log = tr.train(ds, p, cfg, log_test=True)
     logged = [i for i, v in enumerate(log.test_mses) if np.isfinite(v)]
     assert logged == [0, 4, 6, 7]
