@@ -398,9 +398,9 @@ def cmd_diagnose(args):
     for path in args.episode_log:
         log_rows = results.read_csv(path)
         flags = [int(r["gershgorin_straddle"]) for r in log_rows]
-        last = log_rows[-1] if log_rows else {"preset": "", "controller": ""}
+        last = log_rows[-1] if log_rows else {"preset": "", "model": "", "seed": ""}
         rows.append((
-            results.DIAG_SCHEMA, last["preset"], last["controller"], "-", rev,
+            results.DIAG_SCHEMA, last["preset"], last["model"], last["seed"], rev,
             "gershgorin_straddle_fraction",
             results.fmt_float(np.mean(flags) if flags else 0.0),
             os.path.basename(path),

@@ -11,8 +11,10 @@ Adjoint conventions worth noting:
 
 * ``expm``: the gradient of ``exp(M)`` contracted with an upstream
   cotangent G is the directional derivative of exp at M^T in direction G,
-  evaluated by ``dense.matrix_exp_frechet``: the Frechet recurrence of the
-  same scaled rational approximant as the forward pass.
+  evaluated by ``dense.matrix_exp_frechet``: the product rule on the same
+  scaled degree-16 Taylor polynomial (Paterson--Stockmeyer) as the forward
+  pass, so the adjoint differentiates exactly what the forward evaluates,
+  with matrix products only and no linear solve.
 * ``eig_penalty``: with the right eigenvectors as the columns of V and
   W = V^-1, d(lambda_i)/dM = W[i, :]^T V[:, i]^T (Magnus 1985). The
   forward pass makes one eigenvalue call on every matrix that passes the

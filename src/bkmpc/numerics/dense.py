@@ -1,16 +1,17 @@
 """Dense small-matrix kernels.
 
-Provides the matrix exponential (scaling and squaring with a fixed
-degree-13 diagonal rational approximant), its directional (Frechet)
-derivative by the Al-Mohy--Higham recurrence on that same approximant,
-and the stabilized hold integral ``phi1(a, d) = (exp(a*d) - 1)/a``.
+Provides the matrix exponential (scaling and squaring with the degree-16
+Taylor polynomial T16, evaluated by Paterson--Stockmeyer in A^4 with
+matrix products only, no linear solve), its directional (Frechet)
+derivative by the product rule on that same polynomial, and the
+stabilized hold integral ``phi1(a, d) = (exp(a*d) - 1)/a``.
 
 All routines operate on float64 ndarrays and accept an arbitrary number
 of leading batch axes on the matrix arguments. Each matrix of a batch
 gets its own scaling exponent, the smallest s with ||M||_1 / 2**s <=
-theta13 (Higham 2005), so a result never depends on the other matrices
-of its stack: every matrix of a batched call equals its solo call bit
-for bit.
+theta (Higham 2005), so a result never depends on the other matrices of
+its stack: every matrix of a batched call equals its solo call bit for
+bit.
 """
 
 import math
@@ -26,31 +27,19 @@ class DomainError(ValueError):
     """Input contains non-finite entries or lies outside the valid domain."""
 
 
-# Degree-13 diagonal rational approximant coefficients and its 1-norm
-# switching radius. With ||A||_1 <= theta13 the approximant is accurate
-# to double-precision roundoff; larger inputs are halved s times first.
-_B13 = (
-    64764752532480000.0,
-    32382376266240000.0,
-    7771770303897600.0,
-    1187353796428800.0,
-    129060195264000.0,
-    10559470521600.0,
-    670442572800.0,
-    33522128640.0,
-    1323241920.0,
-    40840800.0,
-    960960.0,
-    16380.0,
-    182.0,
-    1.0,
-)
-_THETA13 = 5.371920351148152
+# 1-norm switching radius: the backward-error radius of T16 in double
+# precision (Al-Mohy and Higham, SIAM J. Sci. Comput. 33(2), 2011); the
+# tail sum_{k>16} theta^k / k! is below 2**-53 up to 0.82.
+_THETA = 0.78
 
-# The coefficients divided by b0. At A = 0 the denominator V - U is then
-# exactly I, so exp(0) = I and L(0, E) = E hold exactly without a special
-# case (a LAPACK solve with b0 * I returns 1 - 1.1e-16 on the diagonal).
-_B = tuple(b / _B13[0] for b in _B13)
+# T16(A) = B0 + A4 (B1 + A4 (B2 + A4 (B3 + A4 / 16!))), B_j = sum_{i<4}
+# A^i / (4j + i)!. Row j of _C holds B_j's coefficients on the powers
+# [I, A, A^2, A^3, A^4]; row 3 adds the 1/16! of A^4, so it gives the
+# first Horner iterate Y3. c0 = c1 = 1: exp(0) = I and L(0, E) = E exactly.
+_C = np.array([
+    [1.0 / math.factorial(4 * j + i) if i < 4 or j == 3 else 0.0 for i in range(5)]
+    for j in range(4)
+])
 
 
 def _as_square(M, name):
@@ -68,35 +57,47 @@ def _norms(M):
 
 
 def _squarings(norm1):
-    """Per-matrix squaring counts s with norm1 / 2**s <= theta13, or None
-    when no matrix needs any (the input is then used unscaled)."""
-    if not norm1.size or norm1.max() <= _THETA13:
-        return None
-    return np.ceil(np.log2(np.maximum(norm1, _THETA13) / _THETA13)).astype(int)
+    """Per-matrix squaring counts: the smallest s >= 0 with
+    norm1 / 2**s <= theta."""
+    return np.ceil(np.log2(np.maximum(norm1, _THETA) / _THETA)).astype(int)
 
 
-def _pade13(A):
-    """Parts of the approximant r(A) = (V - U)^-1 (V + U) of a (B, n, n)
-    stack: the powers (A2, A4, A6), the inner sums (W1, Z1, W), U = A W
-    and V = A6 Z1 + Z2."""
-    b = _B
-    eye = np.eye(A.shape[-1])
-    A2 = A @ A
-    A4 = A2 @ A2
-    A6 = A4 @ A2
-    W1 = b[13] * A6 + b[11] * A4 + b[9] * A2
-    Z1 = b[12] * A6 + b[10] * A4 + b[8] * A2
-    W = A6 @ W1 + b[7] * A6 + b[5] * A4 + b[3] * A2 + b[1] * eye
-    V = A6 @ Z1 + b[6] * A6 + b[4] * A4 + b[2] * A2 + b[0] * eye
-    return (A2, A4, A6), (W1, Z1, W), A @ W, V
+def _taylor16(M, s):
+    """T16 of the (B, n, n) stack M, each matrix halved s[i] times, in six
+    products, with the parts its derivative reuses: the powers
+    P = [I, A, A^2, A^3, A^4] of the halved stack A and the Horner iterates
+    Y_j = B_j + A^4 Y_{j+1} in Y[j] for j = 1, 2, 3 (Y[0] is B0)."""
+    P = np.empty((5,) + M.shape)
+    P[0] = np.eye(M.shape[-1])
+    np.multiply(M, np.ldexp(1.0, -s)[:, None, None], out=P[1])
+    np.matmul(P[1], P[1], out=P[2])
+    np.matmul(P[2], P[1], out=P[3])
+    np.matmul(P[2], P[2], out=P[4])
+    Y = (_C @ P.reshape(5, -1)).reshape((4,) + M.shape)
+    X = np.empty(M.shape)
+    for j in (2, 1):
+        Y[j] += np.matmul(P[4], Y[j + 1], out=X)
+    np.matmul(P[4], Y[1], out=X)
+    X += Y[0]
+    return P, Y, X
+
+
+def _square_back(X, s, L=None):
+    """Square each matrix of X back s[i] times, carrying L <- X L + L X."""
+    for j in range(1, s.max(initial=0) + 1):
+        i = np.flatnonzero(s >= j)
+        Xi = X[i]
+        if L is not None:
+            L[i] = Xi[:, None] @ L[i] + L[i] @ Xi[:, None]
+        X[i] = Xi @ Xi
 
 
 def matrix_exp(M):
     """exp(M) for square M, batched over leading axes.
 
     Scaling and squaring: halve each matrix until its 1-norm is below the
-    degree-13 switching radius, evaluate the rational approximant, then
-    square back. exp(0) is the identity exactly.
+    switching radius, evaluate T16, then square back. exp(0) is the
+    identity exactly.
     """
     M = _as_square(M, "matrix_exp input")
     n = M.shape[-1]
@@ -105,16 +106,9 @@ def matrix_exp(M):
         # exp(0) is the identity exactly; keeps the zero-coupling step
         # bit-identical to the plain diagonal hold step
         return np.broadcast_to(np.eye(n), M.shape).copy()
-    A = M.reshape(norm1.size, n, n)
     s = _squarings(norm1)
-    if s is not None:
-        A = A * np.ldexp(1.0, -s)[:, None, None]
-    _, _, U, V = _pade13(A)
-    X = np.linalg.solve(V - U, V + U)
-    if s is not None:
-        for j in range(1, s.max() + 1):
-            i = np.flatnonzero(s >= j)
-            X[i] = X[i] @ X[i]
+    X = _taylor16(M.reshape(s.size, n, n), s)[2]
+    _square_back(X, s)
     return X.reshape(M.shape)
 
 
@@ -123,12 +117,13 @@ def matrix_exp_frechet(M, E):
 
     E has M's shape, or M's shape with one direction axis inserted before
     the matrix axes, ``(..., k, n, n)``; L has E's shape. The derivative
-    is that of the same scaled approximant that gives exp(M), by the
-    recurrence of Al-Mohy and Higham (SIAM J. Matrix Anal. Appl. 30(4),
-    2009, Alg. 6.4) on n x n matrices: the k directions share the powers
-    of A, the approximant's parts and one inverse of V - U, which serves
-    both r = (V - U)^-1 (V + U) and the derivative's solve. Squaring back
-    takes L <- r L + L r along with r <- r r.
+    is that of the same scaled polynomial that gives exp(M), by the
+    product rule on its products: dA^2 = A D + D A, dA^3 = dA^2 A + A^2 D,
+    dA^4 = dA^2 A^2 + A^2 dA^2, the blocks' derivatives from one
+    coefficient product over [D, dA^2, dA^3, dA^4], and dY_j = dB_j +
+    dA^4 Y_{j+1} + A^4 dY_{j+1} along Horner: 12 products per direction
+    and no solve. The k directions share every power and iterate of A.
+    Squaring back takes L <- X L + L X along with X <- X X.
     """
     M = _as_square(M, "matrix_exp_frechet M")
     E = _as_square(E, "matrix_exp_frechet E")
@@ -140,38 +135,31 @@ def matrix_exp_frechet(M, E):
         )
     B = math.prod(batch)
     k = E.shape[-3] if E.ndim > M.ndim else 1
-    A = M.reshape(B, n, n)
-    D = E.reshape(B, k, n, n)
     s = _squarings(_norms(M))
-    if s is not None:
-        scale = np.ldexp(1.0, -s)[:, None, None]
-        A = A * scale
-        D = D * scale[:, None]
-    (A2, A4, A6), (W1, Z1, W), U, V = _pade13(A)
-    Q_inv = np.linalg.inv(V - U)
-    X = Q_inv @ (V + U)
+    P, Y, X = _taylor16(M.reshape(B, n, n), s)
 
-    # derivatives of the parts toward each direction; a new axis 1 on the
-    # shared parts broadcasts them over the k directions
-    A, A2, A4, A6, W1, Z1, W, Q_inv, R = (
-        T[:, None] for T in (A, A2, A4, A6, W1, Z1, W, Q_inv, X)
-    )
-    b = _B
-    M2 = A @ D + D @ A
-    M4 = A2 @ M2 + M2 @ A2
-    M6 = A4 @ M2 + M4 @ A2
-    Lw = A6 @ (b[13] * M6 + b[11] * M4 + b[9] * M2) + M6 @ W1
-    Lw += b[7] * M6 + b[5] * M4 + b[3] * M2
-    Lu = A @ Lw + D @ W
-    Lv = A6 @ (b[12] * M6 + b[10] * M4 + b[8] * M2) + M6 @ Z1
-    Lv += b[6] * M6 + b[4] * M4 + b[2] * M2
-    L = Q_inv @ (Lu + Lv + (Lu - Lv) @ R)
-    if s is not None:
-        for j in range(1, s.max() + 1):
-            i = np.flatnonzero(s >= j)
-            Xi = X[i]
-            L[i] = Xi[:, None] @ L[i] + L[i] @ Xi[:, None]
-            X[i] = Xi @ Xi
+    # a new axis 1 on the shared parts broadcasts them over the k directions
+    A, A2, A4, Y = P[1, :, None], P[2, :, None], P[4, :, None], Y[:, :, None]
+    # dP = [D, dA^2, dA^3, dA^4] of the halved directions; L is scratch
+    # until the last Horner step
+    dP = np.empty((4, B, k, n, n))
+    scale = np.ldexp(1.0, -s)[:, None, None, None]
+    D = np.multiply(E.reshape(B, k, n, n), scale, out=dP[0])
+    L = np.empty(D.shape)
+    np.matmul(A, D, out=dP[1])
+    dP[1] += np.matmul(D, A, out=L)
+    np.matmul(dP[1], A, out=dP[2])
+    dP[2] += np.matmul(A2, D, out=L)
+    np.matmul(dP[1], A2, out=dP[3])
+    dP[3] += np.matmul(A2, dP[1], out=L)
+    dY = (_C[:, 1:] @ dP.reshape(4, -1)).reshape(dP.shape)
+    for j in (2, 1):
+        dY[j] += np.matmul(dP[3], Y[j + 1], out=L)
+        dY[j] += np.matmul(A4, dY[j + 1], out=L)
+    dY[0] += np.matmul(dP[3], Y[1], out=L)
+    np.matmul(A4, dY[1], out=L)
+    L += dY[0]
+    _square_back(X, s, L)
     return X.reshape(M.shape), L.reshape(E.shape)
 
 

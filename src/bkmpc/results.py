@@ -7,12 +7,13 @@ are versioned in the first column; any column change bumps the version,
 and a change of a column's float format counts as a column change.
 
 The ``forecast``, ``mpc_summary``, ``lead_table``, ``wall_table``,
-``cost_band`` and ``diagnose`` tables write their floats through
-:func:`fmt_float` at round-trip precision, so a value read back from the
-CSV equals the one in memory and the one in the JSON summary; ``trainlog``
-and ``episodelog`` keep their per-column formats. Every table, the two
-logs included, is written by :func:`write_csv` and read by
-:func:`read_csv`.
+``cost_band`` and ``diagnose`` tables, and every ``trainlog`` float but
+its wall time, are written through :func:`fmt_float` at round-trip
+precision, so a value read back from the CSV equals the one in memory and
+the one in the JSON summary (``forecast``'s ``mean_50`` is then the exact
+mean of the logged test MSEs); ``episodelog`` keeps its per-column
+formats. Every table, the two logs included, is written by
+:func:`write_csv` and read by :func:`read_csv`.
 
 A container (``.bkds`` dataset, ``.bkcp`` checkpoint) is: the 4 magic
 bytes; the version and header length as ``<II``; the header as sorted,
@@ -153,7 +154,7 @@ BAND_COLUMNS = (
     "step", "mean_running_avg", "band_halfwidth", "episodes_alive",
 )
 
-TRAINLOG_SCHEMA = "trainlog.v1"
+TRAINLOG_SCHEMA = "trainlog.v2"
 TRAINLOG_COLUMNS = (
     "schema", "preset", "model", "seed", "git", "epoch", "lr", "train_loss",
     "val_loss", "g_norm", "wall_s", "test_mse", "is_best",
@@ -162,7 +163,7 @@ TRAINLOG_COLUMNS = (
 #: the per-step episode log; its state and control columns (x0.., u0..)
 #: follow ``step`` and depend on the system, so ``EpisodeLog.to_csv``
 #: builds the header
-EPISODELOG_SCHEMA = "episodelog.v2"
+EPISODELOG_SCHEMA = "episodelog.v3"
 
 DIAG_SCHEMA = "diagnose.v2"
 DIAG_COLUMNS = (

@@ -134,7 +134,7 @@ def linearize(bundle, coupling, plan_u_norm, z_nom, period):
     P = mdl.coupling_generators(coupling, plan_u_norm, period)  # (H, dz, dz)
     drift = z_nom[:H] * e_d[None, :] + plan_u_norm @ b_diag.T  # (H, dz)
     # one Frechet call: each step's exponential and its m channel
-    # directions, which share that step's powers and factorization
+    # directions, which share that step's powers and Horner iterates
     e_p, L = dense.matrix_exp_frechet(P, np.broadcast_to(coupling, (H, m, dz, dz)))
     a_t = e_p * e_d[None, None, :]
     b_t = period * np.einsum("kjab,kb->kaj", L, drift) + e_p @ b_diag
@@ -285,6 +285,7 @@ CONTROLLER_KINDS = ("linear", "scp1", "scp5")
 @dataclass
 class EpisodeLog:
     preset: str
+    model: str  # the model kind that drove the controller
     controller: str
     lead: int
     seed: int
@@ -318,8 +319,8 @@ class EpisodeLog:
         n = self.states.shape[1]
         m = self.controls.shape[1]
         head = (
-            ["schema", "preset", "controller", "lead", "seed", "episode", "git",
-             "step"]
+            ["schema", "preset", "model", "controller", "lead", "seed", "episode",
+             "git", "step"]
             + [f"x{i}" for i in range(n)]
             + [f"u{i}" for i in range(m)]
             + ["stage_cost", "running_avg", "scp_iters", "qp_iters",
@@ -327,8 +328,8 @@ class EpisodeLog:
                "gershgorin_straddle", "bundle_checksum"]
         )
         base = (
-            results.EPISODELOG_SCHEMA, self.preset, self.controller, self.lead,
-            self.seed, self.episode_index, git_rev,
+            results.EPISODELOG_SCHEMA, self.preset, self.model, self.controller,
+            self.lead, self.seed, self.episode_index, git_rev,
         )
         rows = [
             base + (t,)
@@ -476,6 +477,7 @@ def run_episode(sim_cfg, params, mpc_cfg, controller="scp5", lead=0,
     k = len(rows["state"])
     return EpisodeLog(
         preset=f"{sim_cfg.system}-{sim_cfg.variant}",
+        model=h.kind,
         controller=controller,
         lead=lead,
         seed=seed,

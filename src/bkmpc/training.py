@@ -133,10 +133,11 @@ class TrainLog:
         rows = [
             (
                 results.TRAINLOG_SCHEMA, self.preset, self.kind, self.seed,
-                git_rev, ep, f"{self.lrs[i]:.10g}",
-                f"{self.train_losses[i]:.10g}", f"{self.val_losses[i]:.10g}",
-                f"{self.g_norms[i]:.10g}", f"{self.wall_seconds[i]:.4f}",
-                f"{self.test_mses[i]:.10g}", int(ep == self.best_epoch),
+                git_rev, ep, results.fmt_float(self.lrs[i]),
+                results.fmt_float(self.train_losses[i]),
+                results.fmt_float(self.val_losses[i]),
+                results.fmt_float(self.g_norms[i]), f"{self.wall_seconds[i]:.4f}",
+                results.fmt_float(self.test_mses[i]), int(ep == self.best_epoch),
             )
             for i, ep in enumerate(self.epochs)
         ]

@@ -2,7 +2,8 @@
 
 Oracles here are deliberately independent of the code paths they check:
 the exponential oracle is a plain Taylor sum in extended precision, the
-Frechet-derivative oracle is the block-augmented exponential, the
+Frechet-derivative oracle is the block-augmented exponential by scaling,
+squaring and that same extended-precision sum, the
 determinant oracle is a tiny partial-pivot LU, the box-QP oracle
 enumerates every active set, and gradient checks are central finite
 differences over tape leaves. The sequential excitation episode is the
@@ -16,34 +17,47 @@ import numpy as np
 from bkmpc import datagen as dg
 from bkmpc import model
 from bkmpc import simulators as sim
-from bkmpc.numerics import Tape, backward, matrix_exp
+from bkmpc.numerics import Tape, backward
 from bkmpc.numerics import autodiff as ad
+
+
+def _taylor_sum(M, terms):
+    """sum_{k <= terms} M^k / k! in extended precision, batched over the
+    leading axes of M."""
+    M = np.asarray(M, dtype=np.longdouble)
+    acc = np.broadcast_to(np.eye(M.shape[-1], dtype=np.longdouble), M.shape)
+    term = acc
+    for k in range(1, terms + 1):
+        term = term @ M / k
+        acc = acc + term
+    return acc
 
 
 def taylor_expm(M, terms=200):
     """exp(M) by truncated Taylor series, accumulated in extended precision."""
-    M = np.asarray(M, dtype=np.longdouble)
-    n = M.shape[0]
-    acc = np.eye(n, dtype=np.longdouble)
-    term = np.eye(n, dtype=np.longdouble)
-    for k in range(1, terms + 1):
-        term = term @ M / k
-        acc = acc + term
-    return acc.astype(float)
+    return _taylor_sum(M, terms).astype(float)
 
 
 def block_frechet(M, E):
     """(exp(M), L(M, E)) from the block identity
     exp([[M, E], [0, M]]) = [[exp(M), L(M, E)], [0, exp(M)]],
-    batched over the leading axes of M and E jointly."""
+    batched over the leading axes of M and E jointly.
+
+    The block is exponentiated in extended precision, independently of
+    the kernels under test: halved s times to a 1-norm of at most 0.5,
+    summed as a 30-term Taylor series, then squared back s times."""
     M = np.asarray(M, dtype=float)
-    E = np.asarray(E, dtype=float)
     n = M.shape[-1]
-    blk = np.zeros(M.shape[:-2] + (2 * n, 2 * n))
+    blk = np.zeros(M.shape[:-2] + (2 * n, 2 * n), dtype=np.longdouble)
     blk[..., :n, :n] = M
     blk[..., :n, n:] = E
     blk[..., n:, n:] = M
-    W = matrix_exp(blk)
+    norm1 = np.abs(blk).sum(axis=-2).max(initial=0.0)
+    s = int(np.ceil(np.log2(max(norm1, 0.5) / 0.5)))
+    W = _taylor_sum(blk / 2**s, 30)
+    for _ in range(s):
+        W = W @ W
+    W = W.astype(float)
     return W[..., :n, :n], W[..., :n, n:]
 
 

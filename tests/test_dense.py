@@ -12,13 +12,13 @@ from bkmpc.numerics import (
     phi1,
     phi1_partials,
 )
-from bkmpc.numerics.dense import _THETA13
+from bkmpc.numerics.dense import _THETA
 from helpers import block_frechet, taylor_expm
 
 
 def test_exp_zero_is_identity_exactly():
     assert np.array_equal(matrix_exp(np.zeros((3, 3))), np.eye(3))
-    # a zero matrix next to a companion that needs squarings (s = 3)
+    # a zero matrix next to a companion that needs squarings (s = 6)
     rng = np.random.default_rng(2)
     Ms = np.zeros((2, 3, 3))
     Ms[1] = rng.standard_normal((3, 3))
@@ -140,6 +140,36 @@ def test_frechet_matches_block_oracle():
                 assert _rel1(L, L_ref) <= 1e-13
 
 
+def _mp_block(M, E):
+    """(exp(M), L(M, E)) from mpmath's expm of the block [[M, E], [0, M]]
+    at 20 digits."""
+    n = M.shape[-1]
+    blk = np.zeros((2 * n, 2 * n))
+    blk[:n, :n] = M
+    blk[:n, n:] = E
+    blk[n:, n:] = M
+    with mpmath.workdps(20):
+        W = np.array(mpmath.expm(mpmath.matrix(blk.tolist())).tolist(), dtype=float)
+    return W[:n, :n], W[:n, n:]
+
+
+def test_exp_and_frechet_match_mpmath():
+    # norms on both sides of the switching radius, up to four squarings
+    rng = np.random.default_rng(41)
+    for n in (4, 8):
+        for norm1 in (1e-5, 0.5 * _THETA, 0.99 * _THETA, 1.01 * _THETA, 5.37, 12.0):
+            M = _with_norm(rng, n, norm1)
+            E = rng.standard_normal((3, n, n))
+            refs = [_mp_block(M, E_j) for E_j in E]
+            X_ref = refs[0][0]
+            assert _rel1(matrix_exp(M), X_ref) <= 1e-14
+            X, L = matrix_exp_frechet(M, E[0])
+            assert _rel1(X, X_ref) <= 1e-14 and _rel1(L, refs[0][1]) <= 1e-14
+            _, L = matrix_exp_frechet(M, E)
+            for j in range(3):
+                assert _rel1(L[j], refs[j][1]) <= 1e-14
+
+
 def test_frechet_direction_stack_equals_separate_calls():
     rng = np.random.default_rng(31)
     M = np.stack([_with_norm(rng, 5, v) for v in (0.3, 2.0, 9.0)])
@@ -152,9 +182,9 @@ def test_frechet_direction_stack_equals_separate_calls():
 
 
 def test_stack_members_equal_solo_calls():
-    # norms on both sides of the switching radius: squaring counts 0 to 3
+    # norms on both sides of the switching radius: squaring counts 0 to 6
     rng = np.random.default_rng(37)
-    norms = (0.0, 0.5, 0.99 * _THETA13, 1.01 * _THETA13, 12.0, 40.0)
+    norms = (0.0, 0.5, 0.99 * _THETA, 1.01 * _THETA, 12.0, 40.0)
     Ms = np.stack([_with_norm(rng, 6, v) for v in norms])
     Es = rng.standard_normal(Ms.shape)
     expm = matrix_exp(Ms)

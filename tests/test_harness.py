@@ -87,6 +87,28 @@ def test_eval_forecast_table(workdir, tmp_path):
         assert row[6] == results.fmt_float(np.mean(mses[-50:]))
 
 
+def test_eval_forecast_mean_50_is_exact_mean_of_training_log(workdir, tmp_path):
+    # the training log's test MSEs read back exactly, so mean_50 equals the
+    # mean of the in-memory log's last 50 finite test MSEs bit for bit
+    ds = dg.read_dataset(workdir / "cp.bkds")
+    params = mdl.params_for_dataset(
+        ds, "bilinear", seed=2, latent_dim=3, rank=3, hidden=8
+    )
+    cfg = tr.TrainConfig(epochs=3, batch_size=32, seed=2, log_test_every=1)
+    _, _, log = tr.train(ds, params, cfg, log_test=True)
+    mses = np.array(log.test_mses)
+    mses = mses[np.isfinite(mses)]
+    out = tmp_path / "fc"
+    rc = main([
+        "eval-forecast", "--data", str(workdir / "cp.bkds"),
+        "--run", str(workdir / "run-bilinear"), "--out", str(out),
+    ])
+    assert rc == 0
+    rows = results.read_csv(out / "forecast.csv")
+    (row,) = [r for r in rows if r["metric"] == "mean_50"]
+    assert mses.size and float(row["mse"]) == np.mean(mses[-50:])
+
+
 def test_eval_forecast_best_reads_back_exactly(workdir, tmp_path):
     # the table's best MSE reads back equal to the in-memory evaluation,
     # and a second run writes the same bytes
@@ -274,7 +296,12 @@ def test_diagnose_cli(workdir, tmp_path):
     log = results.read_csv(ep_out / "episode-scp1-d0-ep0.csv")
     flags = [int(r["gershgorin_straddle"]) for r in log]
     assert float(rows[1]["value"]) == np.mean(flags)
-    assert rows[1]["preset"] == "cartpole-ti"
+    # the episode row carries the episode log's provenance: the model kind
+    # that drove the controller and the episode seed
+    assert log[-1]["model"] == "bilinear" and log[-1]["seed"] == "4"
+    assert (rows[1]["preset"], rows[1]["model"], rows[1]["seed"]) == (
+        "cartpole-ti", "bilinear", "4",
+    )
 
 
 def test_config_file_defaults(tmp_path):

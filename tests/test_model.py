@@ -250,18 +250,18 @@ def test_zero_coupling_rollout_equals_linear_exactly():
 
 
 def test_batched_rollout_matches_stepped_discretize():
-    # one step's generator exceeds the degree-13 switching radius; each
+    # one step's generator exceeds the switching radius; each
     # matrix is scaled on its own, so that step's squarings leave the other
     # steps' factors as they are alone
     rng = np.random.default_rng(43)
     dz, m, T = 5, 2, 30
     b = random_bundle(dz, m, 3, rng, stable=True)
-    G = 0.3 * rng.standard_normal((m, dz, dz))
+    G = 0.1 * rng.standard_normal((m, dz, dz))
     u = 0.5 * rng.standard_normal((T, m))
     u[11] = [12.0, -9.0]
     P = model.coupling_generators(G, u, 1.0)
     norms = np.abs(P).sum(axis=1).max(axis=1)
-    assert norms[11] > dense._THETA13 and np.median(norms) < dense._THETA13
+    assert norms[11] > dense._THETA and np.median(norms) < dense._THETA
     e_p = dense.matrix_exp(P)
     for k in range(T):
         assert np.array_equal(e_p[k], dense.matrix_exp(P[k]))

@@ -426,8 +426,8 @@ def test_episode_log_csv(tmp_path):
     log.to_csv(path, git_rev="dead01")
     lines = path.read_text().strip().split("\n")
     assert len(lines) == 1 + log.steps
-    assert lines[0].startswith("schema,preset,controller,lead")
-    assert "episodelog.v2" in lines[1]
+    assert lines[0].startswith("schema,preset,model,controller,lead")
+    assert lines[1].startswith("episodelog.v3,cartpole-ti,bilinear,scp1,1,")
     header = lines[0].split(",")
     rows = [line.split(",") for line in lines[1:]]
     unsolved = [int(r[header.index("qp_unsolved")]) for r in rows]
