@@ -17,15 +17,19 @@ Adjoint conventions worth noting:
   with matrix products only and no linear solve.
 * ``eig_penalty``: with the right eigenvectors as the columns of V and
   W = V^-1, d(lambda_i)/dM = W[i, :]^T V[:, i]^T (Magnus 1985). The
-  forward pass makes one eigenvalue call on every matrix that passes the
-  row-sum prefilter; the adjoint makes one eigenvector call on every
-  matrix with an active hinge. Conjugate pairs are handled as one group
-  (their contributions are conjugate, so the pair contributes twice the
-  real part). Groups whose moduli collide within 1e-8, and near-defective
-  eigenvalues (1 < 1e-12 |V[:, i]| |W[i, :]|), get their gradient dropped
-  for that matrix while the penalty value is kept. A matrix that is
-  non-finite, or on which LAPACK does not converge, is skipped with one
-  warning on the ``bkmpc.numerics`` logger.
+  forward pass makes one ``eigen_pair`` call on the matrices that pass the
+  row-sum prefilter, takes the penalties from its eigenvalues and keeps
+  (lambda, V, W) on the tape for the matrices with an active hinge; the
+  adjoint only assembles the gradient from them, with no LAPACK call.
+  Conjugate pairs are handled as one group (their contributions are
+  conjugate, so the pair contributes twice the real part). Groups whose
+  moduli collide within 1e-8, and near-defective eigenvalues
+  (1 < 1e-12 |V[:, i]| |W[i, :]|), get their gradient dropped for that
+  matrix while the penalty value is kept. A non-finite matrix is
+  skipped before any LAPACK call. A matrix whose eigenvectors fail (no
+  convergence, or a singular V) takes its penalty from ``eig_values`` and
+  loses its gradient; if that fails too, it loses its penalty. Each matrix
+  that loses anything logs one warning on the ``bkmpc.numerics`` logger.
 """
 
 import logging
@@ -293,7 +297,9 @@ def eig_penalty(A, margin):
     A has shape (..., n, n); the result drops the two matrix axes. An
     infinity-norm prefilter short-circuits matrices that provably cannot
     have a modulus above the threshold (the hinge, and its gradient, are
-    exactly zero there); the rest go to one eigenvalue call.
+    exactly zero there); the rest go to one eigenvector call. Its
+    eigenvalues give the penalties, and the tape keeps its factors of the
+    matrices with an active hinge for the adjoint.
     """
     tape = _tape_of(A)
     val = A.value
@@ -304,25 +310,47 @@ def eig_penalty(A, margin):
         logger.warning("non-finite matrix inside eig_penalty; skipping its penalty")
     idx = np.flatnonzero(finite & (np.abs(flat).sum(axis=2).max(axis=1) >= thresh))
     pens = np.zeros(flat.shape[0])
-    active = idx[:0]
+    active, factors = idx, None
     if idx.size:
-        lams, ok = _each_matrix(eig_values, flat[idx], "the penalty")
-        idx, mods = idx[ok], np.abs(lams)
+        (lam, V, W), ok = _each_matrix(eigen_pair, flat[idx])
+        lost, idx = np.delete(idx, ok), idx[ok]
+        mods = np.abs(lam)
         pens[idx] = np.maximum(mods - thresh, 0.0).sum(axis=1)
-        active = idx[(mods > thresh).any(axis=1)]
+        act = (mods > thresh).any(axis=1)
+        active, factors = idx[act], (lam[act], V[act], W[act])
+        if lost.size:
+            _fallback_penalties(pens, flat, lost, thresh)
     return tape._record(
         "eig_penalty",
         (A,),
         pens.reshape(val.shape[:-2]),
-        (thresh, active),
+        (thresh, active, factors),
     )
 
 
-def _each_matrix(fn, stack, what):
+def _fallback_penalties(pens, flat, lost, thresh):
+    """Penalties, from eigenvalues alone, of the matrices ``lost`` whose
+    eigenvectors failed; one warning for each that loses anything."""
+    lams, ok = _each_matrix(eig_values, flat[lost])
+    hinge = np.maximum(np.abs(lams) - thresh, 0.0).sum(axis=1)
+    pens[lost[ok]] = hinge
+    for _ in range(lost.size - ok.size):
+        logger.warning(
+            "eigensolver did not converge inside eig_penalty; "
+            "skipping the penalty for this matrix"
+        )
+    for _ in range(int((hinge > 0.0).sum())):
+        logger.warning(
+            "eigenvectors did not converge inside eig_penalty; "
+            "skipping the hinge gradient for this matrix"
+        )
+
+
+def _each_matrix(fn, stack):
     """``fn(stack)`` and the positions of the matrices it covers.
 
-    After a ConvergenceError on the stack, each matrix is tried alone; every
-    one that still fails is logged once and left out of the result.
+    After a ConvergenceError on the stack, each matrix is tried alone; the
+    ones that still fail are left out of the result.
     """
     try:
         return fn(stack), np.arange(len(stack))
@@ -334,19 +362,14 @@ def _each_matrix(fn, stack, what):
             fn(stack[i : i + 1])
             ok.append(i)
         except ConvergenceError:
-            logger.warning(
-                "eigensolver did not converge inside eig_penalty; "
-                "skipping %s for this matrix", what
-            )
+            pass
     ok = np.array(ok, dtype=int)
     return fn(stack[ok]), ok
 
 
-def _eig_penalty_grad(stack, thresh, gscale):
-    """Gradient of the hinge sums of a (k, n, n) stack, matrix i scaled by
-    ``gscale[i]``; see the module docstring."""
-    grad = np.zeros_like(stack)
-    (lam, V, W), ok = _each_matrix(eigen_pair, stack, "the hinge gradient")
+def _eig_penalty_grad(lam, V, W, thresh, gscale):
+    """Gradient of the hinge sums of a stack with eigen factors (lam, V, W),
+    matrix i scaled by ``gscale[i]``; see the module docstring."""
     mods = np.abs(lam)
     # one group per real eigenvalue or conjugate pair (imag >= 0) above the threshold
     group = (mods > thresh) & (lam.imag >= 0.0)
@@ -360,8 +383,7 @@ def _eig_penalty_grad(stack, thresh, gscale):
     coef = np.divide(weight * np.conj(lam), mods, out=np.zeros_like(lam), where=keep)
     # sum_i coef_i d(lambda_i)/dM = (V diag(coef) W)^T
     dmod = np.real(V @ (coef[:, :, None] * W))
-    grad[ok] = gscale[ok, None, None] * np.swapaxes(dmod, -1, -2)
-    return grad
+    return gscale[:, None, None] * np.swapaxes(dmod, -1, -2)
 
 
 def _adj_add(n, vals, g):
@@ -439,14 +461,15 @@ def _adj_expm(n, vals, g):
 
 
 def _adj_eig_penalty(n, vals, g):
-    thresh, active = n.ctx
+    thresh, active, factors = n.ctx
     A = vals[0]
-    flat = A.reshape((-1,) + A.shape[-2:])
     gflat = np.asarray(g, dtype=float).reshape(-1)
-    idx = active[gflat[active] != 0.0]
-    out = np.zeros_like(flat)
-    if idx.size:
-        out[idx] = _eig_penalty_grad(flat[idx], thresh, gflat[idx])
+    sel = gflat[active] != 0.0
+    out = np.zeros((gflat.size,) + A.shape[-2:])
+    if sel.any():
+        idx = active[sel]
+        lam, V, W = (f[sel] for f in factors)
+        out[idx] = _eig_penalty_grad(lam, V, W, thresh, gflat[idx])
     return (out.reshape(A.shape),)
 
 

@@ -1,10 +1,10 @@
 """Eigenvalues and eigenvectors of stacks of real nonsymmetric matrices.
 
 Every function takes a single ``(n, n)`` matrix or a ``(..., n, n)`` stack
-and makes one LAPACK call (``geev`` through ``numpy.linalg``) for the whole
-stack. ``eigen_pair`` also returns W = V^-1: its rows are the left
-eigenvectors, scaled so that W V = I, which is the normalization the
-eigenvalue derivative d(lambda_i)/dM = W[i, :]^T V[:, i]^T needs.
+and makes one ``geev`` call (through ``numpy.linalg``) for the whole stack.
+``eigen_pair`` also returns W = V^-1, whose rows are the left eigenvectors
+scaled so that W V = I, as d(lambda_i)/dM = W[i, :]^T V[:, i]^T needs; one
+call serves both the spectral hinge penalty and its gradient.
 """
 
 import numpy as np

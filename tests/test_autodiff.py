@@ -192,42 +192,109 @@ def test_eig_penalty_stack_matches_per_matrix_and_fd():
     assert tape_gradcheck(build, [_hinge_stack()], rtol=1e-5, h=1e-6) <= 1e-5
 
 
+def _failing_on(real, *bad):
+    """``real``, raising LinAlgError on any stack that holds a matrix of ``bad``."""
+    def call(M, *args):
+        M = np.asarray(M)
+        if any(np.any(np.all(M == b, axis=(-2, -1))) for b in bad):
+            raise np.linalg.LinAlgError("did not converge")
+        return real(M, *args)
+    return call
+
+
+def _penalty_and_grad(stack, w=None):
+    tape = Tape()
+    a = tape.leaf(stack)
+    pen = ad.eig_penalty(a, 0.05)
+    w = np.ones(len(stack)) if w is None else w
+    return pen.value, backward(tape, ad.vsum(pen * tape.constant(w)))[a]
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_eig_penalty_skips_each_failing_matrix_once(monkeypatch, caplog):
     good = _hinge_stack()
-    tape = Tape()
-    a_ref = tape.leaf(good)
-    ref = ad.eig_penalty(a_ref, 0.05)
-    g_ref = backward(tape, ad.vsum(ref))[a_ref]
+    ref, g_ref = _penalty_and_grad(good)
 
     stack = good.copy()
     stack[1, 0, 0] = np.nan  # non-finite: skipped before any LAPACK call
-    values_fail, vectors_fail = stack[2].copy(), stack[3].copy()
+    both_fail, vectors_fail = stack[2].copy(), stack[3].copy()
 
-    def failing_on(real, bad):
-        def call(M, *args):
-            if np.any(np.all(np.asarray(M) == bad, axis=(-2, -1))):
-                raise np.linalg.LinAlgError("did not converge")
-            return real(M, *args)
-        return call
-
-    monkeypatch.setattr(np.linalg, "eigvals", failing_on(np.linalg.eigvals, values_fail))
-    monkeypatch.setattr(np.linalg, "eig", failing_on(np.linalg.eig, vectors_fail))
+    monkeypatch.setattr(np.linalg, "eigvals", _failing_on(np.linalg.eigvals, both_fail))
+    monkeypatch.setattr(
+        np.linalg, "eig", _failing_on(np.linalg.eig, both_fail, vectors_fail)
+    )
     tape = Tape()
     a = tape.leaf(stack)
     with caplog.at_level(logging.WARNING, logger="bkmpc.numerics"):
         pen = ad.eig_penalty(a, 0.05)
         forward_warnings = len(caplog.records)
         grads = backward(tape, ad.vsum(pen))[a]
-    assert forward_warnings == 2
+    assert forward_warnings == 3
     # the eigenvector failure keeps its penalty and loses only its gradient
     assert len(caplog.records) == 3
     assert all(r.name == "bkmpc.numerics" for r in caplog.records)
     assert pen.value[1] == 0.0 and pen.value[2] == 0.0
     keep = [0, 3, 4]
-    assert np.allclose(pen.value[keep], ref.value[keep], rtol=1e-13, atol=0.0)
+    assert np.allclose(pen.value[keep], ref[keep], rtol=1e-13, atol=0.0)
     assert np.all(grads[1:4] == 0.0)
     assert np.allclose(grads[[0, 4]], g_ref[[0, 4]], rtol=1e-12, atol=1e-15)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_eig_penalty_singular_eigenvectors_keep_penalty(monkeypatch, caplog):
+    good = _hinge_stack()
+    ref, g_ref = _penalty_and_grad(good)
+    _, V_bad = np.linalg.eig(good[3])
+    # the inactive matrix 1 has no gradient to lose, so it logs nothing
+    _, V_quiet = np.linalg.eig(good[1])
+    monkeypatch.setattr(np.linalg, "inv", _failing_on(np.linalg.inv, V_bad, V_quiet))
+    with caplog.at_level(logging.WARNING, logger="bkmpc.numerics"):
+        pen, grads = _penalty_and_grad(good)
+    assert len(caplog.records) == 1
+    assert pen[3] > 0.0
+    assert np.allclose(pen, ref, rtol=1e-13, atol=0.0)
+    assert np.all(grads[3] == 0.0)
+    keep = [0, 1, 2, 4]
+    assert np.allclose(grads[keep], g_ref[keep], rtol=1e-12, atol=1e-15)
+
+
+def _counting(monkeypatch, names):
+    calls = dict.fromkeys(names, 0)
+
+    def counted(name, real):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return call
+
+    for name in names:
+        monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+    return calls
+
+
+def test_eig_penalty_decomposes_once_in_the_forward(monkeypatch):
+    calls = _counting(monkeypatch, ("eig", "eigvals", "inv"))
+    tape = Tape()
+    a = tape.leaf(_hinge_stack())
+    pen = ad.eig_penalty(a, 0.05)
+    assert calls == {"eig": 1, "eigvals": 0, "inv": 1}
+    assert np.all(pen.value[2:] > 0.0)
+    backward(tape, ad.vsum(pen))
+    assert calls == {"eig": 1, "eigvals": 0, "inv": 1}
+
+
+def test_eig_penalty_forward_factors_feed_the_adjoint():
+    # prefilter-rejected, passing but inactive, active real, active pair, both
+    stack = _hinge_stack()
+    w = np.array([1.0, 2.0, 3.0, 0.5, 4.0])
+    pen, grads = _penalty_and_grad(stack, w)
+    oracle = np.maximum(np.abs(np.linalg.eigvals(stack)) - 0.95, 0.0).sum(axis=1)
+    assert np.all(pen[:2] == 0.0) and np.all(pen[2:] > 0.0)
+    assert np.allclose(pen, oracle, rtol=1e-14, atol=0.0)
+    lam, V, W = ad.eigen_pair(stack[2:])
+    expect = ad._eig_penalty_grad(lam, V, W, 0.95, w[2:])
+    assert np.all(grads[:2] == 0.0)
+    assert np.array_equal(grads[2:], expect)
 
 
 def test_unsupported_op_raises():

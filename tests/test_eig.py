@@ -76,6 +76,12 @@ def test_linalg_error_becomes_convergence_error(monkeypatch):
         with pytest.raises(ConvergenceError) as ei:
             solve(M)
         assert isinstance(ei.value.__cause__, np.linalg.LinAlgError)
+    monkeypatch.undo()
+    # eig converges but its eigenvectors are singular
+    monkeypatch.setattr(np.linalg, "inv", fail)
+    with pytest.raises(ConvergenceError) as ei:
+        eigen_pair(M)
+    assert isinstance(ei.value.__cause__, np.linalg.LinAlgError)
 
 
 def test_eigen_pair_residuals_on_a_stack():

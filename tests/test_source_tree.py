@@ -45,6 +45,35 @@ def test_no_private_names_imported_across_modules():
     assert found == []
 
 
+def test_lapack_eigen_calls_only_in_eig_module():
+    # numerics/eig.py turns every LAPACK eigen failure into the typed
+    # ConvergenceError; a direct call elsewhere would let LinAlgError escape
+    lapack = {"eig", "eigvals", "inv"}
+    home = pathlib.Path("bkmpc", "numerics", "eig.py")
+    found, at_home = [], 0
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("linalg"):
+                names = {alias.name for alias in node.names}
+            elif (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and ast.unparse(node.func.value).endswith("linalg")
+            ):
+                names = {node.func.attr}
+            else:
+                continue
+            if not names & lapack:
+                continue
+            if path.relative_to(SRC) == home:
+                at_home += 1
+            else:
+                found.append(f"{path.relative_to(SRC)}:{node.lineno}")
+    assert at_home == 3
+    assert found == []
+
+
 def test_bench_wrapped_names_exist(monkeypatch):
     # the traced bench wraps functions at the names their callers look
     # them up by; a deleted or renamed one would otherwise fail only when
