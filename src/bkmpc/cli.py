@@ -121,13 +121,19 @@ def _echo_config(args, outdir):
     results.write_json(os.path.join(outdir, "effective_config.json"), effective)
 
 
-def _load_checkpoint(path):
+def _load_checkpoint(path, preset=None):
+    """The checkpoint at ``path``; given a ``preset``, it must have been
+    trained on that preset's system."""
     if not os.path.exists(path):
         raise FileNotFoundError(
             f"checkpoint not found: {path} (run `bkmpc train` first or fix "
             "the path)"
         )
-    return mdl.load_checkpoint(path)
+    params = mdl.load_checkpoint(path)
+    system = preset.split("-")[0] if preset else None
+    if system and params.preset and not params.preset.startswith(system):
+        raise ValueError(f"checkpoint was trained on {params.preset}, not {preset}")
+    return params
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +224,7 @@ def cmd_eval_forecast(args):
             for metric, value in (("best", best), ("mean_50", mean50)):
                 rows.append((
                     results.FORECAST_SCHEMA, ds.preset, kind, params.seed,
-                    rev, metric, results.fmt_float(value), te_s.shape[0],
+                    rev, metric, value, te_s.shape[0],
                 ))
     os.makedirs(args.out, exist_ok=True)
     _echo_config(args, args.out)
@@ -245,21 +251,16 @@ def _episode_batch(preset, params, mpc_cfg, controller, lead, episodes, seed,
         solves = log.solve_wall_s[log.solve_wall_s > 0]
         rows.append((
             results.MPC_SUMMARY_SCHEMA, preset, params.hyper.kind,
-            seed, rev, controller, lead, ep, log.steps,
-            results.fmt_float(log.final_log_cost()),
-            results.fmt_float(np.mean(solves) if solves.size else 0.0),
-            results.fmt_float(log.straddle_fraction()), log.termination,
+            seed, rev, controller, lead, ep, log.steps, log.final_log_cost(),
+            np.mean(solves) if solves.size else 0.0, log.straddle_fraction(),
+            log.termination,
         ))
     return logs, rows
 
 
 def cmd_run_mpc(args):
-    params = _load_checkpoint(args.ckpt)
+    params = _load_checkpoint(args.ckpt, args.preset)
     system = args.preset.split("-")[0]
-    if params.preset and not params.preset.startswith(system):
-        raise ValueError(
-            f"checkpoint was trained on {params.preset}, not {args.preset}"
-        )
     mpc_cfg = mpc.mpc_preset(system, episode_len=args.episode_len)
     os.makedirs(args.out, exist_ok=True)
     _echo_config(args, args.out)
@@ -304,8 +305,7 @@ def _band_rows_and_series(preset, model_kind, seed, rev, controller, lead,
         std = float(np.std(alive))
         rows.append((
             results.BAND_SCHEMA, preset, model_kind, seed, rev, controller,
-            lead, step, results.fmt_float(mean), results.fmt_float(0.3 * std),
-            len(alive),
+            lead, step, mean, 0.3 * std, len(alive),
         ))
         xs.append(step * dt)
         means.append(mean)
@@ -315,8 +315,8 @@ def _band_rows_and_series(preset, model_kind, seed, rev, controller, lead,
 
 def cmd_lead_sweep(args):
     leads = [int(v) for v in str(args.lead).split(",") if v != ""]
-    lin = _load_checkpoint(args.linear_ckpt)
-    bil = _load_checkpoint(args.bilinear_ckpt)
+    lin = _load_checkpoint(args.linear_ckpt, args.preset)
+    bil = _load_checkpoint(args.bilinear_ckpt, args.preset)
     system = args.preset.split("-")[0]
     mpc_cfg = mpc.mpc_preset(system, episode_len=args.episode_len)
     cfg_sim = sim.preset(args.preset)
@@ -336,17 +336,14 @@ def cmd_lead_sweep(args):
             finals = np.array([log.final_log_cost() for log in logs])
             lead_rows.append((
                 results.LEAD_TABLE_SCHEMA, args.preset, params.hyper.kind,
-                args.seed, rev, controller, d, len(logs),
-                results.fmt_float(finals.mean()),
-                results.fmt_float(finals.std()),
+                args.seed, rev, controller, d, len(logs), finals.mean(),
+                finals.std(),
             ))
-            solve_walls = np.concatenate(
-                [log.solve_wall_s[log.solve_wall_s > 0] for log in logs]
-            )
+            # total solve wall over total control steps
+            step_walls = np.concatenate([log.solve_wall_s for log in logs])
             wall_rows.append((
                 results.WALL_TABLE_SCHEMA, args.preset, params.hyper.kind,
-                args.seed, rev, controller, d,
-                results.fmt_float(solve_walls.mean()),
+                args.seed, rev, controller, d, step_walls.mean(),
             ))
             rows_b, series = _band_rows_and_series(
                 args.preset, params.hyper.kind, args.seed, rev, controller,
@@ -392,8 +389,8 @@ def cmd_diagnose(args):
         params = _load_checkpoint(path)
         rows.append((
             results.DIAG_SCHEMA, params.preset, params.hyper.kind,
-            params.seed, rev, "coupling_frobenius_norm",
-            results.fmt_float(mdl.g_norm(params)), os.path.basename(path),
+            params.seed, rev, "coupling_frobenius_norm", mdl.g_norm(params),
+            os.path.basename(path),
         ))
     for path in args.episode_log:
         log_rows = results.read_csv(path)
@@ -401,8 +398,7 @@ def cmd_diagnose(args):
         last = log_rows[-1] if log_rows else {"preset": "", "model": "", "seed": ""}
         rows.append((
             results.DIAG_SCHEMA, last["preset"], last["model"], last["seed"], rev,
-            "gershgorin_straddle_fraction",
-            results.fmt_float(np.mean(flags) if flags else 0.0),
+            "gershgorin_straddle_fraction", np.mean(flags) if flags else 0.0,
             os.path.basename(path),
         ))
     os.makedirs(args.out, exist_ok=True)

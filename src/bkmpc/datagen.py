@@ -35,8 +35,6 @@ from .results import read_container, write_container
 from .results import FormatError, IntegrityError  # noqa: F401  (re-exported)
 
 WINDOW_LEN = 60
-LOOKBACK = 30
-HORIZON = 30
 
 _TRAIN_SPACE = 0
 _TEST_SPACE = 2**32

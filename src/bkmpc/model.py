@@ -118,38 +118,23 @@ class ModelParams:
     preset: str = ""
     seed: int = 0
 
-    def names(self):
-        return [name for name, _ in _param_spec(self.hyper)]
-
     def copy(self):
-        return ModelParams(
-            hyper=self.hyper,
+        return dataclasses.replace(
+            self,
             arrays={k: v.copy() for k, v in self.arrays.items()},
             state_mean=self.state_mean.copy(),
             state_std=self.state_std.copy(),
             control_floor=self.control_floor.copy(),
-            preset=self.preset,
-            seed=self.seed,
         )
 
     def linear_twin(self):
         """Linear-variant copy sharing every non-coupling weight."""
-        h = self.hyper
-        twin_h = ModelHyper(**{**h.__dict__, "kind": "linear"})
         arrays = {
-            k: v.copy()
-            for k, v in self.arrays.items()
-            if k not in ("cpl_l", "cpl_r")
+            k: v for k, v in self.arrays.items() if k not in ("cpl_l", "cpl_r")
         }
-        return ModelParams(
-            hyper=twin_h,
-            arrays=arrays,
-            state_mean=self.state_mean.copy(),
-            state_std=self.state_std.copy(),
-            control_floor=self.control_floor.copy(),
-            preset=self.preset,
-            seed=self.seed,
-        )
+        return dataclasses.replace(
+            self, hyper=dataclasses.replace(self.hyper, kind="linear"), arrays=arrays
+        ).copy()
 
 
 def init_params(hyper, state_mean, state_std, control_train_std, preset="", seed=0):
@@ -174,7 +159,7 @@ def init_params(hyper, state_mean, state_std, control_train_std, preset="", seed
             arrays[name] = np.zeros(shape)
         elif name == "cpl_r":
             arrays[name] = 1e-4 * rng.standard_normal(shape)
-        elif name.endswith(("_b1", "_b2", "conv_b")) or name == "conv_b":
+        elif name.endswith(("_b1", "_b2", "conv_b")):
             arrays[name] = np.zeros(shape)
         else:
             fan_in = shape[0] if len(shape) > 1 else 1
@@ -218,39 +203,24 @@ class OperatorBundle:
     control_mean: np.ndarray  # (B, m)
     control_std: np.ndarray  # (B, m), floored
 
-    def values(self):
-        """ndarray view (collapses Vars; batch axis preserved)."""
-
-        def v(x):
-            return x.value if isinstance(x, ad.Var) else np.asarray(x)
-
-        return OperatorBundle(
-            v(self.a_act),
-            v(self.delta),
-            v(self.b_cont),
-            v(self.decoder),
-            np.asarray(self.control_mean),
-            np.asarray(self.control_std),
-        )
+    def _arrays(self):
+        """The fields in declaration order, as ndarrays (Vars collapsed)."""
+        return [
+            x.value if isinstance(x, ad.Var) else np.asarray(x)
+            for x in (self.a_act, self.delta, self.b_cont, self.decoder,
+                      self.control_mean, self.control_std)
+        ]
 
     def single(self):
         """Drop the batch axis (bundle generated for one history)."""
-        b = self.values()
-        return OperatorBundle(
-            b.a_act,
-            b.delta[0],
-            b.b_cont[0],
-            b.decoder[0],
-            b.control_mean[0],
-            b.control_std[0],
-        )
+        a_act, *batched = self._arrays()
+        return OperatorBundle(a_act, *(x[0] for x in batched))
 
     def checksum(self):
         import hashlib
 
-        b = self.values()
         h = hashlib.sha256()
-        for arr in (b.a_act, b.delta, b.b_cont, b.decoder, b.control_mean, b.control_std):
+        for arr in self._arrays():
             h.update(np.ascontiguousarray(arr).tobytes())
         return h.hexdigest()[:16]
 

@@ -1,11 +1,12 @@
 """Minimal reverse-mode differentiation on a flat tape of ndarray ops.
 
 The op set is exactly what the latent-dynamics training loss needs:
-broadcasting elementwise arithmetic, a few activations, matrix products,
-the stabilized hold integral, the batched matrix exponential, and the
-eigenvalue-modulus hinge penalty. Forward calls record nodes onto a Tape
-(single writer); ``backward`` replays adjoints in reverse order and is
-read-only, so one recorded tape can be differentiated from any thread.
+broadcasting add, subtract and multiply, a few activations, shape ops
+and reductions, matrix products, the stabilized hold integral, the
+batched matrix exponential, and the eigenvalue-modulus hinge penalty.
+Forward calls record nodes onto a Tape (single writer); ``backward``
+replays adjoints in reverse order and is read-only, so one recorded tape
+can be differentiated from any thread.
 
 Adjoint conventions worth noting:
 
@@ -61,7 +62,8 @@ class _Node:
 
 
 class Var:
-    """Handle to one tape node; supports normal ndarray-ish arithmetic."""
+    """Handle to one tape node; supports ``+``, ``-``, ``*``, ``@`` and
+    indexing."""
 
     __slots__ = ("tape", "idx")
 
@@ -93,15 +95,6 @@ class Var:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __neg__(self):
-        return neg(self)
-
     def __matmul__(self, other):
         return matmul(self, other)
 
@@ -110,17 +103,6 @@ class Var:
 
     def __getitem__(self, key):
         return getitem(self, key)
-
-    def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        return reshape(self, shape)
-
-    def sum(self, axis=None, keepdims=False):
-        return vsum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return vmean(self, axis=axis, keepdims=keepdims)
 
 
 class Tape:
@@ -190,14 +172,6 @@ def sub(a, b):
 
 def mul(a, b):
     return _binary("mul", np.multiply, a, b)
-
-
-def div(a, b):
-    return _binary("div", np.divide, a, b)
-
-
-def neg(x):
-    return _unary("neg", np.negative, x)
 
 
 def exp(x):
@@ -401,13 +375,6 @@ def _adj_mul(n, vals, g):
     )
 
 
-def _adj_div(n, vals, g):
-    return (
-        _unbroadcast(g / vals[1], vals[0].shape),
-        _unbroadcast(-g * vals[0] / vals[1] ** 2, vals[1].shape),
-    )
-
-
 def _adj_matmul(n, vals, g):
     A, B = vals
     gA = g @ np.swapaxes(B, -1, -2)
@@ -477,8 +444,6 @@ _ADJOINTS = {
     "add": _adj_add,
     "sub": _adj_sub,
     "mul": _adj_mul,
-    "div": _adj_div,
-    "neg": lambda n, vals, g: (-g,),
     "exp": lambda n, vals, g: (g * n.value,),
     "tanh": lambda n, vals, g: (g * (1.0 - n.value**2),),
     "softplus": lambda n, vals, g: (g * 0.5 * (1.0 + np.tanh(0.5 * vals[0])),),

@@ -6,14 +6,13 @@ aggregate numbers trace back to the runs that produced them. Schema names
 are versioned in the first column; any column change bumps the version,
 and a change of a column's float format counts as a column change.
 
-The ``forecast``, ``mpc_summary``, ``lead_table``, ``wall_table``,
-``cost_band`` and ``diagnose`` tables, and every ``trainlog`` float but
-its wall time, are written through :func:`fmt_float` at round-trip
-precision, so a value read back from the CSV equals the one in memory and
-the one in the JSON summary (``forecast``'s ``mean_50`` is then the exact
-mean of the logged test MSEs); ``episodelog`` keeps its per-column
-formats. Every table, the two logs included, is written by
-:func:`write_csv` and read by :func:`read_csv`.
+Every table, the two logs included, is written by :func:`write_csv`
+and read by :func:`read_csv`. ``write_csv`` is the only code that turns
+a value into cell text: a float (Python or numpy) at round-trip
+precision through :func:`fmt_float`, a boolean as 0/1, anything else
+with ``str``. So every float read back from a CSV equals the one in
+memory and the one in the JSON summary (``forecast``'s ``mean_50`` is
+then the exact mean of the logged test MSEs).
 
 A container (``.bkds`` dataset, ``.bkcp`` checkpoint) is: the 4 magic
 bytes; the version and header length as ``<II``; the header as sorted,
@@ -61,11 +60,20 @@ def fmt_float(v):
     return repr(float(v))
 
 
+def _cell(v):
+    if isinstance(v, (bool, np.bool_)):
+        return "1" if v else "0"
+    if isinstance(v, (float, np.floating)):
+        return fmt_float(v)
+    return str(v)
+
+
 def write_csv(path, columns, rows):
+    """Write a table; each row is a sequence of raw values."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(columns) + "\n")
         for row in rows:
-            fh.write(",".join(str(v) for v in row) + "\n")
+            fh.write(",".join(map(_cell, row)) + "\n")
 
 
 def read_csv(path):
@@ -142,7 +150,7 @@ LEAD_TABLE_COLUMNS = (
     "episodes", "mean_final_log_cost", "std_final_log_cost",
 )
 
-WALL_TABLE_SCHEMA = "wall_table.v2"
+WALL_TABLE_SCHEMA = "wall_table.v3"
 WALL_TABLE_COLUMNS = (
     "schema", "preset", "model", "seed", "git", "controller", "lead",
     "mean_wall_per_control_step_s",
@@ -154,16 +162,16 @@ BAND_COLUMNS = (
     "step", "mean_running_avg", "band_halfwidth", "episodes_alive",
 )
 
-TRAINLOG_SCHEMA = "trainlog.v2"
+TRAINLOG_SCHEMA = "trainlog.v3"
 TRAINLOG_COLUMNS = (
     "schema", "preset", "model", "seed", "git", "epoch", "lr", "train_loss",
     "val_loss", "g_norm", "wall_s", "test_mse", "is_best",
 )
 
-#: the per-step episode log; its state and control columns (x0.., u0..)
-#: follow ``step`` and depend on the system, so ``EpisodeLog.to_csv``
-#: builds the header
-EPISODELOG_SCHEMA = "episodelog.v3"
+#: the per-step episode log; ``EpisodeLog.to_csv`` builds its header from
+#: the log's fields, since its state and control columns (x0.., u0..)
+#: depend on the system
+EPISODELOG_SCHEMA = "episodelog.v4"
 
 DIAG_SCHEMA = "diagnose.v2"
 DIAG_COLUMNS = (

@@ -33,7 +33,7 @@ recovers standard receding-horizon control.
 """
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -282,28 +282,47 @@ def stability_diagnostics(a_disc):
 CONTROLLER_KINDS = ("linear", "scp1", "scp5")
 
 
+def _per_step():
+    """An :class:`EpisodeLog` field holding one entry per control step."""
+    return field(default=None, metadata={"per_step": True})
+
+
 @dataclass
 class EpisodeLog:
+    """One closed-loop episode.
+
+    The per-step fields are the log's only declaration of its per-step
+    record: ``run_episode`` appends one value for each, in field order,
+    at every control step, and ``to_csv`` writes one column for each, in
+    that order and under the field's name, after the state and control
+    columns x0.., u0... Between solves the solve fields read zero, and
+    ``trust_final`` reads nan.
+    """
+
     preset: str
     model: str  # the model kind that drove the controller
     controller: str
     lead: int
     seed: int
     episode_index: int
-    states: np.ndarray = None
-    controls: np.ndarray = None
-    stage_costs: np.ndarray = None
-    running_avg: np.ndarray = None
-    scp_iterations: np.ndarray = None
-    qp_iterations: np.ndarray = None
-    qp_unsolved: np.ndarray = None  # non-"solved" QP statuses per solve
-    trust_final: np.ndarray = None  # final trust radius; nan between solves
-    solve_wall_s: np.ndarray = None
-    spectral_radius: np.ndarray = None
-    gershgorin_straddle: np.ndarray = None
-    bundle_checksums: list = field(default_factory=list)
+    states: np.ndarray = _per_step()  # (steps, n)
+    controls: np.ndarray = _per_step()  # (steps, m) applied, raw units
+    stage_cost: np.ndarray = _per_step()
+    running_avg: np.ndarray = _per_step()
+    scp_iters: np.ndarray = _per_step()  # SCP iterations of the solve
+    qp_iters: np.ndarray = _per_step()
+    qp_unsolved: np.ndarray = _per_step()  # non-"solved" QP statuses
+    trust_final: np.ndarray = _per_step()  # final trust radius
+    solve_wall_s: np.ndarray = _per_step()
+    spectral_radius: np.ndarray = _per_step()
+    gershgorin_straddle: np.ndarray = _per_step()
+    bundle_checksum: np.ndarray = _per_step()
     solves: int = 0
     termination: str = "horizon"
+
+    @classmethod
+    def per_step_fields(cls):
+        return [f.name for f in fields(cls) if f.metadata.get("per_step")]
 
     @property
     def steps(self):
@@ -316,38 +335,21 @@ class EpisodeLog:
         return float(np.mean(self.gershgorin_straddle))
 
     def to_csv(self, path, git_rev="unknown"):
-        n = self.states.shape[1]
-        m = self.controls.shape[1]
+        _, _, *names = self.per_step_fields()
         head = (
             ["schema", "preset", "model", "controller", "lead", "seed", "episode",
              "git", "step"]
-            + [f"x{i}" for i in range(n)]
-            + [f"u{i}" for i in range(m)]
-            + ["stage_cost", "running_avg", "scp_iters", "qp_iters",
-               "qp_unsolved", "trust_final", "solve_wall_s", "spectral_radius",
-               "gershgorin_straddle", "bundle_checksum"]
+            + [f"x{i}" for i in range(self.states.shape[1])]
+            + [f"u{i}" for i in range(self.controls.shape[1])]
+            + names
         )
         base = (
             results.EPISODELOG_SCHEMA, self.preset, self.model, self.controller,
             self.lead, self.seed, self.episode_index, git_rev,
         )
+        columns = zip(self.states, self.controls, *(getattr(self, k) for k in names))
         rows = [
-            base + (t,)
-            + tuple(f"{v:.17g}" for v in self.states[t])
-            + tuple(f"{v:.17g}" for v in self.controls[t])
-            + (
-                f"{self.stage_costs[t]:.10g}",
-                f"{self.running_avg[t]:.10g}",
-                int(self.scp_iterations[t]),
-                int(self.qp_iterations[t]),
-                int(self.qp_unsolved[t]),
-                results.fmt_float(self.trust_final[t]),
-                f"{self.solve_wall_s[t]:.6g}",
-                f"{self.spectral_radius[t]:.10g}",
-                int(self.gershgorin_straddle[t]),
-                self.bundle_checksums[t],
-            )
-            for t in range(self.steps)
+            base + (t, *x, *u, *rest) for t, (x, u, *rest) in enumerate(columns)
         ]
         results.write_csv(path, head, rows)
 
@@ -383,10 +385,7 @@ def run_episode(sim_cfg, params, mpc_cfg, controller="scp5", lead=0,
     r = np.asarray(mpc_cfg.r_weights)
     ref = np.asarray(mpc_cfg.x_ref)
 
-    rows = {k: [] for k in (
-        "state", "control", "cost", "avg", "scp_it", "qp_it", "qp_unsolved",
-        "trust", "wall", "rho", "straddle", "checksum",
-    )}
+    record = []  # one tuple per step, in EpisodeLog.per_step_fields order
     queue = []
     plan = qp_warm = None
     cum = 0.0
@@ -449,18 +448,10 @@ def run_episode(sim_cfg, params, mpc_cfg, controller="scp5", lead=0,
             np.sum((u_raw - u_prev) ** 2 * r)
         )
         cum += stage
-        rows["state"].append(state.copy())
-        rows["control"].append(u_raw.copy())
-        rows["cost"].append(stage)
-        rows["avg"].append(cum / (step + 1))
-        rows["scp_it"].append(scp_it)
-        rows["qp_it"].append(qp_it)
-        rows["qp_unsolved"].append(qp_unsolved)
-        rows["trust"].append(trust)
-        rows["wall"].append(wall)
-        rows["rho"].append(rho)
-        rows["straddle"].append(straddle)
-        rows["checksum"].append(plan.checksum)
+        record.append((
+            state.copy(), u_raw.copy(), stage, cum / (step + 1), scp_it, qp_it,
+            qp_unsolved, trust, wall, rho, straddle, plan.checksum,
+        ))
 
         x_next, t = sim.step_euler(sim_cfg, state[None], u_raw[None], t)
         state = x_next[0]
@@ -474,7 +465,12 @@ def run_episode(sim_cfg, params, mpc_cfg, controller="scp5", lead=0,
         hist_controls.pop(0)
         u_prev = u_raw
 
-    k = len(rows["state"])
+    names = EpisodeLog.per_step_fields()
+    columns = zip(*record) if record else [()] * len(names)
+    per_step = dict(zip(names, map(np.asarray, columns)))
+    k = len(record)
+    per_step["states"] = per_step["states"].reshape(k, sim_cfg.state_dim)
+    per_step["controls"] = per_step["controls"].reshape(k, sim_cfg.control_dim)
     return EpisodeLog(
         preset=f"{sim_cfg.system}-{sim_cfg.variant}",
         model=h.kind,
@@ -482,18 +478,7 @@ def run_episode(sim_cfg, params, mpc_cfg, controller="scp5", lead=0,
         lead=lead,
         seed=seed,
         episode_index=episode_index,
-        states=np.asarray(rows["state"]).reshape(k, sim_cfg.state_dim),
-        controls=np.asarray(rows["control"]).reshape(k, sim_cfg.control_dim),
-        stage_costs=np.asarray(rows["cost"]),
-        running_avg=np.asarray(rows["avg"]),
-        scp_iterations=np.asarray(rows["scp_it"]),
-        qp_iterations=np.asarray(rows["qp_it"]),
-        qp_unsolved=np.asarray(rows["qp_unsolved"], dtype=int),
-        trust_final=np.asarray(rows["trust"], dtype=float),
-        solve_wall_s=np.asarray(rows["wall"]),
-        spectral_radius=np.asarray(rows["rho"]),
-        gershgorin_straddle=np.asarray(rows["straddle"], dtype=bool),
-        bundle_checksums=rows["checksum"],
         solves=solves,
         termination=termination,
+        **per_step,
     )

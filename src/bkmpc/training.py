@@ -130,17 +130,12 @@ class TrainLog:
     best_test_mse: float = np.nan
 
     def to_csv(self, path, git_rev="unknown"):
-        rows = [
-            (
-                results.TRAINLOG_SCHEMA, self.preset, self.kind, self.seed,
-                git_rev, ep, results.fmt_float(self.lrs[i]),
-                results.fmt_float(self.train_losses[i]),
-                results.fmt_float(self.val_losses[i]),
-                results.fmt_float(self.g_norms[i]), f"{self.wall_seconds[i]:.4f}",
-                results.fmt_float(self.test_mses[i]), int(ep == self.best_epoch),
-            )
-            for i, ep in enumerate(self.epochs)
-        ]
+        base = (results.TRAINLOG_SCHEMA, self.preset, self.kind, self.seed, git_rev)
+        columns = zip(
+            self.epochs, self.lrs, self.train_losses, self.val_losses,
+            self.g_norms, self.wall_seconds, self.test_mses,
+        )
+        rows = [base + (*row, row[0] == self.best_epoch) for row in columns]
         results.write_csv(path, results.TRAINLOG_COLUMNS, rows)
 
 
@@ -188,22 +183,20 @@ def train(ds, params, cfg, log_test=False):
         total, seen = 0.0, 0
         for bstart in range(0, n, cfg.batch_size):
             idx = order[bstart : bstart + cfg.batch_size]
+            cause = None
             try:
                 loss, grads = mdl.loss_and_grads(
                     params, tr_states[idx], tr_controls[idx]
                 )
             except (DomainError, np.linalg.LinAlgError) as err:
+                loss, cause = np.nan, err
+            if not np.isfinite(loss):
                 norms = {
                     k: float(np.linalg.norm(v)) for k, v in params.arrays.items()
                 }
                 raise TrainingDiverged(
                     epoch, bstart // cfg.batch_size, norms
-                ) from err
-            if not np.isfinite(loss):
-                norms = {
-                    k: float(np.linalg.norm(v)) for k, v in params.arrays.items()
-                }
-                raise TrainingDiverged(epoch, bstart // cfg.batch_size, norms)
+                ) from cause
             grads, _ = clip_gradients(grads, CLIP_NORM)
             opt.step(params, grads, lr)
             total += loss * idx.size

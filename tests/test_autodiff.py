@@ -32,8 +32,6 @@ def test_sum_exp_matrix_matches_fd():
         ("add", lambda t, ls: ad.vsum(ad.exp(ls[0] + ls[1]))),
         ("sub", lambda t, ls: ad.vsum(ad.tanh(ls[0] - ls[1]))),
         ("mul", lambda t, ls: ad.vsum(ls[0] * ls[1] * ls[0])),
-        ("div", lambda t, ls: ad.vsum(ls[0] / (ls[1] * ls[1] + 2.0))),
-        ("neg", lambda t, ls: ad.vsum(ad.exp(-ls[0]) * ls[1])),
         ("softplus", lambda t, ls: ad.vsum(ad.softplus(ls[0] * ls[1]))),
         ("neg_celu", lambda t, ls: ad.vsum(ad.neg_celu(ls[0] * 3.0 + ls[1]))),
         ("phi1", lambda t, ls: ad.vsum(ad.phi1(ls[0], ad.softplus(ls[1])))),
@@ -73,7 +71,7 @@ def test_shape_ops_adjoints():
     x = RNG.standard_normal((4, 6))
     build = lambda t, ls: ad.vsum(
         ad.concat(
-            [ad.reshape(ls[0], (2, 12)), ad.transpose(ls[0]).reshape((2, 12))],
+            [ad.reshape(ls[0], (2, 12)), ad.reshape(ad.transpose(ls[0]), (2, 12))],
             axis=0,
         )
         * ad.getitem(ls[0], (slice(0, 2), slice(None)))[0, 0]

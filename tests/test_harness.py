@@ -173,13 +173,23 @@ def test_run_mpc_cli(workdir, tmp_path):
     assert (out / "episode-scp1-d1-ep0.csv").exists()
 
 
-def test_run_mpc_preset_mismatch(workdir, tmp_path):
-    rc = main([
-        "run-mpc", "--ckpt", str(workdir / "run-bilinear" / "bilinear-best.bkcp"),
-        "--preset", "rscp-ti", "--controller", "scp1",
-        "--episodes", "1", "--episode-len", "4", "--out", str(tmp_path / "x"),
-    ])
-    assert rc == 2
+def test_run_mpc_preset_mismatch(workdir, tmp_path, capsys):
+    # both closed-loop commands refuse a checkpoint trained on another
+    # system, before they write anything
+    bil = str(workdir / "run-bilinear" / "bilinear-best.bkcp")
+    lin = str(workdir / "run-linear" / "linear-best.bkcp")
+    for argv in (
+        ["run-mpc", "--ckpt", bil, "--controller", "scp1"],
+        ["lead-sweep", "--linear-ckpt", lin, "--bilinear-ckpt", bil],
+    ):
+        out = tmp_path / argv[0]
+        rc = main(argv + [
+            "--preset", "rscp-ti", "--episodes", "1", "--episode-len", "4",
+            "--out", str(out),
+        ])
+        assert rc == 2
+        assert "trained on cartpole-ti, not rscp-ti" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_lead_sweep_cli(workdir, tmp_path):
@@ -197,7 +207,7 @@ def test_lead_sweep_cli(workdir, tmp_path):
     assert all(l.split(",")[0] == "lead_table.v2" for l in lead_lines[1:])
     wall_lines = (out / "wall_table.csv").read_text().strip().split("\n")
     assert len(wall_lines) == 1 + 2 * 2
-    assert all(l.split(",")[0] == "wall_table.v2" for l in wall_lines[1:])
+    assert all(l.split(",")[0] == "wall_table.v3" for l in wall_lines[1:])
     bands = (out / "cost_bands.csv").read_text().strip().split("\n")
     assert bands[0].split(",")[:2] == ["schema", "preset"]
     assert all(l.split(",")[0] == "cost_band.v2" for l in bands[1:])
@@ -213,6 +223,22 @@ def test_lead_sweep_cli(workdir, tmp_path):
         parts = line.split(",")
         assert int(parts[i_alive]) >= 1
         assert float(parts[i_hw]) >= 0.0
+
+    # a wall cell is the cell's total solve wall over its total control
+    # steps, recomputed from its episode logs; with a lead, fewer solves
+    # than steps put it below the mean wall per solve
+    for row in results.read_csv(out / "wall_table.csv"):
+        walls = np.array([
+            float(r["solve_wall_s"])
+            for ep in range(2)
+            for r in results.read_csv(
+                out / f"episode-{row['controller']}-d{row['lead']}-ep{ep}.csv"
+            )
+        ])
+        cell = float(row["mean_wall_per_control_step_s"])
+        assert cell == pytest.approx(walls.mean(), rel=1e-15, abs=0.0)
+        if int(row["lead"]) >= 1:
+            assert cell < walls[walls > 0].mean()
 
 
 def test_lead_sweep_d0_matches_run_mpc(workdir, tmp_path):
@@ -266,6 +292,21 @@ def test_lead_sweep_d0_summary_rows_match_run_mpc(workdir, tmp_path):
     assert [r["episode"] for r in linear] == ["0", "1"]
     assert [float(r["final_log_cost"]) for r in linear] == (
         solo["final_log_costs"]
+    )
+
+
+def test_write_csv_cell_text(tmp_path):
+    # write_csv alone turns values into cell text: floats of either kind
+    # round-trip, booleans of either kind are 0/1, the rest is str()
+    row = (
+        0.1, np.float64(2.0 / 3.0), float("nan"), np.inf, True, np.bool_(False),
+        7, np.int64(-3), "cartpole-ti",
+    )
+    path = tmp_path / "cells.csv"
+    results.write_csv(path, [f"c{i}" for i in range(len(row))], [row])
+    assert path.read_text() == (
+        "c0,c1,c2,c3,c4,c5,c6,c7,c8\n"
+        "0.1,0.6666666666666666,nan,inf,1,0,7,-3,cartpole-ti\n"
     )
 
 

@@ -413,6 +413,23 @@ def test_loss_gradient_matches_fd_toy():
     assert worst <= 1e-4
 
 
+def test_hinge_active_loss_records_exactly_the_registered_ops():
+    # the tape's op set is what the loss needs: a hinge-active bilinear
+    # loss (cartpole architecture, slow modes, strong coupling) records
+    # every op that has an adjoint rule, and no other
+    hyper = model.hyper_for("cartpole", "bilinear")
+    p = model.init_params(hyper, np.zeros(4), np.ones(4), np.ones(1), seed=3)
+    rng = np.random.default_rng(4)
+    p.arrays["a_raw"][:] = -0.01
+    for key in ("cpl_l", "cpl_r"):
+        p.arrays[key] = 0.05 * rng.standard_normal(p.arrays[key].shape)
+    S, C = toy_windows(p, count=4)
+    tape, _, _, _, penalty = model.loss_forward(p, S, C)
+    assert float(penalty.value) > 0.0
+    recorded = {node.op for node in tape._nodes} - {"leaf", "const"}
+    assert recorded == set(ad._ADJOINTS)
+
+
 def test_linear_twin_identical_loss():
     p = toy_params(seed=21)
     lin = p.linear_twin()

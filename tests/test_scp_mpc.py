@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from bkmpc import model as mdl
+from bkmpc import results
 from bkmpc import scp_mpc as mpc
 from bkmpc import simulators as sim
 from bkmpc.model import ContractViolation
@@ -358,7 +359,7 @@ def test_episode_runs_and_logs():
     assert log.steps <= 30
     assert log.solves == log.steps  # d = 0 re-plans every step
     assert log.running_avg.shape == (log.steps,)
-    assert np.all(np.isfinite(log.stage_costs))
+    assert np.all(np.isfinite(log.stage_cost))
     assert np.all(log.controls <= 20.0 + 1e-12)
     assert np.all(log.controls >= -20.0 - 1e-12)
     assert np.isfinite(log.final_log_cost())
@@ -370,7 +371,7 @@ def test_lead_queue_arithmetic_and_frozen_bundle():
         expect = int(np.ceil(log.steps / (lead + 1)))
         assert log.solves == expect
         # bundle checksum constant within each commitment window
-        sums = log.bundle_checksums
+        sums = log.bundle_checksum
         for start in range(0, log.steps, lead + 1):
             window = sums[start : start + lead + 1]
             assert len(set(window)) == 1
@@ -427,13 +428,23 @@ def test_episode_log_csv(tmp_path):
     lines = path.read_text().strip().split("\n")
     assert len(lines) == 1 + log.steps
     assert lines[0].startswith("schema,preset,model,controller,lead")
-    assert lines[1].startswith("episodelog.v3,cartpole-ti,bilinear,scp1,1,")
-    header = lines[0].split(",")
-    rows = [line.split(",") for line in lines[1:]]
-    unsolved = [int(r[header.index("qp_unsolved")]) for r in rows]
-    trust = [float(r[header.index("trust_final")]) for r in rows]
-    assert unsolved == log.qp_unsolved.tolist()
-    assert np.array_equal(trust, log.trust_final, equal_nan=True)
+    assert lines[1].startswith("episodelog.v4,cartpole-ti,bilinear,scp1,1,")
+    # one column per per-step field, under the field's name
+    names = mpc.EpisodeLog.per_step_fields()[2:]
+    assert lines[0].split(",")[-len(names):] == names
+    # every column reads back equal to the log in memory
+    rows = results.read_csv(path)
+    for prefix, expect in (("x", log.states), ("u", log.controls)):
+        got = [[float(r[f"{prefix}{i}"]) for i in range(expect.shape[1])] for r in rows]
+        assert np.array_equal(got, expect)
+    for name in names:
+        expect = getattr(log, name)
+        conv = str if expect.dtype.kind == "U" else float
+        got = np.array([conv(r[name]) for r in rows])
+        assert np.array_equal(got, expect, equal_nan=expect.dtype.kind == "f"), name
+    # integer counts and the straddle flag are written as integers
+    for name in ("scp_iters", "qp_iters", "qp_unsolved", "gershgorin_straddle"):
+        assert all(r[name].isdigit() for r in rows), name
     solved_steps = log.solve_wall_s > 0
     assert solved_steps.any() and not solved_steps.all()
     assert np.all(np.isfinite(log.trust_final[solved_steps]))

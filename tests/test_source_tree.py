@@ -74,6 +74,18 @@ def test_lapack_eigen_calls_only_in_eig_module():
     assert found == []
 
 
+def test_only_results_formats_floats():
+    # results.write_csv formats every table cell; a writer elsewhere
+    # passes raw values, so no other module names fmt_float
+    found = [
+        str(path.relative_to(SRC))
+        for path in sorted(SRC.rglob("*.py"))
+        if path.name != "results.py"
+        and "fmt_float" in path.read_text(encoding="utf-8")
+    ]
+    assert found == []
+
+
 def test_bench_wrapped_names_exist(monkeypatch):
     # the traced bench wraps functions at the names their callers look
     # them up by; a deleted or renamed one would otherwise fail only when

@@ -172,12 +172,12 @@ def test_trainlog_csv(tmp_path):
     lines = path.read_text().strip().split("\n")
     assert len(lines) == 3
     assert lines[0].startswith("schema,preset,model,seed,git,epoch")
-    assert lines[1].startswith("trainlog.v2,cartpole-ti,bilinear")
+    assert lines[1].startswith("trainlog.v3,cartpole-ti,bilinear")
 
 
 def test_trainlog_csv_row_text(tmp_path):
-    # trainlog.v2 text, pinned column by column: round-trip floats, and
-    # the wall time at four decimals
+    # trainlog.v3 text, pinned column by column: every float, the wall
+    # time included, at round-trip precision
     log = tr.TrainLog(
         preset="rscp-ti", kind="linear", seed=7, epochs=[0, 1],
         lrs=[1e-3, 0.00095], train_losses=[2.0 / 3.0, 0.123456789012345],
@@ -189,8 +189,8 @@ def test_trainlog_csv_row_text(tmp_path):
     assert path.read_text() == (
         "schema,preset,model,seed,git,epoch,lr,train_loss,val_loss,g_norm,"
         "wall_s,test_mse,is_best\n"
-        "trainlog.v2,rscp-ti,linear,7,abc123,0,0.001,0.6666666666666666,1.5,"
-        "0.0,0.1000,nan,0\n"
-        "trainlog.v2,rscp-ti,linear,7,abc123,1,0.00095,0.123456789012345,"
-        "12345.678901234,3.25,12.3457,1e-09,1\n"
+        "trainlog.v3,rscp-ti,linear,7,abc123,0,0.001,0.6666666666666666,1.5,"
+        "0.0,0.1,nan,0\n"
+        "trainlog.v3,rscp-ti,linear,7,abc123,1,0.00095,0.123456789012345,"
+        "12345.678901234,3.25,12.3456789,1e-09,1\n"
     )
