@@ -109,7 +109,31 @@ def parse_args(argv=None):
             if k in vars(args) and k not in ("command", "config")
         })
         args = parser.parse_args(argv)
+    if args.command in ("run-mpc", "lead-sweep"):
+        _check_closed_loop(parser.commands.choices[args.command], args)
     return args
+
+
+def _leads(args):
+    """The commitment leads of a closed-loop command."""
+    if args.command == "run-mpc":
+        return [args.lead]
+    return [int(v) for v in str(args.lead).split(",") if v != ""]
+
+
+def _check_closed_loop(command_parser, args):
+    """Usage error for no episodes, no steps, or no lead or a lead that is
+    not an integer >= 0, whether the value came from a flag or from the
+    config file."""
+    try:
+        leads = _leads(args)
+    except ValueError:
+        leads = []
+    if args.episodes < 1 or args.episode_len < 1 or not leads or min(leads) < 0:
+        command_parser.error(
+            "--episodes and --episode-len must be >= 1, and --lead must list "
+            f"integers >= 0; got {args.episodes}, {args.episode_len} and {args.lead!r}"
+        )
 
 
 def _echo_config(args, outdir):
@@ -260,6 +284,7 @@ def _episode_batch(preset, params, mpc_cfg, controller, lead, episodes, seed,
 
 def cmd_run_mpc(args):
     params = _load_checkpoint(args.ckpt, args.preset)
+    mpc.check_controller(params, args.controller)
     system = args.preset.split("-")[0]
     mpc_cfg = mpc.mpc_preset(system, episode_len=args.episode_len)
     os.makedirs(args.out, exist_ok=True)
@@ -314,8 +339,9 @@ def _band_rows_and_series(preset, model_kind, seed, rev, controller, lead,
 
 
 def cmd_lead_sweep(args):
-    leads = [int(v) for v in str(args.lead).split(",") if v != ""]
+    leads = _leads(args)
     lin = _load_checkpoint(args.linear_ckpt, args.preset)
+    mpc.check_controller(lin, "linear")
     bil = _load_checkpoint(args.bilinear_ckpt, args.preset)
     system = args.preset.split("-")[0]
     mpc_cfg = mpc.mpc_preset(system, episode_len=args.episode_len)

@@ -143,12 +143,13 @@ def _grown(a, axis, size):
     return np.pad(a, pad)
 
 
-def _run_episode_batch(cfg, seed, test, mode, want, budget, max_lanes=512):
+def _run_episode_batch(cfg, seed, test, want, budget, max_lanes=512):
     """Lockstep episode runner over lane arrays.
 
     Returns ``[(states (L+1, n), controls (L, m)), ...]`` for the shortest
     index-ordered prefix of episodes whose cumulative window count reaches
-    ``want``; list position is the episode index.
+    ``want``; list position is the episode index. ``test`` picks both the
+    episodes' random streams and the simulator's termination mode.
 
     Running episodes are the rows of the lane arrays ``episode``, ``x``,
     ``t`` and ``step``. Each also owns a slot of the per-lane buffers: one
@@ -166,6 +167,7 @@ def _run_episode_batch(cfg, seed, test, mode, want, budget, max_lanes=512):
     does, and the prefix is taken in index order, so the result is a pure
     function of (seed, want).
     """
+    mode = "test" if test else "train"
     n, m = cfg.state_dim, cfg.control_dim
     lanes, cap = 1, _CHUNK
     episode, slot, step = (np.zeros(0, dtype=int) for _ in range(3))
@@ -244,8 +246,7 @@ def _collect(cfg, seed, target, test, budget):
     Assembly is ordered by episode index regardless of how the lockstep
     runner interleaved the work.
     """
-    mode = "test" if test else "train"
-    episodes = _run_episode_batch(cfg, seed, test, mode, target, budget)
+    episodes = _run_episode_batch(cfg, seed, test, target, budget)
     offset = _TEST_EPISODE_OFFSET if test else 0
     parts_s, parts_c, parts_t, parts_e = [], [], [], []
     for index, (states, controls) in enumerate(episodes):

@@ -194,7 +194,9 @@ def params_for_dataset(ds, kind, seed=0, **overrides):
 
 @dataclass
 class OperatorBundle:
-    """Per-decision-step generated quantities (tape Vars or ndarrays)."""
+    """Per-decision-step generated quantities: tape Vars from the training
+    forward, ndarrays from ``bundle_for_history`` (the only kind
+    ``single`` and ``checksum`` take)."""
 
     a_act: object  # (dz,) activated diagonal, <= 1 elementwise
     delta: object  # (B, dz) positive per-mode timescales
@@ -204,12 +206,9 @@ class OperatorBundle:
     control_std: np.ndarray  # (B, m), floored
 
     def _arrays(self):
-        """The fields in declaration order, as ndarrays (Vars collapsed)."""
-        return [
-            x.value if isinstance(x, ad.Var) else np.asarray(x)
-            for x in (self.a_act, self.delta, self.b_cont, self.decoder,
-                      self.control_mean, self.control_std)
-        ]
+        """The fields in declaration order."""
+        return [self.a_act, self.delta, self.b_cont, self.decoder,
+                self.control_mean, self.control_std]
 
     def single(self):
         """Drop the batch axis (bundle generated for one history)."""
@@ -236,133 +235,108 @@ class ContractViolation(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# tape-side forward pieces
-
-
-class ParamVars:
-    """Tape leaves for every parameter array, keyed like the arrays."""
-
-    def __init__(self, tape, params):
-        self.tape = tape
-        self.vars = {k: tape.leaf(v) for k, v in params.arrays.items()}
-        self.hyper = params.hyper
-
-    def __getitem__(self, k):
-        return self.vars[k]
-
-    def __contains__(self, k):
-        return k in self.vars
+# the forward; ``w`` maps each parameter name to its tape leaf (training)
+# or to its array (inference)
 
 
 def _mlp(x, w1, b1, w2, b2):
     return ad.matmul(ad.tanh(ad.matmul(x, w1) + b1), w2) + b2
 
 
-def encode_batch(pv, x_norm):
+def encode_batch(w, x_norm):
     """(B, n) normalized states -> (B, dz) latents."""
-    tape = pv.tape
-    x = x_norm if isinstance(x_norm, ad.Var) else tape.constant(x_norm)
-    return _mlp(x, pv["enc_w1"], pv["enc_b1"], pv["enc_w2"], pv["enc_b2"])
+    return _mlp(x_norm, w["enc_w1"], w["enc_b1"], w["enc_w2"], w["enc_b2"])
 
 
-def window_control_stats(params, u_hist_raw):
-    """Instance mean/std of a (B, H, m) control history, std floored."""
-    mu = u_hist_raw.mean(axis=1)
-    sd = u_hist_raw.std(axis=1)
-    return mu, np.maximum(sd, params.control_floor)
+def generate_operators(w, params, z_hist, u_hist_raw):
+    """History (z, u) pairs -> OperatorBundle.
 
-
-def generate_operators(pv, params, z_hist, u_hist_raw):
-    """History (z, u) pairs -> OperatorBundle of tape Vars.
-
-    ``z_hist`` is a (B, H, dz) Var of encoded lookback states,
-    ``u_hist_raw`` the matching (B, H, m) raw controls (plain data). The
+    ``z_hist`` holds the (B, H, dz) encoded lookback states, ``u_hist_raw``
+    the matching (B, H, m) raw controls (plain data). The generated fields
+    are tape Vars when ``w`` or ``z_hist`` are, ndarrays otherwise. The
     depthwise causal convolution is evaluated at the emission step, i.e.
     on the trailing ``conv_kernel`` positions of the channel sequence.
     """
     h = params.hyper
-    if z_hist.value.shape[1] != h.lookback or u_hist_raw.shape[1] != h.lookback:
+    if z_hist.shape[1] != h.lookback or u_hist_raw.shape[1] != h.lookback:
         raise ContractViolation(
             f"history must hold exactly {h.lookback} (z, u) pairs, got "
-            f"{z_hist.value.shape[1]} states / {u_hist_raw.shape[1]} controls"
+            f"{z_hist.shape[1]} states / {u_hist_raw.shape[1]} controls"
         )
-    tape = pv.tape
     B = u_hist_raw.shape[0]
-    mu, sd = window_control_stats(params, u_hist_raw)
+    mu = u_hist_raw.mean(axis=1)
+    sd = np.maximum(u_hist_raw.std(axis=1), params.control_floor)
     u_hist_n = (u_hist_raw - mu[:, None, :]) / sd[:, None, :]
 
     k = h.conv_kernel
-    seq = ad.concat([z_hist, tape.constant(u_hist_n)], axis=2)  # (B, H, ch)
+    seq = ad.concat([z_hist, u_hist_n], axis=2)  # (B, H, ch)
     tail = seq[:, h.lookback - k :, :]
-    feat = ad.tanh(ad.vsum(tail * pv["conv_k"], axis=1) + pv["conv_b"])
+    feat = ad.tanh(ad.vsum(tail * w["conv_k"], axis=1) + w["conv_b"])
 
     delta = ad.softplus(
-        _mlp(feat, pv["delta_w1"], pv["delta_b1"], pv["delta_w2"], pv["delta_b2"])
+        _mlp(feat, w["delta_w1"], w["delta_b1"], w["delta_w2"], w["delta_b2"])
     )
     b_cont = ad.reshape(
-        _mlp(feat, pv["bmat_w1"], pv["bmat_b1"], pv["bmat_w2"], pv["bmat_b2"]),
+        _mlp(feat, w["bmat_w1"], w["bmat_b1"], w["bmat_w2"], w["bmat_b2"]),
         (B, h.latent_dim, h.control_dim),
     )
     decoder = ad.reshape(
-        _mlp(feat, pv["dec_w1"], pv["dec_b1"], pv["dec_w2"], pv["dec_b2"]),
+        _mlp(feat, w["dec_w1"], w["dec_b1"], w["dec_w2"], w["dec_b2"]),
         (B, h.state_dim, h.latent_dim),
     )
-    a_act = ad.neg_celu(pv["a_raw"])
+    a_act = ad.neg_celu(w["a_raw"])
     return OperatorBundle(a_act, delta, b_cont, decoder, mu, sd)
 
 
-def coupling_var(pv):
+def coupling(w):
     """(m, dz, dz) coupling tensors G_j = L_j R_j^T, or None for linear."""
-    if "cpl_l" not in pv:
+    if "cpl_l" not in w:
         return None
-    return ad.matmul(pv["cpl_l"], ad.transpose(pv["cpl_r"], (0, 2, 1)))
-
-
-def coupling_matrices(params):
-    if params.hyper.kind != "bilinear":
-        return None
-    L, R = params.arrays["cpl_l"], params.arrays["cpl_r"]
-    return L @ np.swapaxes(R, 1, 2)
+    return ad.matmul(w["cpl_l"], ad.transpose(w["cpl_r"], (0, 2, 1)))
 
 
 def g_norm(params):
     """Aggregate coupling Frobenius norm sqrt(sum_j ||G_j||_F^2)."""
-    G = coupling_matrices(params)
+    G = coupling(params.arrays)
     if G is None:
         return 0.0
     return float(np.sqrt(np.sum(G**2)))
 
 
+def held_step(bundle):
+    """(e_d, B_phi): the diagonal hold step exp(a .* delta) and the held
+    input map phi1(a, delta) .* Bcont, for a batched or a single bundle."""
+    e_d = ad.exp(bundle.a_act * bundle.delta)
+    b_phi = ad.phi1(bundle.a_act, bundle.delta)
+    return e_d, ad.reshape(b_phi, b_phi.shape + (1,)) * bundle.b_cont
+
+
 def _coupling_factor(G, u_n, dz, period):
-    """exp(P(u) T) as a tape Var; u_n is a (B, m) constant ndarray."""
-    tape = G.tape
+    """exp(P(u) T) as a tape Var; u_n is a (B, m) ndarray."""
     m = u_n.shape[1]
     P = ad.reshape(
-        ad.matmul(tape.constant(u_n * period), ad.reshape(G, (m, dz * dz))),
+        ad.matmul(u_n * period, ad.reshape(G, (m, dz * dz))),
         (u_n.shape[0], dz, dz),
     )
     return ad.expm(P)
 
 
-def rollout_training(pv, params, bundle, G, z0, u_pred_n):
+def rollout_training(params, bundle, G, z0, u_pred_n):
     """T-step rollout under the frozen bundle.
 
     Returns (decoded list of (B, n) Vars, per-step A_disc Vars or None).
     """
     h = params.hyper
-    tape = pv.tape
     B, T, _ = u_pred_n.shape
     dz = h.latent_dim
-    e_d = ad.exp(bundle.a_act * bundle.delta)  # (B, dz)
-    b_phi = ad.phi1(bundle.a_act, bundle.delta)
-    b_diag = ad.reshape(b_phi, (B, dz, 1)) * bundle.b_cont  # (B, dz, m)
+    e_d, b_diag = held_step(bundle)  # (B, dz), (B, dz, m)
 
     z = z0
     decoded = []
     a_discs = [] if G is not None else None
     for k in range(T):
         u_k = u_pred_n[:, k, :]
-        drift = e_d * z + ad.matvec(b_diag, tape.constant(u_k))
+        drift = e_d * z + ad.matvec(b_diag, u_k)
         if G is None:
             z = drift
         else:
@@ -376,9 +350,9 @@ def rollout_training(pv, params, bundle, G, z0, u_pred_n):
 def loss_forward(params, states_raw, controls_raw, eval_mode=False):
     """Build the training loss on a batch of 60-step windows.
 
-    Returns (tape, param vars, loss Var, mse Var, penalty Var or None).
-    The spectral hinge is only part of the bilinear variant's objective
-    and is disabled in evaluation mode.
+    Returns (tape, parameter leaves keyed by name, loss Var, mse Var,
+    penalty Var or None). The spectral hinge is only part of the bilinear
+    variant's objective and is disabled in evaluation mode.
     """
     h = params.hyper
     H, T = h.lookback, h.horizon
@@ -392,25 +366,24 @@ def loss_forward(params, states_raw, controls_raw, eval_mode=False):
     xn = (states_raw - params.state_mean) / params.state_std
 
     tape = ad.Tape()
-    pv = ParamVars(tape, params)
+    w = {k: tape.leaf(a) for k, a in params.arrays.items()}
 
-    z_hist_flat = encode_batch(pv, xn[:, :H, :].reshape(B * H, h.state_dim))
+    z_hist_flat = encode_batch(w, xn[:, :H, :].reshape(B * H, h.state_dim))
     z_hist = ad.reshape(z_hist_flat, (B, H, h.latent_dim))
     u_hist = controls_raw[:, :H, :]
-    bundle = generate_operators(pv, params, z_hist, u_hist)
+    bundle = generate_operators(w, params, z_hist, u_hist)
 
     z0 = z_hist[:, H - 1, :]
     u_pred_raw = controls_raw[:, H - 1 : H + T - 1, :]
     u_pred_n = (u_pred_raw - bundle.control_mean[:, None, :]) / bundle.control_std[
         :, None, :
     ]
-    G = coupling_var(pv)
-    decoded, a_discs = rollout_training(pv, params, bundle, G, z0, u_pred_n)
+    decoded, a_discs = rollout_training(params, bundle, coupling(w), z0, u_pred_n)
 
     targets = xn[:, H:, :]
     total = None
     for k, xhat in enumerate(decoded):
-        err = xhat - tape.constant(targets[:, k, :])
+        err = xhat - targets[:, k, :]
         sq = ad.vsum(err * err, axis=1)
         total = sq if total is None else total + sq
     mse = ad.vmean(total * (1.0 / T))
@@ -426,28 +399,20 @@ def loss_forward(params, states_raw, controls_raw, eval_mode=False):
     else:
         loss = mse
 
-    return tape, pv, loss, mse, penalty
+    return tape, w, loss, mse, penalty
 
 
 def loss_and_grads(params, states_raw, controls_raw):
     """Loss plus gradient arrays keyed by parameter name."""
-    tape, pv, loss, _, _ = loss_forward(params, states_raw, controls_raw)
+    tape, w, loss, _, _ = loss_forward(params, states_raw, controls_raw)
     from .numerics import backward
 
     grads = backward(tape, loss)
-    return float(loss.value), {k: grads[pv[k]] for k in params.arrays}
+    return float(loss.value), {k: grads[w[k]] for k in params.arrays}
 
 
 # ---------------------------------------------------------------------------
 # inference-side (plain ndarray) dynamics
-
-
-def held_step(bundle):
-    """(e_d, B_phi) of a single ndarray bundle: the diagonal hold step
-    exp(a .* delta) and the held input map phi1(a, delta) .* Bcont."""
-    e_d = np.exp(bundle.a_act * bundle.delta)
-    b_diag = dense.phi1(bundle.a_act, bundle.delta)[:, None] * bundle.b_cont
-    return e_d, b_diag
 
 
 def coupling_generators(G, u_seq_n, period):
@@ -490,7 +455,8 @@ def rollout(z0, u_seq_n, bundle, G, period):
 
 
 def bundle_for_history(params, states_raw, controls_raw):
-    """Single-history bundle plus the current latent (ndarrays).
+    """Single-history bundle plus the current latent (ndarrays), from the
+    training forward run on the parameter arrays, with no tape.
 
     ``states_raw``/``controls_raw`` are the last H (state, control)
     pairs in raw units; the current state is the final history state.
@@ -503,16 +469,10 @@ def bundle_for_history(params, states_raw, controls_raw):
             f"{h.state_dim}, got {states_raw.shape}"
         )
     xn = (states_raw - params.state_mean) / params.state_std
-    tape = ad.Tape()
-    pv = ParamVars(tape, params)
-    z_hist = ad.reshape(
-        encode_batch(pv, xn.reshape(h.lookback, h.state_dim)),
-        (1, h.lookback, h.latent_dim),
-    )
+    z_hist = encode_batch(params.arrays, xn)[None]
     u_hist = np.asarray(controls_raw, dtype=float)[None, :, :]
-    bundle = generate_operators(pv, params, z_hist, u_hist).single()
-    z0 = z_hist.value[0, -1, :]
-    return bundle, z0
+    bundle = generate_operators(params.arrays, params, z_hist, u_hist).single()
+    return bundle, z_hist[0, -1, :]
 
 
 # ---------------------------------------------------------------------------

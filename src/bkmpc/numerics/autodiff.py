@@ -4,9 +4,11 @@ The op set is exactly what the latent-dynamics training loss needs:
 broadcasting add, subtract and multiply, a few activations, shape ops
 and reductions, matrix products, the stabilized hold integral, the
 batched matrix exponential, and the eigenvalue-modulus hinge penalty.
-Forward calls record nodes onto a Tape (single writer); ``backward``
-replays adjoints in reverse order and is read-only, so one recorded tape
-can be differentiated from any thread.
+A forward call with a Var operand records one node onto its Tape (single
+writer; plain operands become constants); with plain operands only, it
+returns the plain value and records nothing. ``backward`` replays
+adjoints in reverse order and is read-only, so one recorded tape can be
+differentiated from any thread.
 
 Adjoint conventions worth noting:
 
@@ -66,6 +68,8 @@ class Var:
     indexing."""
 
     __slots__ = ("tape", "idx")
+    # an ndarray operand on the left defers to the Var's reflected operator
+    __array_ufunc__ = None
 
     def __init__(self, tape, idx):
         self.tape = tape
@@ -131,10 +135,24 @@ class Tape:
 
 
 def _tape_of(*xs):
+    """The tape of the first Var operand, or None if every operand is plain."""
     for x in xs:
         if isinstance(x, Var):
             return x.tape
-    raise TypeError("at least one operand must be a Var")
+    return None
+
+
+def _value(x):
+    return x.value if isinstance(x, Var) else np.asarray(x, dtype=float)
+
+
+def _op(op, value, args, ctx=None):
+    """``value`` itself if no operand is a Var; otherwise the Var of a new
+    ``op`` node over ``args``, plain operands recorded as constants."""
+    tape = _tape_of(*args)
+    if tape is None:
+        return value
+    return tape._record(op, tuple(tape._lift(a) for a in args), value, ctx)
 
 
 def _unbroadcast(g, shape):
@@ -151,15 +169,11 @@ def _unbroadcast(g, shape):
 
 
 def _binary(op, fn, a, b, ctx=None):
-    tape = _tape_of(a, b)
-    a = tape._lift(a)
-    b = tape._lift(b)
-    return tape._record(op, (a, b), fn(a.value, b.value), ctx)
+    return _op(op, fn(_value(a), _value(b)), (a, b), ctx)
 
 
 def _unary(op, fn, x, ctx=None):
-    tape = _tape_of(x)
-    return tape._record(op, (x,), fn(x.value), ctx)
+    return _op(op, fn(_value(x)), (x,), ctx)
 
 
 def add(a, b):
@@ -212,57 +226,43 @@ def matvec(a, v):
 
 
 def transpose(x, axes=None):
-    tape = _tape_of(x)
-    nd = x.value.ndim
-    axes = tuple(axes) if axes is not None else tuple(reversed(range(nd)))
-    return tape._record("transpose", (x,), np.transpose(x.value, axes), axes)
+    val = _value(x)
+    axes = tuple(axes) if axes is not None else tuple(reversed(range(val.ndim)))
+    return _op("transpose", np.transpose(val, axes), (x,), axes)
 
 
 def reshape(x, shape):
-    tape = _tape_of(x)
-    return tape._record(
-        "reshape", (x,), np.reshape(x.value, shape), x.value.shape
-    )
+    val = _value(x)
+    return _op("reshape", np.reshape(val, shape), (x,), val.shape)
 
 
 def getitem(x, key):
-    tape = _tape_of(x)
-    val = x.value[key]
-    return tape._record("getitem", (x,), np.asarray(val, dtype=float), (key, x.value.shape))
+    val = _value(x)
+    return _op("getitem", np.asarray(val[key], dtype=float), (x,), (key, val.shape))
 
 
 def concat(parts, axis=0):
-    tape = _tape_of(*parts)
-    parts = [tape._lift(p) for p in parts]
-    sizes = [p.value.shape[axis] for p in parts]
-    val = np.concatenate([p.value for p in parts], axis=axis)
-    return tape._record("concat", tuple(parts), val, (axis, sizes))
+    vals = [_value(p) for p in parts]
+    sizes = [v.shape[axis] for v in vals]
+    return _op("concat", np.concatenate(vals, axis=axis), tuple(parts), (axis, sizes))
 
 
 def vsum(x, axis=None, keepdims=False):
-    tape = _tape_of(x)
-    val = np.sum(x.value, axis=axis, keepdims=keepdims)
-    return tape._record(
-        "sum", (x,), np.asarray(val, dtype=float), (axis, keepdims, x.value.shape)
-    )
+    val = _value(x)
+    out = np.asarray(np.sum(val, axis=axis, keepdims=keepdims), dtype=float)
+    return _op("sum", out, (x,), (axis, keepdims, val.shape))
 
 
 def vmean(x, axis=None, keepdims=False):
-    tape = _tape_of(x)
-    val = np.mean(x.value, axis=axis, keepdims=keepdims)
-    count = x.value.size / max(val.size, 1)
-    return tape._record(
-        "mean",
-        (x,),
-        np.asarray(val, dtype=float),
-        (axis, keepdims, x.value.shape, count),
-    )
+    val = _value(x)
+    out = np.asarray(np.mean(val, axis=axis, keepdims=keepdims), dtype=float)
+    count = val.size / max(out.size, 1)
+    return _op("mean", out, (x,), (axis, keepdims, val.shape, count))
 
 
 def expm(M):
     """Batched matrix exponential as a differentiable primitive."""
-    tape = _tape_of(M)
-    return tape._record("expm", (M,), dense.matrix_exp(M.value), None)
+    return _op("expm", dense.matrix_exp(_value(M)), (M,))
 
 
 def eig_penalty(A, margin):
@@ -275,8 +275,7 @@ def eig_penalty(A, margin):
     eigenvalues give the penalties, and the tape keeps its factors of the
     matrices with an active hinge for the adjoint.
     """
-    tape = _tape_of(A)
-    val = A.value
+    val = _value(A)
     flat = val.reshape((-1,) + val.shape[-2:])
     thresh = 1.0 - margin
     finite = np.isfinite(flat).all(axis=(1, 2))
@@ -294,11 +293,8 @@ def eig_penalty(A, margin):
         active, factors = idx[act], (lam[act], V[act], W[act])
         if lost.size:
             _fallback_penalties(pens, flat, lost, thresh)
-    return tape._record(
-        "eig_penalty",
-        (A,),
-        pens.reshape(val.shape[:-2]),
-        (thresh, active, factors),
+    return _op(
+        "eig_penalty", pens.reshape(val.shape[:-2]), (A,), (thresh, active, factors)
     )
 
 

@@ -31,6 +31,10 @@ _EPS = np.finfo(float).eps
 #: Armijo sufficient-decrease fraction of the first-order prediction
 _ARMIJO = 1e-4
 
+#: absolute stationarity tolerance of ``solved``, and the gradient
+#: evaluations a solve makes before it ends ``max-iter``
+_EPS_ABS, _MAX_ITER = 1e-6, 4000
+
 #: step halvings a search tries before giving up; enough to bring a
 #: Newton step on a block shifted at roundoff level back to unit scale
 _HALVINGS = 64
@@ -112,9 +116,8 @@ def _arc_search(p, x, grad, d):
     return None
 
 
-def solve_box_qp(p, warm=None, eps_abs=1e-6, max_iter=4000):
-    """See module docstring. ``warm`` is a previous QpSolution; at most
-    ``max_iter`` gradient evaluations are made before ``max-iter``."""
+def solve_box_qp(p, warm=None):
+    """See module docstring. ``warm`` is a previous QpSolution."""
     if np.any(p.lb > p.ub):
         nan = np.full(p.n, np.nan)
         return QpSolution(nan, nan, np.nan, 0, "infeasible-box")
@@ -141,10 +144,10 @@ def solve_box_qp(p, warm=None, eps_abs=1e-6, max_iter=4000):
         # matters when the objective is so large that 1e-6 sits below
         # evaluation roundoff
         eval_noise = float(np.max(abs_h @ np.abs(x), initial=0.0)) + g_max
-        if stationarity <= max(eps_abs, 100.0 * p.n * _EPS * eval_noise):
+        if stationarity <= max(_EPS_ABS, 100.0 * p.n * _EPS * eval_noise):
             status = "solved"
             break
-        if it >= max_iter:
+        if it >= _MAX_ITER:
             status = "max-iter"
             break
         d = _newton_direction(p.H, grad, free)

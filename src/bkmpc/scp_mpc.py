@@ -354,6 +354,15 @@ class EpisodeLog:
         results.write_csv(path, head, rows)
 
 
+def check_controller(params, controller):
+    """Raise unless ``controller`` is a controller kind that can drive
+    ``params``: the linear one drives only a coupling-free model."""
+    if controller not in CONTROLLER_KINDS:
+        raise KeyError(f"unknown controller '{controller}'")
+    if controller == "linear" and mdl.g_norm(params) != 0.0:
+        raise ValueError("the linear controller requires a coupling-free model")
+
+
 def run_episode(sim_cfg, params, mpc_cfg, controller="scp5", lead=0,
                 seed=0, episode_index=0):
     """Closed-loop episode under the lead-time commitment protocol.
@@ -362,10 +371,7 @@ def run_episode(sim_cfg, params, mpc_cfg, controller="scp5", lead=0,
     next nominal), the last QP solution (the next warm start) and the
     last applied control (the reference of the first control increment).
     """
-    if controller not in CONTROLLER_KINDS:
-        raise KeyError(f"unknown controller '{controller}'")
-    if controller == "linear" and mdl.g_norm(params) != 0.0:
-        raise ValueError("the linear controller requires a coupling-free model")
+    check_controller(params, controller)
     if lead < 0:
         raise ValueError("lead must be >= 0")
 
@@ -378,7 +384,7 @@ def run_episode(sim_cfg, params, mpc_cfg, controller="scp5", lead=0,
     hist_states = [state.copy() for _ in range(h.lookback)]
     hist_controls = [neutral.copy() for _ in range(h.lookback)]
 
-    coupling = None if controller == "linear" else mdl.coupling_matrices(params)
+    coupling = None if controller == "linear" else mdl.coupling(params.arrays)
     n_scp = mpc_cfg.n_scp if controller == "scp5" else 1
     low, high = sim_cfg.control_low, sim_cfg.control_high
     q = np.asarray(mpc_cfg.q_weights)

@@ -345,3 +345,52 @@ def test_one_step_split_rollout_loss_grad():
         return ad.vsum(err * err)
 
     assert tape_gradcheck(build, [a0, d0, b0, g0], rtol=1e-4) <= 1e-4
+
+
+def _op_calls():
+    """One call of each op in the adjoint table: (fn, operand arrays)."""
+    rng = np.random.default_rng(7)
+    A = rng.standard_normal((2, 3, 3))
+    v = rng.standard_normal((2, 3))
+    return {
+        "add": (ad.add, (A, v[:, None, :])),
+        "sub": (ad.sub, (A, v[:, :, None])),
+        "mul": (ad.mul, (A, v[:, None, :])),
+        "exp": (ad.exp, (v,)),
+        "tanh": (ad.tanh, (v,)),
+        "softplus": (ad.softplus, (v,)),
+        "neg_celu": (ad.neg_celu, (v,)),
+        "phi1": (ad.phi1, (v[0], np.abs(v))),
+        "matmul": (ad.matmul, (A, A)),
+        "matvec": (ad.matvec, (A, v)),
+        "transpose": (lambda x: ad.transpose(x, (0, 2, 1)), (A,)),
+        "reshape": (lambda x: ad.reshape(x, (2, 9)), (A,)),
+        "getitem": (lambda x: x[:, 1:, 0], (A,)),
+        "concat": (lambda *p: ad.concat(list(p), axis=1), (v, v[:, :2])),
+        "sum": (lambda x: ad.vsum(x, axis=1), (A,)),
+        "mean": (lambda x: ad.vmean(x, axis=(1, 2)), (A,)),
+        "expm": (ad.expm, (0.5 * A,)),
+        "eig_penalty": (lambda x: ad.eig_penalty(x, 0.05), (A,)),
+    }
+
+
+def test_plain_operands_give_the_taped_value():
+    calls = _op_calls()
+    assert set(calls) == set(ad._ADJOINTS)
+    for name, (fn, args) in calls.items():
+        plain = fn(*args)
+        tape = Tape()
+        taped = fn(*(tape.leaf(a) for a in args))
+        assert tape._nodes[-1].op == name
+        assert isinstance(plain, np.ndarray), name
+        assert plain.shape == taped.value.shape, name
+        assert plain.tobytes() == taped.value.tobytes(), name
+
+
+def test_plain_operand_next_to_a_var_is_recorded_as_a_constant():
+    tape = Tape()
+    x = tape.leaf(np.arange(3.0))
+    out = np.ones(3) * x  # an ndarray on the left defers to the Var
+    assert isinstance(out, ad.Var)
+    assert [n.op for n in tape._nodes] == ["leaf", "const", "mul"]
+    assert np.array_equal(backward(tape, ad.vsum(out))[x], np.ones(3))

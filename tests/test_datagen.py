@@ -126,7 +126,7 @@ def test_generation_deterministic_and_batch_independent():
     ):
         runs = [
             dg._run_episode_batch(
-                cfg, seed, False, "train", 150, 10_000, max_lanes=cap
+                cfg, seed, False, 150, 10_000, max_lanes=cap
             )
             for cap in (1, 3, 64)
         ]
@@ -172,7 +172,7 @@ def test_cartpole_run_ahead_bounded_by_lane_cap(monkeypatch):
     started = _count_episodes(monkeypatch)
     for cap in (1, 3, 64):
         started.clear()
-        eps = dg._run_episode_batch(cfg, 7, True, "test", 128, 500_000, max_lanes=cap)
+        eps = dg._run_episode_batch(cfg, 7, True, 128, 500_000, max_lanes=cap)
         assert len(eps) <= len(started) <= len(eps) + cap
 
 

@@ -192,6 +192,42 @@ def test_run_mpc_preset_mismatch(workdir, tmp_path, capsys):
         assert not out.exists()
 
 
+def test_closed_loop_rejects_bad_values_before_writing(workdir, tmp_path, capsys):
+    # no episodes, no steps, or no lead or a lead that is not an integer
+    # >= 0, from a flag or from the config file, is a usage error (exit
+    # 1); a coupled checkpoint for the linear controller is refused (exit
+    # 2); neither writes any output
+    bil = str(workdir / "run-bilinear" / "bilinear-best.bkcp")
+    lin = str(workdir / "run-linear" / "linear-best.bkcp")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "run-mpc": {"episode_len": 0}, "lead-sweep": {"lead": "0,-2"},
+    }))
+    mpc = ["run-mpc", "--ckpt", bil, "--controller", "scp1"]
+    sweep = ["lead-sweep", "--linear-ckpt", lin, "--bilinear-ckpt", bil]
+    cases = [
+        (mpc + ["--episode-len", "0"], 1),
+        (mpc + ["--episodes", "0"], 1),
+        (mpc + ["--lead=-1"], 1),
+        (["--config", str(cfg)] + mpc, 1),
+        (sweep + ["--lead=-1"], 1),
+        (sweep + ["--lead="], 1),
+        (sweep + ["--lead=0,x"], 1),
+        (sweep + ["--episodes", "0"], 1),
+        (sweep + ["--episode-len", "0"], 1),
+        (["--config", str(cfg)] + sweep, 1),
+        (["run-mpc", "--ckpt", bil, "--controller", "linear"], 2),
+        (["lead-sweep", "--linear-ckpt", bil, "--bilinear-ckpt", bil], 2),
+    ]
+    for i, (argv, code) in enumerate(cases):
+        out = tmp_path / f"out{i}"
+        rc = main(argv + ["--preset", "cartpole-ti", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == code, (argv, err)
+        assert ("usage error" in err) == (code == 1), err
+        assert not out.exists()
+
+
 def test_lead_sweep_cli(workdir, tmp_path):
     out = tmp_path / "sweep"
     rc = main([

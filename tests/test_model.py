@@ -13,6 +13,9 @@ from bkmpc.numerics import Tape, backward, dense
 from bkmpc.numerics import autodiff as ad
 from helpers import fd_gradient, loss_value, spectral_penalty
 
+FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "bench" / "fixtures"
+FIXTURE_CHECKPOINTS = ("cartpole-ti-bilinear.bkcp", "rscp-ti-bilinear.bkcp")
+
 TOY = dict(
     latent_dim=2, rank=2, conv_kernel=3, hidden=8, lookback=6, horizon=5
 )
@@ -32,9 +35,8 @@ def toy_windows(params, count=3, seed=5):
 
 
 def encode(params, x):
-    """Latent of one state through the tape encoder."""
-    pv = model.ParamVars(Tape(), params)
-    return model.encode_batch(pv, x[None, :]).value[0]
+    """Latent of one state through the encoder."""
+    return model.encode_batch(params.arrays, x[None, :])[0]
 
 
 def random_bundle(dz, m, n, rng, stable=False):
@@ -81,10 +83,10 @@ def test_encode_gradient_matches_fd():
             return float(np.sum(z**2))
 
         tape = Tape()
-        pv = model.ParamVars(tape, p)
-        z = model.encode_batch(pv, x[None, :])
+        w = {k: tape.leaf(a) for k, a in p.arrays.items()}
+        z = model.encode_batch(w, x[None, :])
         out = ad.vsum(z * z)
-        g = backward(tape, out)[pv[name]]
+        g = backward(tape, out)[w[name]]
         g_fd = fd_gradient(f, p.arrays[name])
         denom = max(np.linalg.norm(g_fd), 1e-12)
         assert np.linalg.norm(g - g_fd) / denom <= 1e-4
@@ -117,16 +119,48 @@ def test_timescales_strictly_positive():
     rng = np.random.default_rng(13)
     S = rng.standard_normal((10_000, h.lookback, h.state_dim))
     C = rng.standard_normal((10_000, h.lookback, h.control_dim))
-    from bkmpc.numerics import autodiff as ad
-
-    tape = ad.Tape()
-    pv = model.ParamVars(tape, p)
-    z = ad.reshape(
-        model.encode_batch(pv, S.reshape(-1, h.state_dim)),
-        (10_000, h.lookback, h.latent_dim),
+    z = model.encode_batch(p.arrays, S.reshape(-1, h.state_dim)).reshape(
+        10_000, h.lookback, h.latent_dim
     )
-    bundle = model.generate_operators(pv, p, z, C)
-    assert np.all(bundle.delta.value > 0.0)
+    bundle = model.generate_operators(p.arrays, p, z, C)
+    assert np.all(bundle.delta > 0.0)
+
+
+@pytest.mark.parametrize("ckpt", FIXTURE_CHECKPOINTS)
+def test_bundle_for_history_is_the_tape_forward_bit_for_bit(ckpt):
+    # the closed loop's bundle is the training forward run on the
+    # parameter arrays: equal, bit for bit, to the taped forward's values
+    p = model.load_checkpoint(FIXTURES / ckpt)
+    h = p.hyper
+    rng = np.random.default_rng(17)
+    S = p.state_mean + p.state_std * rng.standard_normal((h.lookback, h.state_dim))
+    C = rng.standard_normal((h.lookback, h.control_dim))
+    bundle, z0 = model.bundle_for_history(p, S, C)
+
+    tape = Tape()
+    w = {k: tape.leaf(a) for k, a in p.arrays.items()}
+    xn = (S - p.state_mean) / p.state_std
+    z_hist = ad.reshape(model.encode_batch(w, xn), (1, h.lookback, h.latent_dim))
+    taped = model.generate_operators(w, p, z_hist, C[None])
+    ref = model.OperatorBundle(*(
+        x.value if isinstance(x, ad.Var) else x for x in vars(taped).values()
+    )).single()
+    for got, want in zip(vars(bundle).values(), vars(ref).values()):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert z0.tobytes() == z_hist.value[0, -1].tobytes()
+
+
+def test_bundle_for_history_builds_no_tape(monkeypatch):
+    def no_tape(self):
+        raise AssertionError("a Tape was constructed")
+
+    monkeypatch.setattr(ad.Tape, "__init__", no_tape)
+    p = toy_params()
+    h = p.hyper
+    bundle, _ = model.bundle_for_history(
+        p, np.ones((h.lookback, h.state_dim)), np.ones((h.lookback, h.control_dim))
+    )
+    assert isinstance(bundle.b_cont, np.ndarray)
 
 
 def test_warmup_history_well_defined():
@@ -484,9 +518,6 @@ def test_checkpoint_roundtrip_bitwise(tmp_path):
     S, C = toy_windows(p)
     assert loss_value(q, S, C) == loss_value(p, S, C)
     assert (tmp_path / "m.bkcp.json").exists()
-
-
-FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "bench" / "fixtures"
 
 
 @pytest.mark.parametrize("preset", ["cartpole-ti", "rscp-ti"])

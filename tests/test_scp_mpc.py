@@ -8,6 +8,7 @@ from bkmpc import results
 from bkmpc import scp_mpc as mpc
 from bkmpc import simulators as sim
 from bkmpc.model import ContractViolation
+from bkmpc.numerics import autodiff as ad
 
 
 def make_bundle(dz, m, n, rng):
@@ -378,6 +379,17 @@ def test_lead_queue_arithmetic_and_frozen_bundle():
         # and the executor re-planned at window boundaries
         boundaries = {sums[i] for i in range(0, log.steps, lead + 1)}
         assert len(boundaries) == expect
+
+
+def test_episode_builds_no_tape(monkeypatch):
+    def no_tape(self):
+        raise AssertionError("a Tape was constructed")
+
+    monkeypatch.setattr(ad.Tape, "__init__", no_tape)
+    for controller in ("scp5", "linear"):
+        kind = "linear" if controller == "linear" else "bilinear"
+        log = run_smoke_episode(kind, controller, lead=1, steps=6)
+        assert log.solves >= 1
 
 
 def test_linear_equals_scp1_with_zero_coupling():

@@ -86,6 +86,28 @@ def test_only_results_formats_floats():
     assert found == []
 
 
+def test_only_loss_forward_constructs_a_tape():
+    # the autodiff ops compute plain values when no operand is on a tape,
+    # so inference and the closed loop run the training forward on the
+    # parameter arrays; only the training loss records one
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        parent = {c: p for p in ast.walk(tree) for c in ast.iter_child_nodes(p)}
+        for node in ast.walk(tree):
+            if not (
+                isinstance(node, ast.Call)
+                and ast.unparse(node.func).split(".")[-1] == "Tape"
+            ):
+                continue
+            owner = node
+            while owner in parent and not isinstance(owner, ast.FunctionDef):
+                owner = parent[owner]
+            name = getattr(owner, "name", "<module>")
+            found.append(f"{path.relative_to(SRC).as_posix()}:{name}")
+    assert found == ["bkmpc/model.py:loss_forward"]
+
+
 def test_bench_wrapped_names_exist(monkeypatch):
     # the traced bench wraps functions at the names their callers look
     # them up by; a deleted or renamed one would otherwise fail only when
