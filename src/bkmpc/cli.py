@@ -31,6 +31,23 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: usage error: {message}\n")
 
 
+def _int_at_least(text, low):
+    value = int(text)
+    if value < low:
+        raise argparse.ArgumentTypeError(f"must be an integer >= {low}, got {text}")
+    return value
+
+
+def positive_int(text):
+    """Option type of a count: an integer >= 1."""
+    return _int_at_least(text, 1)
+
+
+def non_negative_int(text):
+    """Option type of a commitment lead: an integer >= 0."""
+    return _int_at_least(text, 0)
+
+
 def build_parser():
     p = _Parser(prog="bkmpc", description=__doc__)
     p.add_argument("--config", help="JSON file with per-command defaults")
@@ -40,22 +57,22 @@ def build_parser():
     g = sub.add_parser("gen-data", help="generate a windowed dataset")
     g.add_argument("--preset", required=True, choices=sim.PRESET_NAMES)
     g.add_argument("--out", required=True)
-    g.add_argument("--train-windows", type=int, default=39_900)
-    g.add_argument("--test-windows", type=int, default=4_000)
+    g.add_argument("--train-windows", type=positive_int, default=39_900)
+    g.add_argument("--test-windows", type=positive_int, default=4_000)
     g.add_argument("--seed", type=int, default=1)
 
     t = sub.add_parser("train", help="train a model on a dataset")
     t.add_argument("--data", required=True)
     t.add_argument("--model", required=True, choices=("linear", "bilinear"))
     t.add_argument("--out", required=True)
-    t.add_argument("--epochs", type=int, default=401)
+    t.add_argument("--epochs", type=positive_int, default=401)
     t.add_argument("--seed", type=int, default=1)
-    t.add_argument("--batch-size", type=int, default=256)
+    t.add_argument("--batch-size", type=positive_int, default=256)
     t.add_argument("--lr", type=float, default=1e-3)
-    t.add_argument("--latent-dim", type=int)
-    t.add_argument("--hidden", type=int)
+    t.add_argument("--latent-dim", type=positive_int)
+    t.add_argument("--hidden", type=positive_int)
     t.add_argument("--no-log-test", action="store_true")
-    t.add_argument("--log-test-every", type=int, default=10)
+    t.add_argument("--log-test-every", type=positive_int, default=10)
 
     e = sub.add_parser("eval-forecast", help="forecast-MSE table from runs")
     e.add_argument("--data", required=True)
@@ -68,10 +85,10 @@ def build_parser():
     r.add_argument("--preset", required=True, choices=sim.PRESET_NAMES)
     r.add_argument("--controller", required=True,
                    choices=mpc.CONTROLLER_KINDS)
-    r.add_argument("--episodes", type=int, default=10)
-    r.add_argument("--lead", type=int, default=0)
+    r.add_argument("--episodes", type=positive_int, default=10)
+    r.add_argument("--lead", type=non_negative_int, default=0)
     r.add_argument("--seed", type=int, default=1)
-    r.add_argument("--episode-len", type=int, default=1_000)
+    r.add_argument("--episode-len", type=positive_int, default=1_000)
     r.add_argument("--out", required=True)
 
     s = sub.add_parser("lead-sweep", help="commitment-window sweep")
@@ -79,9 +96,9 @@ def build_parser():
     s.add_argument("--linear-ckpt", required=True)
     s.add_argument("--bilinear-ckpt", required=True)
     s.add_argument("--lead", default="0,1,3,5", help="comma list, default %(default)s")
-    s.add_argument("--episodes", type=int, default=10)
+    s.add_argument("--episodes", type=positive_int, default=10)
     s.add_argument("--seed", type=int, default=1)
-    s.add_argument("--episode-len", type=int, default=1_000)
+    s.add_argument("--episode-len", type=positive_int, default=1_000)
     s.add_argument("--out", required=True)
 
     d = sub.add_parser("diagnose", help="coupling norms and disk diagnostics")
@@ -96,52 +113,42 @@ def parse_args(argv=None):
 
     The ``--config`` file's section for the command becomes the command
     parser's defaults; keys that name no option of the command are
-    ignored.
+    ignored. A value for an option with a type goes to argparse as text,
+    so it is checked exactly like the flag.
     """
     parser = build_parser()
     args = parser.parse_args(argv)
+    command_parser = parser.commands.choices[args.command]
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
             section = json.load(fh).get(args.command, {})
-        command_parser = parser.commands.choices[args.command]
+        types = {a.dest: a.type for a in command_parser._actions}
         command_parser.set_defaults(**{
-            k: v for k, v in section.items()
+            k: v if types.get(k) is None else str(v) for k, v in section.items()
             if k in vars(args) and k not in ("command", "config")
         })
         args = parser.parse_args(argv)
-    if args.command in ("run-mpc", "lead-sweep"):
-        _check_closed_loop(parser.commands.choices[args.command], args)
+    if args.command == "lead-sweep":
+        try:
+            leads = _leads(args)
+        except ValueError:
+            leads = []
+        if not leads or min(leads) < 0:
+            command_parser.error(f"--lead must list integers >= 0, got {args.lead!r}")
     return args
 
 
 def _leads(args):
-    """The commitment leads of a closed-loop command."""
-    if args.command == "run-mpc":
-        return [args.lead]
+    """The commitment leads of ``lead-sweep``'s comma list."""
     return [int(v) for v in str(args.lead).split(",") if v != ""]
 
 
-def _check_closed_loop(command_parser, args):
-    """Usage error for no episodes, no steps, or no lead or a lead that is
-    not an integer >= 0, whether the value came from a flag or from the
-    config file."""
-    try:
-        leads = _leads(args)
-    except ValueError:
-        leads = []
-    if args.episodes < 1 or args.episode_len < 1 or not leads or min(leads) < 0:
-        command_parser.error(
-            "--episodes and --episode-len must be >= 1, and --lead must list "
-            f"integers >= 0; got {args.episodes}, {args.episode_len} and {args.lead!r}"
-        )
-
-
-def _echo_config(args, outdir):
+def _echo_config(args, outdir, rev):
     os.makedirs(outdir, exist_ok=True)
     effective = {
         k: v for k, v in vars(args).items() if k != "config" and v is not None
     }
-    effective["git"] = results.git_rev()
+    effective["git"] = rev
     results.write_json(os.path.join(outdir, "effective_config.json"), effective)
 
 
@@ -172,8 +179,7 @@ def cmd_gen_data(args):
         test_windows=args.test_windows,
         seed=args.seed,
     )
-    outdir = os.path.dirname(os.path.abspath(args.out)) or "."
-    os.makedirs(outdir, exist_ok=True)
+    os.makedirs(os.path.dirname(os.path.abspath(args.out)), exist_ok=True)
     dg.write_dataset(ds, args.out)
     print(f"wrote {args.out}: {ds.counts()} windows of preset {ds.preset}")
     return 0
@@ -182,9 +188,9 @@ def cmd_gen_data(args):
 def cmd_train(args):
     ds = dg.read_dataset(args.data)
     overrides = {}
-    if args.latent_dim:
+    if args.latent_dim is not None:
         overrides.update(latent_dim=args.latent_dim, rank=args.latent_dim)
-    if args.hidden:
+    if args.hidden is not None:
         overrides.update(hidden=args.hidden)
     params = mdl.params_for_dataset(ds, args.model, seed=args.seed, **overrides)
     cfg = tr.TrainConfig(
@@ -194,9 +200,9 @@ def cmd_train(args):
         seed=args.seed,
         log_test_every=args.log_test_every,
     )
-    _echo_config(args, args.out)
-    final, best, log = tr.train(ds, params, cfg, log_test=not args.no_log_test)
     rev = results.git_rev()
+    _echo_config(args, args.out, rev)
+    final, best, log = tr.train(ds, params, cfg, log_test=not args.no_log_test)
     for tag, p in (("final", final), ("best", best)):
         meta = {
             "epoch": log.best_epoch if tag == "best" else cfg.epochs - 1,
@@ -250,8 +256,7 @@ def cmd_eval_forecast(args):
                     results.FORECAST_SCHEMA, ds.preset, kind, params.seed,
                     rev, metric, value, te_s.shape[0],
                 ))
-    os.makedirs(args.out, exist_ok=True)
-    _echo_config(args, args.out)
+    _echo_config(args, args.out, rev)
     path = os.path.join(args.out, "forecast.csv")
     results.write_csv(path, results.FORECAST_COLUMNS, rows)
     print(f"wrote {path} ({len(rows)} rows)")
@@ -287,9 +292,8 @@ def cmd_run_mpc(args):
     mpc.check_controller(params, args.controller)
     system = args.preset.split("-")[0]
     mpc_cfg = mpc.mpc_preset(system, episode_len=args.episode_len)
-    os.makedirs(args.out, exist_ok=True)
-    _echo_config(args, args.out)
     rev = results.git_rev()
+    _echo_config(args, args.out, rev)
     logs, rows = _episode_batch(
         args.preset, params, mpc_cfg, args.controller, args.lead,
         args.episodes, args.seed, args.out, rev,
@@ -346,9 +350,8 @@ def cmd_lead_sweep(args):
     system = args.preset.split("-")[0]
     mpc_cfg = mpc.mpc_preset(system, episode_len=args.episode_len)
     cfg_sim = sim.preset(args.preset)
-    os.makedirs(args.out, exist_ok=True)
-    _echo_config(args, args.out)
     rev = results.git_rev()
+    _echo_config(args, args.out, rev)
 
     summary_rows, lead_rows, wall_rows, band_rows = [], [], [], []
     series_by_lead = {d: [] for d in leads}
@@ -427,8 +430,7 @@ def cmd_diagnose(args):
             "gershgorin_straddle_fraction", np.mean(flags) if flags else 0.0,
             os.path.basename(path),
         ))
-    os.makedirs(args.out, exist_ok=True)
-    _echo_config(args, args.out)
+    _echo_config(args, args.out, rev)
     path = os.path.join(args.out, "diagnose.csv")
     results.write_csv(path, results.DIAG_COLUMNS, rows)
     print(f"wrote {path} ({len(rows)} rows)")

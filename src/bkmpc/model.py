@@ -195,8 +195,8 @@ def params_for_dataset(ds, kind, seed=0, **overrides):
 @dataclass
 class OperatorBundle:
     """Per-decision-step generated quantities: tape Vars from the training
-    forward, ndarrays from ``bundle_for_history`` (the only kind
-    ``single`` and ``checksum`` take)."""
+    forward, ndarrays from the forward on the parameter arrays (the only
+    kind ``single`` and ``checksum`` take)."""
 
     a_act: object  # (dz,) activated diagonal, <= 1 elementwise
     delta: object  # (B, dz) positive per-mode timescales
@@ -222,12 +222,6 @@ class OperatorBundle:
         for arr in self._arrays():
             h.update(np.ascontiguousarray(arr).tobytes())
         return h.hexdigest()[:16]
-
-
-@dataclass
-class DiscreteOperators:
-    a_disc: np.ndarray  # (dz, dz)
-    b_disc: np.ndarray  # (dz, m)
 
 
 class ContractViolation(ValueError):
@@ -347,13 +341,22 @@ def rollout_training(params, bundle, G, z0, u_pred_n):
     return decoded, a_discs
 
 
-def loss_forward(params, states_raw, controls_raw, eval_mode=False):
-    """Build the training loss on a batch of 60-step windows.
+def encode_history(w, params, states_raw, controls_raw):
+    """(bundle, current latent) of raw (B, H, .) histories: the states are
+    normalized and encoded, then ``generate_operators`` runs. The one path
+    from raw history to bundle for training, evaluation and control."""
+    h = params.hyper
+    B = states_raw.shape[0]
+    xn = (states_raw - params.state_mean) / params.state_std
+    z_flat = encode_batch(w, xn.reshape(-1, h.state_dim))
+    z_hist = ad.reshape(z_flat, (B, -1, h.latent_dim))
+    return generate_operators(w, params, z_hist, controls_raw), z_hist[:, -1, :]
 
-    Returns (tape, parameter leaves keyed by name, loss Var, mse Var,
-    penalty Var or None). The spectral hinge is only part of the bilinear
-    variant's objective and is disabled in evaluation mode.
-    """
+
+def forecast_mse(w, params, states_raw, controls_raw):
+    """(horizon MSE, per-step A_disc list or None for linear) of a batch of
+    (H + T)-step windows, in normalized space. On ``params.arrays`` it
+    builds no tape and returns ndarrays."""
     h = params.hyper
     H, T = h.lookback, h.horizon
     states_raw = np.asarray(states_raw, dtype=float)
@@ -362,43 +365,36 @@ def loss_forward(params, states_raw, controls_raw, eval_mode=False):
         raise ContractViolation(
             f"windows must be {H + T} steps long, got {states_raw.shape[1]}"
         )
-    B = states_raw.shape[0]
-    xn = (states_raw - params.state_mean) / params.state_std
-
-    tape = ad.Tape()
-    w = {k: tape.leaf(a) for k, a in params.arrays.items()}
-
-    z_hist_flat = encode_batch(w, xn[:, :H, :].reshape(B * H, h.state_dim))
-    z_hist = ad.reshape(z_hist_flat, (B, H, h.latent_dim))
-    u_hist = controls_raw[:, :H, :]
-    bundle = generate_operators(w, params, z_hist, u_hist)
-
-    z0 = z_hist[:, H - 1, :]
-    u_pred_raw = controls_raw[:, H - 1 : H + T - 1, :]
-    u_pred_n = (u_pred_raw - bundle.control_mean[:, None, :]) / bundle.control_std[
-        :, None, :
-    ]
+    bundle, z0 = encode_history(w, params, states_raw[:, :H], controls_raw[:, :H])
+    mu, sd = bundle.control_mean[:, None, :], bundle.control_std[:, None, :]
+    u_pred_n = (controls_raw[:, H - 1 : H + T - 1, :] - mu) / sd
     decoded, a_discs = rollout_training(params, bundle, coupling(w), z0, u_pred_n)
 
-    targets = xn[:, H:, :]
+    targets = (states_raw[:, H:, :] - params.state_mean) / params.state_std
     total = None
     for k, xhat in enumerate(decoded):
         err = xhat - targets[:, k, :]
         sq = ad.vsum(err * err, axis=1)
         total = sq if total is None else total + sq
-    mse = ad.vmean(total * (1.0 / T))
+    return ad.vmean(total * (1.0 / T)), a_discs
 
-    penalty = None
-    if a_discs is not None and not eval_mode and h.stability_weight > 0.0:
+
+def loss_forward(params, states_raw, controls_raw):
+    """Record the training loss: ``forecast_mse`` on tape leaves plus, for
+    the bilinear variant, the spectral hinge. Returns (tape, leaves keyed
+    by name, loss Var, mse Var, penalty Var or None)."""
+    h = params.hyper
+    tape = ad.Tape()
+    w = {k: tape.leaf(a) for k, a in params.arrays.items()}
+    mse, a_discs = forecast_mse(w, params, states_raw, controls_raw)
+    loss, penalty = mse, None
+    if a_discs is not None and h.stability_weight > 0.0:
         pen_total = None
         for a_disc in a_discs:
             p = ad.eig_penalty(a_disc, h.stability_margin)
             pen_total = p if pen_total is None else pen_total + p
-        penalty = ad.vmean(pen_total * (1.0 / T))
+        penalty = ad.vmean(pen_total * (1.0 / h.horizon))
         loss = mse + h.stability_weight * penalty
-    else:
-        loss = mse
-
     return tape, w, loss, mse, penalty
 
 
@@ -422,16 +418,17 @@ def coupling_generators(G, u_seq_n, period):
 
 
 def discretize(bundle, G, u_n, period):
-    """One-step DiscreteOperators for a single (unbatched) bundle.
+    """One-step state matrix A_disc = exp(P(u) T) diag(exp(a .* delta)) of
+    a single (unbatched) bundle.
 
     ``u_n`` is in normalized control units; with no coupling the factor
     is skipped entirely (identically the identity).
     """
-    e_d, b_diag = held_step(bundle)
+    e_d = np.exp(bundle.a_act * bundle.delta)
     if G is None:
-        return DiscreteOperators(np.diag(e_d), b_diag)
+        return np.diag(e_d)
     e_p = dense.matrix_exp(coupling_generators(G, np.atleast_2d(u_n), period))[0]
-    return DiscreteOperators(e_p * e_d[None, :], e_p @ b_diag)
+    return e_p * e_d[None, :]
 
 
 def rollout(z0, u_seq_n, bundle, G, period):
@@ -455,8 +452,9 @@ def rollout(z0, u_seq_n, bundle, G, period):
 
 
 def bundle_for_history(params, states_raw, controls_raw):
-    """Single-history bundle plus the current latent (ndarrays), from the
-    training forward run on the parameter arrays, with no tape.
+    """Single-history bundle plus the current latent (ndarrays):
+    ``encode_history`` on the parameter arrays for a batch of one, with no
+    tape.
 
     ``states_raw``/``controls_raw`` are the last H (state, control)
     pairs in raw units; the current state is the final history state.
@@ -468,11 +466,9 @@ def bundle_for_history(params, states_raw, controls_raw):
             f"history must hold exactly {h.lookback} states of dim "
             f"{h.state_dim}, got {states_raw.shape}"
         )
-    xn = (states_raw - params.state_mean) / params.state_std
-    z_hist = encode_batch(params.arrays, xn)[None]
-    u_hist = np.asarray(controls_raw, dtype=float)[None, :, :]
-    bundle = generate_operators(params.arrays, params, z_hist, u_hist).single()
-    return bundle, z_hist[0, -1, :]
+    controls_raw = np.asarray(controls_raw, dtype=float)
+    bundle, z0 = encode_history(params.arrays, params, states_raw[None], controls_raw[None])
+    return bundle.single(), z0[0]
 
 
 # ---------------------------------------------------------------------------

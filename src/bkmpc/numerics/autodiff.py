@@ -477,12 +477,12 @@ class Grads:
         return g
 
 
-def backward(tape, out, seed=1.0):
+def backward(tape, out):
     """Accumulate d(out)/d(leaf) for every leaf reachable from ``out``.
 
-    ``out`` must hold a scalar; ``seed`` is the adjoint injected at the
-    output. Replays the tape in reverse topological (recording) order, so
-    the result is deterministic for a fixed tape.
+    ``out`` must hold a scalar, whose adjoint is seeded with 1. Replays the
+    tape in reverse topological (recording) order, so the result is
+    deterministic for a fixed tape.
     """
     if not isinstance(out, Var) or out.tape is not tape:
         raise ValueError("output is not a Var recorded on this tape")
@@ -490,7 +490,7 @@ def backward(tape, out, seed=1.0):
         raise ValueError("backward seeds a scalar-valued output")
     nodes = tape._nodes
     table = [None] * len(nodes)
-    table[out.idx] = np.full_like(out.value, float(seed))
+    table[out.idx] = np.ones_like(out.value)
     for i in range(out.idx, -1, -1):
         g = table[i]
         if g is None:

@@ -33,7 +33,7 @@ recovers standard receding-horizon control.
 """
 
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -218,10 +218,9 @@ def condense(cfg, params, bundle, a_t, b_t, z_nom, u_norm, u_prev_raw,
 
 
 def scp_solve(cfg, params, bundle, coupling, z0, nominal_u_norm, u_prev_raw,
-              control_low, control_high, qp_warm=None, n_scp=None):
+              control_low, control_high, qp_warm=None):
     """Trust-region loop; returns (Plan, SolveInfo, final QpSolution)."""
     period = params.hyper.coupling_period
-    n_scp = cfg.n_scp if n_scp is None else n_scp
     u = np.array(nominal_u_norm, dtype=float)
     z_nom = plan_rollout(bundle, coupling, z0, u, period)
     J = plan_cost(cfg, params, bundle, z_nom, u, u_prev_raw)
@@ -229,7 +228,7 @@ def scp_solve(cfg, params, bundle, coupling, z0, nominal_u_norm, u_prev_raw,
 
     trust = cfg.trust_init
     sol = qp_warm
-    for _ in range(n_scp):
+    for _ in range(cfg.n_scp):
         a_t, b_t = linearize(bundle, coupling, u, z_nom, period)
         qp = condense(
             cfg, params, bundle, a_t, b_t, z_nom, u, u_prev_raw,
@@ -385,7 +384,8 @@ def run_episode(sim_cfg, params, mpc_cfg, controller="scp5", lead=0,
     hist_controls = [neutral.copy() for _ in range(h.lookback)]
 
     coupling = None if controller == "linear" else mdl.coupling(params.arrays)
-    n_scp = mpc_cfg.n_scp if controller == "scp5" else 1
+    if controller != "scp5":
+        mpc_cfg = replace(mpc_cfg, n_scp=1)
     low, high = sim_cfg.control_low, sim_cfg.control_high
     q = np.asarray(mpc_cfg.q_weights)
     r = np.asarray(mpc_cfg.r_weights)
@@ -428,7 +428,7 @@ def run_episode(sim_cfg, params, mpc_cfg, controller="scp5", lead=0,
             )
             plan, info, qp_warm = scp_solve(
                 mpc_cfg, params, bundle, coupling, z0, nominal, u_prev,
-                low, high, qp_warm=qp_warm, n_scp=n_scp,
+                low, high, qp_warm=qp_warm,
             )
             wall = time.perf_counter() - t0
             solves += 1
@@ -447,8 +447,8 @@ def run_episode(sim_cfg, params, mpc_cfg, controller="scp5", lead=0,
 
         u_raw = sim.clip_control(sim_cfg, queue.pop(0))
         u_norm = (u_raw - plan.bundle.control_mean) / plan.bundle.control_std
-        ops = mdl.discretize(plan.bundle, coupling, u_norm, h.coupling_period)
-        rho, straddle = stability_diagnostics(ops.a_disc)
+        a_disc = mdl.discretize(plan.bundle, coupling, u_norm, h.coupling_period)
+        rho, straddle = stability_diagnostics(a_disc)
 
         stage = float(np.sum((state - ref) ** 2 * q)) + float(
             np.sum((u_raw - u_prev) ** 2 * r)

@@ -13,9 +13,10 @@ threaded ordered reduction, so identical (dataset, seed, config) produce
 identical logs and parameters.
 
 Evaluation has one loop, :func:`evaluate_forecast`: the pooled decoded-
-prediction MSE of ``model.loss_forward`` in evaluation mode (stability
-hinge disabled). The validation loss is the same quantity scaled by the
-state dimension, i.e. the size-weighted evaluation-mode loss.
+prediction MSE of ``model.forecast_mse`` run on the parameter arrays, so
+it records no tape and has no stability hinge. The validation loss is the
+same quantity scaled by the state dimension. Only the training step
+records a tape.
 
 Each horizon step of the training rollout records its own coupling
 exponential. A prototype that takes one (B*T, dz, dz) exponential ahead
@@ -45,7 +46,7 @@ BETA1, BETA2 = 0.9, 0.999
 ADAM_EPS = 1e-8
 #: test MSE is also logged in each of the last LOG_TEST_FINAL epochs
 LOG_TEST_FINAL = 50
-#: windows per evaluation-mode forward pass
+#: windows per evaluation forward pass
 EVAL_BATCH = 512
 
 
@@ -145,18 +146,16 @@ def evaluate_forecast(params, states, controls):
     sse, count = 0.0, 0
     for start in range(0, states.shape[0], EVAL_BATCH):
         sl = slice(start, start + EVAL_BATCH)
-        _, _, _, mse, _ = mdl.loss_forward(
-            params, states[sl], controls[sl], eval_mode=True
-        )
+        mse, _ = mdl.forecast_mse(params.arrays, params, states[sl], controls[sl])
         b = states[sl].shape[0]
         # mse is the batch mean of (1/T) sum_k ||err_k||^2; rescale to SSE
-        sse += float(mse.value) * b * h.horizon
+        sse += float(mse) * b * h.horizon
         count += b * h.horizon * h.state_dim
     return sse / max(count, 1)
 
 
 def batch_loss(params, states, controls):
-    """Size-weighted mean evaluation-mode loss over a window set."""
+    """Size-weighted mean forecast loss (hinge-free) over a window set."""
     return params.hyper.state_dim * evaluate_forecast(params, states, controls)
 
 

@@ -8,9 +8,10 @@ determinant oracle is a tiny partial-pivot LU, the box-QP oracle
 enumerates every active set, and gradient checks are central finite
 differences over tape leaves. The sequential excitation episode is the
 oracle for the lockstep data-generation runner, and the size-weighted
-evaluation-mode loss over batches is the oracle for training's
-validation loss.
+forecast MSE over batches is the oracle for training's validation loss.
 """
+
+import pathlib
 
 import numpy as np
 
@@ -19,6 +20,10 @@ from bkmpc import model
 from bkmpc import simulators as sim
 from bkmpc.numerics import Tape, backward
 from bkmpc.numerics import autodiff as ad
+
+FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "bench" / "fixtures"
+#: the benchmark's committed bilinear checkpoints
+FIXTURE_CHECKPOINTS = ("cartpole-ti-bilinear.bkcp", "rscp-ti-bilinear.bkcp")
 
 
 def _taylor_sum(M, terms):
@@ -207,18 +212,24 @@ def run_excitation_episode(cfg, rng, mode="train"):
     )
 
 
-def loss_value(params, states_raw, controls_raw, eval_mode=False):
+def loss_value(params, states_raw, controls_raw):
     """Scalar ``model.loss_forward`` loss of a window batch."""
-    _, _, loss, _, _ = model.loss_forward(params, states_raw, controls_raw, eval_mode)
+    _, _, loss, _, _ = model.loss_forward(params, states_raw, controls_raw)
     return float(loss.value)
 
 
+def mse_value(params, states_raw, controls_raw):
+    """Scalar untaped ``model.forecast_mse`` of a window batch."""
+    mse, _ = model.forecast_mse(params.arrays, params, states_raw, controls_raw)
+    return float(mse)
+
+
 def val_loss(params, ds, batch=512):
-    """Size-weighted mean evaluation-mode loss of the val split."""
+    """Size-weighted mean forecast MSE of the val split."""
     states, controls = ds.subset(dg.SPLIT_VAL)
     total = 0.0
     for start in range(0, states.shape[0], batch):
         sl = slice(start, start + batch)
         b = states[sl].shape[0]
-        total += loss_value(params, states[sl], controls[sl], eval_mode=True) * b
+        total += mse_value(params, states[sl], controls[sl]) * b
     return total / max(states.shape[0], 1)

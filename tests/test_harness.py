@@ -192,6 +192,13 @@ def test_run_mpc_preset_mismatch(workdir, tmp_path, capsys):
         assert not out.exists()
 
 
+def _config(tmp_path, command, **section):
+    """``--config`` arguments of a new file holding one command section."""
+    path = tmp_path / f"cfg{len(list(tmp_path.glob('cfg*.json')))}.json"
+    path.write_text(json.dumps({command: section}))
+    return ["--config", str(path)]
+
+
 def test_closed_loop_rejects_bad_values_before_writing(workdir, tmp_path, capsys):
     # no episodes, no steps, or no lead or a lead that is not an integer
     # >= 0, from a flag or from the config file, is a usage error (exit
@@ -199,23 +206,23 @@ def test_closed_loop_rejects_bad_values_before_writing(workdir, tmp_path, capsys
     # 2); neither writes any output
     bil = str(workdir / "run-bilinear" / "bilinear-best.bkcp")
     lin = str(workdir / "run-linear" / "linear-best.bkcp")
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({
-        "run-mpc": {"episode_len": 0}, "lead-sweep": {"lead": "0,-2"},
-    }))
     mpc = ["run-mpc", "--ckpt", bil, "--controller", "scp1"]
     sweep = ["lead-sweep", "--linear-ckpt", lin, "--bilinear-ckpt", bil]
     cases = [
         (mpc + ["--episode-len", "0"], 1),
         (mpc + ["--episodes", "0"], 1),
         (mpc + ["--lead=-1"], 1),
-        (["--config", str(cfg)] + mpc, 1),
+        (_config(tmp_path, "run-mpc", episode_len=0) + mpc, 1),
+        (_config(tmp_path, "run-mpc", lead=1.5) + mpc, 1),
+        (_config(tmp_path, "run-mpc", episodes=1.5) + mpc, 1),
+        (_config(tmp_path, "run-mpc", episode_len=2.5) + mpc, 1),
         (sweep + ["--lead=-1"], 1),
         (sweep + ["--lead="], 1),
         (sweep + ["--lead=0,x"], 1),
         (sweep + ["--episodes", "0"], 1),
         (sweep + ["--episode-len", "0"], 1),
-        (["--config", str(cfg)] + sweep, 1),
+        (_config(tmp_path, "lead-sweep", lead="0,-2") + sweep, 1),
+        (_config(tmp_path, "lead-sweep", episodes=2.5) + sweep, 1),
         (["run-mpc", "--ckpt", bil, "--controller", "linear"], 2),
         (["lead-sweep", "--linear-ckpt", bil, "--bilinear-ckpt", bil], 2),
     ]
@@ -225,6 +232,31 @@ def test_closed_loop_rejects_bad_values_before_writing(workdir, tmp_path, capsys
         err = capsys.readouterr().err
         assert rc == code, (argv, err)
         assert ("usage error" in err) == (code == 1), err
+        assert not out.exists()
+
+
+def test_counts_reject_bad_values_before_writing(workdir, tmp_path, capsys):
+    # a gen-data or train count that is not an integer >= 1, from a flag or
+    # from the config file, is a usage error (exit 1) that writes nothing
+    gen = ["gen-data", "--preset", "cartpole-ti"]
+    train = ["train", "--data", str(workdir / "cp.bkds"), "--model", "linear"]
+    cases = [
+        gen + ["--train-windows", "0"],
+        gen + ["--test-windows", "0"],
+        gen + ["--train-windows=-5"],
+        _config(tmp_path, "gen-data", test_windows=2.5) + gen,
+        train + ["--epochs", "0"],
+        train + ["--batch-size", "0"],
+        train + ["--log-test-every", "0"],
+        train + ["--latent-dim", "0"],
+        train + ["--hidden", "0"],
+        _config(tmp_path, "train", epochs=1.5) + train,
+    ]
+    for i, argv in enumerate(cases):
+        out = tmp_path / f"out{i}"
+        rc = main(argv + ["--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 1 and "usage error" in err, (argv, err)
         assert not out.exists()
 
 

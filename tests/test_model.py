@@ -2,7 +2,6 @@
 
 import hashlib
 import json
-import pathlib
 
 import numpy as np
 import pytest
@@ -11,10 +10,10 @@ from bkmpc import datagen as dg
 from bkmpc import model
 from bkmpc.numerics import Tape, backward, dense
 from bkmpc.numerics import autodiff as ad
-from helpers import fd_gradient, loss_value, spectral_penalty
+from helpers import (
+    FIXTURE_CHECKPOINTS, FIXTURES, fd_gradient, loss_value, mse_value, spectral_penalty,
+)
 
-FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "bench" / "fixtures"
-FIXTURE_CHECKPOINTS = ("cartpole-ti-bilinear.bkcp", "rscp-ti-bilinear.bkcp")
 
 TOY = dict(
     latent_dim=2, rank=2, conv_kernel=3, hidden=8, lookback=6, horizon=5
@@ -194,12 +193,15 @@ def test_history_length_contract():
 def test_discretize_zero_coupling_diagonal():
     rng = np.random.default_rng(3)
     b = random_bundle(4, 2, 3, rng)
-    ops = model.discretize(b, None, np.zeros(2), 1.0)
-    assert np.allclose(ops.a_disc, np.diag(np.exp(b.a_act * b.delta)), atol=0)
+    a_disc = model.discretize(b, None, np.zeros(2), 1.0)
+    assert np.allclose(a_disc, np.diag(np.exp(b.a_act * b.delta)), atol=0)
     G0 = np.zeros((2, 4, 4))
-    ops2 = model.discretize(b, G0, np.array([0.3, -0.8]), 1.0)
-    assert np.array_equal(ops.a_disc, ops2.a_disc)
-    assert np.array_equal(ops.b_disc, ops2.b_disc)
+    u = np.array([0.3, -0.8])
+    assert np.array_equal(a_disc, model.discretize(b, G0, u, 1.0))
+    # the held input map: one step from z0 = 0 gives lat[1] = B_disc u
+    lat, _ = model.rollout(np.zeros(4), u[None], b, None, 1.0)
+    lat0, _ = model.rollout(np.zeros(4), u[None], b, G0, 1.0)
+    assert np.array_equal(lat[1], lat0[1])
 
 
 def test_discretize_scalar_closed_form():
@@ -214,9 +216,11 @@ def test_discretize_scalar_closed_form():
         control_std=np.ones(1),
     )
     G = np.array([[[0.5]]])
-    ops = model.discretize(b, G, np.array([2.0]), 1.0)
-    assert ops.a_disc[0, 0] == pytest.approx(2.45960311, abs=1e-6)
-    assert ops.b_disc[0, 0] == pytest.approx(np.e * 0.0951625820 * bval, rel=1e-8)
+    u = np.array([2.0])
+    assert model.discretize(b, G, u, 1.0)[0, 0] == pytest.approx(2.45960311, abs=1e-6)
+    # one step from z0 = 0: lat[1] = B_disc u
+    lat, _ = model.rollout(np.zeros(1), u[None], b, G, 1.0)
+    assert lat[1, 0] / u[0] == pytest.approx(np.e * 0.0951625820 * bval, rel=1e-8)
 
 
 def test_splitting_error_first_order():
@@ -303,8 +307,8 @@ def test_batched_rollout_matches_stepped_discretize():
     lat, dec = model.rollout(z0, u, b, G, 1.0)
     z = z0
     for k in range(T):
-        ops = model.discretize(b, G, u[k], 1.0)
-        z = ops.a_disc @ z + ops.b_disc @ u[k]
+        held, _ = model.rollout(np.zeros(dz), u[k : k + 1], b, G, 1.0)
+        z = model.discretize(b, G, u[k], 1.0) @ z + held[1]
         assert np.linalg.norm(lat[k + 1] - z) <= 1e-12 * np.linalg.norm(z)
         assert np.allclose(dec[k], b.decoder @ z, rtol=1e-12, atol=0)
 
@@ -319,9 +323,9 @@ def test_one_step_state_jacobian_is_operator_product():
     z2 = rng.standard_normal(3)
     la, _ = model.rollout(z1, u, b, G, 1.0)
     lb, _ = model.rollout(z2, u, b, G, 1.0)
-    ops = model.discretize(b, G, u[0], 1.0)
+    a_disc = model.discretize(b, G, u[0], 1.0)
     lhs = la[1] - lb[1]
-    rhs = ops.a_disc @ (z1 - z2)
+    rhs = a_disc @ (z1 - z2)
     assert np.allclose(lhs, rhs, atol=1e-12)
 
 
@@ -384,8 +388,8 @@ def test_spectral_penalty_inactive_for_stable_bundles():
     rng = np.random.default_rng(41)
     for _ in range(200):
         b = random_bundle(5, 1, 2, rng, stable=True)
-        ops = model.discretize(b, None, np.zeros(1), 1.0)
-        assert spectral_penalty(ops.a_disc, 0.05) == 0.0
+        a_disc = model.discretize(b, None, np.zeros(1), 1.0)
+        assert spectral_penalty(a_disc, 0.05) == 0.0
 
 
 def test_spectral_penalty_monotone_in_modulus():
@@ -419,8 +423,8 @@ def test_loss_perfect_predictions_zero():
 def test_loss_penalty_weight_zero_reduces_to_mse():
     p = toy_params(seed=9)
     S, C = toy_windows(p)
-    tape, pv, loss, mse, _ = model.loss_forward(p, S, C, eval_mode=True)
-    assert loss.value == mse.value
+    _, _, _, mse, _ = model.loss_forward(p, S, C)
+    assert float(mse.value) == mse_value(p, S, C)
     h0 = model.ModelHyper(**{**p.hyper.__dict__, "stability_weight": 0.0})
     p0 = model.ModelParams(
         hyper=h0, arrays=p.arrays, state_mean=p.state_mean,
@@ -468,9 +472,7 @@ def test_linear_twin_identical_loss():
     p = toy_params(seed=21)
     lin = p.linear_twin()
     S, C = toy_windows(p)
-    assert loss_value(p, S, C, eval_mode=True) == loss_value(
-        lin, S, C, eval_mode=True
-    )
+    assert mse_value(p, S, C) == mse_value(lin, S, C)
 
 
 # ---------------------------------------------------------------------------

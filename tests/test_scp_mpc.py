@@ -263,7 +263,7 @@ def test_scp_converges_first_iteration_for_linear_dynamics():
     z0 = rng.standard_normal(3)
     plan, info, _ = mpc.scp_solve(
         cfg, params, b, None, z0, np.zeros((cfg.horizon, 1)), np.zeros(1),
-        np.array([-200.0]), np.array([200.0]), n_scp=4,
+        np.array([-200.0]), np.array([200.0]),
     )
     assert info.accepted[0]
     seq = info.objectives

@@ -7,7 +7,8 @@ from bkmpc import datagen as dg
 from bkmpc import model as mdl
 from bkmpc import training as tr
 from bkmpc import simulators as sim
-from helpers import val_loss
+from bkmpc.numerics import autodiff as ad
+from helpers import FIXTURE_CHECKPOINTS, FIXTURES, val_loss
 
 
 def tiny_dataset(seed=1):
@@ -99,8 +100,8 @@ def test_divergence_snapshot():
 
 
 def test_val_losses_match_size_weighted_eval_loss():
-    # the logged validation loss is the size-weighted evaluation-mode
-    # loss of the val split, on a model with nonzero coupling
+    # the logged validation loss is the size-weighted forecast MSE of the
+    # val split, on a model with nonzero coupling
     ds = tiny_dataset()
     p = tiny_params(ds)
     rng = np.random.default_rng(11)
@@ -112,6 +113,39 @@ def test_val_losses_match_size_weighted_eval_loss():
     for batch in (512, 3):
         want = val_loss(final, ds, batch=batch)
         assert log.val_losses[-1] == pytest.approx(want, rel=1e-14, abs=0.0)
+
+
+def test_evaluation_builds_no_tape(monkeypatch):
+    def no_tape(self):
+        raise AssertionError("a Tape was constructed")
+
+    ds = tiny_dataset()
+    p = tiny_params(ds)
+    monkeypatch.setattr(ad.Tape, "__init__", no_tape)
+    assert np.isfinite(tr.evaluate_forecast(p, *ds.subset(dg.SPLIT_TEST)))
+    assert np.isfinite(tr.batch_loss(p, *ds.subset(dg.SPLIT_VAL)))
+
+
+@pytest.mark.parametrize("ckpt", FIXTURE_CHECKPOINTS)
+def test_evaluate_forecast_is_the_taped_mse_bit_for_bit(ckpt, monkeypatch):
+    # the untaped evaluation pools, batch by batch, exactly the mse the
+    # training loss records; three batches, the last one partial
+    p = mdl.load_checkpoint(FIXTURES / ckpt)
+    h = p.hyper
+    rng = np.random.default_rng(5)
+    count = 40
+    S = p.state_mean + p.state_std * rng.standard_normal(
+        (count, h.lookback + h.horizon, h.state_dim)
+    )
+    C = rng.uniform(-1.0, 1.0, (count, h.lookback + h.horizon, h.control_dim))
+    monkeypatch.setattr(tr, "EVAL_BATCH", 16)
+    sse = 0.0
+    for start in range(0, count, 16):
+        _, _, _, mse, _ = mdl.loss_forward(p, S[start : start + 16], C[start : start + 16])
+        sse += float(mse.value) * S[start : start + 16].shape[0] * h.horizon
+    want = sse / (count * h.horizon * h.state_dim)
+    assert tr.evaluate_forecast(p, S, C) == want
+    assert tr.batch_loss(p, S, C) == h.state_dim * want
 
 
 def test_checkpoint_roundtrip_bitwise_eval(tmp_path):
