@@ -143,11 +143,14 @@ def _leads(args):
     return [int(v) for v in str(args.lead).split(",") if v != ""]
 
 
-def _echo_config(args, outdir, rev):
+def _echo_config(args, outdir, rev, **derived):
+    """Write the run's options, plus ``derived`` settings that no option
+    sets, to ``effective_config.json``."""
     os.makedirs(outdir, exist_ok=True)
     effective = {
         k: v for k, v in vars(args).items() if k != "config" and v is not None
     }
+    effective.update(derived)
     effective["git"] = rev
     results.write_json(os.path.join(outdir, "effective_config.json"), effective)
 
@@ -187,9 +190,12 @@ def cmd_gen_data(args):
 
 def cmd_train(args):
     ds = dg.read_dataset(args.data)
+    empty = [name for name, count in ds.counts().items() if name != "test" and not count]
+    if empty:
+        raise ValueError(f"dataset {args.data} has no {' or '.join(empty)} windows")
     overrides = {}
     if args.latent_dim is not None:
-        overrides.update(latent_dim=args.latent_dim, rank=args.latent_dim)
+        overrides.update(latent_dim=args.latent_dim)
     if args.hidden is not None:
         overrides.update(hidden=args.hidden)
     params = mdl.params_for_dataset(ds, args.model, seed=args.seed, **overrides)
@@ -201,7 +207,9 @@ def cmd_train(args):
         log_test_every=args.log_test_every,
     )
     rev = results.git_rev()
-    _echo_config(args, args.out, rev)
+    # the coupling rank: the preset's, capped at the latent dim
+    derived = {"rank": params.hyper.rank} if args.model == "bilinear" else {}
+    _echo_config(args, args.out, rev, **derived)
     final, best, log = tr.train(ds, params, cfg, log_test=not args.no_log_test)
     for tag, p in (("final", final), ("best", best)):
         meta = {

@@ -15,6 +15,27 @@ model coincides bit-for-bit with the ``linear`` variant, which never
 forms it. The decoded estimate is ``xhat = C z`` in normalized
 observation space.
 
+The coupling is low-rank: L_j and R_j are dz x r. The ``ARCH`` presets
+keep it under 1% of the linear model's parameters, as the paper does:
+rank 1 on rscp (90 of 18,061) and rank 3 on cartpole (48 of 6,032).
+With U = T [u_1 L_1 ... u_m L_m] and V = [R_1 ... R_m], both dz x k for
+k = m r, the generator is P(u) T = U V^T, so
+
+    exp(P(u) T) = I + U phi1(X) V^T,   X = V^T U   (k x k),
+
+where phi1(X) = sum_j X^j / (j+1)! is 2x the top-right block of
+exp([[X, I/2], [0, 0]]) (Higham, Functions of Matrices, SIAM 2008). The
+1/2 keeps a small X free of squarings and the factor 2 exact. The
+training and evaluation forward takes this rank path iff 4k <= dz, i.e.
+the augmented 2k x 2k matrix is at most half the latent width
+(``forward_coupling`` decides it from the factor shapes alone): rscp at
+rank 1 takes it, cartpole's preset and every full-rank model keep the
+dz x dz exponential. On the rank path the forward applies the factor to
+the drift as drift + U (phi1(X) (V^T drift)), and forms
+I + U phi1(X) V^T only for the stability hinge. The closed loop
+(``rollout``, ``discretize``, ``scp_mpc.linearize``) always takes the
+dz x dz path on the ``coupling`` tensors.
+
 Conventions:
 
 * States are z-scored with dataset statistics at the model boundary;
@@ -34,6 +55,7 @@ Conventions:
 import dataclasses
 import json
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -64,17 +86,22 @@ class ModelHyper:
     stability_margin: float = 0.05
 
 
-#: architecture presets keyed by simulator system
+#: architecture presets keyed by simulator system; each rank keeps the
+#: coupling under 1% of the linear model's parameters
 ARCH = {
-    "cartpole": dict(latent_dim=8, rank=8, conv_kernel=15),
-    "rscp": dict(latent_dim=15, rank=15, conv_kernel=5),
+    "cartpole": dict(latent_dim=8, rank=3, conv_kernel=15),
+    "rscp": dict(latent_dim=15, rank=1, conv_kernel=5),
 }
 
 
 def hyper_for(system, kind, **overrides):
+    """The ``ARCH`` preset of ``system`` with ``overrides``; unless the rank
+    is among them, the preset's rank is capped at the latent dim."""
     cfg = dict(ARCH[system])
     n, m = (4, 1) if system == "cartpole" else (9, 3)
     cfg.update(overrides)
+    if "rank" not in overrides:
+        cfg["rank"] = min(cfg["rank"], cfg["latent_dim"])
     return ModelHyper(kind=kind, state_dim=n, control_dim=m, **cfg)
 
 
@@ -282,11 +309,72 @@ def generate_operators(w, params, z_hist, u_hist_raw):
     return OperatorBundle(a_act, delta, b_cont, decoder, mu, sd)
 
 
+class LowRank(NamedTuple):
+    """The coupling on the rank path, P(u) T = U V^T with U = left * s(u)
+    and V^T = right_t (see the module docstring). The fields are tape
+    Vars in the training forward and ndarrays otherwise; the methods work
+    on both."""
+
+    left: object  # (dz, k) [L_1 ... L_m]
+    right_t: object  # (k, dz) [R_1 ... R_m]^T
+    inner: object  # (k, k) V^T [L_1 ... L_m]
+
+    def augmented(self, u_n, period):
+        """(s, [[X, I/2], [0, 0]]) for (N, m) controls: the (N, k) column
+        scales s of U = left * s (T u_j on each of channel j's r columns)
+        and the (N, 2k, 2k) augmented stack, where X = V^T U = inner * s."""
+        N, m = u_n.shape
+        k = self.inner.shape[0]
+        s = period * np.repeat(u_n, k // m, axis=-1)
+        half = np.broadcast_to(0.5 * np.eye(k), (N, k, k))
+        top = ad.concat([self.inner * s[:, None, :], half], axis=2)
+        return s, ad.concat([top, np.zeros((N, k, 2 * k))], axis=1)
+
+    def phi_half(self, u_n, period):
+        """(2 s, phi1(X) / 2) for (N, m) controls, from one batched
+        exponential of the augmented stack. The 2 rides on U's column
+        scales, so every product below carries it exactly."""
+        s, aug = self.augmented(u_n, period)
+        k = s.shape[-1]
+        return 2.0 * s, ad.expm(aug)[:, :k, k:]
+
+    def factor(self, s2, phi_h):
+        """(N, dz, dz) exp(P T) = I + U phi1(X) V^T."""
+        u2 = self.left * s2[:, None, :]
+        return ad.matmul(ad.matmul(u2, phi_h), self.right_t) + np.eye(self.left.shape[0])
+
+    def apply(self, s2, phi_h, drift):
+        """exp(P T) drift = drift + U (phi1(X) (V^T drift)) for (N, dz)
+        drifts, by matrix-vector products."""
+        return drift + ad.matvec(
+            self.left, s2 * ad.matvec(phi_h, ad.matvec(self.right_t, drift))
+        )
+
+
 def coupling(w):
     """(m, dz, dz) coupling tensors G_j = L_j R_j^T, or None for linear."""
     if "cpl_l" not in w:
         return None
     return ad.matmul(w["cpl_l"], ad.transpose(w["cpl_r"], (0, 2, 1)))
+
+
+def forward_coupling(w):
+    """The coupling as the training and evaluation forward applies it, or
+    None for linear.
+
+    The one place the path is chosen, from the factor shapes alone: with
+    k = m r columns in U, the ``LowRank`` factors iff 4k <= dz, otherwise
+    the ``coupling`` tensors of the dz x dz exponential.
+    """
+    if "cpl_l" not in w:
+        return None
+    L, R = w["cpl_l"], w["cpl_r"]
+    m, dz, r = L.shape
+    if 4 * m * r > dz:
+        return coupling(w)
+    left = ad.reshape(ad.transpose(L, (1, 0, 2)), (dz, m * r))
+    right_t = ad.reshape(ad.transpose(R, (0, 2, 1)), (m * r, dz))
+    return LowRank(left, right_t, ad.matmul(right_t, left))
 
 
 def g_norm(params):
@@ -315,10 +403,14 @@ def _coupling_factor(G, u_n, dz, period):
     return ad.expm(P)
 
 
-def rollout_training(params, bundle, G, z0, u_pred_n):
-    """T-step rollout under the frozen bundle.
+def rollout_training(params, bundle, cpl, z0, u_pred_n, a_disc=False):
+    """T-step rollout under the frozen bundle; ``cpl`` is
+    ``forward_coupling(w)``.
 
-    Returns (decoded list of (B, n) Vars, per-step A_disc Vars or None).
+    Returns (decoded list of (B, n) Vars, per-step A_disc Vars, or None
+    for linear or without ``a_disc``). On the rank path each step records
+    one (B, 2k, 2k) exponential and applies the factor to the drift; it
+    forms the (B, dz, dz) factor only for A_disc.
     """
     h = params.hyper
     B, T, _ = u_pred_n.shape
@@ -327,16 +419,22 @@ def rollout_training(params, bundle, G, z0, u_pred_n):
 
     z = z0
     decoded = []
-    a_discs = [] if G is not None else None
+    a_discs = [] if cpl is not None and a_disc else None
     for k in range(T):
         u_k = u_pred_n[:, k, :]
         drift = e_d * z + ad.matvec(b_diag, u_k)
-        if G is None:
+        if cpl is None:
             z = drift
+        elif isinstance(cpl, LowRank):
+            s2, phi_h = cpl.phi_half(u_k, h.coupling_period)
+            z = cpl.apply(s2, phi_h, drift)
+            if a_discs is not None:
+                a_discs.append(cpl.factor(s2, phi_h) * ad.reshape(e_d, (B, 1, dz)))
         else:
-            e_p = _coupling_factor(G, u_k, dz, h.coupling_period)
+            e_p = _coupling_factor(cpl, u_k, dz, h.coupling_period)
             z = ad.matvec(e_p, drift)
-            a_discs.append(e_p * ad.reshape(e_d, (B, 1, dz)))
+            if a_discs is not None:
+                a_discs.append(e_p * ad.reshape(e_d, (B, 1, dz)))
         decoded.append(ad.matvec(bundle.decoder, z))
     return decoded, a_discs
 
@@ -353,10 +451,11 @@ def encode_history(w, params, states_raw, controls_raw):
     return generate_operators(w, params, z_hist, controls_raw), z_hist[:, -1, :]
 
 
-def forecast_mse(w, params, states_raw, controls_raw):
-    """(horizon MSE, per-step A_disc list or None for linear) of a batch of
-    (H + T)-step windows, in normalized space. On ``params.arrays`` it
-    builds no tape and returns ndarrays."""
+def forecast_mse(w, params, states_raw, controls_raw, a_disc=False):
+    """(horizon MSE, per-step A_disc list) of a batch of (H + T)-step
+    windows, in normalized space; the list is None for linear and unless
+    ``a_disc`` asks for it (only the stability hinge needs it). On
+    ``params.arrays`` it builds no tape and returns ndarrays."""
     h = params.hyper
     H, T = h.lookback, h.horizon
     states_raw = np.asarray(states_raw, dtype=float)
@@ -368,7 +467,9 @@ def forecast_mse(w, params, states_raw, controls_raw):
     bundle, z0 = encode_history(w, params, states_raw[:, :H], controls_raw[:, :H])
     mu, sd = bundle.control_mean[:, None, :], bundle.control_std[:, None, :]
     u_pred_n = (controls_raw[:, H - 1 : H + T - 1, :] - mu) / sd
-    decoded, a_discs = rollout_training(params, bundle, coupling(w), z0, u_pred_n)
+    decoded, a_discs = rollout_training(
+        params, bundle, forward_coupling(w), z0, u_pred_n, a_disc=a_disc
+    )
 
     targets = (states_raw[:, H:, :] - params.state_mean) / params.state_std
     total = None
@@ -386,9 +487,11 @@ def loss_forward(params, states_raw, controls_raw):
     h = params.hyper
     tape = ad.Tape()
     w = {k: tape.leaf(a) for k, a in params.arrays.items()}
-    mse, a_discs = forecast_mse(w, params, states_raw, controls_raw)
+    mse, a_discs = forecast_mse(
+        w, params, states_raw, controls_raw, a_disc=h.stability_weight > 0.0
+    )
     loss, penalty = mse, None
-    if a_discs is not None and h.stability_weight > 0.0:
+    if a_discs is not None:
         pen_total = None
         for a_disc in a_discs:
             p = ad.eig_penalty(a_disc, h.stability_margin)

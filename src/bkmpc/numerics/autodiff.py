@@ -23,7 +23,8 @@ Adjoint conventions worth noting:
   forward pass makes one ``eigen_pair`` call on the matrices that pass the
   row-sum prefilter, takes the penalties from its eigenvalues and keeps
   (lambda, V, W) on the tape for the matrices with an active hinge; the
-  adjoint only assembles the gradient from them, with no LAPACK call.
+  adjoint only assembles the gradient from them, with no LAPACK call, and
+  sends nothing back when no active matrix has a nonzero cotangent.
   Conjugate pairs are handled as one group (their contributions are
   conjugate, so the pair contributes twice the real part). Groups whose
   moduli collide within 1e-8, and near-defective eigenvalues
@@ -428,11 +429,13 @@ def _adj_eig_penalty(n, vals, g):
     A = vals[0]
     gflat = np.asarray(g, dtype=float).reshape(-1)
     sel = gflat[active] != 0.0
+    if not sel.any():
+        # no gradient: send none back, rather than zeros through A's inputs
+        return (None,)
     out = np.zeros((gflat.size,) + A.shape[-2:])
-    if sel.any():
-        idx = active[sel]
-        lam, V, W = (f[sel] for f in factors)
-        out[idx] = _eig_penalty_grad(lam, V, W, thresh, gflat[idx])
+    idx = active[sel]
+    lam, V, W = (f[sel] for f in factors)
+    out[idx] = _eig_penalty_grad(lam, V, W, thresh, gflat[idx])
     return (out.reshape(A.shape),)
 
 

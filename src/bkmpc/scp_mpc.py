@@ -18,7 +18,9 @@ from the current history:
    the episode log counts, per solve, the QPs that did not end
    ``solved``;
 4. accept the increment if the true (frozen-bundle) objective does not
-   increase, otherwise halve the trust radius.
+   increase, otherwise halve the trust radius; the plan is then
+   unchanged, so the next iteration re-solves the same QP on the smaller
+   box (``increment_box``) without linearizing again.
 
 The plan is optimized in normalized control units (the bundle's instance
 statistics); denormalized controls are clipped to the simulator's action
@@ -174,6 +176,22 @@ def plan_cost(cfg, params, bundle, z_nom, u_norm, u_prev_raw):
     return float(w @ res**2)
 
 
+def increment_box(bundle, u_norm, control_low, control_high, trust):
+    """(lo, hi) of the increment box: the control bounds minus the nominal
+    plan, in normalized units, intersected with the trust region."""
+    N = u_norm.size
+    lb_n = (control_low - bundle.control_mean) / bundle.control_std
+    ub_n = (control_high - bundle.control_mean) / bundle.control_std
+    lo = np.maximum((lb_n - u_norm).reshape(N), -trust)
+    hi = np.minimum((ub_n - u_norm).reshape(N), trust)
+    if np.any(lo > hi + 1e-12):
+        raise ContractViolation(
+            "empty increment box: nominal plan outside bounds or trust "
+            "region collapsed"
+        )
+    return np.minimum(lo, hi), hi
+
+
 def condense(cfg, params, bundle, a_t, b_t, z_nom, u_norm, u_prev_raw,
              control_low, control_high, trust):
     """Eliminate the linearized dynamics into a dense box QP in du.
@@ -190,17 +208,7 @@ def condense(cfg, params, bundle, a_t, b_t, z_nom, u_norm, u_prev_raw,
     H, m = u_norm.shape
     dz = z_nom.shape[1]
     N = H * m
-
-    lb_n = (control_low - bundle.control_mean) / bundle.control_std
-    ub_n = (control_high - bundle.control_mean) / bundle.control_std
-    lo = np.maximum((lb_n - u_norm).reshape(N), -trust)
-    hi = np.minimum((ub_n - u_norm).reshape(N), trust)
-    if np.any(lo > hi + 1e-12):
-        raise ContractViolation(
-            "empty increment box: nominal plan outside bounds or trust "
-            "region collapsed"
-        )
-    lo = np.minimum(lo, hi)
+    lo, hi = increment_box(bundle, u_norm, control_low, control_high, trust)
 
     # latent responses M_k = d z_k / d du for k = 1..H
     resp = np.empty((H, dz, N))
@@ -228,12 +236,18 @@ def scp_solve(cfg, params, bundle, coupling, z0, nominal_u_norm, u_prev_raw,
 
     trust = cfg.trust_init
     sol = qp_warm
+    qp = None
     for _ in range(cfg.n_scp):
-        a_t, b_t = linearize(bundle, coupling, u, z_nom, period)
-        qp = condense(
-            cfg, params, bundle, a_t, b_t, z_nom, u, u_prev_raw,
-            control_low, control_high, trust,
-        )
+        if qp is None:
+            a_t, b_t = linearize(bundle, coupling, u, z_nom, period)
+            qp = condense(
+                cfg, params, bundle, a_t, b_t, z_nom, u, u_prev_raw,
+                control_low, control_high, trust,
+            )
+        else:
+            # a rejected step left the plan as it was: only the box shrinks
+            lo, hi = increment_box(bundle, u, control_low, control_high, trust)
+            qp = replace(qp, lb=lo, ub=hi)
         sol = solve_box_qp(qp, warm=sol)
         info.qp_iterations += sol.iterations
         info.qp_status.append(sol.status)
@@ -248,6 +262,7 @@ def scp_solve(cfg, params, bundle, coupling, z0, nominal_u_norm, u_prev_raw,
                     f"accepted step {step:.6g} exceeds the trust radius {trust:.6g}"
                 )
             u, z_nom, J = cand, z_cand, J_cand
+            qp = None
             info.accepted.append(True)
             info.objectives.append(J)
         else:

@@ -141,8 +141,11 @@ class TrainLog:
 
 
 def evaluate_forecast(params, states, controls):
-    """Pooled decoded-prediction MSE over the horizon, normalized space."""
+    """Pooled decoded-prediction MSE over the horizon, normalized space.
+    An empty window set has no MSE and raises ValueError."""
     h = params.hyper
+    if not states.shape[0]:
+        raise ValueError("evaluate_forecast needs at least one window")
     sse, count = 0.0, 0
     for start in range(0, states.shape[0], EVAL_BATCH):
         sl = slice(start, start + EVAL_BATCH)
@@ -151,7 +154,7 @@ def evaluate_forecast(params, states, controls):
         # mse is the batch mean of (1/T) sum_k ||err_k||^2; rescale to SSE
         sse += float(mse) * b * h.horizon
         count += b * h.horizon * h.state_dim
-    return sse / max(count, 1)
+    return sse / count
 
 
 def batch_loss(params, states, controls):

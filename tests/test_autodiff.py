@@ -100,6 +100,42 @@ def test_expm_batched_adjoint():
     assert tape_gradcheck(build, [M], rtol=1e-4) <= 1e-4
 
 
+def test_low_rank_coupling_factor_adjoint_matches_fd():
+    # the rscp preset's shapes (dz = 15, m = 3, rank 1): the factor through
+    # the (B, 6, 6) augmented exponential, applied to a drift and formed
+    # in full, with controls whose augmented matrices need squarings
+    from bkmpc import model
+
+    L = 0.5 * RNG.standard_normal((3, 15, 1))
+    R = 0.5 * RNG.standard_normal((3, 15, 1))
+    u = np.array([[0.3, -0.2, 0.1], [4.0, -3.0, 2.5]])
+    drift = RNG.standard_normal((2, 15))
+    W = RNG.standard_normal((2, 15, 15))
+
+    def build(t, ls):
+        cpl = model.forward_coupling({"cpl_l": ls[0], "cpl_r": ls[1]})
+        assert isinstance(cpl, model.LowRank)
+        s2, phi_h = cpl.phi_half(u, 1.0)
+        moved = ad.vsum(ad.tanh(cpl.apply(s2, phi_h, t.constant(drift))))
+        return moved + ad.vsum(cpl.factor(s2, phi_h) * t.constant(W))
+
+    assert tape_gradcheck(build, [L, R], rtol=1e-4) <= 1e-4
+
+
+def test_inactive_hinge_sends_no_cotangent(monkeypatch):
+    # no active matrix: the hinge sends nothing back, so the exponential
+    # feeding it runs no adjoint and its input's gradient is zero
+    def no_adjoint(*args):
+        raise AssertionError("the expm adjoint ran")
+
+    monkeypatch.setattr(ad.dense, "matrix_exp_frechet", no_adjoint)
+    tape = Tape()
+    m = tape.leaf(np.diag([-1.0, -2.0, -3.0]) + 0.01 * RNG.standard_normal((3, 3)))
+    out = ad.vsum(ad.eig_penalty(ad.expm(m), 0.05))
+    assert out.value == 0.0
+    assert np.all(backward(tape, out)[m] == 0.0)
+
+
 def test_eig_penalty_inactive_zero_grad():
     A = np.diag([0.5, 0.3, -0.2])
     tape = Tape()

@@ -55,6 +55,48 @@ def test_train_outputs_exist(workdir):
         assert (run / "effective_config.json").exists()
 
 
+def test_train_rank_is_the_preset_capped_at_the_latent_dim(workdir, tmp_path):
+    # the rank is the preset's, capped by --latent-dim, and
+    # effective_config.json records it; a linear run has no coupling and
+    # takes any latent dim
+    run = workdir / "run-bilinear"
+    rank = min(mdl.ARCH["cartpole"]["rank"], 3)
+    assert mdl.load_checkpoint(run / "bilinear-final.bkcp").hyper.rank == rank
+    config = json.loads((run / "effective_config.json").read_text())
+    assert config["rank"] == rank and config["latent_dim"] == 3
+    for kind in ("bilinear", "linear"):
+        out = tmp_path / kind
+        rc = main([
+            "train", "--data", str(workdir / "cp.bkds"), "--model", kind,
+            "--epochs", "1", "--hidden", "8", "--latent-dim", "2",
+            "--out", str(out),
+        ])
+        assert rc == 0
+        config = json.loads((out / "effective_config.json").read_text())
+        assert config.get("rank") == (2 if kind == "bilinear" else None)
+    assert mdl.load_checkpoint(tmp_path / "bilinear" / "bilinear-final.bkcp").hyper.rank == 2
+
+
+def test_train_rejects_an_empty_split_before_writing(tmp_path, capsys):
+    # one training window leaves the validation split empty: a run would
+    # have no validation loss, so train refuses the dataset (exit 2) and
+    # writes nothing
+    data = tmp_path / "one.bkds"
+    rc = main([
+        "gen-data", "--preset", "cartpole-ti", "--out", str(data),
+        "--train-windows", "1", "--test-windows", "1", "--seed", "1",
+    ])
+    assert rc == 0
+    assert dg.read_dataset(data).counts()["val"] == 0
+    out = tmp_path / "run"
+    rc = main([
+        "train", "--data", str(data), "--model", "linear", "--epochs", "1",
+        "--out", str(out),
+    ])
+    assert rc == 2 and "no val windows" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_eval_forecast_table(workdir, tmp_path):
     out = tmp_path / "fc"
     rc = main([

@@ -33,6 +33,26 @@ def toy_windows(params, count=3, seed=5):
     return S, C
 
 
+def rscp_rank_one_params(seed, scale):
+    """A small model of the rscp preset's shapes (dz = 15, m = 3, rank 1)
+    with a random coupling of the given scale."""
+    hyper = model.hyper_for(
+        "rscp", "bilinear", hidden=6, lookback=6, horizon=4, conv_kernel=3
+    )
+    p = model.init_params(hyper, np.zeros(9), np.ones(9), np.ones(3), seed=seed)
+    rng = np.random.default_rng(seed)
+    for key in ("cpl_l", "cpl_r"):
+        p.arrays[key] = scale * rng.standard_normal(p.arrays[key].shape)
+    return p
+
+
+def low_rank_pair(dz, m, r, rng, scale):
+    """(rank-path coupling, its (m, dz, dz) tensors) of random factors."""
+    L = scale * rng.standard_normal((m, dz, r))
+    R = scale * rng.standard_normal((m, dz, r))
+    return model.forward_coupling({"cpl_l": L, "cpl_r": R}), L @ np.swapaxes(R, 1, 2)
+
+
 def encode(params, x):
     """Latent of one state through the encoder."""
     return model.encode_batch(params.arrays, x[None, :])[0]
@@ -433,12 +453,12 @@ def test_loss_penalty_weight_zero_reduces_to_mse():
     assert loss_value(p0, S, C) == pytest.approx(float(mse.value), rel=1e-12)
 
 
-def test_loss_gradient_matches_fd_toy():
-    p = toy_params(seed=13)
-    S, C = toy_windows(p, count=2, seed=15)
+def _worst_loss_fd_error(p, S, C, names):
+    """Worst gradient-norm relative error of ``loss_and_grads`` against
+    central differences of the loss, over the named parameters."""
     _, grads = model.loss_and_grads(p, S, C)
     worst = 0.0
-    for name in p.arrays:
+    for name in names:
 
         def f(arr, name=name):
             q = p.copy()
@@ -448,7 +468,27 @@ def test_loss_gradient_matches_fd_toy():
         g_fd = fd_gradient(f, p.arrays[name])
         denom = max(np.linalg.norm(g_fd), np.linalg.norm(grads[name]), 1e-10)
         worst = max(worst, np.linalg.norm(grads[name] - g_fd) / denom)
-    assert worst <= 1e-4
+    return worst
+
+
+def test_loss_gradient_matches_fd_toy():
+    p = toy_params(seed=13)
+    S, C = toy_windows(p, count=2, seed=15)
+    assert _worst_loss_fd_error(p, S, C, p.arrays) <= 1e-4
+
+
+def test_loss_gradient_matches_fd_rank_one_rscp():
+    # the rscp preset's rank-1 coupling takes the rank path; slow modes and
+    # a coupling strong enough that the hinge is active and some augmented
+    # matrices need squarings. The gradients of the coupling factors and of
+    # every parameter that the hold step and hinge touch are checked
+    p = rscp_rank_one_params(seed=61, scale=0.6)
+    p.arrays["a_raw"][:] = -0.01
+    S, C = toy_windows(p, count=2, seed=62)
+    _, _, _, _, penalty = model.loss_forward(p, S, C)
+    assert float(penalty.value) > 0.0
+    names = ("cpl_l", "cpl_r", "a_raw", "delta_b2", "bmat_b2", "enc_b2")
+    assert _worst_loss_fd_error(p, S, C, names) <= 1e-4
 
 
 def test_hinge_active_loss_records_exactly_the_registered_ops():
@@ -503,6 +543,104 @@ def test_g_norm_gauge_invariant():
     p2.arrays["cpl_l"] = p.arrays["cpl_l"] @ q_mat
     p2.arrays["cpl_r"] = p.arrays["cpl_r"] @ q_mat  # (S, S^-T) = (Q, Q)
     assert model.g_norm(p2) == pytest.approx(base, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# low-rank coupling
+
+
+@pytest.mark.parametrize("system", sorted(model.ARCH))
+def test_arch_preset_coupling_under_one_percent(system):
+    # the paper's budget: the coupling adds less than 1% to the linear model
+    sizes = {
+        name: int(np.prod(shape))
+        for name, shape in model._param_spec(model.hyper_for(system, "bilinear"))
+    }
+    cpl = sizes.pop("cpl_l") + sizes.pop("cpl_r")
+    assert cpl < 0.01 * sum(sizes.values())
+
+
+def test_coupling_path_chosen_from_shapes():
+    # the rank path iff 4 m r <= dz: the rscp preset, not rank 2, not the
+    # cartpole preset, not a full-rank model
+    cases = [("rscp", 1, True), ("rscp", 2, False), ("rscp", 15, False),
+             ("cartpole", 2, True), ("cartpole", 3, False), ("cartpole", 8, False)]
+    for system, rank, low in cases:
+        hyper = model.hyper_for(system, "bilinear", rank=rank)
+        n, m = hyper.state_dim, hyper.control_dim
+        p = model.init_params(hyper, np.zeros(n), np.ones(n), np.ones(m))
+        cpl = model.forward_coupling(p.arrays)
+        assert isinstance(cpl, model.LowRank) == low, (system, rank)
+    for name in FIXTURE_CHECKPOINTS:
+        p = model.load_checkpoint(FIXTURES / name)
+        assert not isinstance(model.forward_coupling(p.arrays), model.LowRank), name
+
+
+def rank_path_factor(cpl, u):
+    """(N, dz, dz) I + U phi1(X) V^T of (N, m) controls, period 1."""
+    return cpl.factor(*cpl.phi_half(u, 1.0))
+
+
+def test_rank_path_factor_matches_dense_path():
+    # I + U phi1(V^T U) V^T against the dz x dz exponential, over controls
+    # whose augmented matrices range from no squaring to several; each
+    # member of the stack equals its solo call bit for bit
+    rng = np.random.default_rng(53)
+    cpl, G = low_rank_pair(15, 3, 1, rng, 0.6)
+    assert isinstance(cpl, model.LowRank)
+    u = rng.standard_normal((40, 3)) * np.geomspace(0.05, 6.0, 40)[:, None]
+    _, aug = cpl.augmented(u, 1.0)
+    norms = np.abs(aug).sum(axis=1).max(axis=1)
+    assert norms.min() <= dense._THETA and norms.max() > 8 * dense._THETA
+    fac = rank_path_factor(cpl, u)
+    ref = dense.matrix_exp(model.coupling_generators(G, u, 1.0))
+    rel = np.linalg.norm(fac - ref, axis=(1, 2)) / np.linalg.norm(ref, axis=(1, 2))
+    assert rel.max() <= 1e-13
+    for k in range(u.shape[0]):
+        assert np.array_equal(fac[k], rank_path_factor(cpl, u[k : k + 1])[0])
+
+
+def test_rank_path_zero_coupling_gives_the_identity_exactly():
+    rng = np.random.default_rng(57)
+    cpl, _ = low_rank_pair(15, 3, 1, rng, 0.6)
+    eye = np.broadcast_to(np.eye(15), (4, 15, 15))
+    u = rng.standard_normal((4, 3))
+    drift = rng.standard_normal((4, 15))
+    assert np.array_equal(rank_path_factor(cpl, np.zeros((4, 3))), eye)
+    zero = model.forward_coupling(
+        {"cpl_l": np.zeros((3, 15, 1)), "cpl_r": rng.standard_normal((3, 15, 1))}
+    )
+    assert np.array_equal(rank_path_factor(zero, u), eye)
+    assert np.array_equal(zero.apply(*zero.phi_half(u, 1.0), drift), drift)
+
+
+def test_rank_path_zero_coupling_model_is_the_linear_model():
+    # the rscp preset at its initialization (left factor zero): loss,
+    # evaluation and every shared gradient equal the linear twin's
+    p = rscp_rank_one_params(seed=65, scale=0.0)
+    p.arrays["cpl_r"] = np.random.default_rng(66).standard_normal(p.arrays["cpl_r"].shape)
+    assert isinstance(model.forward_coupling(p.arrays), model.LowRank)
+    lin = p.linear_twin()
+    S, C = toy_windows(p, count=3, seed=67)
+    assert mse_value(p, S, C) == mse_value(lin, S, C)
+    loss, grads = model.loss_and_grads(p, S, C)
+    loss_lin, grads_lin = model.loss_and_grads(lin, S, C)
+    assert loss == loss_lin
+    for name, g in grads_lin.items():
+        assert np.array_equal(grads[name], g), name
+
+
+def test_rank_path_forward_matches_dense_path(monkeypatch):
+    # the forecast MSE and every A_disc of the rank path against the
+    # dz x dz path of the same coupling
+    p = rscp_rank_one_params(seed=69, scale=0.5)
+    S, C = toy_windows(p, count=3, seed=70)
+    mse, a_discs = model.forecast_mse(p.arrays, p, S, C, a_disc=True)
+    monkeypatch.setattr(model, "forward_coupling", model.coupling)
+    mse_ref, refs = model.forecast_mse(p.arrays, p, S, C, a_disc=True)
+    assert abs(mse - mse_ref) <= 1e-13 * mse_ref
+    for a_disc, ref in zip(a_discs, refs, strict=True):
+        assert np.linalg.norm(a_disc - ref) <= 1e-13 * np.linalg.norm(ref)
 
 
 # ---------------------------------------------------------------------------

@@ -337,6 +337,68 @@ def test_plan_invariant_rollout_consistency():
     assert np.array_equal(plan.z_nom, again)
 
 
+def test_rejected_step_reuses_the_linearization(monkeypatch):
+    # a rejected step leaves the plan as it was, so the next iteration
+    # solves the same QP on the halved box: an SCP iteration linearizes
+    # only first in its solve or after an accepted step. Each QP equals
+    # the one a fresh linearization would condense, bit for bit
+    params = tiny_mpc_params("cartpole", seed=7)
+    rng = np.random.default_rng(1)
+    for key in ("cpl_l", "cpl_r"):
+        params.arrays[key] = 0.5 * rng.standard_normal(params.arrays[key].shape)
+    calls, accepted, fresh = [0], [], []
+    real_linearize, real_scp, real_qp = mpc.linearize, mpc.scp_solve, mpc.solve_box_qp
+
+    def linearize(*args):
+        calls[0] += 1
+        return real_linearize(*args)
+
+    def scp_solve(*args, **kw):
+        out = real_scp(*args, **kw)
+        accepted.append(out[1].accepted)
+        return out
+
+    def solve_box_qp(qp, **kw):
+        fresh.append((qp, real_qp(qp, **kw)))
+        return fresh[-1][1]
+
+    monkeypatch.setattr(mpc, "linearize", linearize)
+    monkeypatch.setattr(mpc, "scp_solve", scp_solve)
+    monkeypatch.setattr(mpc, "solve_box_qp", solve_box_qp)
+    mpc.run_episode(
+        sim.preset("cartpole-ti"), params, default_cfg(episode_len=12, n_scp=5),
+        controller="scp5", seed=11,
+    )
+    rejected = sum(a.count(False) for a in accepted)
+    assert rejected > 0
+    assert calls[0] == sum(1 + sum(a[:-1]) for a in accepted)
+    assert calls[0] < sum(map(len, accepted))
+
+    # one solve with rejections: rebuild each of its QPs from scratch
+    cfg = default_cfg(n_scp=5)
+    b = make_bundle(3, 1, 4, rng)
+    cpl = mdl.coupling(params.arrays)
+    z0, low, high = rng.standard_normal(3), np.array([-20.0]), np.array([20.0])
+    fresh.clear()
+    monkeypatch.setattr(mpc, "linearize", real_linearize)
+    _, info, _ = real_scp(
+        cfg, params, b, cpl, z0, np.zeros((cfg.horizon, 1)), np.zeros(1), low, high
+    )
+    assert False in info.accepted[:-1]
+    u = np.zeros((cfg.horizon, 1))
+    trust = cfg.trust_init
+    for (qp, sol), ok in zip(fresh, info.accepted):
+        z_nom = mpc.plan_rollout(b, cpl, z0, u, 1.0)
+        a_t, b_t = real_linearize(b, cpl, u, z_nom, 1.0)
+        ref = mpc.condense(cfg, params, b, a_t, b_t, z_nom, u, np.zeros(1), low, high, trust)
+        for name in ("H", "g", "lb", "ub"):
+            assert np.array_equal(getattr(qp, name), getattr(ref, name)), name
+        if ok:
+            u = u + sol.x.reshape(u.shape)
+        else:
+            trust *= 0.5
+
+
 def test_stability_diagnostics():
     rho, straddle = mpc.stability_diagnostics(np.diag([0.9, 0.5]))
     assert rho == pytest.approx(0.9, abs=1e-12)

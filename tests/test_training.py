@@ -175,6 +175,15 @@ def test_evaluate_forecast_perfect_and_mean_models():
     assert got == pytest.approx(float(np.mean(targets**2)), rel=1e-12)
 
 
+def test_evaluate_forecast_rejects_no_windows():
+    # an empty window set has no MSE; 0.0 would pass for a perfect one
+    ds = tiny_dataset()
+    p = tiny_params(ds)
+    states, controls = ds.subset(dg.SPLIT_VAL)
+    with pytest.raises(ValueError, match="at least one window"):
+        tr.evaluate_forecast(p, states[:0], controls[:0])
+
+
 def test_forecast_permutation_invariant():
     ds = tiny_dataset()
     p = tiny_params(ds)
