@@ -15,20 +15,21 @@ episodes (disjoint streams and episode ids), never from training
 episodes. Normalization statistics are computed from the training subset
 only.
 
-Each split takes the shortest index-ordered prefix of episodes whose
-windows reach the request. A lockstep runner simulates the episodes as
-rows of lane arrays. It admits episode ``i`` only while ``i`` is less
-than the first unfinished episode plus the lane count; the lane count
-starts at 1 and doubles whenever an episode ends short of the request.
-One long RSCP episode therefore runs alone, while short CartPole episodes
-quickly fill all lanes. Admission only decides how much simulation runs
-ahead of the prefix: each episode's draws come from its own stream in a
-fixed order, so the data is a pure function of (seed, request).
+Each split takes the shortest index-ordered prefix of its episodes whose
+windows reach its request. One lockstep runner simulates the episodes of
+both splits as rows of shared lane arrays, each split running at most
+half of one lane cap ahead of its prefix. A split's head episode (its
+first unfinished one) is cut where its windows complete the request, so
+the long RSCP episodes of both splits run side by side, only as far as
+needed. Admission and the cut only decide how much simulation runs: each
+episode draws from its own stream in a fixed order, and the cut drops
+only windows past the request, so data is a pure function of (seed, request).
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import simulators as sim
 from .results import read_container, write_container
@@ -77,16 +78,15 @@ def sample_initial_state(cfg, rng):
     return rng.uniform(center - RSCP_INIT_HALFWIDTH, center + RSCP_INIT_HALFWIDTH)
 
 
-def _episode_windows(cfg, states, controls):
-    """All stride-1 windows of WINDOW_LEN steps, with their start times."""
-    n_steps = controls.shape[0]
-    count = n_steps - WINDOW_LEN + 1
-    if count <= 0:
-        return None
-    ws = np.stack([states[i : i + WINDOW_LEN] for i in range(count)])
-    wc = np.stack([controls[i : i + WINDOW_LEN] for i in range(count)])
-    t0 = np.arange(count) * cfg.dt
-    return ws, wc, t0
+def _episode_windows(cfg, states, controls, episode_id):
+    """All stride-1 windows of WINDOW_LEN steps of an episode with at least
+    WINDOW_LEN controls, as read-only views, with start times and ids."""
+    ws, wc = (
+        np.moveaxis(sliding_window_view(a, WINDOW_LEN, axis=0), -1, 1)
+        for a in (states[:-1], controls)
+    )
+    ids = np.full(len(wc), episode_id, dtype=np.uint32)
+    return ws, wc, np.arange(len(wc)) * cfg.dt, ids
 
 
 @dataclass
@@ -143,84 +143,98 @@ def _grown(a, axis, size):
     return np.pad(a, pad)
 
 
-def _run_episode_batch(cfg, seed, test, want, budget, max_lanes=512):
-    """Lockstep episode runner over lane arrays.
+def _run_episode_batch(cfg, seed, wants, budget, max_lanes=512):
+    """Lockstep episode runner over lane arrays, for both splits at once.
 
-    Returns ``[(states (L+1, n), controls (L, m)), ...]`` for the shortest
-    index-ordered prefix of episodes whose cumulative window count reaches
-    ``want``; list position is the episode index. ``test`` picks both the
-    episodes' random streams and the simulator's termination mode.
+    Returns, for the training pool and then the test split, ``[(states
+    (L+1, n), controls (L, m)), ...]``: the shortest index-ordered prefix of
+    its episodes whose windows reach its entry of ``wants``; list position
+    is the episode index. The last episode ends where the request is met,
+    ``need + WINDOW_LEN - 1`` controls into its sequential roll.
 
-    Running episodes are the rows of the lane arrays ``episode``, ``x``,
-    ``t`` and ``step``. Each also owns a slot of the per-lane buffers: one
-    of ``_CHUNK`` excitation draws, refilled from the episode's own stream
-    whenever ``step % _CHUNK == 0``, and one holding its trajectory so far,
-    which doubles in length as needed. One lockstep step makes one clip,
-    one termination check and one ``step_euler`` call for all lanes.
+    Running episodes are the rows of the lane arrays ``split``, ``episode``,
+    ``x``, ``t`` and ``step``. Each also owns a slot of the per-lane
+    buffers: one of ``_CHUNK`` excitation draws, refilled from the
+    episode's own stream whenever ``step % _CHUNK == 0``, and one holding
+    its trajectory so far, which doubles in length as needed. One lockstep
+    step makes one clip, one termination check (with a last step per row)
+    and one ``step_euler`` call for all lanes.
 
-    Admission: episode ``i`` starts only while ``i < prefix_next + lanes``,
-    where ``prefix_next`` is the first episode not yet finished. ``lanes``
-    starts at 1 and doubles, up to ``max_lanes``, in every step in which
-    an episode ends while the request is still unmet. Admission decides
-    only how much work runs ahead of the prefix, never the result: every
-    episode draws from its own stream in the order the sequential episode
-    does, and the prefix is taken in index order, so the result is a pure
-    function of (seed, want).
+    Admission, per split: episode ``i`` starts only while ``i < head +
+    lanes``, ``head`` being its first unfinished episode. ``lanes`` starts
+    at 1 and doubles, up to half of ``max_lanes`` (at least 1), in every
+    step in which one of the split's episodes ends short of its request.
+    The head episode is cut where its windows complete the request, and a
+    met request ends the split's other lanes; see the module docstring.
     """
-    mode = "test" if test else "train"
     n, m = cfg.state_dim, cfg.control_dim
-    lanes, cap = 1, _CHUNK
-    episode, slot, step = (np.zeros(0, dtype=int) for _ in range(3))
-    x, t = np.zeros((0, n)), np.zeros(0)
-    buf = np.zeros((lanes, _CHUNK, m))
-    traj_x = np.zeros((lanes, cap, n))
-    traj_u = np.zeros((lanes, cap, m))
-    rngs = [None] * lanes
-    free = list(range(lanes))
-    finished = {}
-    prefix_next = prefix_windows = next_episode = 0
-    ended = False
+    horizon = np.array([cfg.train_horizon, cfg.test_horizon])
+    share = max(max_lanes // 2, 1)
+    lanes, head, have, nxt = [1, 1], [0, 0], [0, 0], [0, 0]
+    rows, cap, rngs, free = 0, _CHUNK, [], []
+    finished, ended = ({}, {}), [False, False]
+    split, episode, slot, step = (np.zeros(0, dtype=int) for _ in range(4))
+    x, t, buf = np.zeros((0, n)), np.zeros(0), np.zeros((0, _CHUNK, m))
+    traj_x, traj_u = np.zeros((0, cap, n)), np.zeros((0, cap, m))
 
     while True:
-        while prefix_next in finished and prefix_windows < want:
-            prefix_windows += max(len(finished[prefix_next][1]) - WINDOW_LEN + 1, 0)
-            prefix_next += 1
-        if prefix_windows >= want:
+        for k in (0, 1):
+            while head[k] in finished[k] and have[k] < wants[k]:
+                xs, us = finished[k][head[k]]
+                us = us[: wants[k] - have[k] + WINDOW_LEN - 1]  # ran past its cut
+                finished[k][head[k]] = xs[: len(us) + 1], us
+                have[k] += max(len(us) - WINDOW_LEN + 1, 0)
+                head[k] += 1
+        need = [wants[0] - have[0], wants[1] - have[1]]
+        if max(need) <= 0:
             break
-        if ended and lanes < max_lanes:
-            old, lanes = lanes, min(2 * lanes, max_lanes)
-            buf, traj_x, traj_u = (_grown(a, 0, lanes) for a in (buf, traj_x, traj_u))
-            rngs += [None] * (lanes - old)
-            free += range(old, lanes)
+        lanes = [min(2 * a, share) if e and d > 0 else a
+                 for a, e, d in zip(lanes, ended, need)]
+        if sum(lanes) > rows:  # doubling: the last copy starts from half the rows
+            old, rows = rows, min(max(2 * rows, sum(lanes)), 2 * share)
+            buf, traj_x, traj_u = (_grown(a, 0, rows) for a in (buf, traj_x, traj_u))
+            rngs += [None] * (rows - old)
+            free += range(old, rows)
 
-        new = np.arange(next_episode, min(prefix_next + lanes, budget))
-        if new.size:
+        new = [(k, i) for k in (0, 1) if need[k] > 0
+               for i in range(nxt[k], min(head[k] + lanes[k], budget))]
+        if new:
             new_slot = np.array([free.pop() for _ in new])
-            x_new = np.empty((new.size, n))
-            for j, (i, s) in enumerate(zip(new, new_slot)):
-                rngs[s] = episode_rng(seed, i, test=test)
-                x_new[j] = sample_initial_state(cfg, rngs[s])
+            x_new = np.empty((len(new), n))
+            for j, (k, i) in enumerate(new):
+                rngs[new_slot[j]] = episode_rng(seed, i, test=k == 1)
+                x_new[j] = sample_initial_state(cfg, rngs[new_slot[j]])
+                nxt[k] = i + 1
             traj_x[new_slot, 0] = x_new
-            episode = np.concatenate([episode, new])
-            slot = np.concatenate([slot, new_slot])
-            step = np.concatenate([step, np.zeros(new.size, dtype=int)])
-            x = np.concatenate([x, x_new])
-            t = np.concatenate([t, np.zeros(new.size)])
-            next_episode += new.size
+            zero = np.zeros(len(new), dtype=int)
+            split, episode, slot, step, x, t = map(np.concatenate, zip(
+                (split, episode, slot, step, x, t),
+                (*np.array(new).T, new_slot, zero, x_new, zero),
+            ))
         if not episode.size:
-            raise ProgressError(
-                f"{prefix_windows}/{want} {mode} windows after {next_episode} "
-                "episodes; termination is starving window production"
-            )
+            raise ProgressError("; ".join(
+                f"{have[k]}/{wants[k]} {name} windows after {nxt[k]} episodes"
+                for k, name in enumerate(("train", "test")) if need[k] > 0
+            ) + "; termination is starving window production")
+        if new or any(ended):
+            # each row's last step: the cut for a head episode, 0 once the
+            # split's request is met, else the split's horizon
+            cut = np.array([min(h, d + WINDOW_LEN - 1) if d > 0 else 0
+                            for h, d in zip(horizon, need)])
+            at_cut = (episode == np.array(head)[split]) | (cut[split] == 0)
+            limit = np.where(at_cut, cut[split], horizon[split])
 
-        stop = sim.check_termination_batch(cfg, x, step, mode=mode) != 0
-        ended = bool(stop.any())
-        if ended:
-            for i, s, k in zip(episode[stop], slot[stop], step[stop]):
-                finished[i] = traj_x[s, : k + 1].copy(), traj_u[s, :k].copy()
+        stop = sim.check_termination_batch(cfg, x, step, horizon=limit) != 0
+        ended = [False, False]
+        if stop.any():
+            for k, i, s, j in np.stack([split, episode, slot, step], 1)[stop].tolist():
+                finished[k][i] = traj_x[s, : j + 1].copy(), traj_u[s, :j].copy()
                 free.append(s)
+                ended[k] = True
             keep = ~stop
-            episode, slot, step, x, t = (a[keep] for a in (episode, slot, step, x, t))
+            split, episode, slot, step, x, t, limit = (
+                a[keep] for a in (split, episode, slot, step, x, t, limit)
+            )
             if not episode.size:
                 continue
 
@@ -237,29 +251,21 @@ def _run_episode_batch(cfg, seed, test, want, budget, max_lanes=512):
         traj_u[slot, step] = u
         step = step + 1
 
-    return [finished[i] for i in range(prefix_next)]
+    return [[finished[k][i] for i in range(h)] for k, h in enumerate(head)]
 
 
-def _collect(cfg, seed, target, test, budget):
-    """Generate episodes until ``target`` windows exist; truncate exactly.
-
-    Assembly is ordered by episode index regardless of how the lockstep
-    runner interleaved the work.
-    """
-    episodes = _run_episode_batch(cfg, seed, test, target, budget)
-    offset = _TEST_EPISODE_OFFSET if test else 0
-    parts_s, parts_c, parts_t, parts_e = [], [], [], []
-    for index, (states, controls) in enumerate(episodes):
-        got = _episode_windows(cfg, states, controls)
-        if got is None:
-            continue
-        ws, wc, t0 = got
-        parts_s.append(ws)
-        parts_c.append(wc)
-        parts_t.append(t0)
-        parts_e.append(np.full(ws.shape[0], index + offset, dtype=np.uint32))
-    parts = (parts_s, parts_c, parts_t, parts_e)
-    return tuple(np.concatenate(p)[:target] for p in parts)
+def _collect(cfg, seed, wants, budget):
+    """Both splits' windows as (states, controls, start times, episode
+    ids), the training pool first, each split in episode order whatever
+    the runner's interleaving."""
+    runs = _run_episode_batch(cfg, seed, wants, budget)
+    parts = [
+        _episode_windows(cfg, states, controls, index + offset)
+        for offset, episodes in zip((0, _TEST_EPISODE_OFFSET), runs)
+        for index, (states, controls) in enumerate(episodes)
+        if len(controls) >= WINDOW_LEN
+    ]
+    return (np.concatenate(p) for p in zip(*parts))
 
 
 def generate_dataset(
@@ -270,9 +276,12 @@ def generate_dataset(
     episode_budget=500_000,
 ):
     """Excite, window, split, and normalize; see the module docstring."""
-    name = f"{cfg.system}-{cfg.variant}"
-    tr_s, tr_c, tr_t, tr_e = _collect(cfg, seed, train_pool, False, episode_budget)
-    te_s, te_c, te_t, te_e = _collect(cfg, seed, test_windows, True, episode_budget)
+    for arg, value in (("train_pool", train_pool), ("test_windows", test_windows)):
+        if value < 1:
+            raise ValueError(f"{arg} must be at least 1 window, got {value}")
+    states, controls, start_time, episode_id = _collect(
+        cfg, seed, (train_pool, test_windows), episode_budget
+    )
 
     perm = split_permutation(SPLIT_SEED, train_pool)
     n_train = int(round(0.8 * train_pool))
@@ -282,12 +291,12 @@ def generate_dataset(
     split[train_pool:] = SPLIT_TEST
 
     ds = Dataset(
-        preset=name,
-        states=np.concatenate([tr_s, te_s]),
-        controls=np.concatenate([tr_c, te_c]),
+        preset=f"{cfg.system}-{cfg.variant}",
+        states=states,
+        controls=controls,
         split=split,
-        episode_id=np.concatenate([tr_e, te_e]),
-        start_time=np.concatenate([tr_t, te_t]),
+        episode_id=episode_id,
+        start_time=start_time,
         seed=seed,
         split_seed=SPLIT_SEED,
     )

@@ -286,12 +286,13 @@ TERM_REASONS = (None, "horizon", "nonfinite", "angle", "position",
                 "composition", "temperature")
 
 
-def check_termination_batch(cfg, states, step_indices, mode="train"):
-    """Integer reason code per row (0 = continue), indexing
-    ``TERM_REASONS``."""
+def check_termination_batch(cfg, states, step_indices, mode="train", horizon=None):
+    """Integer reason code per row (0 = continue), indexing ``TERM_REASONS``;
+    ``horizon``, a scalar or one per row, replaces the mode's horizon."""
     states = np.asarray(states, dtype=float)
     steps = np.asarray(step_indices)
-    horizon = cfg.train_horizon if mode == "train" else cfg.test_horizon
+    if horizon is None:
+        horizon = cfg.train_horizon if mode == "train" else cfg.test_horizon
     codes = np.zeros(states.shape[0], dtype=int)
     if cfg.system == "cartpole":
         codes[np.abs(states[:, 0]) > cfg.position_limit] = 4

@@ -112,31 +112,62 @@ def test_normalization_stats_from_train_only():
     assert np.max(np.abs(flat_c.mean(axis=0))) <= 1e-10
 
 
+def _rolls(cfg, seed, test, count):
+    mode = "test" if test else "train"
+    return [
+        run_excitation_episode(cfg, dg.episode_rng(seed, i, test=test), mode)[:2]
+        for i in range(count)
+    ]
+
+
+#: (preset, seed, window requests): rscp-tv gives its two splits different
+#: horizons, and its training split needs two episodes
+RUNNER_CASES = (
+    (sim.preset("cartpole-ti"), 7, (150, 60)),
+    (sim.preset("rscp-tv", train_horizon=150, test_horizon=200), 3, (150, 60)),
+)
+
+
 def test_generation_deterministic_and_batch_independent():
     a = small_dataset(train=150, test=60)
     b = small_dataset(train=150, test=60)
     assert np.array_equal(a.states, b.states)
     assert np.array_equal(a.controls, b.controls)
     assert np.array_equal(a.split, b.split)
-    # the lockstep runner returns the same shortest episode prefix at any
-    # lane cap, and each episode equals its sequential roll bit for bit
-    for cfg, seed in (
-        (sim.preset("cartpole-ti"), 7),
-        (sim.preset("rscp-tv", train_horizon=150), 3),
-    ):
+    # the lockstep runner returns the same shortest episode prefix of each
+    # split at any lane cap; each episode equals its sequential roll bit
+    # for bit, except that the last one stops where the request is met
+    for cfg, seed, wants in RUNNER_CASES:
         runs = [
-            dg._run_episode_batch(
-                cfg, seed, False, 150, 10_000, max_lanes=cap
-            )
+            dg._run_episode_batch(cfg, seed, wants, 10_000, max_lanes=cap)
             for cap in (1, 3, 64)
         ]
-        ref = [
-            run_excitation_episode(cfg, dg.episode_rng(seed, i))[:2]
-            for i in range(len(runs[0]))
-        ]
-        windows = [max(len(c) - dg.WINDOW_LEN + 1, 0) for _, c in ref]
-        assert sum(windows) >= 150 > sum(windows[:-1])
-        for eps in runs:
+        for test, want in enumerate(wants):
+            ref = _rolls(cfg, seed, bool(test), len(runs[0][test]))
+            windows = [max(len(c) - dg.WINDOW_LEN + 1, 0) for _, c in ref]
+            assert sum(windows) >= want > sum(windows[:-1])
+            need = want - sum(windows[:-1])
+            last_x, last_u = ref[-1]
+            ref[-1] = (
+                last_x[: need + dg.WINDOW_LEN],
+                last_u[: need + dg.WINDOW_LEN - 1],
+            )
+            for run in runs:
+                eps = run[test]
+                assert len(eps) == len(ref)
+                for (xs, us), (ys, vs) in zip(eps, ref):
+                    assert np.array_equal(xs, ys)
+                    assert np.array_equal(us, vs)
+
+
+def test_one_runner_returns_each_split_as_run_alone():
+    for cfg, seed, (train, test) in RUNNER_CASES:
+        both = dg._run_episode_batch(cfg, seed, (train, test), 10_000)
+        alone = (
+            dg._run_episode_batch(cfg, seed, (train, 0), 10_000)[0],
+            dg._run_episode_batch(cfg, seed, (0, test), 10_000)[1],
+        )
+        for eps, ref in zip(both, alone):
             assert len(eps) == len(ref)
             for (xs, us), (ys, vs) in zip(eps, ref):
                 assert np.array_equal(xs, ys)
@@ -155,31 +186,115 @@ def _count_episodes(monkeypatch):
     return started
 
 
+def _count_rows(monkeypatch):
+    rows = []
+    step_euler = sim.step_euler
+
+    def stepped(cfg, x, *args):
+        rows.append(x.shape[0])
+        return step_euler(cfg, x, *args)
+
+    monkeypatch.setattr(sim, "step_euler", stepped)
+    return rows
+
+
+#: the benchmark's rscp shapes: one 500-step (300-step) episode covers the
+#: 320 (96) requested windows
+RSCP_BENCH = dict(train_horizon=500, test_horizon=300)
+
+
 def test_rscp_starts_one_episode_per_split(monkeypatch):
-    # one 500-step (300-step) episode covers 320 (96) windows, so the
-    # runner must not start a second one
-    cfg = sim.preset("rscp-ti", train_horizon=500, test_horizon=300)
+    cfg = sim.preset("rscp-ti", **RSCP_BENCH)
     started = _count_episodes(monkeypatch)
-    for test, want in ((False, 320), (True, 96)):
-        started.clear()
-        states, _, _, _ = dg._collect(cfg, 101, want, test, 500_000)
-        assert states.shape[0] == want
-        assert len(started) == 1
+    states, _, _, _ = dg._collect(cfg, 101, (320, 96), 500_000)
+    assert states.shape[0] == 320 + 96
+    assert len(started) == 2
+
+
+def test_rscp_bench_shapes_take_one_lockstep_step_per_needed_step(monkeypatch):
+    # both episodes run side by side, each cut where its request is met:
+    # max(320, 96) + WINDOW_LEN - 1 = 379 steps, each with one termination
+    # check for both splits' rows, and one last check that ends the train
+    # episode
+    cfg = sim.preset("rscp-ti", **RSCP_BENCH)
+    calls = []
+    step_euler, check = sim.step_euler, sim.check_termination_batch
+
+    def stepped(*args, **kwargs):
+        calls.append("step")
+        return step_euler(*args, **kwargs)
+
+    def checked(*args, **kwargs):
+        calls.append("check")
+        return check(*args, **kwargs)
+
+    monkeypatch.setattr(sim, "step_euler", stepped)
+    monkeypatch.setattr(sim, "check_termination_batch", checked)
+    ds = dg.generate_dataset(cfg, train_pool=320, test_windows=96, seed=101)
+    assert ds.states.shape[0] == 320 + 96
+    assert calls.count("step") == 379
+    assert calls == ["check", "step"] * 379 + ["check"]
+
+
+def test_met_request_ends_the_run_ahead_rows_of_its_split(monkeypatch):
+    # a full training episode lasts its 150-step horizon and gives 91
+    # windows. Episode 0 runs alone, 1 and 2 together, then 3-6 together
+    # from step 300: 3 is cut 30 + 59 = 89 steps in, which meets the
+    # request, and 4 (the new head), 5 and 6 end at the next check, after
+    # 90 steps. The test episode is cut at 400 + 59 = 459 steps
+    cfg = sim.preset("rscp-tv", train_horizon=150, test_horizon=1_000)
+    rows = _count_rows(monkeypatch)
+    train, test = dg._run_episode_batch(cfg, 3, (3 * 91 + 30, 400), 10_000)
+    assert [len(c) for _, c in train] == [150, 150, 150, 89]
+    assert [len(c) for _, c in test] == [459]
+    assert len(rows) == 459
+    assert sum(rows) == 3 * 150 + 89 + 3 * 90 + 459
 
 
 def test_cartpole_run_ahead_bounded_by_lane_cap(monkeypatch):
+    # each split runs at most half the cap (at least one lane) ahead of its
+    # prefix, so both together step at most max(cap, 2) rows
     cfg = sim.preset("cartpole-ti")
     started = _count_episodes(monkeypatch)
-    for cap in (1, 3, 64):
+    rows = _count_rows(monkeypatch)
+    slots = []
+    grown = dg._grown
+
+    def growing(a, axis, size):
+        slots.append(size if axis == 0 else a.shape[0])
+        return grown(a, axis, size)
+
+    monkeypatch.setattr(dg, "_grown", growing)
+    for cap in (1, 6, 64):
         started.clear()
-        eps = dg._run_episode_batch(cfg, 7, True, 128, 500_000, max_lanes=cap)
-        assert len(eps) <= len(started) <= len(eps) + cap
+        rows.clear()
+        slots.clear()
+        train, test = dg._run_episode_batch(cfg, 7, (16, 64), 500_000, max_lanes=cap)
+        prefix = len(train) + len(test)
+        assert prefix <= len(started) <= prefix + max(cap, 2)
+        assert max(rows) <= max(slots) <= max(cap, 2)
 
 
 def test_progress_error_when_starved():
     cfg = sim.preset("cartpole-ti", angle_limit=1e-6)  # dies immediately
-    with pytest.raises(dg.ProgressError):
+    with pytest.raises(dg.ProgressError, match="train windows.*test windows"):
         dg.generate_dataset(cfg, train_pool=100, test_windows=10, episode_budget=50)
+
+
+def test_progress_error_names_the_starved_split():
+    # test episodes end before their first window; training ones do not
+    cfg = sim.preset("cartpole-ti", test_horizon=dg.WINDOW_LEN - 2)
+    with pytest.raises(dg.ProgressError, match="^0/10 test windows after 400 episodes;"):
+        dg.generate_dataset(cfg, train_pool=40, test_windows=10, episode_budget=400)
+
+
+@pytest.mark.parametrize("arg", ["train_pool", "test_windows"])
+def test_empty_request_rejected_before_simulating(monkeypatch, arg):
+    started = _count_episodes(monkeypatch)
+    request = {"train_pool": 100, "test_windows": 10, arg: 0}
+    with pytest.raises(ValueError, match=arg):
+        dg.generate_dataset(sim.preset("cartpole-ti"), **request)
+    assert not started
 
 
 def test_roundtrip_and_byte_identical(tmp_path):

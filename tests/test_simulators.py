@@ -198,6 +198,9 @@ def test_termination_rules():
     steps = [10, 10, 20_040, 10, 10]
     assert reasons(cp, states, steps) == ["angle", "position", "horizon", None, "nonfinite"]
     assert reasons(cp, np.zeros((2, 4)), [1_000, 999], mode="test") == ["horizon", None]
+    # a per-row horizon replaces the mode's
+    codes = sim.check_termination_batch(cp, np.zeros((3, 4)), [5, 5, 30_000], horizon=[5, 6, 40_000])
+    assert [sim.TERM_REASONS[c] for c in codes] == ["horizon", None, None]
 
     rs = sim.preset("rscp-ti")
     ok = np.array(rs.x_fixed)
