@@ -25,16 +25,17 @@ k = m r, the generator is P(u) T = U V^T, so
 
 where phi1(X) = sum_j X^j / (j+1)! is 2x the top-right block of
 exp([[X, I/2], [0, 0]]) (Higham, Functions of Matrices, SIAM 2008). The
-1/2 keeps a small X free of squarings and the factor 2 exact. The
-training and evaluation forward takes this rank path iff 4k <= dz, i.e.
-the augmented 2k x 2k matrix is at most half the latent width
+1/2 keeps a small X free of squarings and the factor 2 exact.
+
+``rollout``, the one latent recurrence of training, evaluation and
+control, takes every step's factor from one exponential call. The
+training and evaluation forward takes the rank path iff 4k <= dz
 (``forward_coupling`` decides it from the factor shapes alone): rscp at
 rank 1 takes it, cartpole's preset and every full-rank model keep the
-dz x dz exponential. On the rank path the forward applies the factor to
-the drift as drift + U (phi1(X) (V^T drift)), and forms
-I + U phi1(X) V^T only for the stability hinge. The closed loop
-(``rollout``, ``discretize``, ``scp_mpc.linearize``) always takes the
-dz x dz path on the ``coupling`` tensors.
+dz x dz exponential of ``generator``'s P(u) T. On the rank path a step
+applies the factor as drift + U (phi1(X) (V^T drift)), and forms
+I + U phi1(X) V^T only for the stability hinge. The closed loop passes
+the ``coupling`` tensors, so it always takes the dz x dz path.
 
 Conventions:
 
@@ -313,42 +314,40 @@ class LowRank(NamedTuple):
     """The coupling on the rank path, P(u) T = U V^T with U = left * s(u)
     and V^T = right_t (see the module docstring). The fields are tape
     Vars in the training forward and ndarrays otherwise; the methods work
-    on both."""
+    on both, for controls with any leading axes (...)."""
 
     left: object  # (dz, k) [L_1 ... L_m]
     right_t: object  # (k, dz) [R_1 ... R_m]^T
     inner: object  # (k, k) V^T [L_1 ... L_m]
 
     def augmented(self, u_n, period):
-        """(s, [[X, I/2], [0, 0]]) for (N, m) controls: the (N, k) column
+        """(s, [[X, I/2], [0, 0]]) for (..., m) controls: the (..., k) column
         scales s of U = left * s (T u_j on each of channel j's r columns)
-        and the (N, 2k, 2k) augmented stack, where X = V^T U = inner * s."""
-        N, m = u_n.shape
+        and the (..., 2k, 2k) augmented stack, where X = V^T U = inner * s."""
+        lead, m = u_n.shape[:-1], u_n.shape[-1]
         k = self.inner.shape[0]
         s = period * np.repeat(u_n, k // m, axis=-1)
-        half = np.broadcast_to(0.5 * np.eye(k), (N, k, k))
-        top = ad.concat([self.inner * s[:, None, :], half], axis=2)
-        return s, ad.concat([top, np.zeros((N, k, 2 * k))], axis=1)
+        half = np.broadcast_to(0.5 * np.eye(k), lead + (k, k))
+        top = ad.concat([self.inner * s[..., None, :], half], axis=-1)
+        return s, ad.concat([top, np.zeros(lead + (k, 2 * k))], axis=-2)
 
     def phi_half(self, u_n, period):
-        """(2 s, phi1(X) / 2) for (N, m) controls, from one batched
+        """(2 s, phi1(X) / 2) for (..., m) controls, from one batched
         exponential of the augmented stack. The 2 rides on U's column
         scales, so every product below carries it exactly."""
         s, aug = self.augmented(u_n, period)
         k = s.shape[-1]
-        return 2.0 * s, ad.expm(aug)[:, :k, k:]
+        return 2.0 * s, ad.expm(aug)[..., :k, k:]
 
     def factor(self, s2, phi_h):
-        """(N, dz, dz) exp(P T) = I + U phi1(X) V^T."""
-        u2 = self.left * s2[:, None, :]
+        """(..., dz, dz) exp(P T) = I + U phi1(X) V^T."""
+        u2 = self.left * s2[..., None, :]
         return ad.matmul(ad.matmul(u2, phi_h), self.right_t) + np.eye(self.left.shape[0])
 
     def apply(self, s2, phi_h, drift):
-        """exp(P T) drift = drift + U (phi1(X) (V^T drift)) for (N, dz)
-        drifts, by matrix-vector products."""
-        return drift + ad.matvec(
-            self.left, s2 * ad.matvec(phi_h, ad.matvec(self.right_t, drift))
-        )
+        """exp(P T) drift = drift + U (phi1(X) (V^T drift)) for (..., dz, 1)
+        column drifts, by matrix-vector products."""
+        return drift + self.left @ (s2[..., None] * (phi_h @ (self.right_t @ drift)))
 
 
 def coupling(w):
@@ -393,50 +392,55 @@ def held_step(bundle):
     return e_d, ad.reshape(b_phi, b_phi.shape + (1,)) * bundle.b_cont
 
 
-def _coupling_factor(G, u_n, dz, period):
-    """exp(P(u) T) as a tape Var; u_n is a (B, m) ndarray."""
-    m = u_n.shape[1]
-    P = ad.reshape(
-        ad.matmul(u_n * period, ad.reshape(G, (m, dz * dz))),
-        (u_n.shape[0], dz, dz),
-    )
-    return ad.expm(P)
+def generator(G, u_n, period):
+    """(..., dz, dz) coupling generators P(u) T of (..., m) normalized
+    controls and the (m, dz, dz) tensors G; the one generator product of
+    ``rollout``, ``discretize`` and ``scp_mpc.linearize``."""
+    m, dz = G.shape[0], G.shape[-1]
+    u = np.asarray(u_n, dtype=float)
+    return ad.reshape((u * period) @ ad.reshape(G, (m, dz * dz)), u.shape[:-1] + (dz, dz))
 
 
-def rollout_training(params, bundle, cpl, z0, u_pred_n, a_disc=False):
-    """T-step rollout under the frozen bundle; ``cpl`` is
-    ``forward_coupling(w)``.
+def rollout(z0, u_n, bundle, cpl, period, a_disc=False):
+    """The latent recurrence under a frozen bundle: (latents, A_disc).
 
-    Returns (decoded list of (B, n) Vars, per-step A_disc Vars, or None
-    for linear or without ``a_disc``). On the rank path each step records
-    one (B, 2k, 2k) exponential and applies the factor to the drift; it
-    forms the (B, dz, dz) factor only for A_disc.
+    ``u_n`` holds (B, T, m) normalized controls and ``z0`` the (B, dz)
+    start, or (T, m) and (dz,) for a single bundle; ``cpl`` is
+    ``forward_coupling(w)``, the ``coupling`` tensors or None. It records
+    on tape Vars and computes on arrays. Returns the (T + 1, B, dz)
+    latents, step first, and, if ``a_disc`` asks and the model is coupled,
+    the (T, B, dz, dz) A_disc = exp(P(u_k) T) diag(exp(a .* delta)) of the
+    stability hinge (else None). Every step's coupling factor comes from
+    one exponential call, and B_phi u of every step from one product,
+    before the step loop; each step is then factor_k (e_d * z + B_phi u_k).
     """
-    h = params.hyper
-    B, T, _ = u_pred_n.shape
-    dz = h.latent_dim
-    e_d, b_diag = held_step(bundle)  # (B, dz), (B, dz, m)
-
-    z = z0
-    decoded = []
-    a_discs = [] if cpl is not None and a_disc else None
-    for k in range(T):
-        u_k = u_pred_n[:, k, :]
-        drift = e_d * z + ad.matvec(b_diag, u_k)
-        if cpl is None:
-            z = drift
-        elif isinstance(cpl, LowRank):
-            s2, phi_h = cpl.phi_half(u_k, h.coupling_period)
-            z = cpl.apply(s2, phi_h, drift)
-            if a_discs is not None:
-                a_discs.append(cpl.factor(s2, phi_h) * ad.reshape(e_d, (B, 1, dz)))
+    u_t = np.swapaxes(np.asarray(u_n, dtype=float), 0, -2)  # (T, B, m)
+    e_d, b_phi = held_step(bundle)
+    # the loop runs on (B, dz, 1) columns, so that on arrays each step's
+    # products are numpy's own, with no tape dispatch
+    col = e_d.shape + (1,)
+    e_dc, drive = ad.reshape(e_d, col), b_phi @ u_t[..., None]
+    low = isinstance(cpl, LowRank)
+    if low:
+        s2, phi_h = cpl.phi_half(u_t, period)
+    elif cpl is not None:
+        e_p = ad.expm(generator(cpl, u_t, period))
+    z = ad.reshape(z0, col)
+    lat = [z]
+    for k in range(u_t.shape[0]):
+        drift = e_dc * z + drive[k]
+        if low:
+            z = cpl.apply(s2[k], phi_h[k], drift)
+        elif cpl is not None:
+            z = e_p[k] @ drift
         else:
-            e_p = _coupling_factor(cpl, u_k, dz, h.coupling_period)
-            z = ad.matvec(e_p, drift)
-            if a_discs is not None:
-                a_discs.append(e_p * ad.reshape(e_d, (B, 1, dz)))
-        decoded.append(ad.matvec(bundle.decoder, z))
-    return decoded, a_discs
+            z = drift
+        lat.append(z)
+    lat = ad.reshape(ad.stack(lat), (len(lat),) + e_d.shape)
+    if cpl is None or not a_disc:
+        return lat, None
+    fac = cpl.factor(s2, phi_h) if low else e_p
+    return lat, fac * ad.reshape(e_dc, e_d.shape[:-1] + (1, e_d.shape[-1]))
 
 
 def encode_history(w, params, states_raw, controls_raw):
@@ -452,10 +456,11 @@ def encode_history(w, params, states_raw, controls_raw):
 
 
 def forecast_mse(w, params, states_raw, controls_raw, a_disc=False):
-    """(horizon MSE, per-step A_disc list) of a batch of (H + T)-step
-    windows, in normalized space; the list is None for linear and unless
-    ``a_disc`` asks for it (only the stability hinge needs it). On
-    ``params.arrays`` it builds no tape and returns ndarrays."""
+    """(horizon MSE, A_disc) of a batch of (H + T)-step windows, in
+    normalized space; A_disc is ``rollout``'s (T, B, dz, dz) stack, None
+    for linear and unless ``a_disc`` asks for it (only the stability
+    hinge needs it). On ``params.arrays`` it builds no tape and returns
+    ndarrays."""
     h = params.hyper
     H, T = h.lookback, h.horizon
     states_raw = np.asarray(states_raw, dtype=float)
@@ -467,23 +472,22 @@ def forecast_mse(w, params, states_raw, controls_raw, a_disc=False):
     bundle, z0 = encode_history(w, params, states_raw[:, :H], controls_raw[:, :H])
     mu, sd = bundle.control_mean[:, None, :], bundle.control_std[:, None, :]
     u_pred_n = (controls_raw[:, H - 1 : H + T - 1, :] - mu) / sd
-    decoded, a_discs = rollout_training(
-        params, bundle, forward_coupling(w), z0, u_pred_n, a_disc=a_disc
+    lat, a_discs = rollout(
+        z0, u_pred_n, bundle, forward_coupling(w), h.coupling_period, a_disc=a_disc
     )
-
-    targets = (states_raw[:, H:, :] - params.state_mean) / params.state_std
-    total = None
-    for k, xhat in enumerate(decoded):
-        err = xhat - targets[:, k, :]
-        sq = ad.vsum(err * err, axis=1)
-        total = sq if total is None else total + sq
+    # (T, B, n) errors, step first: the sum over steps adds them in order
+    targets = np.swapaxes(states_raw[:, H:, :], 0, 1)
+    targets = (targets - params.state_mean) / params.state_std
+    err = ad.matvec(bundle.decoder, lat[1:]) - targets
+    total = ad.vsum(ad.vsum(err * err, axis=2), axis=0)
     return ad.vmean(total * (1.0 / T)), a_discs
 
 
 def loss_forward(params, states_raw, controls_raw):
     """Record the training loss: ``forecast_mse`` on tape leaves plus, for
-    the bilinear variant, the spectral hinge. Returns (tape, leaves keyed
-    by name, loss Var, mse Var, penalty Var or None)."""
+    the bilinear variant, the spectral hinge of every A_disc of the
+    rollout, from one ``eig_penalty`` call. Returns (tape, leaves keyed by
+    name, loss Var, mse Var, penalty Var or None)."""
     h = params.hyper
     tape = ad.Tape()
     w = {k: tape.leaf(a) for k, a in params.arrays.items()}
@@ -492,10 +496,8 @@ def loss_forward(params, states_raw, controls_raw):
     )
     loss, penalty = mse, None
     if a_discs is not None:
-        pen_total = None
-        for a_disc in a_discs:
-            p = ad.eig_penalty(a_disc, h.stability_margin)
-            pen_total = p if pen_total is None else pen_total + p
+        # (T, B) hinge sums, step first like the errors
+        pen_total = ad.vsum(ad.eig_penalty(a_discs, h.stability_margin), axis=0)
         penalty = ad.vmean(pen_total * (1.0 / h.horizon))
         loss = mse + h.stability_weight * penalty
     return tape, w, loss, mse, penalty
@@ -511,47 +513,17 @@ def loss_and_grads(params, states_raw, controls_raw):
 
 
 # ---------------------------------------------------------------------------
-# inference-side (plain ndarray) dynamics
-
-
-def coupling_generators(G, u_seq_n, period):
-    """(T, dz, dz) coupling generators P(u_k) T of a (T, m) control
-    sequence in normalized units."""
-    return np.einsum("kj,jab->kab", np.asarray(u_seq_n, dtype=float), G) * period
+# the closed loop's single-bundle helpers (ndarrays)
 
 
 def discretize(bundle, G, u_n, period):
     """One-step state matrix A_disc = exp(P(u) T) diag(exp(a .* delta)) of
-    a single (unbatched) bundle.
-
-    ``u_n`` is in normalized control units; with no coupling the factor
-    is skipped entirely (identically the identity).
-    """
+    a single (unbatched) bundle and (m,) normalized controls; with no
+    coupling the factor is skipped entirely (identically the identity)."""
     e_d = np.exp(bundle.a_act * bundle.delta)
     if G is None:
         return np.diag(e_d)
-    e_p = dense.matrix_exp(coupling_generators(G, np.atleast_2d(u_n), period))[0]
-    return e_p * e_d[None, :]
-
-
-def rollout(z0, u_seq_n, bundle, G, period):
-    """Frozen-bundle rollout; returns (latents (T+1, dz), decoded (T, n)).
-
-    All T coupling factors come from one batched exponential before the
-    latent loop; each matrix is scaled on its own (see ``dense``), so each
-    factor equals that step's exponential computed alone. Each step is
-    then the split form e_p[k] @ (e_d * z + B_phi @ u_k). The decoder
-    is applied to the T new latents in one product after the loop.
-    """
-    u_seq_n = np.asarray(u_seq_n, dtype=float)
-    e_d, b_diag = held_step(bundle)
-    e_p = None if G is None else dense.matrix_exp(coupling_generators(G, u_seq_n, period))
-    lat = np.empty((u_seq_n.shape[0] + 1, e_d.shape[0]))
-    lat[0] = z0
-    for k, u in enumerate(u_seq_n):
-        drift = e_d * lat[k] + b_diag @ u
-        lat[k + 1] = drift if e_p is None else e_p[k] @ drift
-    return lat, lat[1:] @ bundle.decoder.T
+    return dense.matrix_exp(generator(G, u_n, period)) * e_d
 
 
 def bundle_for_history(params, states_raw, controls_raw):

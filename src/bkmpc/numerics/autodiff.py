@@ -234,7 +234,7 @@ def transpose(x, axes=None):
 
 def reshape(x, shape):
     val = _value(x)
-    return _op("reshape", np.reshape(val, shape), (x,), val.shape)
+    return _op("reshape", val.reshape(shape), (x,), val.shape)
 
 
 def getitem(x, key):
@@ -246,6 +246,12 @@ def concat(parts, axis=0):
     vals = [_value(p) for p in parts]
     sizes = [v.shape[axis] for v in vals]
     return _op("concat", np.concatenate(vals, axis=axis), tuple(parts), (axis, sizes))
+
+
+def stack(parts):
+    """Equal-shape parts stacked along a new leading axis."""
+    vals = [p.value if isinstance(p, Var) else p for p in parts]
+    return _op("stack", np.array(vals, dtype=float), tuple(parts))
 
 
 def vsum(x, axis=None, keepdims=False):
@@ -400,13 +406,6 @@ def _adj_mean(n, vals, g):
     return (np.broadcast_to(g, shape) / count,)
 
 
-def _adj_getitem(n, vals, g):
-    key, shape = n.ctx
-    out = np.zeros(shape)
-    out[key] += g
-    return (out,)
-
-
 def _adj_concat(n, vals, g):
     axis, sizes = n.ctx
     offsets = np.cumsum([0] + sizes)
@@ -457,8 +456,9 @@ _ADJOINTS = {
     "matvec": _adj_matvec,
     "transpose": lambda n, vals, g: (np.transpose(g, np.argsort(n.ctx)),),
     "reshape": lambda n, vals, g: (g.reshape(n.ctx),),
-    "getitem": _adj_getitem,
+    "getitem": lambda n, vals, g: (g,),  # added in place by ``backward``
     "concat": _adj_concat,
+    "stack": lambda n, vals, g: tuple(g),
     "sum": _adj_sum,
     "mean": _adj_mean,
     "expm": _adj_expm,
@@ -501,6 +501,8 @@ def backward(tape, out):
         node = nodes[i]
         if node.op in ("leaf", "const"):
             continue
+        # an inner node's cotangent is spent once its adjoint has run
+        table[i] = None
         fn = _ADJOINTS.get(node.op)
         if fn is None:
             raise UnsupportedOpError(f"no adjoint registered for op '{node.op}'")
@@ -508,7 +510,13 @@ def backward(tape, out):
         for j, ag in zip(node.args, fn(node, vals, g)):
             if ag is None or nodes[j].op == "const":
                 continue
-            if table[j] is None:
+            if node.op == "getitem":
+                # in place: a slice of a stack costs the slice, not the stack
+                key, shape = node.ctx
+                if table[j] is None:
+                    table[j] = np.zeros(shape)
+                table[j][key] += ag
+            elif table[j] is None:
                 table[j] = np.array(ag, dtype=float)
             else:
                 table[j] += ag

@@ -11,7 +11,9 @@ of leading batch axes on the matrix arguments. Each matrix of a batch
 gets its own scaling exponent, the smallest s with ||M||_1 / 2**s <=
 theta (Higham 2005), so a result never depends on the other matrices of
 its stack: every matrix of a batched call equals its solo call bit for
-bit.
+bit. So both exponentials can walk a stack in blocks, keeping their
+largest temporary under ``_BLOCK_BYTES`` whatever the stack's size, and
+still return exactly the one-block result: a block is a stack of its own.
 """
 
 import math
@@ -32,6 +34,10 @@ class DomainError(ValueError):
 # tail sum_{k>16} theta^k / k! is below 2**-53 up to 0.82.
 _THETA = 0.78
 
+# byte budget of a kernel's largest temporary: the power stack P of
+# ``_taylor16``, or the derivative stack dP of ``matrix_exp_frechet``
+_BLOCK_BYTES = 1 << 20
+
 # T16(A) = B0 + A4 (B1 + A4 (B2 + A4 (B3 + A4 / 16!))), B_j = sum_{i<4}
 # A^i / (4j + i)!. Row j of _C holds B_j's coefficients on the powers
 # [I, A, A^2, A^3, A^4]; row 3 adds the 1/16! of A^4, so it gives the
@@ -46,7 +52,7 @@ def _as_square(M, name):
     M = np.asarray(M, dtype=float)
     if M.ndim < 2 or M.shape[-1] != M.shape[-2]:
         raise DimensionError(f"{name} must be square, got shape {M.shape}")
-    if not np.all(np.isfinite(M)):
+    if not np.isfinite(M).all():
         raise DomainError(f"{name} contains non-finite entries")
     return M
 
@@ -62,9 +68,15 @@ def _squarings(norm1):
     return np.ceil(np.log2(np.maximum(norm1, _THETA) / _THETA)).astype(int)
 
 
-def _taylor16(M, s):
-    """T16 of the (B, n, n) stack M, each matrix halved s[i] times, in six
-    products, with the parts its derivative reuses: the powers
+def _blocks(count, matrix_bytes):
+    """Slices over ``count`` matrices of at most ``matrix_bytes`` each."""
+    step = max(1, _BLOCK_BYTES // matrix_bytes)
+    return [slice(i, i + step) for i in range(0, count, step)]
+
+
+def _taylor16(M, s, X):
+    """T16 of the (B, n, n) stack M, each matrix halved s[i] times, into X
+    in six products, with the parts its derivative reuses: the powers
     P = [I, A, A^2, A^3, A^4] of the halved stack A and the Horner iterates
     Y_j = B_j + A^4 Y_{j+1} in Y[j] for j = 1, 2, 3 (Y[0] is B0)."""
     P = np.empty((5,) + M.shape)
@@ -74,12 +86,11 @@ def _taylor16(M, s):
     np.matmul(P[2], P[1], out=P[3])
     np.matmul(P[2], P[2], out=P[4])
     Y = (_C @ P.reshape(5, -1)).reshape((4,) + M.shape)
-    X = np.empty(M.shape)
     for j in (2, 1):
         Y[j] += np.matmul(P[4], Y[j + 1], out=X)
     np.matmul(P[4], Y[1], out=X)
     X += Y[0]
-    return P, Y, X
+    return P, Y
 
 
 def _square_back(X, s, L=None):
@@ -96,8 +107,8 @@ def matrix_exp(M):
     """exp(M) for square M, batched over leading axes.
 
     Scaling and squaring: halve each matrix until its 1-norm is below the
-    switching radius, evaluate T16, then square back. exp(0) is the
-    identity exactly.
+    switching radius, evaluate T16, then square back, block by block.
+    exp(0) is the identity exactly.
     """
     M = _as_square(M, "matrix_exp input")
     n = M.shape[-1]
@@ -107,8 +118,12 @@ def matrix_exp(M):
         # bit-identical to the plain diagonal hold step
         return np.broadcast_to(np.eye(n), M.shape).copy()
     s = _squarings(norm1)
-    X = _taylor16(M.reshape(s.size, n, n), s)[2]
-    _square_back(X, s)
+    flat = M.reshape(s.size, n, n)
+    X = np.empty(flat.shape)
+    for b in _blocks(s.size, 5 * 8 * n * n):
+        Xb, sb = X[b], s[b]
+        _taylor16(flat[b], sb, Xb)
+        _square_back(Xb, sb)
     return X.reshape(M.shape)
 
 
@@ -136,16 +151,23 @@ def matrix_exp_frechet(M, E):
     B = math.prod(batch)
     k = E.shape[-3] if E.ndim > M.ndim else 1
     s = _squarings(_norms(M))
-    P, Y, X = _taylor16(M.reshape(B, n, n), s)
+    Mf, Ef = M.reshape(B, n, n), E.reshape(B, k, n, n)
+    X, L = np.empty(Mf.shape), np.empty(Ef.shape)
+    for b in _blocks(B, max(5, 4 * k) * 8 * n * n):
+        _frechet_block(Mf[b], Ef[b], s[b], X[b], L[b])
+        _square_back(X[b], s[b], L[b])
+    return X.reshape(M.shape), L.reshape(E.shape)
 
+
+def _frechet_block(M, E, s, X, L):
+    """X, L of (B, n, n) M and (B, k, n, n) E halved s[i] times, unsquared."""
+    P, Y = _taylor16(M, s, X)
     # a new axis 1 on the shared parts broadcasts them over the k directions
     A, A2, A4, Y = P[1, :, None], P[2, :, None], P[4, :, None], Y[:, :, None]
     # dP = [D, dA^2, dA^3, dA^4] of the halved directions; L is scratch
     # until the last Horner step
-    dP = np.empty((4, B, k, n, n))
-    scale = np.ldexp(1.0, -s)[:, None, None, None]
-    D = np.multiply(E.reshape(B, k, n, n), scale, out=dP[0])
-    L = np.empty(D.shape)
+    dP = np.empty((4,) + E.shape)
+    D = np.multiply(E, np.ldexp(1.0, -s)[:, None, None, None], out=dP[0])
     np.matmul(A, D, out=dP[1])
     dP[1] += np.matmul(D, A, out=L)
     np.matmul(dP[1], A, out=dP[2])
@@ -159,8 +181,6 @@ def matrix_exp_frechet(M, E):
     dY[0] += np.matmul(dP[3], Y[1], out=L)
     np.matmul(A4, dY[1], out=L)
     L += dY[0]
-    _square_back(X, s, L)
-    return X.reshape(M.shape), L.reshape(E.shape)
 
 
 # Below |a*d| < _PHI1_SMALL the series for phi1 and its a-partial is exact

@@ -133,7 +133,7 @@ def linearize(bundle, coupling, plan_u_norm, z_nom, period):
         b_t = np.broadcast_to(b_diag, (H, dz, m)).copy()
         return a_t, b_t
 
-    P = mdl.coupling_generators(coupling, plan_u_norm, period)  # (H, dz, dz)
+    P = mdl.generator(coupling, plan_u_norm, period)  # (H, dz, dz)
     drift = z_nom[:H] * e_d[None, :] + plan_u_norm @ b_diag.T  # (H, dz)
     # one Frechet call: each step's exponential and its m channel
     # directions, which share that step's powers and Horner iterates

@@ -18,13 +18,12 @@ it records no tape and has no stability hinge. The validation loss is the
 same quantity scaled by the state dimension. Only the training step
 records a tape.
 
-Each horizon step of the training rollout records its own coupling
-exponential. A prototype that takes one (B*T, dz, dz) exponential ahead
-of the loop, with the per-step slices' adjoints accumulated into the
-stack's, gave bit-identical results but was worse on one rscp step
-(B=256, one BLAS thread, 2-core Xeon, numpy 2.4.6): peak RSS grew from
-184 to 418 MB and the step from 0.35 to 0.52 s at zero coupling and from
-0.75 to 1.03 s coupled.
+The training rollout takes every horizon step's coupling exponential in
+one (T, B, dz, dz) ``expm`` node. The kernels walk that stack in blocks
+whose largest temporary stays under ``dense._BLOCK_BYTES``, so it costs
+one block's temporaries: unblocked, the same node took one B=256 rscp
+step from 184 to 418 MB peak RSS (one BLAS thread, 2-core Xeon, numpy
+2.4.6).
 """
 
 import time

@@ -7,8 +7,10 @@ squaring and that same extended-precision sum, the
 determinant oracle is a tiny partial-pivot LU, the box-QP oracle
 enumerates every active set, and gradient checks are central finite
 differences over tape leaves. The sequential excitation episode is the
-oracle for the lockstep data-generation runner, and the size-weighted
-forecast MSE over batches is the oracle for training's validation loss.
+oracle for the lockstep data-generation runner, the size-weighted
+forecast MSE over batches is the oracle for training's validation loss,
+and the training loss taped step by step is the oracle for the one
+batched ``model.rollout`` under the tape.
 """
 
 import pathlib
@@ -233,3 +235,50 @@ def val_loss(params, ds, batch=512):
         b = states[sl].shape[0]
         total += mse_value(params, states[sl], controls[sl]) * b
     return total / max(states.shape[0], 1)
+
+
+def stepwise_loss(params, states_raw, controls_raw):
+    """(loss, mse, penalty or None, gradients keyed by name) of the training
+    loss with the latent recurrence taped one horizon step at a time: each
+    step forms its own coupling factor (one exponential of that step's
+    generators, or of its augmented stack on the rank path), applies it,
+    decodes, and takes its own hinge call on its A_disc."""
+    h = params.hyper
+    H, T, dz = h.lookback, h.horizon, h.latent_dim
+    tape = Tape()
+    w = {k: tape.leaf(a) for k, a in params.arrays.items()}
+    bundle, z = model.encode_history(w, params, states_raw[:, :H], controls_raw[:, :H])
+    mu, sd = bundle.control_mean[:, None, :], bundle.control_std[:, None, :]
+    u_pred = (controls_raw[:, H - 1 : H + T - 1, :] - mu) / sd
+    targets = (states_raw[:, H:, :] - params.state_mean) / params.state_std
+    cpl = model.forward_coupling(w)
+    e_d, b_phi = model.held_step(bundle)
+    B, m = u_pred.shape[0], h.control_dim
+    mse = pen = None
+    for k in range(T):
+        u_k = u_pred[:, k, :]
+        drift = e_d * z + ad.matvec(b_phi, u_k)
+        if cpl is None:
+            z, fac = drift, None
+        elif isinstance(cpl, model.LowRank):
+            s2, phi_h = cpl.phi_half(u_k, h.coupling_period)
+            moved = ad.matvec(phi_h, ad.matvec(cpl.right_t, drift))
+            z = drift + ad.matvec(cpl.left, s2 * moved)
+            fac = cpl.factor(s2, phi_h)
+        else:
+            P = ad.matmul(u_k * h.coupling_period, ad.reshape(cpl, (m, dz * dz)))
+            fac = ad.expm(ad.reshape(P, (B, dz, dz)))
+            z = ad.matvec(fac, drift)
+        err = ad.matvec(bundle.decoder, z) - targets[:, k, :]
+        sq = ad.vsum(err * err, axis=1)
+        mse = sq if mse is None else mse + sq
+        if fac is not None and h.stability_weight > 0.0:
+            p = ad.eig_penalty(fac * ad.reshape(e_d, (B, 1, dz)), h.stability_margin)
+            pen = p if pen is None else pen + p
+    loss = mse = ad.vmean(mse * (1.0 / T))
+    if pen is not None:
+        pen = ad.vmean(pen * (1.0 / T))
+        loss = mse + h.stability_weight * pen
+    grads = backward(tape, loss)
+    penalty = None if pen is None else float(pen.value)
+    return float(loss.value), float(mse.value), penalty, {k: grads[w[k]] for k in w}

@@ -116,7 +116,7 @@ def test_low_rank_coupling_factor_adjoint_matches_fd():
         cpl = model.forward_coupling({"cpl_l": ls[0], "cpl_r": ls[1]})
         assert isinstance(cpl, model.LowRank)
         s2, phi_h = cpl.phi_half(u, 1.0)
-        moved = ad.vsum(ad.tanh(cpl.apply(s2, phi_h, t.constant(drift))))
+        moved = ad.vsum(ad.tanh(cpl.apply(s2, phi_h, t.constant(drift[..., None]))))
         return moved + ad.vsum(cpl.factor(s2, phi_h) * t.constant(W))
 
     assert tape_gradcheck(build, [L, R], rtol=1e-4) <= 1e-4
@@ -403,6 +403,7 @@ def _op_calls():
         "reshape": (lambda x: ad.reshape(x, (2, 9)), (A,)),
         "getitem": (lambda x: x[:, 1:, 0], (A,)),
         "concat": (lambda *p: ad.concat(list(p), axis=1), (v, v[:, :2])),
+        "stack": (lambda *p: ad.stack(p), (v, 2.0 * v)),
         "sum": (lambda x: ad.vsum(x, axis=1), (A,)),
         "mean": (lambda x: ad.vmean(x, axis=(1, 2)), (A,)),
         "expm": (ad.expm, (0.5 * A,)),

@@ -1,5 +1,7 @@
 """Matrix exponential, directional derivative, and phi1."""
 
+import tracemalloc
+
 import mpmath
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ import pytest
 from bkmpc.numerics import (
     DimensionError,
     DomainError,
+    dense,
     matrix_exp,
     matrix_exp_frechet,
     phi1,
@@ -193,6 +196,58 @@ def test_stack_members_equal_solo_calls():
         assert np.array_equal(expm[i], matrix_exp(Ms[i]))
         X_i, L_i = matrix_exp_frechet(Ms[i], Es[i])
         assert np.array_equal(X[i], X_i) and np.array_equal(L[i], L_i)
+
+
+def _mixed_stack(rng, shape):
+    """Random matrices of a stack shape, each zero, at 1-norm 0.3 (below
+    the switching radius) or at 1-norm 40 (six squarings)."""
+    M = rng.standard_normal(shape)
+    norm1 = np.abs(M).sum(axis=-2).max(axis=-1)
+    target = rng.choice([0.0, 0.3, 40.0], size=shape[:-2])
+    return M * (target / norm1)[..., None, None]
+
+
+def _kernel_outputs(M, E, Ek):
+    return [matrix_exp(M), *matrix_exp_frechet(M, E), *matrix_exp_frechet(M, Ek)]
+
+
+@pytest.mark.parametrize("shape", [(256, 15, 15), (30, 3, 15, 15), (300, 1, 8, 8)])
+def test_blocked_kernels_equal_the_one_block_result(shape, monkeypatch):
+    # each matrix is scaled on its own, so walking the stack in blocks
+    # (one matrix each, or uneven blocks of a few) changes no bit; the
+    # directions come one per matrix and three per matrix
+    rng = np.random.default_rng(43)
+    M = _mixed_stack(rng, shape)
+    E = rng.standard_normal(shape)
+    Ek = rng.standard_normal(shape[:-2] + (3,) + shape[-2:])
+    monkeypatch.setattr(dense, "_BLOCK_BYTES", 1 << 40)
+    whole = _kernel_outputs(M, E, Ek)
+    n = shape[-1]
+    for budget in (1, 7 * 40 * n * n):
+        monkeypatch.setattr(dense, "_BLOCK_BYTES", budget)
+        for got, want in zip(_kernel_outputs(M, E, Ek), whole, strict=True):
+            assert np.array_equal(got, want), budget
+
+
+@pytest.mark.parametrize("shape, k", [((1024, 15, 15), 0), ((1024, 15, 15), 3),
+                                      ((4000, 8, 8), 0)])
+def test_kernel_temporaries_stay_within_the_block_budget(shape, k):
+    # a stack of several budgets: each call's traced peak is its output
+    # plus a few budgets (the powers, Horner iterates and their
+    # derivatives of one block), not a multiple of the stack
+    rng = np.random.default_rng(47)
+    M = _mixed_stack(rng, shape)
+    E = rng.standard_normal(shape[:-2] + ((k,) if k else ()) + shape[-2:])
+    assert M.nbytes > dense._BLOCK_BYTES
+    for fn, args in ((matrix_exp, (M,)), (matrix_exp_frechet, (M, E))):
+        tracemalloc.start()
+        try:
+            out = fn(*args)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        out_bytes = sum(x.nbytes for x in (out if isinstance(out, tuple) else (out,)))
+        assert peak <= out_bytes + 4 * dense._BLOCK_BYTES, fn.__name__
 
 
 def test_frechet_shape_mismatch():

@@ -12,6 +12,7 @@ from bkmpc.numerics import Tape, backward, dense
 from bkmpc.numerics import autodiff as ad
 from helpers import (
     FIXTURE_CHECKPOINTS, FIXTURES, fd_gradient, loss_value, mse_value, spectral_penalty,
+    stepwise_loss,
 )
 
 
@@ -276,7 +277,9 @@ def test_rollout_scalar_geometric():
         control_std=np.ones(1),
     )
     u = np.array([[0.3], [0.1], [-0.2]])
-    lat, dec = model.rollout(np.array([1.0]), u, b, None, 1.0)
+    lat, a_disc = model.rollout(np.array([1.0]), u, b, None, 1.0, a_disc=True)
+    assert a_disc is None
+    dec = lat[1:] @ b.decoder.T
     ad_ = np.exp(-0.2)
     bd = (np.exp(-0.2) - 1.0) / (-0.5) * 1.2
     z = 1.0
@@ -291,9 +294,9 @@ def test_rollout_zero_control_ignores_coupling():
     b = random_bundle(3, 2, 2, rng)
     G = rng.standard_normal((2, 3, 3))
     u = np.zeros((6, 2))
-    la, da = model.rollout(np.ones(3), u, b, G, 1.0)
-    lb, db = model.rollout(np.ones(3), u, b, None, 1.0)
-    assert np.array_equal(la, lb) and np.array_equal(da, db)
+    la, _ = model.rollout(np.ones(3), u, b, G, 1.0)
+    lb, _ = model.rollout(np.ones(3), u, b, None, 1.0)
+    assert np.array_equal(la, lb)
 
 
 def test_zero_coupling_rollout_equals_linear_exactly():
@@ -301,10 +304,10 @@ def test_zero_coupling_rollout_equals_linear_exactly():
     b = random_bundle(4, 2, 3, rng)
     G0 = np.zeros((2, 4, 4))
     u = rng.standard_normal((30, 2))
-    la, da = model.rollout(np.ones(4), u, b, G0, 1.0)
-    lb, db = model.rollout(np.ones(4), u, b, None, 1.0)
-    assert np.max(np.abs(la - lb)) <= 1e-12
-    assert np.max(np.abs(da - db)) <= 1e-12
+    la, _ = model.rollout(np.ones(4), u, b, G0, 1.0)
+    lb, _ = model.rollout(np.ones(4), u, b, None, 1.0)
+    assert np.array_equal(la, lb)
+    assert np.array_equal(la[1:] @ b.decoder.T, lb[1:] @ b.decoder.T)
 
 
 def test_batched_rollout_matches_stepped_discretize():
@@ -317,20 +320,21 @@ def test_batched_rollout_matches_stepped_discretize():
     G = 0.1 * rng.standard_normal((m, dz, dz))
     u = 0.5 * rng.standard_normal((T, m))
     u[11] = [12.0, -9.0]
-    P = model.coupling_generators(G, u, 1.0)
+    P = model.generator(G, u, 1.0)
     norms = np.abs(P).sum(axis=1).max(axis=1)
     assert norms[11] > dense._THETA and np.median(norms) < dense._THETA
     e_p = dense.matrix_exp(P)
     for k in range(T):
         assert np.array_equal(e_p[k], dense.matrix_exp(P[k]))
     z0 = rng.standard_normal(dz)
-    lat, dec = model.rollout(z0, u, b, G, 1.0)
+    lat, a_disc = model.rollout(z0, u, b, G, 1.0, a_disc=True)
     z = z0
     for k in range(T):
         held, _ = model.rollout(np.zeros(dz), u[k : k + 1], b, G, 1.0)
-        z = model.discretize(b, G, u[k], 1.0) @ z + held[1]
+        step = model.discretize(b, G, u[k], 1.0)
+        assert np.linalg.norm(a_disc[k] - step) <= 1e-14 * np.linalg.norm(step)
+        z = step @ z + held[1]
         assert np.linalg.norm(lat[k + 1] - z) <= 1e-12 * np.linalg.norm(z)
-        assert np.allclose(dec[k], b.decoder @ z, rtol=1e-12, atol=0)
 
 
 def test_one_step_state_jacobian_is_operator_product():
@@ -435,8 +439,8 @@ def test_loss_perfect_predictions_zero():
         )
         u_pred = C[w, h.lookback - 1 : h.lookback + h.horizon - 1]
         u_n = (u_pred - bundle.control_mean) / bundle.control_std
-        _, dec = model.rollout(z0, u_n, bundle, None, h.coupling_period)
-        S[w, h.lookback :] = dec * p.state_std + p.state_mean
+        lat, _ = model.rollout(z0, u_n, bundle, None, h.coupling_period)
+        S[w, h.lookback :] = lat[1:] @ bundle.decoder.T * p.state_std + p.state_mean
     assert loss_value(p, S, C) <= 1e-20
 
 
@@ -491,16 +495,91 @@ def test_loss_gradient_matches_fd_rank_one_rscp():
     assert _worst_loss_fd_error(p, S, C, names) <= 1e-4
 
 
-def test_hinge_active_loss_records_exactly_the_registered_ops():
-    # the tape's op set is what the loss needs: a hinge-active bilinear
-    # loss (cartpole architecture, slow modes, strong coupling) records
-    # every op that has an adjoint rule, and no other
+def hinge_active_params():
+    """The cartpole architecture with slow modes and a strong coupling on
+    the dz x dz path: the stability hinge is active."""
     hyper = model.hyper_for("cartpole", "bilinear")
     p = model.init_params(hyper, np.zeros(4), np.ones(4), np.ones(1), seed=3)
     rng = np.random.default_rng(4)
     p.arrays["a_raw"][:] = -0.01
     for key in ("cpl_l", "cpl_r"):
         p.arrays[key] = 0.05 * rng.standard_normal(p.arrays[key].shape)
+    return p
+
+
+def dense_path_params():
+    """A toy bilinear model (dz = 2, rank 2) with a random coupling, on the
+    dz x dz path."""
+    p = toy_params(seed=75)
+    rng = np.random.default_rng(76)
+    for key in ("cpl_l", "cpl_r"):
+        p.arrays[key] = 0.7 * rng.standard_normal(p.arrays[key].shape)
+    return p
+
+
+#: a model on each path of ``rollout``, and the coupling type it takes
+ROLLOUT_PATHS = {
+    "linear": (lambda: rscp_rank_one_params(seed=73, scale=0.5).linear_twin(), type(None)),
+    "dense": (dense_path_params, np.ndarray),
+    "rank": (lambda: rscp_rank_one_params(seed=77, scale=0.5), model.LowRank),
+    "hinge": (hinge_active_params, np.ndarray),
+}
+
+
+@pytest.mark.parametrize("path", sorted(ROLLOUT_PATHS))
+def test_one_rollout_matches_the_stepwise_oracle(path):
+    # the one batched rollout against the recurrence taped step by step:
+    # the same loss, MSE and penalty, and the same gradients to 1e-12
+    make, cpl_type = ROLLOUT_PATHS[path]
+    p = make()
+    assert isinstance(model.forward_coupling(p.arrays), cpl_type)
+    S, C = toy_windows(p, count=3, seed=79)
+    loss, grads = model.loss_and_grads(p, S, C)
+    _, _, _, mse, penalty = model.loss_forward(p, S, C)
+    ref_loss, ref_mse, ref_penalty, ref_grads = stepwise_loss(p, S, C)
+    assert loss == ref_loss and float(mse.value) == ref_mse
+    got_penalty = None if penalty is None else float(penalty.value)
+    assert got_penalty == ref_penalty
+    assert (ref_penalty is None) == (path == "linear")
+    assert path != "hinge" or ref_penalty > 0.0
+    assert set(grads) == set(ref_grads)
+    for name, g in ref_grads.items():
+        assert np.linalg.norm(grads[name] - g) <= 1e-12 * np.linalg.norm(g), name
+
+
+@pytest.mark.parametrize("path", sorted(ROLLOUT_PATHS))
+def test_rollout_on_arrays_returns_the_taped_values(path):
+    # the same rollout on the parameter arrays and on tape leaves: latents,
+    # A_disc and forecast MSE equal bit for bit
+    p = ROLLOUT_PATHS[path][0]()
+    h = p.hyper
+    H, T = h.lookback, h.horizon
+    S, C = toy_windows(p, count=3, seed=81)
+    tape = Tape()
+    runs = []
+    for w in (p.arrays, {k: tape.leaf(a) for k, a in p.arrays.items()}):
+        bundle, z0 = model.encode_history(w, p, S[:, :H], C[:, :H])
+        mu, sd = bundle.control_mean[:, None, :], bundle.control_std[:, None, :]
+        u_n = (C[:, H - 1 : H + T - 1, :] - mu) / sd
+        lat, a_disc = model.rollout(
+            z0, u_n, bundle, model.forward_coupling(w), h.coupling_period, a_disc=True
+        )
+        mse, _ = model.forecast_mse(w, p, S, C)
+        runs.append([x if isinstance(x, np.ndarray) or x is None else x.value
+                     for x in (lat, a_disc, mse)])
+    plain, taped = runs
+    assert lat.shape == (T + 1, 3, h.latent_dim)
+    assert (a_disc is None) == (path == "linear")
+    for got, want in zip(plain, taped, strict=True):
+        assert isinstance(got, np.ndarray) or got is None
+        assert got is None or got.tobytes() == want.tobytes()
+
+
+def test_hinge_active_loss_records_exactly_the_registered_ops():
+    # the tape's op set is what the loss needs: a hinge-active bilinear
+    # loss (cartpole architecture, slow modes, strong coupling) records
+    # every op that has an adjoint rule, and no other
+    p = hinge_active_params()
     S, C = toy_windows(p, count=4)
     tape, _, _, _, penalty = model.loss_forward(p, S, C)
     assert float(penalty.value) > 0.0
@@ -593,7 +672,7 @@ def test_rank_path_factor_matches_dense_path():
     norms = np.abs(aug).sum(axis=1).max(axis=1)
     assert norms.min() <= dense._THETA and norms.max() > 8 * dense._THETA
     fac = rank_path_factor(cpl, u)
-    ref = dense.matrix_exp(model.coupling_generators(G, u, 1.0))
+    ref = dense.matrix_exp(model.generator(G, u, 1.0))
     rel = np.linalg.norm(fac - ref, axis=(1, 2)) / np.linalg.norm(ref, axis=(1, 2))
     assert rel.max() <= 1e-13
     for k in range(u.shape[0]):
@@ -605,7 +684,7 @@ def test_rank_path_zero_coupling_gives_the_identity_exactly():
     cpl, _ = low_rank_pair(15, 3, 1, rng, 0.6)
     eye = np.broadcast_to(np.eye(15), (4, 15, 15))
     u = rng.standard_normal((4, 3))
-    drift = rng.standard_normal((4, 15))
+    drift = rng.standard_normal((4, 15, 1))
     assert np.array_equal(rank_path_factor(cpl, np.zeros((4, 3))), eye)
     zero = model.forward_coupling(
         {"cpl_l": np.zeros((3, 15, 1)), "cpl_r": rng.standard_normal((3, 15, 1))}
@@ -622,6 +701,22 @@ def test_rank_path_zero_coupling_model_is_the_linear_model():
     assert isinstance(model.forward_coupling(p.arrays), model.LowRank)
     lin = p.linear_twin()
     S, C = toy_windows(p, count=3, seed=67)
+    assert mse_value(p, S, C) == mse_value(lin, S, C)
+    loss, grads = model.loss_and_grads(p, S, C)
+    loss_lin, grads_lin = model.loss_and_grads(lin, S, C)
+    assert loss == loss_lin
+    for name, g in grads_lin.items():
+        assert np.array_equal(grads[name], g), name
+
+
+def test_dense_path_zero_coupling_model_is_the_linear_model(monkeypatch):
+    # the taped dz x dz path of a coupling whose left factor is zero: loss,
+    # evaluation and every shared gradient equal the linear twin's
+    monkeypatch.setattr(model, "forward_coupling", model.coupling)
+    p = rscp_rank_one_params(seed=83, scale=0.0)
+    p.arrays["cpl_r"] = np.random.default_rng(84).standard_normal(p.arrays["cpl_r"].shape)
+    lin = p.linear_twin()
+    S, C = toy_windows(p, count=3, seed=85)
     assert mse_value(p, S, C) == mse_value(lin, S, C)
     loss, grads = model.loss_and_grads(p, S, C)
     loss_lin, grads_lin = model.loss_and_grads(lin, S, C)

@@ -108,6 +108,40 @@ def test_only_loss_forward_constructs_a_tape():
     assert found == ["bkmpc/model.py:loss_forward"]
 
 
+def test_exponential_kernels_have_pinned_callers():
+    # the latent recurrence is written once: every coupling exponential
+    # under src/ goes through model.rollout (the rank path's through
+    # LowRank.phi_half), the closed loop's one-step discretize and
+    # linearize, or the tape's expm op and its adjoint, so a second
+    # recurrence cannot grow back unseen
+    kernels = {"expm", "matrix_exp", "matrix_exp_frechet"}
+    found = set()
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        parent = {c: p for p in ast.walk(tree) for c in ast.iter_child_nodes(p)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and path.name != "__init__.py":
+                names = {alias.name for alias in node.names} & kernels
+                found |= {f"{path.relative_to(SRC).as_posix()}: import {n}" for n in names}
+            if not (isinstance(node, ast.Call)
+                    and ast.unparse(node.func).split(".")[-1] in kernels):
+                continue
+            owners, at = [], node
+            while at in parent:
+                at = parent[at]
+                if isinstance(at, (ast.FunctionDef, ast.ClassDef)):
+                    owners.insert(0, at.name)
+            found.add(f"{path.relative_to(SRC).as_posix()}:{'.'.join(owners)}")
+    assert found == {
+        "bkmpc/model.py:rollout",
+        "bkmpc/model.py:LowRank.phi_half",
+        "bkmpc/model.py:discretize",
+        "bkmpc/numerics/autodiff.py:expm",
+        "bkmpc/numerics/autodiff.py:_adj_expm",
+        "bkmpc/scp_mpc.py:linearize",
+    }
+
+
 def test_bench_wrapped_names_exist(monkeypatch):
     # the traced bench wraps functions at the names their callers look
     # them up by; a deleted or renamed one would otherwise fail only when
