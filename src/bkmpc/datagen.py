@@ -18,12 +18,15 @@ only.
 Each split takes the shortest index-ordered prefix of its episodes whose
 windows reach its request. One lockstep runner simulates the episodes of
 both splits as rows of shared lane arrays, each split running at most
-half of one lane cap ahead of its prefix. A split's head episode (its
-first unfinished one) is cut where its windows complete the request, so
-the long RSCP episodes of both splits run side by side, only as far as
-needed. Admission and the cut only decide how much simulation runs: each
-episode draws from its own stream in a fixed order, and the cut drops
-only windows past the request, so data is a pure function of (seed, request).
+half of one lane cap ahead of its prefix. Each lane slot holds one
+generator, re-keyed to ``episode_rng``'s stream whenever an episode is
+admitted to it, so starting an episode builds no new generator. A
+split's head episode (its first unfinished one) is cut where its windows
+complete the request, so the long RSCP episodes of both splits run side
+by side, only as far as needed. Admission and the cut only decide how
+much simulation runs: each episode draws from its own stream in a fixed
+order, and the cut drops only windows past the request, so data is a pure
+function of (seed, request).
 """
 
 from dataclasses import dataclass, field
@@ -59,9 +62,37 @@ class ProgressError(RuntimeError):
 
 
 def episode_rng(seed, episode_index, test=False):
-    """The documented per-episode stream; see module docstring."""
+    """The documented per-episode stream; see module docstring. It is the
+    definition the lockstep runner reproduces: the runner re-keys one
+    generator per lane slot to this stream with ``_restart``."""
     space = _TEST_SPACE if test else _TRAIN_SPACE
     return np.random.Generator(np.random.Philox(key=[seed, space + episode_index]))
+
+
+class _Unseeded(np.random.bit_generator.ISeedSequence):
+    """Key 0 for a lane slot's Philox, without hashing a ``SeedSequence``:
+    ``Philox(key=...)`` hashes fresh OS entropy that the key then
+    overrides, about 20 microseconds; this builds one in under half of
+    that, and ``_restart`` keys it for each episode."""
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return np.zeros(n_words, dtype=dtype)
+
+
+def _restart(rng, seed, episode_index, test=False):
+    """``rng``, a Philox generator, re-keyed in place to the start of
+    ``episode_rng(seed, episode_index, test)``: counter 0, that key and an
+    empty buffer. Setting the state takes a few microseconds."""
+    space = _TEST_SPACE if test else _TRAIN_SPACE
+    rng.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": (0, 0, 0, 0), "key": (seed, space + episode_index)},
+        "buffer": (0, 0, 0, 0),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return rng
 
 
 #: RSCP initial-state half-widths around the verified fixed point,
@@ -70,10 +101,13 @@ RSCP_INIT_HALFWIDTH = np.array([0.05, 0.05, 10.0, 0.05, 0.05, 10.0, 0.02, 0.05, 
 
 
 def sample_initial_state(cfg, rng):
+    """A cart-pole at rest with position uniform in [-4, 4) and angle in
+    [-0.1, 0.1), or an RSCP state uniform in ``RSCP_INIT_HALFWIDTH`` around
+    the fixed point. The cart-pole draws are ``low + (high - low) * r``,
+    what ``rng.uniform(low, high)`` returns bit for bit, from one call."""
     if cfg.system == "cartpole":
-        return np.array(
-            [rng.uniform(-4.0, 4.0), 0.0, rng.uniform(-0.1, 0.1), 0.0]
-        )
+        position, angle = rng.random(2).tolist()
+        return np.array([-4.0 + 8.0 * position, 0.0, -0.1 + 0.2 * angle, 0.0])
     center = np.asarray(cfg.x_fixed)
     return rng.uniform(center - RSCP_INIT_HALFWIDTH, center + RSCP_INIT_HALFWIDTH)
 
@@ -138,9 +172,9 @@ def split_permutation(split_seed, pool_size):
 
 def _grown(a, axis, size):
     """``a`` zero-padded along ``axis`` to length ``size``."""
-    pad = [(0, 0)] * a.ndim
-    pad[axis] = (0, size - a.shape[axis])
-    return np.pad(a, pad)
+    out = np.zeros(a.shape[:axis] + (size,) + a.shape[axis + 1 :], dtype=a.dtype)
+    out[tuple(slice(0, d) for d in a.shape)] = a
+    return out
 
 
 def _run_episode_batch(cfg, seed, wants, budget, max_lanes=512):
@@ -152,13 +186,18 @@ def _run_episode_batch(cfg, seed, wants, budget, max_lanes=512):
     is the episode index. The last episode ends where the request is met,
     ``need + WINDOW_LEN - 1`` controls into its sequential roll.
 
-    Running episodes are the rows of the lane arrays ``split``, ``episode``,
-    ``x``, ``t`` and ``step``. Each also owns a slot of the per-lane
-    buffers: one of ``_CHUNK`` excitation draws, refilled from the
-    episode's own stream whenever ``step % _CHUNK == 0``, and one holding
-    its trajectory so far, which doubles in length as needed. One lockstep
-    step makes one clip, one termination check (with a last step per row)
-    and one ``step_euler`` call for all lanes.
+    Running episodes are the rows of the lane arrays ``slot``, ``step``,
+    ``x`` and ``t``. Each row owns a lane slot, which holds what outlives a
+    lockstep step: the episode's (split, index) and last step, its
+    trajectory so far (doubling in length as needed), a buffer of
+    ``_CHUNK`` raw draws, and one generator. A slot's generator is built
+    with the slot and re-keyed by ``_restart`` to ``episode_rng``'s stream
+    at each admission, so admitting an episode costs a state-set, not a
+    new Philox. The buffer is refilled from that stream whenever ``step %
+    _CHUNK == 0``. One lockstep step makes one excitation ``low + span *
+    draw`` (what ``Generator.uniform`` over the control box returns, bit
+    for bit) and one clip, one termination check against each row's last
+    step, and one ``step_euler`` call for all lanes.
 
     Admission, per split: episode ``i`` starts only while ``i < head +
     lanes``, ``head`` being its first unfinished episode. ``lanes`` starts
@@ -168,23 +207,39 @@ def _run_episode_batch(cfg, seed, wants, budget, max_lanes=512):
     met request ends the split's other lanes; see the module docstring.
     """
     n, m = cfg.state_dim, cfg.control_dim
-    horizon = np.array([cfg.train_horizon, cfg.test_horizon])
+    low = np.asarray(cfg.control_low, dtype=float)
+    high = np.asarray(cfg.control_high, dtype=float)
+    span = high - low
+    horizon = (cfg.train_horizon, cfg.test_horizon)
     share = max(max_lanes // 2, 1)
     lanes, head, have, nxt = [1, 1], [0, 0], [0, 0], [0, 0]
-    rows, cap, rngs, free = 0, _CHUNK, [], []
-    finished, ended = ({}, {}), [False, False]
-    split, episode, slot, step = (np.zeros(0, dtype=int) for _ in range(4))
-    x, t, buf = np.zeros((0, n)), np.zeros(0), np.zeros((0, _CHUNK, m))
+    finished, live, ended = ({}, {}), ({}, {}), [False, False]
+    rows, cap, rngs, owner, free = 0, _CHUNK, [], [], []
+    last, buf = np.zeros(0, dtype=int), np.zeros((0, _CHUNK, m))
     traj_x, traj_u = np.zeros((0, cap, n)), np.zeros((0, cap, m))
+    slot, step = np.zeros(0, dtype=int), np.zeros(0, dtype=int)
+    x, t = np.zeros((0, n)), np.zeros(0)
+
+    def cut(k):
+        """The last step of split k's head episode; 0 once its request is met."""
+        d = wants[k] - have[k]
+        return min(horizon[k], d + WINDOW_LEN - 1) if d > 0 else 0
 
     while True:
         for k in (0, 1):
+            first = head[k]
             while head[k] in finished[k] and have[k] < wants[k]:
                 xs, us = finished[k][head[k]]
                 us = us[: wants[k] - have[k] + WINDOW_LEN - 1]  # ran past its cut
                 finished[k][head[k]] = xs[: len(us) + 1], us
                 have[k] += max(len(us) - WINDOW_LEN + 1, 0)
                 head[k] += 1
+            if head[k] == first:
+                continue
+            if have[k] >= wants[k]:  # a met request ends the split's lanes
+                last[list(live[k].values())] = 0
+            elif head[k] in live[k]:  # the new head stops at the cut
+                last[live[k][head[k]]] = cut(k)
         need = [wants[0] - have[0], wants[1] - have[1]]
         if max(need) <= 0:
             break
@@ -192,64 +247,67 @@ def _run_episode_batch(cfg, seed, wants, budget, max_lanes=512):
                  for a, e, d in zip(lanes, ended, need)]
         if sum(lanes) > rows:  # doubling: the last copy starts from half the rows
             old, rows = rows, min(max(2 * rows, sum(lanes)), 2 * share)
-            buf, traj_x, traj_u = (_grown(a, 0, rows) for a in (buf, traj_x, traj_u))
-            rngs += [None] * (rows - old)
+            buf, traj_x, traj_u, last = (
+                _grown(a, 0, rows) for a in (buf, traj_x, traj_u, last)
+            )
+            rngs += [np.random.Generator(np.random.Philox(_Unseeded()))
+                     for _ in range(old, rows)]
+            owner += [None] * (rows - old)
             free += range(old, rows)
 
-        new = [(k, i) for k in (0, 1) if need[k] > 0
-               for i in range(nxt[k], min(head[k] + lanes[k], budget))]
-        if new:
-            new_slot = np.array([free.pop() for _ in new])
-            x_new = np.empty((len(new), n))
-            for j, (k, i) in enumerate(new):
-                rngs[new_slot[j]] = episode_rng(seed, i, test=k == 1)
-                x_new[j] = sample_initial_state(cfg, rngs[new_slot[j]])
+        new_slot, new_x = [], []
+        for k in (0, 1):
+            if need[k] <= 0:
+                continue
+            for i in range(nxt[k], min(head[k] + lanes[k], budget)):
+                s = free.pop()
+                rng = _restart(rngs[s], seed, i, test=k == 1)
+                new_x.append(sample_initial_state(cfg, rng))
+                new_slot.append(s)
+                owner[s] = k, i
+                live[k][i] = s
+                last[s] = cut(k) if i == head[k] else horizon[k]
                 nxt[k] = i + 1
-            traj_x[new_slot, 0] = x_new
-            zero = np.zeros(len(new), dtype=int)
-            split, episode, slot, step, x, t = map(np.concatenate, zip(
-                (split, episode, slot, step, x, t),
-                (*np.array(new).T, new_slot, zero, x_new, zero),
-            ))
-        if not episode.size:
+        if new_slot:
+            new_x = np.array(new_x)
+            traj_x[new_slot, 0] = new_x
+            zero = np.zeros(len(new_slot), dtype=int)
+            slot, step = np.concatenate((slot, new_slot)), np.concatenate((step, zero))
+            x, t = np.concatenate((x, new_x)), np.concatenate((t, zero))
+        if not slot.size:
             raise ProgressError("; ".join(
                 f"{have[k]}/{wants[k]} {name} windows after {nxt[k]} episodes"
                 for k, name in enumerate(("train", "test")) if need[k] > 0
             ) + "; termination is starving window production")
-        if new or any(ended):
-            # each row's last step: the cut for a head episode, 0 once the
-            # split's request is met, else the split's horizon
-            cut = np.array([min(h, d + WINDOW_LEN - 1) if d > 0 else 0
-                            for h, d in zip(horizon, need)])
-            at_cut = (episode == np.array(head)[split]) | (cut[split] == 0)
-            limit = np.where(at_cut, cut[split], horizon[split])
 
-        stop = sim.check_termination_batch(cfg, x, step, horizon=limit) != 0
+        stop = sim.check_termination_batch(cfg, x, step, horizon=last[slot]) != 0
         ended = [False, False]
         if stop.any():
-            for k, i, s, j in np.stack([split, episode, slot, step], 1)[stop].tolist():
+            for s, j in zip(slot[stop].tolist(), step[stop].tolist()):
+                k, i = owner[s]
+                del live[k][i]
                 finished[k][i] = traj_x[s, : j + 1].copy(), traj_u[s, :j].copy()
                 free.append(s)
                 ended[k] = True
             keep = ~stop
-            split, episode, slot, step, x, t, limit = (
-                a[keep] for a in (split, episode, slot, step, x, t, limit)
-            )
-            if not episode.size:
+            slot, step, x, t = slot[keep], step[keep], x[keep], t[keep]
+            if not slot.size:
                 continue
 
-        for s in slot[step % _CHUNK == 0]:
-            buf[s] = rngs[s].uniform(
-                cfg.control_low, cfg.control_high, size=(_CHUNK, m)
-            )
+        col = step % _CHUNK
+        for s in slot[col == 0].tolist():
+            rngs[s].random(out=buf[s])
         if step.max() + 1 >= cap:
             cap *= 2
             traj_x, traj_u = _grown(traj_x, 1, cap), _grown(traj_u, 1, cap)
-        u = sim.clip_control(cfg, buf[slot, step % _CHUNK])
+        u = buf[slot, col]  # raw draws, scaled and clipped in place
+        u *= span
+        u += low
+        np.minimum(np.maximum(u, low, out=u), high, out=u)
         x, t = sim.step_euler(cfg, x, u, t)
         traj_x[slot, step + 1] = x
         traj_u[slot, step] = u
-        step = step + 1
+        step += 1
 
     return [[finished[k][i] for i in range(h)] for k, h in enumerate(head)]
 

@@ -192,6 +192,18 @@ def increment_box(bundle, u_norm, control_low, control_high, trust):
     return np.minimum(lo, hi), hi
 
 
+def _increment_difference(control_std, horizon):
+    """kron(I - shift, diag(control_std)) for ``horizon`` steps, zero signs
+    included, built block by block: diag(control_std) on the diagonal and
+    its negative below it."""
+    m = len(control_std)
+    scale, steps = np.diag(control_std), np.arange(horizon)
+    D = np.zeros((horizon, m, horizon, m))
+    D[steps, :, steps] = scale
+    D[steps[1:], :, steps[:-1]] = -scale
+    return D.reshape(horizon * m, horizon * m)
+
+
 def condense(cfg, params, bundle, a_t, b_t, z_nom, u_norm, u_prev_raw,
              control_low, control_high, trust):
     """Eliminate the linearized dynamics into a dense box QP in du.
@@ -218,7 +230,7 @@ def condense(cfg, params, bundle, a_t, b_t, z_nom, u_norm, u_prev_raw,
         M[:, j * m : (j + 1) * m] += b_t[j]
         resp[j] = M
     dec_scaled = params.state_std[:, None] * bundle.decoder  # (n, dz)
-    D = np.kron(np.eye(H) - np.eye(H, k=-1), np.diag(bundle.control_std))
+    D = _increment_difference(bundle.control_std, H)
     J = np.vstack([(dec_scaled @ resp).reshape(-1, N), D])
     w, res = cost_residuals(cfg, params, bundle, z_nom, u_norm, u_prev_raw)
     WJ = w[:, None] * J

@@ -38,6 +38,41 @@ def test_excitation_deterministic():
     assert np.array_equal(np.asarray(a), np.asarray(b))
 
 
+def _uniform_initial_state(cfg, rng):
+    """The initial state as ``Generator.uniform`` draws it, one call per
+    cart-pole coordinate or one over the RSCP box."""
+    if cfg.system == "cartpole":
+        return np.array([rng.uniform(-4.0, 4.0), 0.0, rng.uniform(-0.1, 0.1), 0.0])
+    center = np.asarray(cfg.x_fixed)
+    return rng.uniform(center - dg.RSCP_INIT_HALFWIDTH, center + dg.RSCP_INIT_HALFWIDTH)
+
+
+def test_restarted_slot_generator_reproduces_episode_rng():
+    # one lane slot's generator, re-keyed for each episode it runs (a
+    # train episode, a test one with the same index, then later episodes
+    # of both key spaces), draws what a fresh episode_rng does: the
+    # initial state, then refills of raw draws that scale to the uniform
+    # excitation. Each episode ends on a 32-bit draw, which leaves the
+    # stream mid-block and half a word cached; the re-key clears both
+    for name in ("cartpole-ti", "rscp-tv"):
+        cfg = sim.preset(name)
+        low, high = cfg.control_low, cfg.control_high
+        slot = np.random.Generator(np.random.Philox(dg._Unseeded()))
+        raw = np.empty((dg._CHUNK, cfg.control_dim))
+        for i, test in ((3, False), (3, True), (40, False), (2**20, True)):
+            ref = dg.episode_rng(11, i, test=test)
+            assert dg._restart(slot, 11, i, test=test) is slot
+            assert np.array_equal(
+                dg.sample_initial_state(cfg, slot), _uniform_initial_state(cfg, ref)
+            )
+            for _ in range(3):
+                slot.random(out=raw)
+                assert np.array_equal(
+                    low + (high - low) * raw, ref.uniform(low, high, size=raw.shape)
+                )
+            assert slot.random(dtype=np.float32) == ref.random(dtype=np.float32)
+
+
 def test_initial_state_cartpole_zero_velocities():
     cfg = sim.preset("cartpole-ti")
     rng = np.random.default_rng(5)
@@ -140,7 +175,7 @@ def test_generation_deterministic_and_batch_independent():
     for cfg, seed, wants in RUNNER_CASES:
         runs = [
             dg._run_episode_batch(cfg, seed, wants, 10_000, max_lanes=cap)
-            for cap in (1, 3, 64)
+            for cap in (1, 3, 64, 512)
         ]
         for test, want in enumerate(wants):
             ref = _rolls(cfg, seed, bool(test), len(runs[0][test]))
@@ -253,12 +288,19 @@ def test_met_request_ends_the_run_ahead_rows_of_its_split(monkeypatch):
 
 def test_cartpole_run_ahead_bounded_by_lane_cap(monkeypatch):
     # each split runs at most half the cap (at least one lane) ahead of its
-    # prefix, so both together step at most max(cap, 2) rows
+    # prefix, so both together step at most max(cap, 2) rows; the runner
+    # builds one bit generator per slot, however many episodes it starts
     cfg = sim.preset("cartpole-ti")
     started = _count_episodes(monkeypatch)
     rows = _count_rows(monkeypatch)
-    slots = []
-    grown = dg._grown
+    slots, built = [], []
+    grown, philox = dg._grown, np.random.Philox
+
+    def building(*args, **kwargs):
+        built.append(1)
+        return philox(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "Philox", building)
 
     def growing(a, axis, size):
         slots.append(size if axis == 0 else a.shape[0])
@@ -266,13 +308,13 @@ def test_cartpole_run_ahead_bounded_by_lane_cap(monkeypatch):
 
     monkeypatch.setattr(dg, "_grown", growing)
     for cap in (1, 6, 64):
-        started.clear()
-        rows.clear()
-        slots.clear()
+        for counts in (started, rows, slots, built):
+            counts.clear()
         train, test = dg._run_episode_batch(cfg, 7, (16, 64), 500_000, max_lanes=cap)
         prefix = len(train) + len(test)
         assert prefix <= len(started) <= prefix + max(cap, 2)
         assert max(rows) <= max(slots) <= max(cap, 2)
+        assert len(built) <= max(slots) < len(started)
 
 
 def test_progress_error_when_starved():

@@ -202,6 +202,16 @@ def test_condense_is_exact_quadratic_model_of_plan_cost():
         assert change == pytest.approx(lin + quad, abs=1e-10 * (J0 + abs(lin) + quad))
 
 
+def test_increment_difference_is_the_kron_operator():
+    # the block-built operator equals kron(I - shift, diag(control_std))
+    # byte for byte, so the signs of its zeros too
+    rng = np.random.default_rng(31)
+    for horizon, m in ((30, 3), (30, 1), (1, 2)):
+        std = rng.uniform(0.5, 2.0, m)
+        ref = np.kron(np.eye(horizon) - np.eye(horizon, k=-1), np.diag(std))
+        assert mpc._increment_difference(std, horizon).tobytes() == ref.tobytes()
+
+
 def test_condense_trust_zero_forces_no_change():
     rng = np.random.default_rng(13)
     b = make_bundle(3, 1, 4, rng)
