@@ -33,9 +33,14 @@ training and evaluation forward takes the rank path iff 4k <= dz
 (``forward_coupling`` decides it from the factor shapes alone): rscp at
 rank 1 takes it, cartpole's preset and every full-rank model keep the
 dz x dz exponential of ``generator``'s P(u) T. On the rank path a step
-applies the factor as drift + U (phi1(X) (V^T drift)), and forms
-I + U phi1(X) V^T only for the stability hinge. The closed loop passes
-the ``coupling`` tensors, so it always takes the dz x dz path.
+applies the factor as drift + U (phi1(X) (V^T drift)), and no dz x dz
+factor is formed for the recurrence. The stability hinge first bounds
+every step's spectral radius from the factors, by the row sums
+e_d + |U| |phi1(X)| (|V^T| e_d) that bound those of
+|A_disc| = |(I + U phi1(X) V^T) diag(e_d)|, and forms A_disc only for
+the steps that bound cannot clear (``LowRank.certified``,
+``LowRank.hinge``). The closed loop passes the ``coupling`` tensors, so
+it always takes the dz x dz path.
 
 Conventions:
 
@@ -344,6 +349,38 @@ class LowRank(NamedTuple):
         u2 = self.left * s2[..., None, :]
         return ad.matmul(ad.matmul(u2, phi_h), self.right_t) + np.eye(self.left.shape[0])
 
+    def certified(self, s2, phi_h, e_d, thresh):
+        """(T, B) mask of the steps certified to have every row sum of
+        |A_disc|, A_disc = exp(P T) diag(e_d), below ``thresh``, so that no
+        eigenvalue modulus reaches it; from (T, B, k) ``s2``, (T, B, k, k)
+        ``phi_h`` and (B, dz) ``e_d``, with no dz x dz matrix formed.
+
+        With U2 = U diag(s2) and D = diag(e_d), the row sums of
+        |(I + U2 phi_h V^T) D| are at most e_d + |U2| |phi_h| (|V^T| e_d).
+        The relative slack of 1e-12 covers the rounding of both sides, so a
+        certified step's A_disc, formed in floating point, also fails the
+        row-sum prefilter of ``eig_penalty``. A non-finite factor gives a
+        NaN bound and leaves its step uncertified."""
+        left, phi, right_t, e = (
+            np.abs(ad.plain(x)) for x in (self.left, phi_h, self.right_t, e_d)
+        )
+        reach = np.abs(s2) * (phi @ (e @ right_t.T)[..., None])[..., 0]
+        bound = (e + reach @ left.T).max(axis=-1)
+        return bound * (1.0 + 1e-12) < thresh
+
+    def hinge(self, s2, phi_h, e_d, margin):
+        """(T, B) stability-hinge sums ``eig_penalty`` gives the steps'
+        A_disc, of which only the steps that ``certified`` cannot clear are
+        formed: one ``eig_penalty`` call on their sub-stack, its sums put
+        back at their (t, b) positions and exact zeros at the others."""
+        t, b = np.nonzero(~self.certified(s2, phi_h, e_d, 1.0 - margin))
+        e_sub = ad.reshape(e_d[b], (b.size, 1, e_d.shape[-1]))
+        pens = ad.eig_penalty(self.factor(s2[t, b], phi_h[t, b]) * e_sub, margin)
+        # position 0 holds the certified steps' zero
+        at = np.zeros(s2.shape[:-1], dtype=int)
+        at[t, b] = np.arange(1, t.size + 1)
+        return ad.concat([np.zeros(1), pens])[at]
+
     def apply(self, s2, phi_h, drift):
         """exp(P T) drift = drift + U (phi1(X) (V^T drift)) for (..., dz, 1)
         column drifts, by matrix-vector products."""
@@ -401,18 +438,22 @@ def generator(G, u_n, period):
     return ad.reshape((u * period) @ ad.reshape(G, (m, dz * dz)), u.shape[:-1] + (dz, dz))
 
 
-def rollout(z0, u_n, bundle, cpl, period, a_disc=False):
-    """The latent recurrence under a frozen bundle: (latents, A_disc).
+def rollout(z0, u_n, bundle, cpl, period, margin=None):
+    """The latent recurrence under a frozen bundle: (latents, hinge sums).
 
     ``u_n`` holds (B, T, m) normalized controls and ``z0`` the (B, dz)
     start, or (T, m) and (dz,) for a single bundle; ``cpl`` is
     ``forward_coupling(w)``, the ``coupling`` tensors or None. It records
     on tape Vars and computes on arrays. Returns the (T + 1, B, dz)
-    latents, step first, and, if ``a_disc`` asks and the model is coupled,
-    the (T, B, dz, dz) A_disc = exp(P(u_k) T) diag(exp(a .* delta)) of the
-    stability hinge (else None). Every step's coupling factor comes from
-    one exponential call, and B_phi u of every step from one product,
-    before the step loop; each step is then factor_k (e_d * z + B_phi u_k).
+    latents, step first, and, if a ``margin`` is given and the model is
+    coupled, the (T, B) stability-hinge sums ``eig_penalty`` gives each
+    step's A_disc = exp(P(u_k) T) diag(exp(a .* delta)) (else None; on the
+    rank path the bundle must be batched). Every step's coupling factor
+    comes from one exponential call, and B_phi u of every step from one
+    product, before the step loop; each step is then
+    factor_k (e_d * z + B_phi u_k). The dz x dz path hands its factor
+    stack times e_d to ``eig_penalty``; the rank path forms A_disc only for
+    the steps ``LowRank.certified`` cannot clear (``LowRank.hinge``).
     """
     u_t = np.swapaxes(np.asarray(u_n, dtype=float), 0, -2)  # (T, B, m)
     e_d, b_phi = held_step(bundle)
@@ -437,10 +478,12 @@ def rollout(z0, u_n, bundle, cpl, period, a_disc=False):
             z = drift
         lat.append(z)
     lat = ad.reshape(ad.stack(lat), (len(lat),) + e_d.shape)
-    if cpl is None or not a_disc:
+    if cpl is None or margin is None:
         return lat, None
-    fac = cpl.factor(s2, phi_h) if low else e_p
-    return lat, fac * ad.reshape(e_dc, e_d.shape[:-1] + (1, e_d.shape[-1]))
+    if low:
+        return lat, cpl.hinge(s2, phi_h, e_d, margin)
+    a_disc = e_p * ad.reshape(e_dc, e_d.shape[:-1] + (1, e_d.shape[-1]))
+    return lat, ad.eig_penalty(a_disc, margin)
 
 
 def encode_history(w, params, states_raw, controls_raw):
@@ -455,11 +498,11 @@ def encode_history(w, params, states_raw, controls_raw):
     return generate_operators(w, params, z_hist, controls_raw), z_hist[:, -1, :]
 
 
-def forecast_mse(w, params, states_raw, controls_raw, a_disc=False):
-    """(horizon MSE, A_disc) of a batch of (H + T)-step windows, in
-    normalized space; A_disc is ``rollout``'s (T, B, dz, dz) stack, None
-    for linear and unless ``a_disc`` asks for it (only the stability
-    hinge needs it). On ``params.arrays`` it builds no tape and returns
+def forecast_mse(w, params, states_raw, controls_raw, margin=None):
+    """(horizon MSE, hinge sums) of a batch of (H + T)-step windows, in
+    normalized space; the hinge sums are ``rollout``'s (T, B) ones, None
+    for linear and unless a ``margin`` is given (only the training loss
+    gives one). On ``params.arrays`` it builds no tape and returns
     ndarrays."""
     h = params.hyper
     H, T = h.lookback, h.horizon
@@ -472,32 +515,32 @@ def forecast_mse(w, params, states_raw, controls_raw, a_disc=False):
     bundle, z0 = encode_history(w, params, states_raw[:, :H], controls_raw[:, :H])
     mu, sd = bundle.control_mean[:, None, :], bundle.control_std[:, None, :]
     u_pred_n = (controls_raw[:, H - 1 : H + T - 1, :] - mu) / sd
-    lat, a_discs = rollout(
-        z0, u_pred_n, bundle, forward_coupling(w), h.coupling_period, a_disc=a_disc
+    lat, pens = rollout(
+        z0, u_pred_n, bundle, forward_coupling(w), h.coupling_period, margin=margin
     )
     # (T, B, n) errors, step first: the sum over steps adds them in order
     targets = np.swapaxes(states_raw[:, H:, :], 0, 1)
     targets = (targets - params.state_mean) / params.state_std
     err = ad.matvec(bundle.decoder, lat[1:]) - targets
     total = ad.vsum(ad.vsum(err * err, axis=2), axis=0)
-    return ad.vmean(total * (1.0 / T)), a_discs
+    return ad.vmean(total * (1.0 / T)), pens
 
 
 def loss_forward(params, states_raw, controls_raw):
     """Record the training loss: ``forecast_mse`` on tape leaves plus, for
-    the bilinear variant, the spectral hinge of every A_disc of the
-    rollout, from one ``eig_penalty`` call. Returns (tape, leaves keyed by
+    the bilinear variant, the spectral hinge of every step's A_disc, the
+    (T, B) sums of ``rollout`` (one ``eig_penalty`` call on the stack, or
+    on the rank path's uncertified steps). Returns (tape, leaves keyed by
     name, loss Var, mse Var, penalty Var or None)."""
     h = params.hyper
     tape = ad.Tape()
     w = {k: tape.leaf(a) for k, a in params.arrays.items()}
-    mse, a_discs = forecast_mse(
-        w, params, states_raw, controls_raw, a_disc=h.stability_weight > 0.0
-    )
+    margin = h.stability_margin if h.stability_weight > 0.0 else None
+    mse, pens = forecast_mse(w, params, states_raw, controls_raw, margin=margin)
     loss, penalty = mse, None
-    if a_discs is not None:
+    if pens is not None:
         # (T, B) hinge sums, step first like the errors
-        pen_total = ad.vsum(ad.eig_penalty(a_discs, h.stability_margin), axis=0)
+        pen_total = ad.vsum(pens, axis=0)
         penalty = ad.vmean(pen_total * (1.0 / h.horizon))
         loss = mse + h.stability_weight * penalty
     return tape, w, loss, mse, penalty

@@ -12,6 +12,9 @@ differentiated from any thread.
 
 Adjoint conventions worth noting:
 
+* ``getitem``: ``backward`` adds the cotangent into the source's gradient
+  in place; a key with index arrays goes through ``np.add.at``, so an
+  element selected more than once receives every contribution.
 * ``expm``: the gradient of ``exp(M)`` contracted with an upstream
   cotangent G is the directional derivative of exp at M^T in direction G,
   evaluated by ``dense.matrix_exp_frechet``: the product rule on the same
@@ -143,7 +146,8 @@ def _tape_of(*xs):
     return None
 
 
-def _value(x):
+def plain(x):
+    """The value of a Var, or ``x`` itself as a float array."""
     return x.value if isinstance(x, Var) else np.asarray(x, dtype=float)
 
 
@@ -170,11 +174,11 @@ def _unbroadcast(g, shape):
 
 
 def _binary(op, fn, a, b, ctx=None):
-    return _op(op, fn(_value(a), _value(b)), (a, b), ctx)
+    return _op(op, fn(plain(a), plain(b)), (a, b), ctx)
 
 
 def _unary(op, fn, x, ctx=None):
-    return _op(op, fn(_value(x)), (x,), ctx)
+    return _op(op, fn(plain(x)), (x,), ctx)
 
 
 def add(a, b):
@@ -227,23 +231,33 @@ def matvec(a, v):
 
 
 def transpose(x, axes=None):
-    val = _value(x)
+    val = plain(x)
     axes = tuple(axes) if axes is not None else tuple(reversed(range(val.ndim)))
     return _op("transpose", np.transpose(val, axes), (x,), axes)
 
 
 def reshape(x, shape):
-    val = _value(x)
+    val = plain(x)
     return _op("reshape", val.reshape(shape), (x,), val.shape)
 
 
+def _basic_key(key):
+    """Whether ``key`` indexes by integers, slices, None and Ellipsis only,
+    so that no element of the source is selected twice."""
+    keys = key if isinstance(key, tuple) else (key,)
+    return all(
+        k is None or k is Ellipsis or isinstance(k, (int, np.integer, slice)) for k in keys
+    )
+
+
 def getitem(x, key):
-    val = _value(x)
-    return _op("getitem", np.asarray(val[key], dtype=float), (x,), (key, val.shape))
+    val = plain(x)
+    ctx = (key, val.shape, _basic_key(key))
+    return _op("getitem", np.asarray(val[key], dtype=float), (x,), ctx)
 
 
 def concat(parts, axis=0):
-    vals = [_value(p) for p in parts]
+    vals = [plain(p) for p in parts]
     sizes = [v.shape[axis] for v in vals]
     return _op("concat", np.concatenate(vals, axis=axis), tuple(parts), (axis, sizes))
 
@@ -255,13 +269,13 @@ def stack(parts):
 
 
 def vsum(x, axis=None, keepdims=False):
-    val = _value(x)
+    val = plain(x)
     out = np.asarray(np.sum(val, axis=axis, keepdims=keepdims), dtype=float)
     return _op("sum", out, (x,), (axis, keepdims, val.shape))
 
 
 def vmean(x, axis=None, keepdims=False):
-    val = _value(x)
+    val = plain(x)
     out = np.asarray(np.mean(val, axis=axis, keepdims=keepdims), dtype=float)
     count = val.size / max(out.size, 1)
     return _op("mean", out, (x,), (axis, keepdims, val.shape, count))
@@ -269,7 +283,7 @@ def vmean(x, axis=None, keepdims=False):
 
 def expm(M):
     """Batched matrix exponential as a differentiable primitive."""
-    return _op("expm", dense.matrix_exp(_value(M)), (M,))
+    return _op("expm", dense.matrix_exp(plain(M)), (M,))
 
 
 def eig_penalty(A, margin):
@@ -277,12 +291,16 @@ def eig_penalty(A, margin):
 
     A has shape (..., n, n); the result drops the two matrix axes. An
     infinity-norm prefilter short-circuits matrices that provably cannot
-    have a modulus above the threshold (the hinge, and its gradient, are
-    exactly zero there); the rest go to one eigenvector call. Its
-    eigenvalues give the penalties, and the tape keeps its factors of the
-    matrices with an active hinge for the adjoint.
+    have a modulus above the threshold, since every modulus is at most
+    the largest row sum of |A| (the hinge, and its gradient, are exactly
+    zero there); the rest go to one eigenvector call. Its eigenvalues give
+    the penalties, and the tape keeps its factors of the matrices with an
+    active hinge for the adjoint. The model's rank path applies the same
+    bound from its coupling factors first (``model.LowRank.certified``)
+    and passes only the matrices it cannot clear, so a stack here may hold
+    a sub-set of the steps, or none.
     """
-    val = _value(A)
+    val = plain(A)
     flat = val.reshape((-1,) + val.shape[-2:])
     thresh = 1.0 - margin
     finite = np.isfinite(flat).all(axis=(1, 2))
@@ -511,11 +529,16 @@ def backward(tape, out):
             if ag is None or nodes[j].op == "const":
                 continue
             if node.op == "getitem":
-                # in place: a slice of a stack costs the slice, not the stack
-                key, shape = node.ctx
+                # in place: a slice of a stack costs the slice, not the stack;
+                # an index array may repeat an element, whose contributions
+                # ``np.add.at`` sums where ``+=`` would keep only one
+                key, shape, basic = node.ctx
                 if table[j] is None:
                     table[j] = np.zeros(shape)
-                table[j][key] += ag
+                if basic:
+                    table[j][key] += ag
+                else:
+                    np.add.at(table[j], key, ag)
             elif table[j] is None:
                 table[j] = np.array(ag, dtype=float)
             else:

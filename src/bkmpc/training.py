@@ -19,11 +19,15 @@ same quantity scaled by the state dimension. Only the training step
 records a tape.
 
 The training rollout takes every horizon step's coupling exponential in
-one (T, B, dz, dz) ``expm`` node. The kernels walk that stack in blocks
-whose largest temporary stays under ``dense._BLOCK_BYTES``, so it costs
-one block's temporaries: unblocked, the same node took one B=256 rscp
-step from 184 to 418 MB peak RSS (one BLAS thread, 2-core Xeon, numpy
-2.4.6).
+one ``expm`` node: a (T, B, dz, dz) stack on the dz x dz path, a
+(T, B, 2k, 2k) one on the rank path. The kernels walk that stack in
+blocks whose largest temporary stays under ``dense._BLOCK_BYTES``, so it
+costs one block's temporaries: unblocked, the dz x dz node took one
+B=256 rscp step from 184 to 418 MB peak RSS (one BLAS thread, 2-core
+Xeon, numpy 2.4.6). The stability hinge takes the dz x dz path's
+(T, B, dz, dz) A_disc stack whole; the rank path forms A_disc only for
+the steps its factor bound cannot certify stable (at zero coupling, the
+steps whose hold step exp(a .* delta) alone reaches the threshold).
 """
 
 import time

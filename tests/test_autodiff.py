@@ -79,6 +79,22 @@ def test_shape_ops_adjoints():
     assert tape_gradcheck(build, [x], rtol=1e-5) <= 1e-5
 
 
+def test_getitem_repeated_index_sums_its_gradients():
+    # an index array that selects one row twice sends that row the sum of
+    # both rows' cotangents; so does a (row, column) pair of index arrays
+    x = RNG.standard_normal((3, 4))
+    w = RNG.standard_normal((3, 4))
+    tape = Tape()
+    leaf = tape.leaf(x)
+    grads = backward(tape, ad.vsum(leaf[[0, 0, 1]] * w))
+    assert np.array_equal(grads[leaf], np.stack([w[0] + w[1], w[2], np.zeros(4)]))
+    build = lambda t, ls: ad.vsum(ad.tanh(ls[0][[0, 0, 1]]) * w)
+    assert tape_gradcheck(build, [x], rtol=1e-5) <= 1e-5
+    pairs = (np.array([2, 0, 2, 2]), np.array([1, 3, 1, 0]))
+    build = lambda t, ls: ad.vsum(ad.tanh(ls[0][pairs]) * w[0])
+    assert tape_gradcheck(build, [x], rtol=1e-5) <= 1e-5
+
+
 def test_mean_and_keepdims_adjoints():
     x = RNG.standard_normal((3, 4, 2))
     build = lambda t, ls: ad.vsum(

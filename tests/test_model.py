@@ -277,8 +277,8 @@ def test_rollout_scalar_geometric():
         control_std=np.ones(1),
     )
     u = np.array([[0.3], [0.1], [-0.2]])
-    lat, a_disc = model.rollout(np.array([1.0]), u, b, None, 1.0, a_disc=True)
-    assert a_disc is None
+    lat, pens = model.rollout(np.array([1.0]), u, b, None, 1.0, margin=0.05)
+    assert pens is None
     dec = lat[1:] @ b.decoder.T
     ad_ = np.exp(-0.2)
     bd = (np.exp(-0.2) - 1.0) / (-0.5) * 1.2
@@ -327,7 +327,10 @@ def test_batched_rollout_matches_stepped_discretize():
     for k in range(T):
         assert np.array_equal(e_p[k], dense.matrix_exp(P[k]))
     z0 = rng.standard_normal(dz)
-    lat, a_disc = model.rollout(z0, u, b, G, 1.0, a_disc=True)
+    lat, pens = model.rollout(z0, u, b, G, 1.0, margin=0.05)
+    # the A_disc stack whose hinge sums the dz x dz rollout returns
+    a_disc = e_p * np.exp(b.a_act * b.delta)
+    assert np.array_equal(pens, ad.eig_penalty(a_disc, 0.05))
     z = z0
     for k in range(T):
         held, _ = model.rollout(np.zeros(dz), u[k : k + 1], b, G, 1.0)
@@ -517,11 +520,26 @@ def dense_path_params():
     return p
 
 
+def rank_path_steps(p, S, C):
+    """(coupling, s2, phi_h, e_d) of the rank-path rollout of the windows
+    (S, C), on the parameter arrays: what ``LowRank.hinge`` gets."""
+    h = p.hyper
+    H, T = h.lookback, h.horizon
+    bundle, _ = model.encode_history(p.arrays, p, S[:, :H], C[:, :H])
+    mu, sd = bundle.control_mean[:, None, :], bundle.control_std[:, None, :]
+    u_n = (C[:, H - 1 : H + T - 1, :] - mu) / sd
+    cpl = model.forward_coupling(p.arrays)
+    s2, phi_h = cpl.phi_half(np.swapaxes(u_n, 0, 1), h.coupling_period)
+    e_d, _ = model.held_step(bundle)
+    return cpl, s2, phi_h, e_d
+
+
 #: a model on each path of ``rollout``, and the coupling type it takes
 ROLLOUT_PATHS = {
     "linear": (lambda: rscp_rank_one_params(seed=73, scale=0.5).linear_twin(), type(None)),
     "dense": (dense_path_params, np.ndarray),
     "rank": (lambda: rscp_rank_one_params(seed=77, scale=0.5), model.LowRank),
+    "rank_mixed": (lambda: rscp_rank_one_params(seed=79, scale=0.2), model.LowRank),
     "hinge": (hinge_active_params, np.ndarray),
 }
 
@@ -541,7 +559,12 @@ def test_one_rollout_matches_the_stepwise_oracle(path):
     got_penalty = None if penalty is None else float(penalty.value)
     assert got_penalty == ref_penalty
     assert (ref_penalty is None) == (path == "linear")
-    assert path != "hinge" or ref_penalty > 0.0
+    assert path not in ("hinge", "rank_mixed") or ref_penalty > 0.0
+    if path == "rank_mixed":
+        # the hinge forms A_disc for some steps and certifies the others
+        cpl, s2, phi_h, e_d = rank_path_steps(p, S, C)
+        ok = cpl.certified(s2, phi_h, e_d, 1.0 - p.hyper.stability_margin)
+        assert ok.any() and not ok.all()
     assert set(grads) == set(ref_grads)
     for name, g in ref_grads.items():
         assert np.linalg.norm(grads[name] - g) <= 1e-12 * np.linalg.norm(g), name
@@ -550,7 +573,7 @@ def test_one_rollout_matches_the_stepwise_oracle(path):
 @pytest.mark.parametrize("path", sorted(ROLLOUT_PATHS))
 def test_rollout_on_arrays_returns_the_taped_values(path):
     # the same rollout on the parameter arrays and on tape leaves: latents,
-    # A_disc and forecast MSE equal bit for bit
+    # hinge sums and forecast MSE equal bit for bit
     p = ROLLOUT_PATHS[path][0]()
     h = p.hyper
     H, T = h.lookback, h.horizon
@@ -561,15 +584,17 @@ def test_rollout_on_arrays_returns_the_taped_values(path):
         bundle, z0 = model.encode_history(w, p, S[:, :H], C[:, :H])
         mu, sd = bundle.control_mean[:, None, :], bundle.control_std[:, None, :]
         u_n = (C[:, H - 1 : H + T - 1, :] - mu) / sd
-        lat, a_disc = model.rollout(
-            z0, u_n, bundle, model.forward_coupling(w), h.coupling_period, a_disc=True
+        lat, pens = model.rollout(
+            z0, u_n, bundle, model.forward_coupling(w), h.coupling_period,
+            margin=h.stability_margin,
         )
         mse, _ = model.forecast_mse(w, p, S, C)
         runs.append([x if isinstance(x, np.ndarray) or x is None else x.value
-                     for x in (lat, a_disc, mse)])
+                     for x in (lat, pens, mse)])
     plain, taped = runs
     assert lat.shape == (T + 1, 3, h.latent_dim)
-    assert (a_disc is None) == (path == "linear")
+    assert (pens is None) == (path == "linear")
+    assert pens is None or pens.shape == (T, 3)
     for got, want in zip(plain, taped, strict=True):
         assert isinstance(got, np.ndarray) or got is None
         assert got is None or got.tobytes() == want.tobytes()
@@ -578,12 +603,20 @@ def test_rollout_on_arrays_returns_the_taped_values(path):
 def test_hinge_active_loss_records_exactly_the_registered_ops():
     # the tape's op set is what the loss needs: a hinge-active bilinear
     # loss (cartpole architecture, slow modes, strong coupling) records
-    # every op that has an adjoint rule, and no other
+    # every op that has an adjoint rule, and no other; a hinge-active loss
+    # on the rank path records no op outside that set either
     p = hinge_active_params()
     S, C = toy_windows(p, count=4)
     tape, _, _, _, penalty = model.loss_forward(p, S, C)
     assert float(penalty.value) > 0.0
     recorded = {node.op for node in tape._nodes} - {"leaf", "const"}
+    assert recorded == set(ad._ADJOINTS)
+    q = rscp_rank_one_params(seed=61, scale=0.6)
+    q.arrays["a_raw"][:] = -0.01
+    assert isinstance(model.forward_coupling(q.arrays), model.LowRank)
+    tape, _, _, _, penalty = model.loss_forward(q, *toy_windows(q, count=4))
+    assert float(penalty.value) > 0.0
+    recorded |= {node.op for node in tape._nodes} - {"leaf", "const"}
     assert recorded == set(ad._ADJOINTS)
 
 
@@ -726,16 +759,60 @@ def test_dense_path_zero_coupling_model_is_the_linear_model(monkeypatch):
 
 
 def test_rank_path_forward_matches_dense_path(monkeypatch):
-    # the forecast MSE and every A_disc of the rank path against the
-    # dz x dz path of the same coupling
+    # the forecast MSE and every step's hinge sum of the rank path against
+    # the dz x dz path of the same coupling
     p = rscp_rank_one_params(seed=69, scale=0.5)
     S, C = toy_windows(p, count=3, seed=70)
-    mse, a_discs = model.forecast_mse(p.arrays, p, S, C, a_disc=True)
+    margin = p.hyper.stability_margin
+    mse, pens = model.forecast_mse(p.arrays, p, S, C, margin=margin)
     monkeypatch.setattr(model, "forward_coupling", model.coupling)
-    mse_ref, refs = model.forecast_mse(p.arrays, p, S, C, a_disc=True)
+    mse_ref, refs = model.forecast_mse(p.arrays, p, S, C, margin=margin)
     assert abs(mse - mse_ref) <= 1e-13 * mse_ref
-    for a_disc, ref in zip(a_discs, refs, strict=True):
-        assert np.linalg.norm(a_disc - ref) <= 1e-13 * np.linalg.norm(ref)
+    assert pens.shape == refs.shape == (p.hyper.horizon, 3) and refs.max() > 0.0
+    assert np.linalg.norm(pens - refs) <= 1e-12 * np.linalg.norm(refs)
+
+
+def test_rank_path_certificate_is_sound():
+    # every step the factor bound certifies has all row sums of |A_disc|,
+    # formed as I + U phi1(X) V^T times e_d, below 1 - margin: so it also
+    # fails the prefilter of eig_penalty and its hinge sum is zero
+    thresh, counts = 1.0 - 0.05, np.zeros(2, dtype=int)
+    for scale in (0.0, 0.05, 0.1, 0.3, 1.0):
+        # slowest modes from just under the threshold to well inside it
+        for seed, slow in enumerate((-0.05, -0.1, -0.2, -0.4)):
+            p = rscp_rank_one_params(seed=90 + seed, scale=scale)
+            p.arrays["a_raw"] = np.linspace(-1.0, slow, p.hyper.latent_dim)
+            cpl, s2, phi_h, e_d = rank_path_steps(p, *toy_windows(p, count=8, seed=seed))
+            ok = cpl.certified(s2, phi_h, e_d, thresh)
+            a_disc = cpl.factor(s2, phi_h) * e_d[:, None, :]
+            rows = np.abs(a_disc).sum(axis=-1).max(axis=-1)
+            assert ok.shape == rows.shape
+            assert (rows[ok] < thresh).all()
+            assert (ad.eig_penalty(a_disc[ok], 0.05) == 0.0).all()
+            if scale == 0.0:
+                # no coupling: the bound is e_d itself, the exact row sum
+                assert np.array_equal(ok, rows * (1.0 + 1e-12) < thresh)
+            counts += ok.sum(), (~ok).sum()
+    assert counts.min() > 0
+
+
+def test_rank_path_nonfinite_step_is_not_certified(caplog):
+    # a NaN in one step's factor gives that step a NaN bound: the step stays
+    # uncertified, so eig_penalty sees its non-finite A_disc and logs one
+    # warning, while every finite step is certified as before
+    p = rscp_rank_one_params(seed=79, scale=0.05)
+    cpl, s2, phi_h, e_d = rank_path_steps(p, *toy_windows(p, count=3, seed=79))
+    assert cpl.certified(s2, phi_h, e_d, 0.95).all()
+    phi_h = phi_h.copy()
+    phi_h[1, 0, 0, 0] = np.nan
+    ok = cpl.certified(s2, phi_h, e_d, 0.95)
+    assert list(zip(*np.nonzero(~ok))) == [(1, 0)]
+    with caplog.at_level("WARNING", logger="bkmpc.numerics"):
+        pens = cpl.hinge(s2, phi_h, e_d, 0.05)
+    assert np.array_equal(pens, np.zeros(ok.shape))
+    assert [r.getMessage() for r in caplog.records] == [
+        "non-finite matrix inside eig_penalty; skipping its penalty"
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -142,6 +142,27 @@ def test_exponential_kernels_have_pinned_callers():
     }
 
 
+def test_rank_path_factor_has_one_caller():
+    # the rank path never forms the (T, B, dz, dz) factor stack: I + U
+    # phi1(X) V^T is built only by the hinge, for the steps its bound
+    # cannot certify
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        parent = {c: p for p in ast.walk(tree) for c in ast.iter_child_nodes(p)}
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "factor"):
+                continue
+            owners, at = [], node
+            while at in parent:
+                at = parent[at]
+                if isinstance(at, (ast.FunctionDef, ast.ClassDef)):
+                    owners.insert(0, at.name)
+            found.append(f"{path.relative_to(SRC).as_posix()}:{'.'.join(owners)}")
+    assert found == ["bkmpc/model.py:LowRank.hinge"]
+
+
 def test_bench_wrapped_names_exist(monkeypatch):
     # the traced bench wraps functions at the names their callers look
     # them up by; a deleted or renamed one would otherwise fail only when
