@@ -35,10 +35,21 @@ Every function here works on rows: ``states`` is (E, n), ``controls``
 (E, m) and ``ts`` or ``step_indices`` (E,), one entry per independent
 item, so E = 1 is a single trajectory and E > 1 steps lanes in lockstep.
 Each row's result depends on that row alone.
+
+The balances are evaluated in grouped calls: one numpy operation covers
+every term of one form (the four Arrhenius rates, the six two-inflow
+balances of the reactors, both vessels' reaction terms), and a config's
+derived constants are computed once per config. Grouping changes only
+the number of calls: each element gets the same floating-point
+operations in the same order as the balance written term by term (a
+subtracted term may be added negated, which rounds identically), so the
+results are bit for bit those of one operation per term.
 """
 
 import dataclasses
 from dataclasses import dataclass
+from functools import cached_property
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -129,6 +140,41 @@ class RscpConfig:
     def control_high(self):
         return np.asarray(self.q_nominal) + self.duty_halfwidth
 
+    @cached_property
+    def _balance(self):
+        """Constants of the nine balances, derived once per config."""
+        V1, V2, V3 = self.volumes
+        F10, F20 = self.feed_flows
+        Fr, Fp = self.recycle_flow, self.purge_flow
+        F1 = F10 + Fr
+        F2 = F1 + F20
+        rho_cp = self.rho * self.cp
+        beta1, beta2 = (-dh * self.c_molar / rho_cp for dh in self.reaction_dh)
+        (xa10, xa20), (T10, T20) = self.feed_xa, self.feed_temps
+
+        def col(rows):  # constants along the first axes, items along the last
+            return np.array(rows)[..., None]
+
+        return SimpleNamespace(
+            # vessels 1-2, rows (xA, xB, T) of each: P (A - X) + Q (B - X),
+            # A and B taken from inflow_const where they are constant
+            inflow_gain=col([[F10 / V1] * 3 + [F1 / V2] * 3,
+                             [Fr / V1] * 3 + [F20 / V2] * 3]),
+            inflow_const=col([[xa10, 0.0, T10, 0.0, 0.0, 0.0],
+                              [0.0, 0.0, 0.0, xa20, 0.0, T20]]),
+            # reaction j's factor in rows (xA, xB, T) of its vessel: A -> B
+            # takes A and gives B, B -> C takes B (its xA entry is unused)
+            react_gain=col([[-1.0, 1.0, beta1], [0.0, -1.0, beta2]]),
+            rate=col(self.rate_consts),
+            neg_act=col([-e for e in self.activation]),
+            heat_cap=col([rho_cp * V1, rho_cp * V2, rho_cp * V3]),
+            sep_in=F2 / V3,
+            sep_out=(Fr + Fp) / V3,
+            vap=(Fr + Fp) * self.c_molar / (rho_cp * V3),
+            vap_dh=col(self.vap_dh),
+            volatility=col(self.volatility),
+        )
+
 
 def neutral_control(cfg):
     """Center of the control box (zero force / nominal duties)."""
@@ -145,7 +191,9 @@ def clip_control(cfg, u):
 
 def cartpole_deriv_batch(cfg, states, forces, ts):
     """(xdot, xddot, thetadot, thetaddot) per row; theta measured from
-    upright."""
+    upright. The two angular-acceleration passes share their invariants:
+    g sin(theta), the applied and centrifugal force, the pivot friction
+    and the denominator."""
     states = np.asarray(states, dtype=float)
     xd = states[:, 1]
     th = states[:, 2]
@@ -154,33 +202,28 @@ def cartpole_deriv_batch(cfg, states, forces, ts):
     mc, mp = cfg.cart_mass, cfg.pole_mass
     length, g = cfg.half_length, cfg.gravity
     total = mc + mp
+    mpl = mp * length
     mu_c = cfg.mu_cart + (
         np.sin(cfg.tv_omega * np.asarray(ts, dtype=float))
         if cfg.variant == "tv"
         else 0.0
     )
-    mu_p = cfg.mu_pole
     sth, cth = np.sin(th), np.cos(th)
     sgn = np.sign(xd)
+    thd2 = thd**2
+    g_sth = g * sth
+    push = -force - mpl * thd2 * sth
+    pivot = cfg.mu_pole * thd / mpl
+    den = length * (4.0 / 3.0 - mp * cth**2 / total)
 
-    def angular_acc(normal):
-        num = (
-            g * sth
-            + cth * (-force - mp * length * thd**2 * sth + mu_c * normal * sgn) / total
-            - mu_p * thd / (mp * length)
-        )
-        den = length * (4.0 / 3.0 - mp * cth**2 / total)
-        return num / den
-
-    normal = total * g
-    thdd = angular_acc(normal)
+    thdd = (g_sth + cth * (push + mu_c * (total * g) * sgn) / total - pivot) / den
     # second pass with the normal force implied by the first solve
-    normal = total * g - mp * length * (thdd * sth + thd**2 * cth)
-    thdd = angular_acc(normal)
-    xdd = (
-        force - mu_c * normal * sgn + mp * length * (thd**2 * sth - thdd * cth)
-    ) / total
-    return np.stack([xd, xdd, thd, thdd], axis=1)
+    friction = mu_c * (total * g - mpl * (thdd * sth + thd2 * cth)) * sgn
+    d = np.empty_like(states)
+    d[:, 0::2] = states[:, 1::2]
+    thdd = np.divide(g_sth + cth * (push + friction) / total - pivot, den, out=d[:, 3])
+    np.divide(force - friction + mpl * (thd2 * sth - thdd * cth), total, out=d[:, 1])
+    return d
 
 
 # ---------------------------------------------------------------------------
@@ -188,83 +231,60 @@ def cartpole_deriv_batch(cfg, states, forces, ts):
 
 
 def _recycle_composition_batch(cfg, xa3, xb3):
-    """Vapor-liquid equilibrium split of the separator overhead."""
-    aA, aB, aC = cfg.volatility
-    xc3 = 1.0 - xa3 - xb3
-    denom = aA * xa3 + aB * xb3 + aC * xc3
-    if np.any(denom <= 0.0):
+    """Vapor-liquid equilibrium split of the separator overhead: the rows
+    of the (3, E) result are the recycle fractions of A, B and C."""
+    num = np.empty((3, len(xa3)))
+    num[0], num[1] = xa3, xb3
+    np.subtract(1.0 - xa3, xb3, out=num[2])
+    num *= cfg._balance.volatility
+    denom = num[0] + num[1] + num[2]
+    if (denom <= 0.0).any():
         raise InvalidStateError(
             "degenerate separator composition: equilibrium denominator "
             f"{np.min(denom)}"
         )
-    return aA * xa3 / denom, aB * xb3 / denom, aC * xc3 / denom
+    return num / denom
 
 
 def rscp_deriv_batch(cfg, states, duties, ts):
     """Nine-component balance per row, units per hour."""
+    c = cfg._balance
     s = np.asarray(states, dtype=float)
-    q = np.asarray(duties, dtype=float).reshape(s.shape[0], 3)
-    xa1, xb1, T1 = s[:, 0], s[:, 1], s[:, 2]
-    xa2, xb2, T2 = s[:, 3], s[:, 4], s[:, 5]
-    xa3, xb3, T3 = s[:, 6], s[:, 7], s[:, 8]
-    V1, V2, V3 = cfg.volumes
-    F10, F20 = cfg.feed_flows
-    Fr, Fp = cfg.recycle_flow, cfg.purge_flow
-    F1 = F10 + Fr
-    F2 = F1 + F20
-    T10, T20 = cfg.feed_temps
-    xa10, xa20 = cfg.feed_xa
-    k1, k2 = cfg.rate_consts
-    E1, E2 = cfg.activation
-    R = cfg.gas_const
-    rho_cp = cfg.rho * cfg.cp
-    beta1 = -cfg.reaction_dh[0] * cfg.c_molar / rho_cp
-    beta2 = -cfg.reaction_dh[1] * cfg.c_molar / rho_cp
-
+    E = s.shape[0]
+    S = s.T  # one row per state, the items along the last axis
+    heat = np.asarray(duties, dtype=float).reshape(E, 3).T / c.heat_cap
+    rec = _recycle_composition_batch(cfg, S[6], S[7])
+    rate = c.rate
     if cfg.variant == "tv":
-        decay = np.exp(-cfg.decay_rate * np.asarray(ts, dtype=float))
-    else:
-        decay = 1.0
-
-    xar, xbr, xcr = _recycle_composition_batch(cfg, xa3, xb3)
-    r11 = decay * k1 * np.exp(-E1 / (R * T1))
-    r21 = decay * k2 * np.exp(-E2 / (R * T1))
-    r12 = decay * k1 * np.exp(-E1 / (R * T2))
-    r22 = decay * k2 * np.exp(-E2 / (R * T2))
+        rate = rate * np.exp(-cfg.decay_rate * np.asarray(ts, dtype=float))
+    # r[i, j]: rate of reaction j in vessel i, acting on x[i, j] (xA, xB)
+    r = rate * np.exp(c.neg_act / (cfg.gas_const * S[2:6:3])[:, None])
+    x = S[:6].reshape(2, 3, E)[:, :2]
+    # t[i, j, k]: reaction j's term (beta r) x in row k of vessel i. A
+    # term the balance subtracts is added negated, (-r) x, which IEEE 754
+    # rounds exactly as the subtraction
+    t = c.react_gain * r[:, :, None] * x[:, :, None]
 
     d = np.empty_like(s)
-    # CSTR-1: fresh feed plus recycle
-    d[:, 0] = F10 / V1 * (xa10 - xa1) + Fr / V1 * (xar - xa1) - r11 * xa1
-    d[:, 1] = F10 / V1 * (0.0 - xb1) + Fr / V1 * (xbr - xb1) + r11 * xa1 - r21 * xb1
-    d[:, 2] = (
-        F10 / V1 * (T10 - T1)
-        + Fr / V1 * (T3 - T1)
-        + beta1 * r11 * xa1
-        + beta2 * r21 * xb1
-        + q[:, 0] / (rho_cp * V1)
-    )
-    # CSTR-2: effluent of CSTR-1 plus fresh feed
-    d[:, 3] = F1 / V2 * (xa1 - xa2) + F20 / V2 * (xa20 - xa2) - r12 * xa2
-    d[:, 4] = F1 / V2 * (xb1 - xb2) + F20 / V2 * (0.0 - xb2) + r12 * xa2 - r22 * xb2
-    d[:, 5] = (
-        F1 / V2 * (T1 - T2)
-        + F20 / V2 * (T20 - T2)
-        + beta1 * r12 * xa2
-        + beta2 * r22 * xb2
-        + q[:, 1] / (rho_cp * V2)
-    )
+    D = d.T
+    # CSTR-1: fresh feed plus recycle; CSTR-2: effluent of CSTR-1 plus
+    # fresh feed. inflow[0] is each balance's A, inflow[1] its B
+    inflow = c.inflow_const.repeat(E, 2)
+    inflow[0, 3:] = S[:3]
+    inflow[1, :2] = rec[:2]
+    inflow[1, 2] = S[8]
+    terms = c.inflow_gain * (inflow - S[:6])
+    np.add(terms[0], terms[1], out=D[:6])
+    v = D[:6].reshape(2, 3, E)
+    v += t[:, 0]
+    v[:, 1:] += t[:, 1, 1:]
+    v[:, 2] += heat[:2]
     # flash separator: no reaction, vaporization enthalpy transport
-    d[:, 6] = F2 / V3 * (xa2 - xa3) - (Fr + Fp) / V3 * (xar - xa3)
-    d[:, 7] = F2 / V3 * (xb2 - xb3) - (Fr + Fp) / V3 * (xbr - xb3)
-    hvapA, hvapB, hvapC = cfg.vap_dh
-    d[:, 8] = (
-        F2 / V3 * (T2 - T3)
-        + q[:, 2] / (rho_cp * V3)
-        + (Fr + Fp)
-        * cfg.c_molar
-        / (rho_cp * V3)
-        * (xar * hvapA + xbr * hvapB + xcr * hvapC)
-    )
+    np.multiply(c.sep_in, S[3:6] - S[6:], out=D[6:])
+    D[6:8] -= c.sep_out * (rec[:2] - S[6:8])
+    D[8] += heat[2]
+    h = rec * c.vap_dh
+    D[8] += c.vap * (h[0] + h[1] + h[2])
     return d
 
 
@@ -289,8 +309,9 @@ TERM_REASONS = (None, "horizon", "nonfinite", "angle", "position",
 def check_termination_batch(cfg, states, step_indices, mode="train", horizon=None):
     """Integer reason code per row (0 = continue), indexing ``TERM_REASONS``;
     ``horizon``, a scalar or one per row, replaces the mode's horizon."""
+    if mode not in ("train", "test"):
+        raise ValueError(f"unknown mode '{mode}' (choose 'train' or 'test')")
     states = np.asarray(states, dtype=float)
-    steps = np.asarray(step_indices)
     if horizon is None:
         horizon = cfg.train_horizon if mode == "train" else cfg.test_horizon
     codes = np.zeros(states.shape[0], dtype=int)
@@ -298,16 +319,13 @@ def check_termination_batch(cfg, states, step_indices, mode="train", horizon=Non
         codes[np.abs(states[:, 0]) > cfg.position_limit] = 4
         codes[np.abs(states[:, 2]) > cfg.angle_limit] = 3
     else:
-        fr = states.reshape(-1, 3, 3)
-        temps = fr[:, :, 2]
-        codes[
-            np.any(temps < cfg.temp_bounds[0], axis=1)
-            | np.any(temps > cfg.temp_bounds[1], axis=1)
-        ] = 6
-        fracs = fr[:, :, :2]
-        codes[np.any((fracs < 0.0) | (fracs > 1.0), axis=(1, 2))] = 5
-    codes[~np.all(np.isfinite(states), axis=1)] = 2
-    codes[steps >= horizon] = 1
+        temps = states[:, 2::3]
+        lo, hi = cfg.temp_bounds
+        codes[((temps < lo) | (temps > hi)).any(1)] = 6
+        fracs = states.reshape(-1, 3, 3)[:, :, :2]
+        codes[((fracs < 0.0) | (fracs > 1.0)).any((1, 2))] = 5
+    codes[~np.isfinite(states).all(1)] = 2
+    codes[np.asarray(step_indices) >= horizon] = 1
     return codes
 
 

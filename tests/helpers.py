@@ -9,8 +9,10 @@ enumerates every active set, and gradient checks are central finite
 differences over tape leaves. The sequential excitation episode is the
 oracle for the lockstep data-generation runner, the size-weighted
 forecast MSE over batches is the oracle for training's validation loss,
-and the training loss taped step by step is the oracle for the one
-batched ``model.rollout`` under the tape.
+the training loss taped step by step is the oracle for the one
+batched ``model.rollout`` under the tape, and the simulators' balances
+written term by term, one numpy operation per term, are the oracle for
+the grouped ``simulators.deriv_batch``.
 """
 
 import pathlib
@@ -182,6 +184,122 @@ def enumerate_box_qp(p):
             best_obj = obj
             best_x = x.copy()
     return best_x, best_obj
+
+
+def cartpole_deriv_oracle(cfg, states, forces, ts):
+    """(xdot, xddot, thetadot, thetaddot) per row, each term its own
+    operation: two angular-acceleration passes that recompute their
+    invariants, then ``np.stack``."""
+    states = np.asarray(states, dtype=float)
+    xd = states[:, 1]
+    th = states[:, 2]
+    thd = states[:, 3]
+    force = np.asarray(forces, dtype=float).reshape(-1)
+    mc, mp = cfg.cart_mass, cfg.pole_mass
+    length, g = cfg.half_length, cfg.gravity
+    total = mc + mp
+    mu_c = cfg.mu_cart + (
+        np.sin(cfg.tv_omega * np.asarray(ts, dtype=float))
+        if cfg.variant == "tv"
+        else 0.0
+    )
+    mu_p = cfg.mu_pole
+    sth, cth = np.sin(th), np.cos(th)
+    sgn = np.sign(xd)
+
+    def angular_acc(normal):
+        num = (
+            g * sth
+            + cth * (-force - mp * length * thd**2 * sth + mu_c * normal * sgn) / total
+            - mu_p * thd / (mp * length)
+        )
+        den = length * (4.0 / 3.0 - mp * cth**2 / total)
+        return num / den
+
+    normal = total * g
+    thdd = angular_acc(normal)
+    normal = total * g - mp * length * (thdd * sth + thd**2 * cth)
+    thdd = angular_acc(normal)
+    xdd = (
+        force - mu_c * normal * sgn + mp * length * (thd**2 * sth - thdd * cth)
+    ) / total
+    return np.stack([xd, xdd, thd, thdd], axis=1)
+
+
+def rscp_deriv_oracle(cfg, states, duties, ts):
+    """Nine-component balance per row, units per hour, each term its own
+    operation on one-column arrays."""
+    s = np.asarray(states, dtype=float)
+    q = np.asarray(duties, dtype=float).reshape(s.shape[0], 3)
+    xa1, xb1, T1 = s[:, 0], s[:, 1], s[:, 2]
+    xa2, xb2, T2 = s[:, 3], s[:, 4], s[:, 5]
+    xa3, xb3, T3 = s[:, 6], s[:, 7], s[:, 8]
+    V1, V2, V3 = cfg.volumes
+    F10, F20 = cfg.feed_flows
+    Fr, Fp = cfg.recycle_flow, cfg.purge_flow
+    F1 = F10 + Fr
+    F2 = F1 + F20
+    T10, T20 = cfg.feed_temps
+    xa10, xa20 = cfg.feed_xa
+    k1, k2 = cfg.rate_consts
+    E1, E2 = cfg.activation
+    R = cfg.gas_const
+    rho_cp = cfg.rho * cfg.cp
+    beta1 = -cfg.reaction_dh[0] * cfg.c_molar / rho_cp
+    beta2 = -cfg.reaction_dh[1] * cfg.c_molar / rho_cp
+
+    if cfg.variant == "tv":
+        decay = np.exp(-cfg.decay_rate * np.asarray(ts, dtype=float))
+    else:
+        decay = 1.0
+
+    aA, aB, aC = cfg.volatility
+    xc3 = 1.0 - xa3 - xb3
+    denom = aA * xa3 + aB * xb3 + aC * xc3
+    xar, xbr, xcr = aA * xa3 / denom, aB * xb3 / denom, aC * xc3 / denom
+    r11 = decay * k1 * np.exp(-E1 / (R * T1))
+    r21 = decay * k2 * np.exp(-E2 / (R * T1))
+    r12 = decay * k1 * np.exp(-E1 / (R * T2))
+    r22 = decay * k2 * np.exp(-E2 / (R * T2))
+
+    d = np.empty_like(s)
+    d[:, 0] = F10 / V1 * (xa10 - xa1) + Fr / V1 * (xar - xa1) - r11 * xa1
+    d[:, 1] = F10 / V1 * (0.0 - xb1) + Fr / V1 * (xbr - xb1) + r11 * xa1 - r21 * xb1
+    d[:, 2] = (
+        F10 / V1 * (T10 - T1)
+        + Fr / V1 * (T3 - T1)
+        + beta1 * r11 * xa1
+        + beta2 * r21 * xb1
+        + q[:, 0] / (rho_cp * V1)
+    )
+    d[:, 3] = F1 / V2 * (xa1 - xa2) + F20 / V2 * (xa20 - xa2) - r12 * xa2
+    d[:, 4] = F1 / V2 * (xb1 - xb2) + F20 / V2 * (0.0 - xb2) + r12 * xa2 - r22 * xb2
+    d[:, 5] = (
+        F1 / V2 * (T1 - T2)
+        + F20 / V2 * (T20 - T2)
+        + beta1 * r12 * xa2
+        + beta2 * r22 * xb2
+        + q[:, 1] / (rho_cp * V2)
+    )
+    d[:, 6] = F2 / V3 * (xa2 - xa3) - (Fr + Fp) / V3 * (xar - xa3)
+    d[:, 7] = F2 / V3 * (xb2 - xb3) - (Fr + Fp) / V3 * (xbr - xb3)
+    hvapA, hvapB, hvapC = cfg.vap_dh
+    d[:, 8] = (
+        F2 / V3 * (T2 - T3)
+        + q[:, 2] / (rho_cp * V3)
+        + (Fr + Fp)
+        * cfg.c_molar
+        / (rho_cp * V3)
+        * (xar * hvapA + xbr * hvapB + xcr * hvapC)
+    )
+    return d
+
+
+def deriv_oracle(cfg, states, controls, ts):
+    """The term-by-term balance of ``cfg``'s system."""
+    if cfg.system == "cartpole":
+        return cartpole_deriv_oracle(cfg, states, controls, ts)
+    return rscp_deriv_oracle(cfg, states, controls, ts)
 
 
 def sample_excitation(cfg, rng):

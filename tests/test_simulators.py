@@ -1,7 +1,10 @@
 """CartPole and RSCP dynamics, stepping, termination."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from helpers import deriv_oracle
 
 from bkmpc import simulators as sim
 
@@ -166,7 +169,55 @@ def test_step_euler_from_published_point_moves_little():
     assert np.max(np.abs(s1[0] - s0)) <= 18.0 * 4e-3
 
 
-@pytest.mark.parametrize("name", ["cartpole-tv", "rscp-tv"])
+def spread_rows(cfg, rng, E):
+    """E (states, controls, times) rows spread out to the termination
+    bounds, over the control box and the training horizon's times."""
+    if cfg.system == "cartpole":
+        lim = [cfg.position_limit, 5.0, cfg.angle_limit, 5.0]
+        x = rng.uniform(np.negative(lim), lim, size=(E, 4))
+        x[::3, 1] = 0.0  # the friction's sign at rest
+    else:
+        lo, hi = cfg.temp_bounds
+        x = rng.uniform([0.0, 0.0, lo] * 3, [1.0, 1.0, hi] * 3, size=(E, 9))
+    u = rng.uniform(cfg.control_low, cfg.control_high, size=(E, cfg.control_dim))
+    ts = rng.uniform(0.0, cfg.train_horizon * cfg.dt, size=E)
+    return x, u, ts
+
+
+@pytest.mark.parametrize("name", sim.PRESET_NAMES)
+@pytest.mark.parametrize("E", [1, 2, 7, 300])
+def test_deriv_batch_equals_term_by_term_oracle(name, E):
+    # grouping the balances into fewer numpy calls keeps every element's
+    # operations and their order, so the result is equal to the last bit
+    cfg = sim.preset(name)
+    rng = np.random.default_rng(E)
+    x, u, ts = spread_rows(cfg, rng, E)
+    assert len(set(ts)) == E
+    got = sim.deriv_batch(cfg, x, u, ts)
+    assert got.shape == (E, cfg.state_dim)
+    assert got.tobytes() == deriv_oracle(cfg, x, u, ts).tobytes()
+
+
+def test_derived_constants_follow_overrides():
+    # constants derived once per config are derived from that config's
+    # own fields: an override or a replace never reads a stale copy
+    base = sim.preset("rscp-ti")
+    rng = np.random.default_rng(23)
+    x, u, ts = spread_rows(base, rng, 40)
+    before = sim.deriv_batch(base, x, u, ts)
+    cfgs = [
+        sim.preset("rscp-ti", volumes=(0.8, 0.6, 1.3), dt=0.004),
+        dataclasses.replace(base, recycle_flow=40.0, volatility=(3.0, 1.2, 0.4),
+                            reaction_dh=(-1.0e5, -1.6e5), feed_temps=(310.0, 295.0)),
+    ]
+    for cfg in cfgs:
+        got = sim.deriv_batch(cfg, x, u, ts)
+        assert got.tobytes() == deriv_oracle(cfg, x, u, ts).tobytes()
+        assert not np.array_equal(got, before)
+    assert sim.deriv_batch(base, x, u, ts).tobytes() == before.tobytes()
+
+
+@pytest.mark.parametrize("name", sim.PRESET_NAMES)
 def test_step_euler_rows_equal_one_row_calls(name):
     # a row's step depends on that row alone, bit for bit, whatever the
     # number of rows; distinct times exercise the time-varying terms
@@ -210,6 +261,32 @@ def test_termination_rules():
     hot[2] = 710.0
     rows = [ok, bad, hot]
     assert reasons(rs, rows, [10, 10, 10]) == [None, "composition", "temperature"]
+
+
+def test_termination_precedence():
+    # a row that meets several conditions reads the one that ranks
+    # first: horizon, then nonfinite, then angle over position and
+    # composition over temperature
+    cp = sim.preset("cartpole-ti")
+    both = [11.0, 0.0, -0.4, 0.0]
+    nan = [np.nan, 0.0, 0.5, 0.0]
+    assert reasons(cp, [both, nan, nan], [10, 10, 20_040]) == ["angle", "nonfinite", "horizon"]
+
+    rs = sim.preset("rscp-ti")
+    bad = np.array(rs.x_fixed)
+    bad[4], bad[8] = -0.1, 240.0
+    nan = bad.copy()
+    nan[2] = np.nan
+    assert reasons(rs, [bad, nan, nan], [10, 10, 20_040]) == ["composition", "nonfinite", "horizon"]
+    assert reasons(rs, [nan], [1_000], mode="test") == ["horizon"]
+
+
+def test_termination_rejects_unknown_mode():
+    # any mode but the two would otherwise pick the test horizon unseen
+    cfg = sim.preset("cartpole-ti")
+    for mode in ("Train", "eval", None):
+        with pytest.raises(ValueError, match="unknown mode"):
+            sim.check_termination_batch(cfg, np.zeros((1, 4)), [0], mode=mode)
 
 
 def test_preset_overrides_and_unknown():

@@ -142,6 +142,31 @@ def test_exponential_kernels_have_pinned_callers():
     }
 
 
+def test_simulator_derivatives_have_pinned_callers():
+    # every simulated step goes through step_euler, whose deriv_batch
+    # call the bench's span counts; the only other callers evaluate the
+    # rscp balance at the operating point when a preset is built
+    derivs = {"deriv_batch", "rscp_deriv_batch", "cartpole_deriv_batch"}
+    found = set()
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        parent = {c: p for p in ast.walk(tree) for c in ast.iter_child_nodes(p)}
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Call)
+                    and ast.unparse(node.func).split(".")[-1] in derivs):
+                continue
+            at = node
+            while at in parent and not isinstance(at, ast.FunctionDef):
+                at = parent[at]
+            found.add(f"{path.relative_to(SRC).as_posix()}:{getattr(at, 'name', '<module>')}")
+    assert found == {
+        "bkmpc/simulators.py:deriv_batch",
+        "bkmpc/simulators.py:step_euler",
+        "bkmpc/simulators.py:rscp_nominal_duties",
+        "bkmpc/simulators.py:rscp_fixed_point",
+    }
+
+
 def test_rank_path_factor_has_one_caller():
     # the rank path never forms the (T, B, dz, dz) factor stack: I + U
     # phi1(X) V^T is built only by the hinge, for the steps its bound
