@@ -258,7 +258,7 @@ def cmd_eval_forecast(args):
                     if r["test_mse"] != "nan"
                 ]
                 if mses:
-                    mean50 = float(np.mean(mses[-50:]))
+                    mean50 = float(np.mean(mses[-tr.LOG_TEST_FINAL:]))
             for metric, value in (("best", best), ("mean_50", mean50)):
                 rows.append((
                     results.FORECAST_SCHEMA, ds.preset, kind, params.seed,

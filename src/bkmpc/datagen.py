@@ -1,12 +1,13 @@
 """Seeded trajectory generation, windowing, and the dataset container.
 
 Randomness is counter-based and splittable: every episode draws from its
-own Philox stream with key ``(seed, space + episode_index)`` where
-``space`` is 0 for training-pool episodes and 2**32 for test episodes, so
-episodes can be generated in any order (or in parallel) and still produce
-identical data. The train/validation split permutes the pooled windows
-with a separate Philox stream keyed by the fixed ``SPLIT_SEED`` alone,
-making the split a pure function of the pool size.
+own Philox stream with key ``(seed, space + episode_index)``
+(``episode_key``), ``space`` being 0 for training-pool episodes, 2**32
+for test episodes and 2**33 for closed-loop episodes, so episodes can be
+generated in any order (or in parallel) and still produce identical
+data. The train/validation split permutes the pooled windows with a
+separate Philox stream keyed by the fixed ``SPLIT_SEED`` alone, making
+the split a pure function of the pool size.
 
 Episodes roll the simulator under per-step i.i.d. uniform control
 excitation and are cut into maximally overlapping (stride 1) windows of
@@ -40,8 +41,8 @@ from .results import FormatError, IntegrityError  # noqa: F401  (re-exported)
 
 WINDOW_LEN = 60
 
-_TRAIN_SPACE = 0
-_TEST_SPACE = 2**32
+#: the key space of each episode stream; see the module docstring
+_STREAM_SPACE = {"train": 0, "test": 2**32, "mpc": 2**33}
 _TEST_EPISODE_OFFSET = 2**31  # keeps stored test episode ids disjoint
 
 _CHUNK = 256  # excitation draws per refill of a lane's buffer
@@ -61,12 +62,19 @@ class ProgressError(RuntimeError):
     """Episode budget exhausted before the window targets were met."""
 
 
-def episode_rng(seed, episode_index, test=False):
-    """The documented per-episode stream; see module docstring. It is the
-    definition the lockstep runner reproduces: the runner re-keys one
-    generator per lane slot to this stream with ``_restart``."""
-    space = _TEST_SPACE if test else _TRAIN_SPACE
-    return np.random.Generator(np.random.Philox(key=[seed, space + episode_index]))
+def episode_key(seed, episode_index, stream="train"):
+    """The Philox key of an episode of ``stream`` ("train", "test" or
+    "mpc"); no module but this one builds a Philox."""
+    return seed, _STREAM_SPACE[stream] + episode_index
+
+
+def episode_rng(seed, episode_index, stream="train"):
+    """The documented per-episode stream. It is the definition the
+    lockstep runner reproduces: the runner re-keys one generator per lane
+    slot to this stream with ``_restart``."""
+    return np.random.Generator(
+        np.random.Philox(key=episode_key(seed, episode_index, stream))
+    )
 
 
 class _Unseeded(np.random.bit_generator.ISeedSequence):
@@ -79,14 +87,14 @@ class _Unseeded(np.random.bit_generator.ISeedSequence):
         return np.zeros(n_words, dtype=dtype)
 
 
-def _restart(rng, seed, episode_index, test=False):
+def _restart(rng, seed, episode_index, stream="train"):
     """``rng``, a Philox generator, re-keyed in place to the start of
-    ``episode_rng(seed, episode_index, test)``: counter 0, that key and an
-    empty buffer. Setting the state takes a few microseconds."""
-    space = _TEST_SPACE if test else _TRAIN_SPACE
+    ``episode_rng(seed, episode_index, stream)``: counter 0, that key and
+    an empty buffer. Setting the state takes a few microseconds."""
+    key = episode_key(seed, episode_index, stream)
     rng.bit_generator.state = {
         "bit_generator": "Philox",
-        "state": {"counter": (0, 0, 0, 0), "key": (seed, space + episode_index)},
+        "state": {"counter": (0, 0, 0, 0), "key": key},
         "buffer": (0, 0, 0, 0),
         "buffer_pos": 4,
         "has_uint32": 0,
@@ -196,8 +204,8 @@ def _run_episode_batch(cfg, seed, wants, budget, max_lanes=512):
     new Philox. The buffer is refilled from that stream whenever ``step %
     _CHUNK == 0``. One lockstep step makes one excitation ``low + span *
     draw`` (what ``Generator.uniform`` over the control box returns, bit
-    for bit) and one clip, one termination check against each row's last
-    step, and one ``step_euler`` call for all lanes.
+    for bit) and one clip, one stop test (a terminal state or the row's
+    last step), and one ``step_euler`` call for all lanes.
 
     Admission, per split: episode ``i`` starts only while ``i < head +
     lanes``, ``head`` being its first unfinished episode. ``lanes`` starts
@@ -261,7 +269,7 @@ def _run_episode_batch(cfg, seed, wants, budget, max_lanes=512):
                 continue
             for i in range(nxt[k], min(head[k] + lanes[k], budget)):
                 s = free.pop()
-                rng = _restart(rngs[s], seed, i, test=k == 1)
+                rng = _restart(rngs[s], seed, i, ("train", "test")[k])
                 new_x.append(sample_initial_state(cfg, rng))
                 new_slot.append(s)
                 owner[s] = k, i
@@ -280,7 +288,7 @@ def _run_episode_batch(cfg, seed, wants, budget, max_lanes=512):
                 for k, name in enumerate(("train", "test")) if need[k] > 0
             ) + "; termination is starving window production")
 
-        stop = sim.check_termination_batch(cfg, x, step, horizon=last[slot]) != 0
+        stop = (sim.check_termination_batch(cfg, x) != 0) | (step >= last[slot])
         ended = [False, False]
         if stop.any():
             for s, j in zip(slot[stop].tolist(), step[stop].tolist()):

@@ -20,13 +20,15 @@ from the current history:
 4. accept the increment if the true (frozen-bundle) objective does not
    increase, otherwise halve the trust radius; the plan is then
    unchanged, so the next iteration re-solves the same QP on the smaller
-   box (``increment_box``) without linearizing again.
+   box (``increment_box``: the control box, formed once per solve by
+   ``control_box``, minus the plan) without linearizing again.
 
 The plan is optimized in normalized control units (the bundle's instance
-statistics); denormalized controls are clipped to the simulator's action
-box before application. The ``linear`` controller is the same solve with
-the coupling disabled and a single iteration, which for a coupling-free
-model is bit-identical arithmetic.
+statistics), and the solve first clips its nominal into the control box
+in those units; denormalized controls are clipped to the simulator's
+action box before application. The ``linear`` controller is the same
+solve with the coupling disabled and a single iteration, which for a
+coupling-free model is bit-identical arithmetic.
 
 Lead-time execution commits the first ``d + 1`` planned controls to a
 queue and re-plans only when the queue empties; neither the plan nor the
@@ -46,8 +48,6 @@ from . import simulators as sim
 from .model import ContractViolation
 from .numerics import dense, eig_values
 from .qpsolver import QpProblem, solve_box_qp
-
-_MPC_EPISODE_SPACE = 2**33
 
 #: the trust-region loop stops once the radius falls below this
 _TRUST_MIN = 1e-9
@@ -176,12 +176,17 @@ def plan_cost(cfg, params, bundle, z_nom, u_norm, u_prev_raw):
     return float(w @ res**2)
 
 
-def increment_box(bundle, u_norm, control_low, control_high, trust):
-    """(lo, hi) of the increment box: the control bounds minus the nominal
-    plan, in normalized units, intersected with the trust region."""
+def control_box(bundle, control_low, control_high):
+    """(lo, hi): the raw control bounds in the bundle's normalized units."""
+    mean, std = bundle.control_mean, bundle.control_std
+    return (control_low - mean) / std, (control_high - mean) / std
+
+
+def increment_box(u_norm, box, trust):
+    """(lo, hi) of the increment box: the control box ``box`` (normalized
+    units) minus the nominal plan, intersected with the trust region."""
     N = u_norm.size
-    lb_n = (control_low - bundle.control_mean) / bundle.control_std
-    ub_n = (control_high - bundle.control_mean) / bundle.control_std
+    lb_n, ub_n = box
     lo = np.maximum((lb_n - u_norm).reshape(N), -trust)
     hi = np.minimum((ub_n - u_norm).reshape(N), trust)
     if np.any(lo > hi + 1e-12):
@@ -204,8 +209,8 @@ def _increment_difference(control_std, horizon):
     return D.reshape(horizon * m, horizon * m)
 
 
-def condense(cfg, params, bundle, a_t, b_t, z_nom, u_norm, u_prev_raw,
-             control_low, control_high, trust):
+def condense(cfg, params, bundle, a_t, b_t, z_nom, u_norm, u_prev_raw, box,
+             trust):
     """Eliminate the linearized dynamics into a dense box QP in du.
 
     The increment enters the latent perturbation as dz_{k+1} =
@@ -214,13 +219,13 @@ def condense(cfg, params, bundle, a_t, b_t, z_nom, u_norm, u_prev_raw,
     decoded responses W_k of steps 1..H over the increment difference
     operator D = kron(I - shift, diag(control_std)). The objective's
     quadratic model is then H = 2 J^T W J, g = 2 J^T W res (constants
-    dropped). The box intersects feasibility (bounds minus nominal) with
-    the infinity-norm trust region.
+    dropped). The box intersects feasibility (the control box ``box``
+    minus the nominal) with the infinity-norm trust region.
     """
     H, m = u_norm.shape
     dz = z_nom.shape[1]
     N = H * m
-    lo, hi = increment_box(bundle, u_norm, control_low, control_high, trust)
+    lo, hi = increment_box(u_norm, box, trust)
 
     # latent responses M_k = d z_k / d du for k = 1..H
     resp = np.empty((H, dz, N))
@@ -239,9 +244,11 @@ def condense(cfg, params, bundle, a_t, b_t, z_nom, u_norm, u_prev_raw,
 
 def scp_solve(cfg, params, bundle, coupling, z0, nominal_u_norm, u_prev_raw,
               control_low, control_high, qp_warm=None):
-    """Trust-region loop; returns (Plan, SolveInfo, final QpSolution)."""
+    """Trust-region loop from the nominal clipped into the control box;
+    returns (Plan, SolveInfo, final QpSolution)."""
     period = params.hyper.coupling_period
-    u = np.array(nominal_u_norm, dtype=float)
+    box = control_box(bundle, control_low, control_high)
+    u = np.clip(nominal_u_norm, *box)
     z_nom = plan_rollout(bundle, coupling, z0, u, period)
     J = plan_cost(cfg, params, bundle, z_nom, u, u_prev_raw)
     info = SolveInfo([J], [], 0, [], cfg.trust_init)
@@ -253,12 +260,11 @@ def scp_solve(cfg, params, bundle, coupling, z0, nominal_u_norm, u_prev_raw,
         if qp is None:
             a_t, b_t = linearize(bundle, coupling, u, z_nom, period)
             qp = condense(
-                cfg, params, bundle, a_t, b_t, z_nom, u, u_prev_raw,
-                control_low, control_high, trust,
+                cfg, params, bundle, a_t, b_t, z_nom, u, u_prev_raw, box, trust
             )
         else:
             # a rejected step left the plan as it was: only the box shrinks
-            lo, hi = increment_box(bundle, u, control_low, control_high, trust)
+            lo, hi = increment_box(u, box, trust)
             qp = replace(qp, lb=lo, ub=hi)
         sol = solve_box_qp(qp, warm=sol)
         info.qp_iterations += sol.iterations
@@ -318,11 +324,11 @@ class EpisodeLog:
     """One closed-loop episode.
 
     The per-step fields are the log's only declaration of its per-step
-    record: ``run_episode`` appends one value for each, in field order,
-    at every control step, and ``to_csv`` writes one column for each, in
+    record: ``run_episode`` fills one value for each, in field order, at
+    every control step, and ``to_csv`` writes one column for each, in
     that order and under the field's name, after the state and control
-    columns x0.., u0... Between solves the solve fields read zero, and
-    ``trust_final`` reads nan.
+    columns x0.., u0... Between solves the five solve fields,
+    ``scp_iters`` to ``solve_wall_s``, read (0, 0, 0, nan, 0.0).
     """
 
     preset: str
@@ -393,44 +399,47 @@ def run_episode(sim_cfg, params, mpc_cfg, controller="scp5", lead=0,
                 seed=0, episode_index=0):
     """Closed-loop episode under the lead-time commitment protocol.
 
+    The episode lives in two arrays, ``xs`` (H + episode_len, n) and
+    ``us`` (H + episode_len, m), H the model's lookback. Their first
+    H - 1 rows pad the first history with the initial state and the
+    neutral control; row H - 1 + k holds the state of step k and the
+    control applied at it. That control is provisional until the step
+    chooses it: until then it is the last applied control, held. So a
+    solve's history is the H rows that end at the current row, its first
+    control increment is taken from that row's provisional control, and
+    the log's states and controls are the rows after the pad.
+
     Between solves the runner keeps the previous plan (shifted into the
-    next nominal), the last QP solution (the next warm start) and the
-    last applied control (the reference of the first control increment).
+    next nominal) and the last QP solution (the next warm start).
     """
     check_controller(params, controller)
     if lead < 0:
         raise ValueError("lead must be >= 0")
 
     h = params.hyper
-    rng = np.random.Generator(
-        np.random.Philox(key=[seed, _MPC_EPISODE_SPACE + episode_index])
-    )
-    state = dg.sample_initial_state(sim_cfg, rng)
-    neutral = sim.neutral_control(sim_cfg)
-    hist_states = [state.copy() for _ in range(h.lookback)]
-    hist_controls = [neutral.copy() for _ in range(h.lookback)]
+    H = h.lookback
+    xs = np.empty((H + mpc_cfg.episode_len, sim_cfg.state_dim))
+    us = np.empty((H + mpc_cfg.episode_len, sim_cfg.control_dim))
+    rng = dg.episode_rng(seed, episode_index, "mpc")
+    xs[:H] = dg.sample_initial_state(sim_cfg, rng)
+    us[:H] = sim.neutral_control(sim_cfg)
 
     coupling = None if controller == "linear" else mdl.coupling(params.arrays)
     if controller != "scp5":
         mpc_cfg = replace(mpc_cfg, n_scp=1)
-    low, high = sim_cfg.control_low, sim_cfg.control_high
-    q = np.asarray(mpc_cfg.q_weights)
-    r = np.asarray(mpc_cfg.r_weights)
-    ref = np.asarray(mpc_cfg.x_ref)
+    q, r, ref = map(np.asarray, (mpc_cfg.q_weights, mpc_cfg.r_weights, mpc_cfg.x_ref))
 
-    record = []  # one tuple per step, in EpisodeLog.per_step_fields order
+    record = []  # one tuple per step: the per-step fields after the controls
     queue = []
     plan = qp_warm = None
     cum = 0.0
     solves = 0
     termination = "horizon"
     t = np.zeros(1)
-    u_prev = neutral.copy()
 
     for step in range(mpc_cfg.episode_len):
-        # the episode length, not the simulator's test horizon, ends the
-        # loop, so the check sees step 0
-        code = sim.check_termination_batch(sim_cfg, state[None], [0], mode="test")[0]
+        i = H - 1 + step
+        code = sim.check_termination_batch(sim_cfg, xs[i : i + 1])[0]
         if code:
             termination = sim.TERM_REASONS[code]
             break
@@ -438,7 +447,7 @@ def run_episode(sim_cfg, params, mpc_cfg, controller="scp5", lead=0,
         if not queue:
             t0 = time.perf_counter()
             bundle, z0 = mdl.bundle_for_history(
-                params, np.asarray(hist_states), np.asarray(hist_controls)
+                params, xs[i + 1 - H : i + 1], us[i + 1 - H : i + 1]
             )
             if plan is None:
                 nominal = np.zeros((mpc_cfg.horizon, h.control_dim))
@@ -448,62 +457,34 @@ def run_episode(sim_cfg, params, mpc_cfg, controller="scp5", lead=0,
                 raw = plan.u_raw()
                 raw = np.vstack([raw[1:], raw[-1]])
                 nominal = (raw - bundle.control_mean) / bundle.control_std
-            nominal = np.clip(
-                nominal,
-                (low - bundle.control_mean) / bundle.control_std,
-                (high - bundle.control_mean) / bundle.control_std,
-            )
             plan, info, qp_warm = scp_solve(
-                mpc_cfg, params, bundle, coupling, z0, nominal, u_prev,
-                low, high, qp_warm=qp_warm,
+                mpc_cfg, params, bundle, coupling, z0, nominal, us[i],
+                sim_cfg.control_low, sim_cfg.control_high, qp_warm=qp_warm,
             )
             wall = time.perf_counter() - t0
             solves += 1
-            raw_plan = plan.u_raw()
-            queue = [raw_plan[i] for i in range(min(lead + 1, raw_plan.shape[0]))]
-            scp_it = len(info.accepted)
-            qp_it = info.qp_iterations
-            qp_unsolved = sum(status != "solved" for status in info.qp_status)
-            trust = info.trust_final
+            queue = list(plan.u_raw()[: lead + 1])
+            unsolved = sum(status != "solved" for status in info.qp_status)
+            solve = (len(info.accepted), info.qp_iterations, unsolved,
+                     info.trust_final, wall)
         else:
-            wall = 0.0
-            scp_it = 0
-            qp_it = 0
-            qp_unsolved = 0
-            trust = np.nan
+            solve = (0, 0, 0, np.nan, 0.0)
 
         u_raw = sim.clip_control(sim_cfg, queue.pop(0))
         u_norm = (u_raw - plan.bundle.control_mean) / plan.bundle.control_std
         a_disc = mdl.discretize(plan.bundle, coupling, u_norm, h.coupling_period)
         rho, straddle = stability_diagnostics(a_disc)
 
-        stage = float(np.sum((state - ref) ** 2 * q)) + float(
-            np.sum((u_raw - u_prev) ** 2 * r)
-        )
+        stage = float(np.sum((xs[i] - ref) ** 2 * q))
+        stage += float(np.sum((u_raw - us[i]) ** 2 * r))
         cum += stage
-        record.append((
-            state.copy(), u_raw.copy(), stage, cum / (step + 1), scp_it, qp_it,
-            qp_unsolved, trust, wall, rho, straddle, plan.checksum,
-        ))
+        record.append((stage, cum / (step + 1), *solve, rho, straddle, plan.checksum))
+        us[i] = us[i + 1] = u_raw  # the applied control, then held
+        xs[i + 1 : i + 2], t = sim.step_euler(sim_cfg, xs[i : i + 1], us[i : i + 1], t)
 
-        x_next, t = sim.step_euler(sim_cfg, state[None], u_raw[None], t)
-        state = x_next[0]
-        # histories hold (state, control applied at that state) pairs; the
-        # final slot is provisional until its control is chosen, so first
-        # complete it, then push the new state with a hold-last control
-        hist_controls[-1] = u_raw.copy()
-        hist_states.append(state.copy())
-        hist_controls.append(u_raw.copy())
-        hist_states.pop(0)
-        hist_controls.pop(0)
-        u_prev = u_raw
-
-    names = EpisodeLog.per_step_fields()
+    names = EpisodeLog.per_step_fields()[2:]
     columns = zip(*record) if record else [()] * len(names)
-    per_step = dict(zip(names, map(np.asarray, columns)))
-    k = len(record)
-    per_step["states"] = per_step["states"].reshape(k, sim_cfg.state_dim)
-    per_step["controls"] = per_step["controls"].reshape(k, sim_cfg.control_dim)
+    logged = slice(H - 1, H - 1 + len(record))
     return EpisodeLog(
         preset=f"{sim_cfg.system}-{sim_cfg.variant}",
         model=h.kind,
@@ -511,7 +492,9 @@ def run_episode(sim_cfg, params, mpc_cfg, controller="scp5", lead=0,
         lead=lead,
         seed=seed,
         episode_index=episode_index,
+        states=xs[logged],
+        controls=us[logged],
         solves=solves,
         termination=termination,
-        **per_step,
+        **dict(zip(names, map(np.asarray, columns))),
     )

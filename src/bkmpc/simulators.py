@@ -32,9 +32,14 @@ published operating point, and a Newton refinement of the full balance
 gives the fixed point used to center initial-state sampling.
 
 Every function here works on rows: ``states`` is (E, n), ``controls``
-(E, m) and ``ts`` or ``step_indices`` (E,), one entry per independent
-item, so E = 1 is a single trajectory and E > 1 steps lanes in lockstep.
-Each row's result depends on that row alone.
+(E, m) and ``ts`` (E,), one entry per independent item, so E = 1 is a
+single trajectory and E > 1 steps lanes in lockstep. Each row's result
+depends on that row alone.
+
+Termination (``check_termination_batch``) is a test of the state alone.
+How many steps an episode runs is its caller's to decide: the data
+generator cuts each episode at its split's horizon or earlier, and the
+closed loop at its episode length.
 
 The balances are evaluated in grouped calls: one numpy operation covers
 every term of one form (the four Arrhenius rates, the six two-inflow
@@ -302,30 +307,25 @@ def step_euler(cfg, states, controls, ts):
 
 
 #: termination reason of each code of ``check_termination_batch``
-TERM_REASONS = (None, "horizon", "nonfinite", "angle", "position",
-                "composition", "temperature")
+TERM_REASONS = (None, "nonfinite", "angle", "position", "composition",
+                "temperature")
 
 
-def check_termination_batch(cfg, states, step_indices, mode="train", horizon=None):
+def check_termination_batch(cfg, states):
     """Integer reason code per row (0 = continue), indexing ``TERM_REASONS``;
-    ``horizon``, a scalar or one per row, replaces the mode's horizon."""
-    if mode not in ("train", "test"):
-        raise ValueError(f"unknown mode '{mode}' (choose 'train' or 'test')")
+    a row that meets several conditions reads the first of them there."""
     states = np.asarray(states, dtype=float)
-    if horizon is None:
-        horizon = cfg.train_horizon if mode == "train" else cfg.test_horizon
     codes = np.zeros(states.shape[0], dtype=int)
     if cfg.system == "cartpole":
-        codes[np.abs(states[:, 0]) > cfg.position_limit] = 4
-        codes[np.abs(states[:, 2]) > cfg.angle_limit] = 3
+        codes[np.abs(states[:, 0]) > cfg.position_limit] = 3
+        codes[np.abs(states[:, 2]) > cfg.angle_limit] = 2
     else:
         temps = states[:, 2::3]
         lo, hi = cfg.temp_bounds
-        codes[((temps < lo) | (temps > hi)).any(1)] = 6
+        codes[((temps < lo) | (temps > hi)).any(1)] = 5
         fracs = states.reshape(-1, 3, 3)[:, :, :2]
-        codes[((fracs < 0.0) | (fracs > 1.0)).any((1, 2))] = 5
-    codes[~np.isfinite(states).all(1)] = 2
-    codes[np.asarray(step_indices) >= horizon] = 1
+        codes[((fracs < 0.0) | (fracs > 1.0)).any((1, 2))] = 4
+    codes[~np.isfinite(states).all(1)] = 1
     return codes
 
 

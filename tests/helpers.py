@@ -308,16 +308,17 @@ def sample_excitation(cfg, rng):
 
 
 def run_excitation_episode(cfg, rng, mode="train"):
-    """Roll one episode step by step; returns (states (L+1, n), controls
-    (L, m), reason)."""
+    """Roll one episode step by step to a termination or the mode's
+    horizon; returns (states (L+1, n), controls (L, m), reason)."""
+    horizon = cfg.train_horizon if mode == "train" else cfg.test_horizon
     state = dg.sample_initial_state(cfg, rng)
     t = np.zeros(1)
     states = [state]
     controls = []
     step = 0
     while True:
-        code = sim.check_termination_batch(cfg, state[None], [step], mode=mode)[0]
-        if code:
+        code = sim.check_termination_batch(cfg, state[None])[0]
+        if step >= horizon or code:
             break
         u = sim.clip_control(cfg, sample_excitation(cfg, rng))
         x, t = sim.step_euler(cfg, state[None], u[None], t)
@@ -328,7 +329,7 @@ def run_excitation_episode(cfg, rng, mode="train"):
     return (
         np.asarray(states),
         np.asarray(controls).reshape(len(controls), -1),
-        sim.TERM_REASONS[code],
+        "horizon" if step >= horizon else sim.TERM_REASONS[code],
     )
 
 

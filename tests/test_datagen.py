@@ -50,7 +50,7 @@ def _uniform_initial_state(cfg, rng):
 def test_restarted_slot_generator_reproduces_episode_rng():
     # one lane slot's generator, re-keyed for each episode it runs (a
     # train episode, a test one with the same index, then later episodes
-    # of both key spaces), draws what a fresh episode_rng does: the
+    # of all three key spaces), draws what a fresh episode_rng does: the
     # initial state, then refills of raw draws that scale to the uniform
     # excitation. Each episode ends on a 32-bit draw, which leaves the
     # stream mid-block and half a word cached; the re-key clears both
@@ -59,9 +59,10 @@ def test_restarted_slot_generator_reproduces_episode_rng():
         low, high = cfg.control_low, cfg.control_high
         slot = np.random.Generator(np.random.Philox(dg._Unseeded()))
         raw = np.empty((dg._CHUNK, cfg.control_dim))
-        for i, test in ((3, False), (3, True), (40, False), (2**20, True)):
-            ref = dg.episode_rng(11, i, test=test)
-            assert dg._restart(slot, 11, i, test=test) is slot
+        for i, stream in ((3, "train"), (3, "test"), (40, "train"),
+                          (2**20, "test"), (3, "mpc")):
+            ref = dg.episode_rng(11, i, stream)
+            assert dg._restart(slot, 11, i, stream) is slot
             assert np.array_equal(
                 dg.sample_initial_state(cfg, slot), _uniform_initial_state(cfg, ref)
             )
@@ -150,7 +151,7 @@ def test_normalization_stats_from_train_only():
 def _rolls(cfg, seed, test, count):
     mode = "test" if test else "train"
     return [
-        run_excitation_episode(cfg, dg.episode_rng(seed, i, test=test), mode)[:2]
+        run_excitation_episode(cfg, dg.episode_rng(seed, i, mode), mode)[:2]
         for i in range(count)
     ]
 

@@ -151,6 +151,41 @@ def test_eval_forecast_mean_50_is_exact_mean_of_training_log(workdir, tmp_path):
     assert mses.size and float(row["mse"]) == np.mean(mses[-50:])
 
 
+def test_eval_forecast_mean_50_averages_the_final_logging_window(
+    workdir, tmp_path, monkeypatch
+):
+    # mean_50 averages the test MSEs of the final LOG_TEST_FINAL epochs,
+    # the window in which training logs one every epoch, whatever its
+    # length: with 3, a 6-epoch run logs epochs 0, 3, 4 and 5, and
+    # mean_50 leaves epoch 0 out
+    monkeypatch.setattr(tr, "LOG_TEST_FINAL", 3)
+    run = tmp_path / "run"
+    rc = main([
+        "train", "--data", str(workdir / "cp.bkds"), "--model", "linear",
+        "--out", str(run), "--epochs", "6", "--seed", "2",
+        "--batch-size", "32", "--latent-dim", "3", "--hidden", "8",
+        "--log-test-every", "100",
+    ])
+    assert rc == 0
+    mses = [
+        float(r["test_mse"])
+        for r in results.read_csv(run / "linear-trainlog.csv")
+        if r["test_mse"] != "nan"
+    ]
+    assert len(mses) == 4
+    out = tmp_path / "fc"
+    rc = main([
+        "eval-forecast", "--data", str(workdir / "cp.bkds"),
+        "--run", str(run), "--out", str(out),
+    ])
+    assert rc == 0
+    (row,) = [
+        r for r in results.read_csv(out / "forecast.csv")
+        if r["metric"] == "mean_50"
+    ]
+    assert float(row["mse"]) == np.mean(mses[-3:]) != np.mean(mses)
+
+
 def test_eval_forecast_best_reads_back_exactly(workdir, tmp_path):
     # the table's best MSE reads back equal to the in-memory evaluation,
     # and a second run writes the same bytes

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from bkmpc import datagen as dg
 from bkmpc import model as mdl
 from bkmpc import results
 from bkmpc import scp_mpc as mpc
@@ -115,6 +116,27 @@ def default_cfg(system="cartpole", **kw):
     return mpc.mpc_preset(system, **kw)
 
 
+def test_mpc_presets():
+    # the reactor preset tracks the published operating point,
+    # composition-heavy in every vessel, with tiny duty-increment weights
+    cfg = mpc.mpc_preset("rscp", episode_len=7)
+    comp = (1e4, 1e4, 1.0)
+    assert cfg.q_weights == comp * 3 and cfg.p_weights == comp * 3
+    assert cfg.r_weights == (5e-12,) * 3
+    assert np.array_equal(cfg.x_ref, sim.RSCP_X_SET)
+    assert cfg.episode_len == 7
+    with pytest.raises(KeyError, match="no MPC preset"):
+        mpc.mpc_preset("pendulum")
+
+
+def test_episode_rejects_an_unknown_controller_and_a_negative_lead():
+    params = tiny_mpc_params("cartpole", seed=7)
+    with pytest.raises(KeyError, match="unknown controller"):
+        mpc.check_controller(params, "scp3")
+    with pytest.raises(ValueError, match="lead"):
+        mpc.run_episode(sim.preset("cartpole-ti"), params, default_cfg(), lead=-1)
+
+
 def test_condense_scalar_closed_form():
     # horizon 1: q (C (z1 + b du) - ref)^2 + r (u0 + du - uprev)^2
     rng = np.random.default_rng(11)
@@ -146,7 +168,7 @@ def test_condense_scalar_closed_form():
     a_t, b_t = mpc.linearize(b, None, u0, z_nom, 1.0)
     qp = mpc.condense(
         cfg, params, b, a_t, b_t, z_nom, u0, np.array([uprev]),
-        np.array([-10.0]), np.array([10.0]), trust=10.0,
+        mpc.control_box(b, np.array([-10.0]), np.array([10.0])), trust=10.0,
     )
     # hand-derived quadratic: minimize q(c(z1 + bphi du) - ref)^2
     #                       + r(u0 + du - uprev)^2
@@ -190,7 +212,7 @@ def test_condense_is_exact_quadratic_model_of_plan_cost():
     a_t, b_t = mpc.linearize(b, None, u, z_nom, 1.0)
     qp = mpc.condense(
         cfg, params, b, a_t, b_t, z_nom, u, u_prev,
-        np.full(m, -1e3), np.full(m, 1e3), trust=1e3,
+        mpc.control_box(b, np.full(m, -1e3), np.full(m, 1e3)), trust=1e3,
     )
     J0 = mpc.plan_cost(cfg, params, b, z_nom, u, u_prev)
     for _ in range(5):
@@ -222,7 +244,7 @@ def test_condense_trust_zero_forces_no_change():
     a_t, b_t = mpc.linearize(b, None, u, z_nom, 1.0)
     qp = mpc.condense(
         cfg, params, b, a_t, b_t, z_nom, u, np.zeros(1),
-        np.array([-20.0]), np.array([20.0]), trust=0.0,
+        mpc.control_box(b, np.array([-20.0]), np.array([20.0])), trust=0.0,
     )
     assert np.all(qp.lb == 0.0) and np.all(qp.ub == 0.0)
 
@@ -240,7 +262,8 @@ def test_condense_tracking_scales_with_weights():
     u = 0.1 * rng.standard_normal((cfg.horizon, 1))
     z_nom = mpc.plan_rollout(b, None, rng.standard_normal(3), u, 1.0)
     a_t, b_t = mpc.linearize(b, None, u, z_nom, 1.0)
-    args = (b, a_t, b_t, z_nom, u, np.zeros(1), np.array([-20.0]), np.array([20.0]))
+    box = mpc.control_box(b, np.array([-20.0]), np.array([20.0]))
+    args = (b, a_t, b_t, z_nom, u, np.zeros(1), box)
     qp1 = mpc.condense(cfg, params, *args, trust=1.0)
     qp2 = mpc.condense(cfg2, params, *args, trust=1.0)
     assert np.allclose(qp2.H, 2 * qp1.H, rtol=1e-12)
@@ -258,8 +281,29 @@ def test_condense_empty_box_contract():
     with pytest.raises(ContractViolation):
         mpc.condense(
             cfg, params, b, a_t, b_t, z_nom, u, np.zeros(1),
-            np.array([-20.0]), np.array([20.0]), trust=0.5,
+            mpc.control_box(b, np.array([-20.0]), np.array([20.0])), trust=0.5,
         )
+
+
+def test_scp_solve_clips_an_out_of_box_nominal():
+    # a nominal outside the control box starts the solve from its clip
+    # into the box, in the bundle's normalized units
+    rng = np.random.default_rng(19)
+    b = make_bundle(3, 1, 4, rng)
+    params = tiny_mpc_params(dz=3)
+    cfg = default_cfg(n_scp=2)
+    low, high = np.array([-20.0]), np.array([20.0])
+    lo, hi = ((bound - b.control_mean) / b.control_std for bound in (low, high))
+    nominal = np.full((cfg.horizon, 1), 50.0)
+    nominal[::2] = -50.0
+    z0 = rng.standard_normal(3)
+    plan, info, _ = mpc.scp_solve(
+        cfg, params, b, None, z0, nominal, np.zeros(1), low, high
+    )
+    start = np.clip(nominal, lo, hi)
+    z_start = mpc.plan_rollout(b, None, z0, start, 1.0)
+    assert info.objectives[0] == mpc.plan_cost(cfg, params, b, z_start, start, np.zeros(1))
+    assert np.all(plan.u_norm >= lo - 1e-12) and np.all(plan.u_norm <= hi + 1e-12)
 
 
 def test_scp_converges_first_iteration_for_linear_dynamics():
@@ -400,7 +444,8 @@ def test_rejected_step_reuses_the_linearization(monkeypatch):
     for (qp, sol), ok in zip(fresh, info.accepted):
         z_nom = mpc.plan_rollout(b, cpl, z0, u, 1.0)
         a_t, b_t = real_linearize(b, cpl, u, z_nom, 1.0)
-        ref = mpc.condense(cfg, params, b, a_t, b_t, z_nom, u, np.zeros(1), low, high, trust)
+        box = mpc.control_box(b, low, high)
+        ref = mpc.condense(cfg, params, b, a_t, b_t, z_nom, u, np.zeros(1), box, trust)
         for name in ("H", "g", "lb", "ub"):
             assert np.array_equal(getattr(qp, name), getattr(ref, name)), name
         if ok:
@@ -453,6 +498,47 @@ def test_lead_queue_arithmetic_and_frozen_bundle():
         assert len(boundaries) == expect
 
 
+def test_solve_history_is_the_padded_log(monkeypatch):
+    # each solve sees the last H logged states, padded before step 0 with
+    # the initial state, and the controls applied at them, padded with
+    # the neutral control, except the final one: the current step's
+    # control is not yet chosen, so the history holds the previous
+    # applied control there (the neutral control at step 0)
+    seen = []
+    real = mdl.bundle_for_history
+
+    def bundle_for_history(params, states, controls):
+        seen.append((np.array(states), np.array(controls)))
+        return real(params, states, controls)
+
+    monkeypatch.setattr(mdl, "bundle_for_history", bundle_for_history)
+    cfg_sim = sim.preset("cartpole-ti")
+    neutral = sim.neutral_control(cfg_sim)
+    # a short lookback, so that later histories start past the pad
+    H = 8
+    hyper = mdl.hyper_for(
+        "cartpole", "bilinear", latent_dim=3, rank=3, conv_kernel=5, hidden=8,
+        lookback=H,
+    )
+    params = mdl.init_params(hyper, np.zeros(4), np.ones(4), np.ones(1), seed=7)
+    for lead in (1, 3):
+        seen.clear()
+        log = mpc.run_episode(
+            cfg_sim, params, default_cfg(episode_len=24), controller="scp1",
+            lead=lead, seed=11,
+        )
+        xs = np.vstack([np.repeat(log.states[:1], H - 1, axis=0), log.states])
+        us = np.vstack([np.tile(neutral, (H - 1, 1)), log.controls])
+        solved = np.flatnonzero(log.scp_iters > 0)
+        assert solved.tolist() == list(range(0, log.steps, lead + 1))
+        assert len(seen) == log.solves == len(solved) > 1
+        assert log.steps > H
+        for k, (states, controls) in zip(solved, seen):
+            assert np.array_equal(states, xs[k : k + H])
+            assert np.array_equal(controls[:-1], us[k : k + H - 1])
+            assert np.array_equal(controls[-1], us[k + H - 2])
+
+
 def test_episode_builds_no_tape(monkeypatch):
     def no_tape(self):
         raise AssertionError("a Tape was constructed")
@@ -487,15 +573,13 @@ def test_linear_controller_rejects_coupled_model():
 def test_episode_truncates_on_termination():
     # with a tight angle bound an (untrained) controller tips the pole
     # quickly, truncating the episode
-    import bkmpc.datagen as dgen
-
     cfg_sim = sim.preset("cartpole-ti", angle_limit=0.05)
     params = tiny_mpc_params("cartpole", seed=19)
     cfg = default_cfg(episode_len=200)
     # pick an episode whose sampled initial angle starts inside the bound
     for idx in range(20):
-        rng = np.random.Generator(np.random.Philox(key=[3, 2**33 + idx]))
-        if abs(dgen.sample_initial_state(cfg_sim, rng)[2]) < 0.04:
+        rng = dg.episode_rng(3, idx, "mpc")
+        if abs(dg.sample_initial_state(cfg_sim, rng)[2]) < 0.04:
             break
     log = mpc.run_episode(
         cfg_sim, params, cfg, controller="scp1", seed=3, episode_index=idx

@@ -238,20 +238,15 @@ def test_step_euler_rows_equal_one_row_calls(name):
         assert ti[0] == t1[i]
 
 
-def reasons(cfg, states, steps, mode="train"):
-    codes = sim.check_termination_batch(cfg, np.asarray(states, dtype=float), steps, mode=mode)
+def reasons(cfg, states):
+    codes = sim.check_termination_batch(cfg, np.asarray(states, dtype=float))
     return [sim.TERM_REASONS[c] for c in codes]
 
 
 def test_termination_rules():
     cp = sim.preset("cartpole-ti")
-    states = [[0, 0, 0.35, 0], [10.5, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [np.nan, 0, 0, 0]]
-    steps = [10, 10, 20_040, 10, 10]
-    assert reasons(cp, states, steps) == ["angle", "position", "horizon", None, "nonfinite"]
-    assert reasons(cp, np.zeros((2, 4)), [1_000, 999], mode="test") == ["horizon", None]
-    # a per-row horizon replaces the mode's
-    codes = sim.check_termination_batch(cp, np.zeros((3, 4)), [5, 5, 30_000], horizon=[5, 6, 40_000])
-    assert [sim.TERM_REASONS[c] for c in codes] == ["horizon", None, None]
+    states = [[0, 0, 0.35, 0], [10.5, 0, 0, 0], [0, 0, 0, 0], [np.nan, 0, 0, 0]]
+    assert reasons(cp, states) == ["angle", "position", None, "nonfinite"]
 
     rs = sim.preset("rscp-ti")
     ok = np.array(rs.x_fixed)
@@ -260,33 +255,24 @@ def test_termination_rules():
     hot = ok.copy()
     hot[2] = 710.0
     rows = [ok, bad, hot]
-    assert reasons(rs, rows, [10, 10, 10]) == [None, "composition", "temperature"]
+    assert reasons(rs, rows) == [None, "composition", "temperature"]
 
 
 def test_termination_precedence():
     # a row that meets several conditions reads the one that ranks
-    # first: horizon, then nonfinite, then angle over position and
-    # composition over temperature
+    # first: nonfinite, then angle over position and composition over
+    # temperature
     cp = sim.preset("cartpole-ti")
     both = [11.0, 0.0, -0.4, 0.0]
     nan = [np.nan, 0.0, 0.5, 0.0]
-    assert reasons(cp, [both, nan, nan], [10, 10, 20_040]) == ["angle", "nonfinite", "horizon"]
+    assert reasons(cp, [both, nan]) == ["angle", "nonfinite"]
 
     rs = sim.preset("rscp-ti")
     bad = np.array(rs.x_fixed)
     bad[4], bad[8] = -0.1, 240.0
     nan = bad.copy()
     nan[2] = np.nan
-    assert reasons(rs, [bad, nan, nan], [10, 10, 20_040]) == ["composition", "nonfinite", "horizon"]
-    assert reasons(rs, [nan], [1_000], mode="test") == ["horizon"]
-
-
-def test_termination_rejects_unknown_mode():
-    # any mode but the two would otherwise pick the test horizon unseen
-    cfg = sim.preset("cartpole-ti")
-    for mode in ("Train", "eval", None):
-        with pytest.raises(ValueError, match="unknown mode"):
-            sim.check_termination_batch(cfg, np.zeros((1, 4)), [0], mode=mode)
+    assert reasons(rs, [bad, nan]) == ["composition", "nonfinite"]
 
 
 def test_preset_overrides_and_unknown():

@@ -188,6 +188,22 @@ def test_rank_path_factor_has_one_caller():
     assert found == ["bkmpc/model.py:LowRank.hinge"]
 
 
+def test_only_datagen_constructs_a_philox():
+    # every episode stream, the closed loop's too, is keyed by
+    # datagen.episode_key, so a second key formula cannot grow back
+    # unseen in another module
+    found = set()
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found |= {
+            path.relative_to(SRC).as_posix()
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and ast.unparse(node.func).split(".")[-1] == "Philox"
+        }
+    assert found == {"bkmpc/datagen.py"}
+
+
 def test_bench_wrapped_names_exist(monkeypatch):
     # the traced bench wraps functions at the names their callers look
     # them up by; a deleted or renamed one would otherwise fail only when
