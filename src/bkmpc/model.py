@@ -51,6 +51,9 @@ Conventions:
   times the training-split control std so that a constant warmup history
   cannot produce a degenerate scale; the floor is inactive on excitation
   data.
+* Only the last ``conv_kernel`` lookback states are encoded, the ones the
+  operator generator's convolution reads; all H controls set the instance
+  normalization.
 * The operator bundle generated at a decision step is held fixed over
   the whole prediction horizon.
 * A history is the last H (state, control) pairs; the current state is
@@ -76,6 +79,10 @@ _VERSION = 1
 FLOOR_FRAC = 0.05
 
 
+class ContractViolation(ValueError):
+    """Caller broke an interface precondition."""
+
+
 @dataclass(frozen=True)
 class ModelHyper:
     kind: str  # "linear" | "bilinear"
@@ -90,6 +97,10 @@ class ModelHyper:
     coupling_period: float = 1.0
     stability_weight: float = 0.01
     stability_margin: float = 0.05
+
+    def __post_init__(self):
+        if not 1 <= self.conv_kernel <= self.lookback:
+            raise ContractViolation(f"conv_kernel {self.conv_kernel} outside 1..lookback")
 
 
 #: architecture presets keyed by simulator system; each rank keeps the
@@ -257,10 +268,6 @@ class OperatorBundle:
         return h.hexdigest()[:16]
 
 
-class ContractViolation(ValueError):
-    """Caller broke an interface precondition."""
-
-
 # ---------------------------------------------------------------------------
 # the forward; ``w`` maps each parameter name to its tape leaf (training)
 # or to its array (inference)
@@ -275,29 +282,28 @@ def encode_batch(w, x_norm):
     return _mlp(x_norm, w["enc_w1"], w["enc_b1"], w["enc_w2"], w["enc_b2"])
 
 
-def generate_operators(w, params, z_hist, u_hist_raw):
+def generate_operators(w, params, z_tail, u_hist_raw):
     """History (z, u) pairs -> OperatorBundle.
 
-    ``z_hist`` holds the (B, H, dz) encoded lookback states, ``u_hist_raw``
-    the matching (B, H, m) raw controls (plain data). The generated fields
-    are tape Vars when ``w`` or ``z_hist`` are, ndarrays otherwise. The
-    depthwise causal convolution is evaluated at the emission step, i.e.
-    on the trailing ``conv_kernel`` positions of the channel sequence.
+    ``z_tail`` holds the (B, k, dz) encoded last k = ``conv_kernel``
+    lookback states, ``u_hist_raw`` the (B, H, m) raw controls (plain
+    data), all H of which set the instance normalization. The generated
+    fields are tape Vars when ``w`` or ``z_tail`` are, ndarrays otherwise.
+    The depthwise causal convolution is evaluated at the emission step,
+    i.e. on the k trailing positions of the channel sequence.
     """
-    h = params.hyper
-    if z_hist.shape[1] != h.lookback or u_hist_raw.shape[1] != h.lookback:
+    h, k = params.hyper, params.hyper.conv_kernel
+    if z_tail.shape[1] != k or u_hist_raw.shape[1] != h.lookback:
         raise ContractViolation(
-            f"history must hold exactly {h.lookback} (z, u) pairs, got "
-            f"{z_hist.shape[1]} states / {u_hist_raw.shape[1]} controls"
+            f"history must hold the last {k} encoded states and {h.lookback} "
+            f"controls, got {z_tail.shape[1]} states / {u_hist_raw.shape[1]} controls"
         )
     B = u_hist_raw.shape[0]
     mu = u_hist_raw.mean(axis=1)
     sd = np.maximum(u_hist_raw.std(axis=1), params.control_floor)
-    u_hist_n = (u_hist_raw - mu[:, None, :]) / sd[:, None, :]
+    u_tail_n = (u_hist_raw[:, h.lookback - k :] - mu[:, None, :]) / sd[:, None, :]
 
-    k = h.conv_kernel
-    seq = ad.concat([z_hist, u_hist_n], axis=2)  # (B, H, ch)
-    tail = seq[:, h.lookback - k :, :]
+    tail = ad.concat([z_tail, u_tail_n], axis=2)  # (B, k, ch)
     feat = ad.tanh(ad.vsum(tail * w["conv_k"], axis=1) + w["conv_b"])
 
     delta = ad.softplus(
@@ -487,15 +493,15 @@ def rollout(z0, u_n, bundle, cpl, period, margin=None):
 
 
 def encode_history(w, params, states_raw, controls_raw):
-    """(bundle, current latent) of raw (B, H, .) histories: the states are
-    normalized and encoded, then ``generate_operators`` runs. The one path
-    from raw history to bundle for training, evaluation and control."""
-    h = params.hyper
-    B = states_raw.shape[0]
-    xn = (states_raw - params.state_mean) / params.state_std
+    """(bundle, current latent) of raw (B, H, .) histories: the last
+    ``conv_kernel`` states, the only ones ``generate_operators`` reads, are
+    normalized and encoded, then it runs. The one path from raw history to
+    bundle for training, evaluation and control."""
+    h, k = params.hyper, params.hyper.conv_kernel
+    xn = (states_raw[:, -k:] - params.state_mean) / params.state_std
     z_flat = encode_batch(w, xn.reshape(-1, h.state_dim))
-    z_hist = ad.reshape(z_flat, (B, -1, h.latent_dim))
-    return generate_operators(w, params, z_hist, controls_raw), z_hist[:, -1, :]
+    z_tail = ad.reshape(z_flat, (states_raw.shape[0], k, h.latent_dim))
+    return generate_operators(w, params, z_tail, controls_raw), z_tail[:, -1, :]
 
 
 def forecast_mse(w, params, states_raw, controls_raw, margin=None):

@@ -14,6 +14,8 @@ its stack: every matrix of a batched call equals its solo call bit for
 bit. So both exponentials can walk a stack in blocks, keeping their
 largest temporary under ``_BLOCK_BYTES`` whatever the stack's size, and
 still return exactly the one-block result: a block is a stack of its own.
+M's finiteness is read from its 1-norms, with no mask of the stack: a
+non-finite norm raises ``DomainError``. The direction E is checked entry by entry.
 """
 
 import math
@@ -52,14 +54,16 @@ def _as_square(M, name):
     M = np.asarray(M, dtype=float)
     if M.ndim < 2 or M.shape[-1] != M.shape[-2]:
         raise DimensionError(f"{name} must be square, got shape {M.shape}")
-    if not np.isfinite(M).all():
-        raise DomainError(f"{name} contains non-finite entries")
     return M
 
 
-def _norms(M):
-    """1-norms of the matrices of M, flattened over the batch axes."""
-    return np.abs(M).sum(axis=-2).max(axis=-1).ravel() if M.size else np.zeros(0)
+def _norms(M, name):
+    """1-norms of the matrices of M, flattened over the batch axes, in one
+    pass; a NaN or infinite entry, or an overflowing column sum, raises."""
+    norm1 = np.einsum("...ij->...j", np.abs(M)).max(axis=-1, initial=0.0).ravel()
+    if not np.isfinite(norm1).all():
+        raise DomainError(f"{name} has a non-finite entry or 1-norm")
+    return norm1
 
 
 def _squarings(norm1):
@@ -81,7 +85,10 @@ def _taylor16(M, s, X):
     Y_j = B_j + A^4 Y_{j+1} in Y[j] for j = 1, 2, 3 (Y[0] is B0)."""
     P = np.empty((5,) + M.shape)
     P[0] = np.eye(M.shape[-1])
-    np.multiply(M, np.ldexp(1.0, -s)[:, None, None], out=P[1])
+    if s.any():
+        np.multiply(M, np.ldexp(1.0, -s)[:, None, None], out=P[1])
+    else:
+        P[1] = M
     np.matmul(P[1], P[1], out=P[2])
     np.matmul(P[2], P[1], out=P[3])
     np.matmul(P[2], P[2], out=P[4])
@@ -112,7 +119,7 @@ def matrix_exp(M):
     """
     M = _as_square(M, "matrix_exp input")
     n = M.shape[-1]
-    norm1 = _norms(M)
+    norm1 = _norms(M, "matrix_exp input")
     if not norm1.any():
         # exp(0) is the identity exactly; keeps the zero-coupling step
         # bit-identical to the plain diagonal hold step
@@ -142,6 +149,8 @@ def matrix_exp_frechet(M, E):
     """
     M = _as_square(M, "matrix_exp_frechet M")
     E = _as_square(E, "matrix_exp_frechet E")
+    if not np.isfinite(E).all():
+        raise DomainError("matrix_exp_frechet E contains non-finite entries")
     batch, n = M.shape[:-2], M.shape[-1]
     if E.shape != M.shape and E.shape[:-3] + E.shape[-2:] != M.shape:
         raise DimensionError(
@@ -150,7 +159,7 @@ def matrix_exp_frechet(M, E):
         )
     B = math.prod(batch)
     k = E.shape[-3] if E.ndim > M.ndim else 1
-    s = _squarings(_norms(M))
+    s = _squarings(_norms(M, "matrix_exp_frechet M"))
     Mf, Ef = M.reshape(B, n, n), E.reshape(B, k, n, n)
     X, L = np.empty(Mf.shape), np.empty(Ef.shape)
     for b in _blocks(B, max(5, 4 * k) * 8 * n * n):
@@ -167,7 +176,11 @@ def _frechet_block(M, E, s, X, L):
     # dP = [D, dA^2, dA^3, dA^4] of the halved directions; L is scratch
     # until the last Horner step
     dP = np.empty((4,) + E.shape)
-    D = np.multiply(E, np.ldexp(1.0, -s)[:, None, None, None], out=dP[0])
+    D = dP[0]
+    if s.any():
+        np.multiply(E, np.ldexp(1.0, -s)[:, None, None, None], out=D)
+    else:
+        D[...] = E
     np.matmul(A, D, out=dP[1])
     dP[1] += np.matmul(D, A, out=L)
     np.matmul(dP[1], A, out=dP[2])

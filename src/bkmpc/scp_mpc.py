@@ -115,18 +115,18 @@ class SolveInfo:
     trust_final: float
 
 
-def linearize(bundle, coupling, plan_u_norm, z_nom, period):
+def linearize(held, coupling, plan_u_norm, z_nom, period):
     """Exact step Jacobians along the nominal: (A_tilde, B_tilde).
 
     A_k is the coupling factor at u_k times the diagonal hold step (the
     step map is affine in the latent state). Column j of B_k is the
     directional derivative of the coupling exponential toward channel j,
     applied to the held drift, plus the coupling factor times the held
-    input column.
+    input column; ``held`` is the bundle's ``model.held_step``.
     """
     H, m = plan_u_norm.shape
     dz = z_nom.shape[1]
-    e_d, b_diag = mdl.held_step(bundle)
+    e_d, b_diag = held
 
     if coupling is None:
         a_t = np.broadcast_to(np.diag(e_d), (H, dz, dz)).copy()
@@ -153,26 +153,28 @@ def decode_raw(params, bundle, z):
     return params.state_mean + params.state_std * (z @ bundle.decoder.T)
 
 
-def cost_residuals(cfg, params, bundle, z_nom, u_norm, u_prev_raw):
-    """The plan objective as (w, res), objective = sum(w * res**2).
+def cost_weights(cfg, horizon):
+    """The weights w of ``cost_residuals`` for a ``horizon``-step plan."""
+    w_track = np.tile(np.asarray(cfg.q_weights, dtype=float), (horizon, 1))
+    w_track[-1] = cfg.p_weights
+    return np.concatenate([w_track.ravel(), np.tile(cfg.r_weights, horizon)])
 
-    ``res`` stacks the raw-space decoded tracking errors of steps 1..H
+
+def cost_residuals(cfg, params, bundle, z_nom, u_norm, u_prev_raw):
+    """The residuals res of the plan objective sum(w * res**2), w the
+    ``cost_weights``: the raw-space decoded tracking errors of steps 1..H
     (weights q, the terminal step H weighted by p), then the raw control
     increments u_0 - u_prev, u_1 - u_0, ... (weights r).
     """
-    H = u_norm.shape[0]
-    w_track = np.tile(np.asarray(cfg.q_weights, dtype=float), (H, 1))
-    w_track[-1] = cfg.p_weights
     err = decode_raw(params, bundle, z_nom[1:]) - np.asarray(cfg.x_ref)
     u_raw = bundle.control_mean + bundle.control_std * u_norm
     du = np.diff(np.vstack([u_prev_raw, u_raw]), axis=0)
-    w = np.concatenate([w_track.ravel(), np.tile(cfg.r_weights, H)])
-    return w, np.concatenate([err.ravel(), du.ravel()])
+    return np.concatenate([err.ravel(), du.ravel()])
 
 
-def plan_cost(cfg, params, bundle, z_nom, u_norm, u_prev_raw):
-    """True frozen-bundle objective of a plan, raw-space weights."""
-    w, res = cost_residuals(cfg, params, bundle, z_nom, u_norm, u_prev_raw)
+def plan_cost(cfg, params, bundle, w, z_nom, u_norm, u_prev_raw):
+    """True frozen-bundle objective of a plan, raw-space weights ``w``."""
+    res = cost_residuals(cfg, params, bundle, z_nom, u_norm, u_prev_raw)
     return float(w @ res**2)
 
 
@@ -210,17 +212,19 @@ def _increment_difference(control_std, horizon):
 
 
 def condense(cfg, params, bundle, a_t, b_t, z_nom, u_norm, u_prev_raw, box,
-             trust):
+             w, dec_scaled, diff, trust):
     """Eliminate the linearized dynamics into a dense box QP in du.
 
     The increment enters the latent perturbation as dz_{k+1} =
     A_k dz_k + B_k du_k with dz_0 = 0, so every residual of
     ``cost_residuals`` is affine in the stacked du with Jacobian J: the
-    decoded responses W_k of steps 1..H over the increment difference
-    operator D = kron(I - shift, diag(control_std)). The objective's
-    quadratic model is then H = 2 J^T W J, g = 2 J^T W res (constants
-    dropped). The box intersects feasibility (the control box ``box``
-    minus the nominal) with the infinity-norm trust region.
+    responses decoded by ``dec_scaled`` = state_std * decoder for steps
+    1..H over the increment difference operator ``diff`` = kron(I - shift,
+    diag(control_std)). The objective's quadratic model is then
+    H = 2 J^T W J, g = 2 J^T W res (W = diag(``w``), constants dropped).
+    The box intersects feasibility (the control box ``box`` minus the
+    nominal) with the infinity-norm trust region. ``scp_solve`` forms
+    ``box``, ``w``, ``dec_scaled`` and ``diff`` once per solve.
     """
     H, m = u_norm.shape
     dz = z_nom.shape[1]
@@ -234,10 +238,8 @@ def condense(cfg, params, bundle, a_t, b_t, z_nom, u_norm, u_prev_raw, box,
         M = a_t[j] @ M
         M[:, j * m : (j + 1) * m] += b_t[j]
         resp[j] = M
-    dec_scaled = params.state_std[:, None] * bundle.decoder  # (n, dz)
-    D = _increment_difference(bundle.control_std, H)
-    J = np.vstack([(dec_scaled @ resp).reshape(-1, N), D])
-    w, res = cost_residuals(cfg, params, bundle, z_nom, u_norm, u_prev_raw)
+    J = np.vstack([(dec_scaled @ resp).reshape(-1, N), diff])
+    res = cost_residuals(cfg, params, bundle, z_nom, u_norm, u_prev_raw)
     WJ = w[:, None] * J
     return QpProblem(2.0 * (J.T @ WJ), 2.0 * (WJ.T @ res), lo, hi)
 
@@ -248,9 +250,12 @@ def scp_solve(cfg, params, bundle, coupling, z0, nominal_u_norm, u_prev_raw,
     returns (Plan, SolveInfo, final QpSolution)."""
     period = params.hyper.coupling_period
     box = control_box(bundle, control_low, control_high)
+    w, held = cost_weights(cfg, len(nominal_u_norm)), mdl.held_step(bundle)
+    dec_scaled = params.state_std[:, None] * bundle.decoder  # (n, dz)
+    diff = _increment_difference(bundle.control_std, len(nominal_u_norm))
     u = np.clip(nominal_u_norm, *box)
     z_nom = plan_rollout(bundle, coupling, z0, u, period)
-    J = plan_cost(cfg, params, bundle, z_nom, u, u_prev_raw)
+    J = plan_cost(cfg, params, bundle, w, z_nom, u, u_prev_raw)
     info = SolveInfo([J], [], 0, [], cfg.trust_init)
 
     trust = cfg.trust_init
@@ -258,9 +263,10 @@ def scp_solve(cfg, params, bundle, coupling, z0, nominal_u_norm, u_prev_raw,
     qp = None
     for _ in range(cfg.n_scp):
         if qp is None:
-            a_t, b_t = linearize(bundle, coupling, u, z_nom, period)
+            a_t, b_t = linearize(held, coupling, u, z_nom, period)
             qp = condense(
-                cfg, params, bundle, a_t, b_t, z_nom, u, u_prev_raw, box, trust
+                cfg, params, bundle, a_t, b_t, z_nom, u, u_prev_raw, box,
+                w, dec_scaled, diff, trust,
             )
         else:
             # a rejected step left the plan as it was: only the box shrinks
@@ -272,7 +278,7 @@ def scp_solve(cfg, params, bundle, coupling, z0, nominal_u_norm, u_prev_raw,
         du = sol.x.reshape(u.shape)
         cand = u + du
         z_cand = plan_rollout(bundle, coupling, z0, cand, period)
-        J_cand = plan_cost(cfg, params, bundle, z_cand, cand, u_prev_raw)
+        J_cand = plan_cost(cfg, params, bundle, w, z_cand, cand, u_prev_raw)
         if J_cand <= J:
             step = float(np.max(np.abs(du)))
             if not step <= trust + 1e-9:

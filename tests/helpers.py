@@ -10,9 +10,10 @@ differences over tape leaves. The sequential excitation episode is the
 oracle for the lockstep data-generation runner, the size-weighted
 forecast MSE over batches is the oracle for training's validation loss,
 the training loss taped step by step is the oracle for the one
-batched ``model.rollout`` under the tape, and the simulators' balances
+batched ``model.rollout`` under the tape, the simulators' balances
 written term by term, one numpy operation per term, are the oracle for
-the grouped ``simulators.deriv_batch``.
+the grouped ``simulators.deriv_batch``, and encoding every lookback state
+then slicing is the oracle for ``model.encode_history``'s tail encoding.
 """
 
 import pathlib
@@ -331,6 +332,20 @@ def run_excitation_episode(cfg, rng, mode="train"):
         np.asarray(controls).reshape(len(controls), -1),
         "horizon" if step >= horizon else sim.TERM_REASONS[code],
     )
+
+
+def encode_history_full(w, params, states_raw, controls_raw):
+    """(bundle, current latent) of raw (B, H, .) histories with all H
+    states normalized and encoded; the last ``conv_kernel`` latents then go
+    to ``model.generate_operators``. The oracle for ``model.encode_history``,
+    which encodes only those."""
+    h = params.hyper
+    B, H = states_raw.shape[:2]
+    xn = (states_raw - params.state_mean) / params.state_std
+    z_all = model.encode_batch(w, xn.reshape(-1, h.state_dim))
+    z_hist = ad.reshape(z_all, (B, H, h.latent_dim))
+    z_tail = z_hist[:, H - h.conv_kernel :, :]
+    return model.generate_operators(w, params, z_tail, controls_raw), z_hist[:, -1, :]
 
 
 def loss_value(params, states_raw, controls_raw):

@@ -250,6 +250,53 @@ def test_kernel_temporaries_stay_within_the_block_budget(shape, k):
         assert peak <= out_bytes + 4 * dense._BLOCK_BYTES, fn.__name__
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 7, 8, 15, 16, 31, 32, 64])
+def test_norms_equal_the_abs_sum_max_formula(n):
+    # one einsum pass gives the column sums of |M| in the order that the
+    # reduction over axis -2 adds them, so the same bytes; four batch
+    # shapes for each of twelve sizes, entries over many magnitudes
+    rng = np.random.default_rng(53 + n)
+    for batch in ((), (1,), (7,), (3, 5)):
+        M = rng.standard_normal(batch + (n, n)) * 10.0 ** rng.integers(-8, 9, batch + (n, n))
+        want = np.abs(M).sum(axis=-2).max(axis=-1).ravel()
+        got = dense._norms(M, "M")
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), batch
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, "overflow"])
+def test_kernels_reject_a_non_finite_exponent(bad):
+    # a NaN or infinite entry, or finite entries whose column sum
+    # overflows, gives a non-finite 1-norm; no squaring count follows
+    M = np.zeros((3, 4, 4))
+    if bad == "overflow":
+        M[1, :, 2] = 1e308
+    else:
+        M[1, 3, 0] = bad
+    E = np.ones(M.shape)
+    with pytest.raises(DomainError):
+        matrix_exp(M)
+    with pytest.raises(DomainError):
+        matrix_exp_frechet(M, E)
+    # the direction keeps its own entrywise check
+    with pytest.raises(DomainError):
+        matrix_exp_frechet(E, np.where(M == 0.0, 0.0, np.nan))
+
+
+def test_unscaled_blocks_equal_the_scaled_path():
+    # a block whose matrices all need no squaring copies them unscaled;
+    # in a block with one matrix that needs squarings the same matrices
+    # are multiplied by 2**0, with the same bytes
+    rng = np.random.default_rng(59)
+    small = np.stack([_with_norm(rng, 6, v) for v in (0.0, 0.1, 0.5, 0.99 * _THETA)])
+    mixed = np.concatenate([small, _with_norm(rng, 6, 12.0)[None]])
+    E = rng.standard_normal(mixed.shape)
+    Ek = rng.standard_normal((5, 2, 6, 6))
+    got = _kernel_outputs(small, E[:4], Ek[:4])
+    want = _kernel_outputs(mixed, E, Ek)
+    for g, w in zip(got, want, strict=True):
+        assert g.tobytes() == w[:4].tobytes()
+
+
 def test_frechet_shape_mismatch():
     cases = [
         ((3, 3), (2, 2)),

@@ -7,12 +7,12 @@ import numpy as np
 import pytest
 
 from bkmpc import datagen as dg
-from bkmpc import model
+from bkmpc import model, results
 from bkmpc.numerics import Tape, backward, dense
 from bkmpc.numerics import autodiff as ad
 from helpers import (
-    FIXTURE_CHECKPOINTS, FIXTURES, fd_gradient, loss_value, mse_value, spectral_penalty,
-    stepwise_loss,
+    FIXTURE_CHECKPOINTS, FIXTURES, encode_history_full, fd_gradient, loss_value, mse_value,
+    spectral_penalty, stepwise_loss,
 )
 
 
@@ -139,8 +139,9 @@ def test_timescales_strictly_positive():
     rng = np.random.default_rng(13)
     S = rng.standard_normal((10_000, h.lookback, h.state_dim))
     C = rng.standard_normal((10_000, h.lookback, h.control_dim))
-    z = model.encode_batch(p.arrays, S.reshape(-1, h.state_dim)).reshape(
-        10_000, h.lookback, h.latent_dim
+    k = h.conv_kernel
+    z = model.encode_batch(p.arrays, S[:, -k:].reshape(-1, h.state_dim)).reshape(
+        10_000, k, h.latent_dim
     )
     bundle = model.generate_operators(p.arrays, p, z, C)
     assert np.all(bundle.delta > 0.0)
@@ -159,15 +160,115 @@ def test_bundle_for_history_is_the_tape_forward_bit_for_bit(ckpt):
 
     tape = Tape()
     w = {k: tape.leaf(a) for k, a in p.arrays.items()}
-    xn = (S - p.state_mean) / p.state_std
-    z_hist = ad.reshape(model.encode_batch(w, xn), (1, h.lookback, h.latent_dim))
-    taped = model.generate_operators(w, p, z_hist, C[None])
+    k = h.conv_kernel
+    xn = (S[-k:] - p.state_mean) / p.state_std
+    z_tail = ad.reshape(model.encode_batch(w, xn), (1, k, h.latent_dim))
+    taped = model.generate_operators(w, p, z_tail, C[None])
     ref = model.OperatorBundle(*(
         x.value if isinstance(x, ad.Var) else x for x in vars(taped).values()
     )).single()
     for got, want in zip(vars(bundle).values(), vars(ref).values()):
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
-    assert z0.tobytes() == z_hist.value[0, -1].tobytes()
+    assert z0.tobytes() == z_tail.value[0, -1].tobytes()
+
+
+def bundle_values(bundle, z0):
+    """The bundle's fields and the current latent as arrays, tape values
+    taken."""
+    return [x.value if isinstance(x, ad.Var) else np.asarray(x)
+            for x in [*vars(bundle).values(), z0]]
+
+
+def tape_leaves(p):
+    """The parameters as leaves of one new tape."""
+    tape = Tape()
+    return {k: tape.leaf(a) for k, a in p.arrays.items()}
+
+
+def history_cases():
+    """(name, params, (B, H, n) states, (B, H, m) controls): both fixtures
+    and a fresh init of each preset, four histories each."""
+    cases = [(name, model.load_checkpoint(FIXTURES / name)) for name in FIXTURE_CHECKPOINTS]
+    for system in ("cartpole", "rscp"):
+        h = model.hyper_for(system, "bilinear")
+        n, m = h.state_dim, h.control_dim
+        cases.append((system, model.init_params(h, np.zeros(n), np.ones(n), np.ones(m), seed=2)))
+    rng = np.random.default_rng(41)
+    for name, p in cases:
+        h = p.hyper
+        S = p.state_mean + p.state_std * rng.standard_normal((4, h.lookback, h.state_dim))
+        yield name, p, S, rng.standard_normal((4, h.lookback, h.control_dim))
+
+
+@pytest.mark.parametrize("taped", [False, True])
+def test_tail_encoding_equals_encoding_every_state(taped):
+    # the encoder is row-wise, so encoding only the last conv_kernel
+    # states gives the bytes that encoding all H and slicing gives
+    for name, p, S, C in history_cases():
+        w = tape_leaves(p) if taped else p.arrays
+        got = bundle_values(*model.encode_history(w, p, S, C))
+        want = bundle_values(*encode_history_full(w, p, S, C))
+        for g, r in zip(got, want):
+            assert g.shape == r.shape and g.tobytes() == r.tobytes(), name
+
+
+@pytest.mark.parametrize("taped", [False, True])
+def test_states_before_the_kernel_do_not_reach_the_bundle(taped):
+    # only the last conv_kernel states are read: any change to the
+    # earlier ones leaves the bundle and the current latent as they were
+    for name, p, S, C in history_cases():
+        w = tape_leaves(p) if taped else p.arrays
+        head = p.hyper.lookback - p.hyper.conv_kernel
+        moved = S.copy()
+        moved[:, :head] = 1e6 * np.random.default_rng(3).standard_normal(moved[:, :head].shape)
+        got = bundle_values(*model.encode_history(w, p, moved, C))
+        want = bundle_values(*model.encode_history(w, p, S, C))
+        for g, r in zip(got, want):
+            assert g.tobytes() == r.tobytes(), name
+
+
+def test_encoder_sees_only_the_kernel_rows(monkeypatch):
+    # training, evaluation and control all encode B * conv_kernel rows
+    rows, real = [], model.encode_batch
+
+    def encode_batch(w, x_norm):
+        rows.append(x_norm.shape[0])
+        return real(w, x_norm)
+
+    monkeypatch.setattr(model, "encode_batch", encode_batch)
+    p = model.load_checkpoint(FIXTURES / FIXTURE_CHECKPOINTS[1])
+    h = p.hyper
+    rng = np.random.default_rng(43)
+    S = p.state_mean + p.state_std * rng.standard_normal((6, h.lookback + h.horizon, 9))
+    C = rng.standard_normal((6, h.lookback + h.horizon, 3))
+    model.loss_forward(p, S, C)
+    model.forecast_mse(p.arrays, p, S, C)
+    model.bundle_for_history(p, S[0, : h.lookback], C[0, : h.lookback])
+    assert rows == [6 * h.conv_kernel, 6 * h.conv_kernel, h.conv_kernel]
+
+
+@pytest.mark.parametrize("kernel", [0, -1, 31, 33])
+def test_hyper_rejects_a_conv_kernel_outside_the_lookback(kernel, tmp_path):
+    # the convolution reads the last conv_kernel of the lookback's states
+    # (30 on rscp): an empty kernel or one longer than the lookback is
+    # refused when the hyperparameters are built
+    with pytest.raises(model.ContractViolation, match="conv_kernel"):
+        model.hyper_for("rscp", "bilinear", conv_kernel=kernel)
+    # a checkpoint carrying one is refused on load
+    p = model.load_checkpoint(FIXTURES / FIXTURE_CHECKPOINTS[1])
+    path = tmp_path / "m.bkcp"
+    model.save_checkpoint(p, path)
+    header, arrays = results.read_container(
+        path, model._MAGIC, model._VERSION,
+        lambda hd: [(name, "<f8", shape) for name, shape in hd["params"]],
+    )
+    header["hyper"]["conv_kernel"] = kernel
+    payload = [(arrays[name], "<f8") for name, _ in header["params"]]
+    results.write_container(path, model._MAGIC, model._VERSION, header, payload)
+    with pytest.raises(model.ContractViolation, match="conv_kernel"):
+        model.load_checkpoint(path)
+    for edge in (1, 30):
+        assert model.hyper_for("rscp", "bilinear", conv_kernel=edge).conv_kernel == edge
 
 
 def test_bundle_for_history_builds_no_tape(monkeypatch):

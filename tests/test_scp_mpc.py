@@ -35,6 +35,16 @@ def tiny_mpc_params(system="cartpole", kind="bilinear", seed=3, dz=3):
     return mdl.init_params(hyper, np.zeros(n), np.ones(n), np.ones(m), seed=seed)
 
 
+def solve_constants(cfg, params, bundle):
+    """(w, dec_scaled, diff): the constants of a solve that ``scp_solve``
+    hands ``condense``, for a ``cfg.horizon``-step plan."""
+    return (
+        mpc.cost_weights(cfg, cfg.horizon),
+        params.state_std[:, None] * bundle.decoder,
+        mpc._increment_difference(bundle.control_std, cfg.horizon),
+    )
+
+
 def step_map(bundle, G, z, u, period):
     lat, _ = mdl.rollout(z, u[None, :], bundle, G, period)
     return lat[1]
@@ -45,12 +55,12 @@ def test_linearize_zero_coupling_exact():
     b = make_bundle(4, 2, 3, rng)
     u = rng.standard_normal((6, 2))
     z = mpc.plan_rollout(b, None, rng.standard_normal(4), u, 1.0)
-    a_t, b_t = mpc.linearize(b, None, u, z, 1.0)
+    a_t, b_t = mpc.linearize(mdl.held_step(b), None, u, z, 1.0)
     e_d = np.exp(b.a_act * b.delta)
     for k in range(6):
         assert np.array_equal(a_t[k], np.diag(e_d))
     # with an explicitly zero coupling tensor the result is identical
-    a_t0, b_t0 = mpc.linearize(b, np.zeros((2, 4, 4)), u, z, 1.0)
+    a_t0, b_t0 = mpc.linearize(mdl.held_step(b), np.zeros((2, 4, 4)), u, z, 1.0)
     assert np.array_equal(a_t, a_t0) and np.array_equal(b_t, b_t0)
 
 
@@ -62,7 +72,7 @@ def test_linearize_matches_finite_differences():
         u_plan = 0.5 * rng.standard_normal((4, m))
         z0 = rng.standard_normal(dz)
         z_nom = mpc.plan_rollout(b, G, z0, u_plan, 1.0)
-        a_t, b_t = mpc.linearize(b, G, u_plan, z_nom, 1.0)
+        a_t, b_t = mpc.linearize(mdl.held_step(b), G, u_plan, z_nom, 1.0)
         h = 1e-6
         for k in range(4):
             zk, uk = z_nom[k], u_plan[k]
@@ -104,7 +114,7 @@ def test_linearize_scalar_closed_form():
     G = np.array([[[g]]])
     u, z, T = 0.7, 1.1, 0.8
     z_nom = mpc.plan_rollout(b, G, np.array([z]), np.array([[u]]), T)
-    a_t, b_t = mpc.linearize(b, G, np.array([[u]]), z_nom, T)
+    a_t, b_t = mpc.linearize(mdl.held_step(b), G, np.array([[u]]), z_nom, T)
     ed = np.exp(a * d)
     ep = np.exp(g * u * T)
     bphi = (np.exp(a * d) - 1) / a * bc
@@ -165,10 +175,11 @@ def test_condense_scalar_closed_form():
     u0 = np.array([[0.25]])
     z0 = np.array([0.8])
     z_nom = mpc.plan_rollout(b, None, z0, u0, 1.0)
-    a_t, b_t = mpc.linearize(b, None, u0, z_nom, 1.0)
+    a_t, b_t = mpc.linearize(mdl.held_step(b), None, u0, z_nom, 1.0)
     qp = mpc.condense(
         cfg, params, b, a_t, b_t, z_nom, u0, np.array([uprev]),
-        mpc.control_box(b, np.array([-10.0]), np.array([10.0])), trust=10.0,
+        mpc.control_box(b, np.array([-10.0]), np.array([10.0])),
+        *solve_constants(cfg, params, b), trust=10.0,
     )
     # hand-derived quadratic: minimize q(c(z1 + bphi du) - ref)^2
     #                       + r(u0 + du - uprev)^2
@@ -209,17 +220,19 @@ def test_condense_is_exact_quadratic_model_of_plan_cost():
     u = rng.standard_normal((Hz, m))
     u_prev = rng.standard_normal(m)
     z_nom = mpc.plan_rollout(b, None, z0, u, 1.0)
-    a_t, b_t = mpc.linearize(b, None, u, z_nom, 1.0)
+    a_t, b_t = mpc.linearize(mdl.held_step(b), None, u, z_nom, 1.0)
     qp = mpc.condense(
         cfg, params, b, a_t, b_t, z_nom, u, u_prev,
-        mpc.control_box(b, np.full(m, -1e3), np.full(m, 1e3)), trust=1e3,
+        mpc.control_box(b, np.full(m, -1e3), np.full(m, 1e3)),
+        *solve_constants(cfg, params, b), trust=1e3,
     )
-    J0 = mpc.plan_cost(cfg, params, b, z_nom, u, u_prev)
+    w = mpc.cost_weights(cfg, Hz)
+    J0 = mpc.plan_cost(cfg, params, b, w, z_nom, u, u_prev)
     for _ in range(5):
         du = rng.standard_normal(Hz * m)
         cand = u + du.reshape(Hz, m)
         z_cand = mpc.plan_rollout(b, None, z0, cand, 1.0)
-        change = mpc.plan_cost(cfg, params, b, z_cand, cand, u_prev) - J0
+        change = mpc.plan_cost(cfg, params, b, w, z_cand, cand, u_prev) - J0
         lin, quad = qp.g @ du, 0.5 * du @ qp.H @ du
         assert change == pytest.approx(lin + quad, abs=1e-10 * (J0 + abs(lin) + quad))
 
@@ -241,10 +254,11 @@ def test_condense_trust_zero_forces_no_change():
     cfg = default_cfg()
     u = 0.1 * rng.standard_normal((cfg.horizon, 1))
     z_nom = mpc.plan_rollout(b, None, rng.standard_normal(3), u, 1.0)
-    a_t, b_t = mpc.linearize(b, None, u, z_nom, 1.0)
+    a_t, b_t = mpc.linearize(mdl.held_step(b), None, u, z_nom, 1.0)
     qp = mpc.condense(
         cfg, params, b, a_t, b_t, z_nom, u, np.zeros(1),
-        mpc.control_box(b, np.array([-20.0]), np.array([20.0])), trust=0.0,
+        mpc.control_box(b, np.array([-20.0]), np.array([20.0])),
+        *solve_constants(cfg, params, b), trust=0.0,
     )
     assert np.all(qp.lb == 0.0) and np.all(qp.ub == 0.0)
 
@@ -261,11 +275,11 @@ def test_condense_tracking_scales_with_weights():
     )
     u = 0.1 * rng.standard_normal((cfg.horizon, 1))
     z_nom = mpc.plan_rollout(b, None, rng.standard_normal(3), u, 1.0)
-    a_t, b_t = mpc.linearize(b, None, u, z_nom, 1.0)
+    a_t, b_t = mpc.linearize(mdl.held_step(b), None, u, z_nom, 1.0)
     box = mpc.control_box(b, np.array([-20.0]), np.array([20.0]))
     args = (b, a_t, b_t, z_nom, u, np.zeros(1), box)
-    qp1 = mpc.condense(cfg, params, *args, trust=1.0)
-    qp2 = mpc.condense(cfg2, params, *args, trust=1.0)
+    qp1 = mpc.condense(cfg, params, *args, *solve_constants(cfg, params, b), trust=1.0)
+    qp2 = mpc.condense(cfg2, params, *args, *solve_constants(cfg2, params, b), trust=1.0)
     assert np.allclose(qp2.H, 2 * qp1.H, rtol=1e-12)
     assert np.allclose(qp2.g, 2 * qp1.g, rtol=1e-12)
 
@@ -277,11 +291,12 @@ def test_condense_empty_box_contract():
     cfg = default_cfg()
     u = np.full((cfg.horizon, 1), 50.0)  # nominal far outside bounds
     z_nom = mpc.plan_rollout(b, None, rng.standard_normal(3), u, 1.0)
-    a_t, b_t = mpc.linearize(b, None, u, z_nom, 1.0)
+    a_t, b_t = mpc.linearize(mdl.held_step(b), None, u, z_nom, 1.0)
     with pytest.raises(ContractViolation):
         mpc.condense(
             cfg, params, b, a_t, b_t, z_nom, u, np.zeros(1),
-            mpc.control_box(b, np.array([-20.0]), np.array([20.0])), trust=0.5,
+            mpc.control_box(b, np.array([-20.0]), np.array([20.0])),
+            *solve_constants(cfg, params, b), trust=0.5,
         )
 
 
@@ -302,7 +317,8 @@ def test_scp_solve_clips_an_out_of_box_nominal():
     )
     start = np.clip(nominal, lo, hi)
     z_start = mpc.plan_rollout(b, None, z0, start, 1.0)
-    assert info.objectives[0] == mpc.plan_cost(cfg, params, b, z_start, start, np.zeros(1))
+    w = mpc.cost_weights(cfg, cfg.horizon)
+    assert info.objectives[0] == mpc.plan_cost(cfg, params, b, w, z_start, start, np.zeros(1))
     assert np.all(plan.u_norm >= lo - 1e-12) and np.all(plan.u_norm <= hi + 1e-12)
 
 
@@ -443,9 +459,12 @@ def test_rejected_step_reuses_the_linearization(monkeypatch):
     trust = cfg.trust_init
     for (qp, sol), ok in zip(fresh, info.accepted):
         z_nom = mpc.plan_rollout(b, cpl, z0, u, 1.0)
-        a_t, b_t = real_linearize(b, cpl, u, z_nom, 1.0)
+        a_t, b_t = real_linearize(mdl.held_step(b), cpl, u, z_nom, 1.0)
         box = mpc.control_box(b, low, high)
-        ref = mpc.condense(cfg, params, b, a_t, b_t, z_nom, u, np.zeros(1), box, trust)
+        ref = mpc.condense(
+            cfg, params, b, a_t, b_t, z_nom, u, np.zeros(1), box,
+            *solve_constants(cfg, params, b), trust,
+        )
         for name in ("H", "g", "lb", "ub"):
             assert np.array_equal(getattr(qp, name), getattr(ref, name)), name
         if ok:

@@ -188,6 +188,26 @@ def test_rank_path_factor_has_one_caller():
     assert found == ["bkmpc/model.py:LowRank.hinge"]
 
 
+def test_encoder_has_one_caller():
+    # the operator generator reads only the last conv_kernel lookback
+    # states, and encode_history encodes only those; no other path under
+    # src/ may encode states, so none can go back to encoding the whole
+    # lookback unseen
+    found = set()
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        parent = {c: p for p in ast.walk(tree) for c in ast.iter_child_nodes(p)}
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Call)
+                    and ast.unparse(node.func).split(".")[-1] == "encode_batch"):
+                continue
+            at = node
+            while at in parent and not isinstance(at, ast.FunctionDef):
+                at = parent[at]
+            found.add(f"{path.relative_to(SRC).as_posix()}:{getattr(at, 'name', '<module>')}")
+    assert found == {"bkmpc/model.py:encode_history"}
+
+
 def test_only_datagen_constructs_a_philox():
     # every episode stream, the closed loop's too, is keyed by
     # datagen.episode_key, so a second key formula cannot grow back
