@@ -133,8 +133,10 @@ def parse_args(argv=None):
             leads = _leads(args)
         except ValueError:
             leads = []
-        if not leads or min(leads) < 0:
-            command_parser.error(f"--lead must list integers >= 0, got {args.lead!r}")
+        if not leads or min(leads) < 0 or len(set(leads)) < len(leads):
+            command_parser.error(
+                f"--lead must list distinct integers >= 0, got {args.lead!r}"
+            )
     return args
 
 
@@ -297,7 +299,7 @@ def _episode_batch(preset, params, mpc_cfg, controller, lead, episodes, seed,
 
 def cmd_run_mpc(args):
     params = _load_checkpoint(args.ckpt, args.preset)
-    mpc.check_controller(params, args.controller)
+    mpc.check_controller(params, args.controller, args.lead)
     system = args.preset.split("-")[0]
     mpc_cfg = mpc.mpc_preset(system, episode_len=args.episode_len)
     rev = results.git_rev()
@@ -353,8 +355,9 @@ def _band_rows_and_series(preset, model_kind, seed, rev, controller, lead,
 def cmd_lead_sweep(args):
     leads = _leads(args)
     lin = _load_checkpoint(args.linear_ckpt, args.preset)
-    mpc.check_controller(lin, "linear")
+    mpc.check_controller(lin, "linear", max(leads))
     bil = _load_checkpoint(args.bilinear_ckpt, args.preset)
+    mpc.check_controller(bil, "scp5", max(leads))
     system = args.preset.split("-")[0]
     mpc_cfg = mpc.mpc_preset(system, episode_len=args.episode_len)
     cfg_sim = sim.preset(args.preset)

@@ -46,6 +46,8 @@ _STREAM_SPACE = {"train": 0, "test": 2**32, "mpc": 2**33}
 _TEST_EPISODE_OFFSET = 2**31  # keeps stored test episode ids disjoint
 
 _CHUNK = 256  # excitation draws per refill of a lane's buffer
+_MAX_LANES = 512  # lane cap of the lockstep runner, both splits together
+_EPISODE_BUDGET = 500_000  # episodes each split may start; then ProgressError
 
 _MAGIC = b"BKDS"
 _VERSION = 1
@@ -185,7 +187,7 @@ def _grown(a, axis, size):
     return out
 
 
-def _run_episode_batch(cfg, seed, wants, budget, max_lanes=512):
+def _run_episode_batch(cfg, seed, wants, budget):
     """Lockstep episode runner over lane arrays, for both splits at once.
 
     Returns, for the training pool and then the test split, ``[(states
@@ -209,7 +211,7 @@ def _run_episode_batch(cfg, seed, wants, budget, max_lanes=512):
 
     Admission, per split: episode ``i`` starts only while ``i < head +
     lanes``, ``head`` being its first unfinished episode. ``lanes`` starts
-    at 1 and doubles, up to half of ``max_lanes`` (at least 1), in every
+    at 1 and doubles, up to half of ``_MAX_LANES`` (at least 1), in every
     step in which one of the split's episodes ends short of its request.
     The head episode is cut where its windows complete the request, and a
     met request ends the split's other lanes; see the module docstring.
@@ -219,7 +221,7 @@ def _run_episode_batch(cfg, seed, wants, budget, max_lanes=512):
     high = np.asarray(cfg.control_high, dtype=float)
     span = high - low
     horizon = (cfg.train_horizon, cfg.test_horizon)
-    share = max(max_lanes // 2, 1)
+    share = max(_MAX_LANES // 2, 1)
     lanes, head, have, nxt = [1, 1], [0, 0], [0, 0], [0, 0]
     finished, live, ended = ({}, {}), ({}, {}), [False, False]
     rows, cap, rngs, owner, free = 0, _CHUNK, [], [], []
@@ -334,19 +336,13 @@ def _collect(cfg, seed, wants, budget):
     return (np.concatenate(p) for p in zip(*parts))
 
 
-def generate_dataset(
-    cfg,
-    train_pool=39_900,
-    test_windows=4_000,
-    seed=1,
-    episode_budget=500_000,
-):
+def generate_dataset(cfg, train_pool=39_900, test_windows=4_000, seed=1):
     """Excite, window, split, and normalize; see the module docstring."""
     for arg, value in (("train_pool", train_pool), ("test_windows", test_windows)):
         if value < 1:
             raise ValueError(f"{arg} must be at least 1 window, got {value}")
     states, controls, start_time, episode_id = _collect(
-        cfg, seed, (train_pool, test_windows), episode_budget
+        cfg, seed, (train_pool, test_windows), _EPISODE_BUDGET
     )
 
     perm = split_permutation(SPLIT_SEED, train_pool)

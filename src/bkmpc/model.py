@@ -10,6 +10,7 @@ The latent step for a history-generated operator bundle is
 
 i.e. the per-mode diagonal hold step, premultiplied by the exponential of
 the control-weighted coupling generator over a fixed coupling period T.
+A bundle forms exp(a .* delta) and B_phi once, as ``OperatorBundle.held``.
 With zero coupling the premultiplier is exactly the identity and the
 model coincides bit-for-bit with the ``linear`` variant, which never
 forms it. The decoded estimate is ``xhat = C z`` in normalized
@@ -62,6 +63,7 @@ Conventions:
 """
 
 import dataclasses
+import functools
 import json
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -236,11 +238,12 @@ def params_for_dataset(ds, kind, seed=0, **overrides):
 # containers
 
 
-@dataclass
+@dataclass(frozen=True)
 class OperatorBundle:
     """Per-decision-step generated quantities: tape Vars from the training
     forward, ndarrays from the forward on the parameter arrays (the only
-    kind ``single`` and ``checksum`` take)."""
+    kind ``single`` and ``checksum`` take). The bundle is frozen, so its
+    ``held`` step, formed on first read, stays valid for its lifetime."""
 
     a_act: object  # (dz,) activated diagonal, <= 1 elementwise
     delta: object  # (B, dz) positive per-mode timescales
@@ -253,6 +256,14 @@ class OperatorBundle:
         """The fields in declaration order."""
         return [self.a_act, self.delta, self.b_cont, self.decoder,
                 self.control_mean, self.control_std]
+
+    @functools.cached_property
+    def held(self):
+        """(e_d, B_phi): the diagonal hold step exp(a .* delta) and the held
+        input map phi1(a, delta) .* Bcont, formed on first read."""
+        e_d = ad.exp(self.a_act * self.delta)
+        b_phi = ad.phi1(self.a_act, self.delta)
+        return e_d, ad.reshape(b_phi, b_phi.shape + (1,)) * self.b_cont
 
     def single(self):
         """Drop the batch axis (bundle generated for one history)."""
@@ -427,14 +438,6 @@ def g_norm(params):
     return float(np.sqrt(np.sum(G**2)))
 
 
-def held_step(bundle):
-    """(e_d, B_phi): the diagonal hold step exp(a .* delta) and the held
-    input map phi1(a, delta) .* Bcont, for a batched or a single bundle."""
-    e_d = ad.exp(bundle.a_act * bundle.delta)
-    b_phi = ad.phi1(bundle.a_act, bundle.delta)
-    return e_d, ad.reshape(b_phi, b_phi.shape + (1,)) * bundle.b_cont
-
-
 def generator(G, u_n, period):
     """(..., dz, dz) coupling generators P(u) T of (..., m) normalized
     controls and the (m, dz, dz) tensors G; the one generator product of
@@ -462,7 +465,7 @@ def rollout(z0, u_n, bundle, cpl, period, margin=None):
     the steps ``LowRank.certified`` cannot clear (``LowRank.hinge``).
     """
     u_t = np.swapaxes(np.asarray(u_n, dtype=float), 0, -2)  # (T, B, m)
-    e_d, b_phi = held_step(bundle)
+    e_d, b_phi = bundle.held
     # the loop runs on (B, dz, 1) columns, so that on arrays each step's
     # products are numpy's own, with no tape dispatch
     col = e_d.shape + (1,)
@@ -569,7 +572,7 @@ def discretize(bundle, G, u_n, period):
     """One-step state matrix A_disc = exp(P(u) T) diag(exp(a .* delta)) of
     a single (unbatched) bundle and (m,) normalized controls; with no
     coupling the factor is skipped entirely (identically the identity)."""
-    e_d = np.exp(bundle.a_act * bundle.delta)
+    e_d, _ = bundle.held
     if G is None:
         return np.diag(e_d)
     return dense.matrix_exp(generator(G, u_n, period)) * e_d
@@ -621,11 +624,20 @@ def save_checkpoint(params, path, meta=None):
             json.dump(meta, fh, sort_keys=True, indent=1)
 
 
+def _checked_layout(header):
+    """The payload layout of a checkpoint header, whose parameter list
+    must be the ``_param_spec`` of its kind and hyperparameters."""
+    spec = _param_spec(ModelHyper(kind=header["kind"], **header["hyper"]))
+    if header["params"] != [[name, list(shape)] for name, shape in spec]:
+        raise results.FormatError(
+            f"checkpoint parameter list is not that of a {header['kind']} "
+            "model of its hyperparameters"
+        )
+    return [(name, "<f8", shape) for name, shape in spec]
+
+
 def load_checkpoint(path):
-    header, arrays = results.read_container(
-        path, _MAGIC, _VERSION,
-        lambda hd: [(name, "<f8", shape) for name, shape in hd["params"]],
-    )
+    header, arrays = results.read_container(path, _MAGIC, _VERSION, _checked_layout)
     return ModelParams(
         hyper=ModelHyper(kind=header["kind"], **header["hyper"]),
         arrays=arrays,

@@ -30,7 +30,9 @@ import numpy as np
 
 
 class FormatError(ValueError):
-    """Container magic or version is wrong."""
+    """Container magic or version is wrong, or its header does not
+    describe the payload its reader expects (a checkpoint's parameter
+    list that is not its kind's and hyperparameters')."""
 
 
 class IntegrityError(ValueError):

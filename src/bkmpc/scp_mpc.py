@@ -23,17 +23,24 @@ from the current history:
    box (``increment_box``: the control box, formed once per solve by
    ``control_box``, minus the plan) without linearizing again.
 
-The plan is optimized in normalized control units (the bundle's instance
-statistics), and the solve first clips its nominal into the control box
-in those units; denormalized controls are clipped to the simulator's
-action box before application. The ``linear`` controller is the same
-solve with the coupling disabled and a single iteration, which for a
-coupling-free model is bit-identical arithmetic.
+The plan covers the model's prediction horizon (``ModelHyper.horizon``),
+the horizon its bundle was trained to predict over. It is optimized in
+normalized control units (the bundle's instance statistics), and the
+solve first clips its nominal into the control box in those units;
+denormalized controls are clipped to the simulator's action box before
+application. The trust region starts at ``_TRUST_INIT``.
+
+``CONTROLLERS`` is the one table of controller kinds, giving each its
+SCP iterations per solve and whether the solve applies the coupling:
+``scp5`` runs 5 and ``scp1`` one, both coupled; ``linear`` is the
+``scp1`` solve with the coupling disabled, which for a coupling-free
+model is bit-identical arithmetic, and it drives only such a model.
 
 Lead-time execution commits the first ``d + 1`` planned controls to a
 queue and re-plans only when the queue empties; neither the plan nor the
 operator bundle is re-evaluated inside a commitment window. ``d = 0``
-recovers standard receding-horizon control.
+recovers standard receding-horizon control. The window must fit in the
+plan, so ``0 <= d < horizon`` (``check_controller``).
 """
 
 import time
@@ -49,8 +56,13 @@ from .model import ContractViolation
 from .numerics import dense, eig_values
 from .qpsolver import QpProblem, solve_box_qp
 
+#: the trust radius every solve starts from, in normalized control units
+_TRUST_INIT = 1.0
 #: the trust-region loop stops once the radius falls below this
 _TRUST_MIN = 1e-9
+#: controller kind -> (SCP iterations per solve, whether it is coupled)
+CONTROLLERS = {"linear": (1, False), "scp1": (1, True), "scp5": (5, True)}
+CONTROLLER_KINDS = tuple(CONTROLLERS)
 
 
 class SolverInvariantError(RuntimeError):
@@ -60,9 +72,9 @@ class SolverInvariantError(RuntimeError):
 
 @dataclass(frozen=True)
 class MpcConfig:
-    horizon: int = 30
-    n_scp: int = 5
-    trust_init: float = 1.0  # normalized control units
+    """The closed loop's cost and episode length; the plan spans the model's
+    horizon and the controller kind sets the iterations (``CONTROLLERS``)."""
+
     q_weights: tuple = ()
     r_weights: tuple = ()
     p_weights: tuple = ()
@@ -122,7 +134,7 @@ def linearize(held, coupling, plan_u_norm, z_nom, period):
     step map is affine in the latent state). Column j of B_k is the
     directional derivative of the coupling exponential toward channel j,
     applied to the held drift, plus the coupling factor times the held
-    input column; ``held`` is the bundle's ``model.held_step``.
+    input column; ``held`` is the bundle's ``OperatorBundle.held``.
     """
     H, m = plan_u_norm.shape
     dz = z_nom.shape[1]
@@ -245,25 +257,25 @@ def condense(cfg, params, bundle, a_t, b_t, z_nom, u_norm, u_prev_raw, box,
 
 
 def scp_solve(cfg, params, bundle, coupling, z0, nominal_u_norm, u_prev_raw,
-              control_low, control_high, qp_warm=None):
-    """Trust-region loop from the nominal clipped into the control box;
-    returns (Plan, SolveInfo, final QpSolution)."""
+              control_low, control_high, iterations, qp_warm=None):
+    """Up to ``iterations`` trust-region SCP iterations from the nominal
+    clipped into the control box; returns (Plan, SolveInfo, final QpSolution)."""
     period = params.hyper.coupling_period
     box = control_box(bundle, control_low, control_high)
-    w, held = cost_weights(cfg, len(nominal_u_norm)), mdl.held_step(bundle)
+    w = cost_weights(cfg, len(nominal_u_norm))
     dec_scaled = params.state_std[:, None] * bundle.decoder  # (n, dz)
     diff = _increment_difference(bundle.control_std, len(nominal_u_norm))
     u = np.clip(nominal_u_norm, *box)
     z_nom = plan_rollout(bundle, coupling, z0, u, period)
     J = plan_cost(cfg, params, bundle, w, z_nom, u, u_prev_raw)
-    info = SolveInfo([J], [], 0, [], cfg.trust_init)
+    info = SolveInfo([J], [], 0, [], _TRUST_INIT)
 
-    trust = cfg.trust_init
+    trust = _TRUST_INIT
     sol = qp_warm
     qp = None
-    for _ in range(cfg.n_scp):
+    for _ in range(iterations):
         if qp is None:
-            a_t, b_t = linearize(held, coupling, u, z_nom, period)
+            a_t, b_t = linearize(bundle.held, coupling, u, z_nom, period)
             qp = condense(
                 cfg, params, bundle, a_t, b_t, z_nom, u, u_prev_raw, box,
                 w, dec_scaled, diff, trust,
@@ -315,9 +327,6 @@ def stability_diagnostics(a_disc):
     rho = float(np.max(np.abs(eig_values(a_disc))))
     straddle = bool(np.any(reach >= 1.0) and (np.any(reach < 1.0) or rho < 1.0))
     return rho, straddle
-
-
-CONTROLLER_KINDS = ("linear", "scp1", "scp5")
 
 
 def _per_step():
@@ -392,13 +401,20 @@ class EpisodeLog:
         results.write_csv(path, head, rows)
 
 
-def check_controller(params, controller):
+def check_controller(params, controller, lead):
     """Raise unless ``controller`` is a controller kind that can drive
-    ``params``: the linear one drives only a coupling-free model."""
-    if controller not in CONTROLLER_KINDS:
+    ``params`` (the linear one drives only a coupling-free model) under a
+    commitment ``lead`` whose window fits in the plan:
+    0 <= lead < the model's horizon."""
+    if controller not in CONTROLLERS:
         raise KeyError(f"unknown controller '{controller}'")
-    if controller == "linear" and mdl.g_norm(params) != 0.0:
+    if not CONTROLLERS[controller][1] and mdl.g_norm(params) != 0.0:
         raise ValueError("the linear controller requires a coupling-free model")
+    horizon = params.hyper.horizon
+    if not 0 <= lead < horizon:
+        raise ValueError(
+            f"lead must be >= 0 and below the model's horizon {horizon}, got {lead}"
+        )
 
 
 def run_episode(sim_cfg, params, mpc_cfg, controller="scp5", lead=0,
@@ -418,9 +434,7 @@ def run_episode(sim_cfg, params, mpc_cfg, controller="scp5", lead=0,
     Between solves the runner keeps the previous plan (shifted into the
     next nominal) and the last QP solution (the next warm start).
     """
-    check_controller(params, controller)
-    if lead < 0:
-        raise ValueError("lead must be >= 0")
+    check_controller(params, controller, lead)
 
     h = params.hyper
     H = h.lookback
@@ -430,9 +444,8 @@ def run_episode(sim_cfg, params, mpc_cfg, controller="scp5", lead=0,
     xs[:H] = dg.sample_initial_state(sim_cfg, rng)
     us[:H] = sim.neutral_control(sim_cfg)
 
-    coupling = None if controller == "linear" else mdl.coupling(params.arrays)
-    if controller != "scp5":
-        mpc_cfg = replace(mpc_cfg, n_scp=1)
+    iterations, coupled = CONTROLLERS[controller]
+    coupling = mdl.coupling(params.arrays) if coupled else None
     q, r, ref = map(np.asarray, (mpc_cfg.q_weights, mpc_cfg.r_weights, mpc_cfg.x_ref))
 
     record = []  # one tuple per step: the per-step fields after the controls
@@ -456,7 +469,7 @@ def run_episode(sim_cfg, params, mpc_cfg, controller="scp5", lead=0,
                 params, xs[i + 1 - H : i + 1], us[i + 1 - H : i + 1]
             )
             if plan is None:
-                nominal = np.zeros((mpc_cfg.horizon, h.control_dim))
+                nominal = np.zeros((h.horizon, h.control_dim))
             else:
                 # shift-and-hold the previous plan, re-expressed in the
                 # new bundle's normalized units
@@ -465,7 +478,7 @@ def run_episode(sim_cfg, params, mpc_cfg, controller="scp5", lead=0,
                 nominal = (raw - bundle.control_mean) / bundle.control_std
             plan, info, qp_warm = scp_solve(
                 mpc_cfg, params, bundle, coupling, z0, nominal, us[i],
-                sim_cfg.control_low, sim_cfg.control_high, qp_warm=qp_warm,
+                sim_cfg.control_low, sim_cfg.control_high, iterations, qp_warm,
             )
             wall = time.perf_counter() - t0
             solves += 1

@@ -386,7 +386,7 @@ def stepwise_loss(params, states_raw, controls_raw):
     u_pred = (controls_raw[:, H - 1 : H + T - 1, :] - mu) / sd
     targets = (states_raw[:, H:, :] - params.state_mean) / params.state_std
     cpl = model.forward_coupling(w)
-    e_d, b_phi = model.held_step(bundle)
+    e_d, b_phi = bundle.held
     B, m = u_pred.shape[0], h.control_dim
     mse = pen = None
     for k in range(T):

@@ -164,7 +164,7 @@ RUNNER_CASES = (
 )
 
 
-def test_generation_deterministic_and_batch_independent():
+def test_generation_deterministic_and_batch_independent(monkeypatch):
     a = small_dataset(train=150, test=60)
     b = small_dataset(train=150, test=60)
     assert np.array_equal(a.states, b.states)
@@ -174,10 +174,10 @@ def test_generation_deterministic_and_batch_independent():
     # split at any lane cap; each episode equals its sequential roll bit
     # for bit, except that the last one stops where the request is met
     for cfg, seed, wants in RUNNER_CASES:
-        runs = [
-            dg._run_episode_batch(cfg, seed, wants, 10_000, max_lanes=cap)
-            for cap in (1, 3, 64, 512)
-        ]
+        runs = []
+        for cap in (1, 3, 64, 512):
+            monkeypatch.setattr(dg, "_MAX_LANES", cap)
+            runs.append(dg._run_episode_batch(cfg, seed, wants, 10_000))
         for test, want in enumerate(wants):
             ref = _rolls(cfg, seed, bool(test), len(runs[0][test]))
             windows = [max(len(c) - dg.WINDOW_LEN + 1, 0) for _, c in ref]
@@ -311,24 +311,27 @@ def test_cartpole_run_ahead_bounded_by_lane_cap(monkeypatch):
     for cap in (1, 6, 64):
         for counts in (started, rows, slots, built):
             counts.clear()
-        train, test = dg._run_episode_batch(cfg, 7, (16, 64), 500_000, max_lanes=cap)
+        monkeypatch.setattr(dg, "_MAX_LANES", cap)
+        train, test = dg._run_episode_batch(cfg, 7, (16, 64), 500_000)
         prefix = len(train) + len(test)
         assert prefix <= len(started) <= prefix + max(cap, 2)
         assert max(rows) <= max(slots) <= max(cap, 2)
         assert len(built) <= max(slots) < len(started)
 
 
-def test_progress_error_when_starved():
+def test_progress_error_when_starved(monkeypatch):
     cfg = sim.preset("cartpole-ti", angle_limit=1e-6)  # dies immediately
+    monkeypatch.setattr(dg, "_EPISODE_BUDGET", 50)
     with pytest.raises(dg.ProgressError, match="train windows.*test windows"):
-        dg.generate_dataset(cfg, train_pool=100, test_windows=10, episode_budget=50)
+        dg.generate_dataset(cfg, train_pool=100, test_windows=10)
 
 
-def test_progress_error_names_the_starved_split():
+def test_progress_error_names_the_starved_split(monkeypatch):
     # test episodes end before their first window; training ones do not
     cfg = sim.preset("cartpole-ti", test_horizon=dg.WINDOW_LEN - 2)
+    monkeypatch.setattr(dg, "_EPISODE_BUDGET", 400)
     with pytest.raises(dg.ProgressError, match="^0/10 test windows after 400 episodes;"):
-        dg.generate_dataset(cfg, train_pool=40, test_windows=10, episode_budget=400)
+        dg.generate_dataset(cfg, train_pool=40, test_windows=10)
 
 
 @pytest.mark.parametrize("arg", ["train_pool", "test_windows"])

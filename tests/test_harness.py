@@ -277,10 +277,11 @@ def _config(tmp_path, command, **section):
 
 
 def test_closed_loop_rejects_bad_values_before_writing(workdir, tmp_path, capsys):
-    # no episodes, no steps, or no lead or a lead that is not an integer
-    # >= 0, from a flag or from the config file, is a usage error (exit
-    # 1); a coupled checkpoint for the linear controller is refused (exit
-    # 2); neither writes any output
+    # no episodes, no steps, or no lead, a lead that is not an integer
+    # >= 0 or a repeated sweep lead, from a flag or from the config file,
+    # is a usage error (exit 1); a coupled checkpoint for the linear
+    # controller, or a lead whose commitment window overruns the model's
+    # 30-step plan, is refused (exit 2); neither writes any output
     bil = str(workdir / "run-bilinear" / "bilinear-best.bkcp")
     lin = str(workdir / "run-linear" / "linear-best.bkcp")
     mpc = ["run-mpc", "--ckpt", bil, "--controller", "scp1"]
@@ -300,8 +301,12 @@ def test_closed_loop_rejects_bad_values_before_writing(workdir, tmp_path, capsys
         (sweep + ["--episode-len", "0"], 1),
         (_config(tmp_path, "lead-sweep", lead="0,-2") + sweep, 1),
         (_config(tmp_path, "lead-sweep", episodes=2.5) + sweep, 1),
+        (sweep + ["--lead=0,1,0"], 1),
+        (_config(tmp_path, "lead-sweep", lead="3,3") + sweep, 1),
         (["run-mpc", "--ckpt", bil, "--controller", "linear"], 2),
         (["lead-sweep", "--linear-ckpt", bil, "--bilinear-ckpt", bil], 2),
+        (mpc + ["--lead", "30"], 2),
+        (sweep + ["--lead", "0,30"], 2),
     ]
     for i, (argv, code) in enumerate(cases):
         out = tmp_path / f"out{i}"

@@ -631,7 +631,7 @@ def rank_path_steps(p, S, C):
     u_n = (C[:, H - 1 : H + T - 1, :] - mu) / sd
     cpl = model.forward_coupling(p.arrays)
     s2, phi_h = cpl.phi_half(np.swapaxes(u_n, 0, 1), h.coupling_period)
-    e_d, _ = model.held_step(bundle)
+    e_d, _ = bundle.held
     return cpl, s2, phi_h, e_d
 
 
@@ -942,6 +942,37 @@ def test_fixture_checkpoint_resave_reproduces_hash(preset, tmp_path):
     path = tmp_path / entry["file"]
     model.save_checkpoint(p, path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == entry["sha256"]
+
+
+def test_checkpoint_rejects_a_parameter_list_its_header_does_not_declare(tmp_path):
+    # the header's parameter list must be the one its kind and
+    # hyperparameters give; otherwise a "linear" header listing a coupling
+    # loads a coupled model, rank-1 hyperparameters load the fixture's
+    # (3, 15, 15) factors, and a missing array fails later with a bare
+    # KeyError
+    fixture = FIXTURES / "rscp-ti-bilinear.bkcp"
+    header, arrays = results.read_container(
+        fixture, model._MAGIC, model._VERSION,
+        lambda hd: [(name, "<f8", shape) for name, shape in hd["params"]],
+    )
+    assert arrays["cpl_l"].shape == (3, 15, 15)
+    cases = {
+        "same": (header, arrays),
+        "coupled-linear": ({**header, "kind": "linear"}, arrays),
+        "rank-1": ({**header, "hyper": {**header["hyper"], "rank": 1}}, arrays),
+        "no-dec_b2": (header, {k: v for k, v in arrays.items() if k != "dec_b2"}),
+    }
+    for name, (hd, arrs) in cases.items():
+        hd = {**hd, "params": [[k, list(a.shape)] for k, a in arrs.items()]}
+        path = tmp_path / f"{name}.bkcp"
+        payload = [(a, "<f8") for a in arrs.values()]
+        results.write_container(path, model._MAGIC, model._VERSION, hd, payload)
+        if name == "same":
+            assert path.read_bytes() == fixture.read_bytes()
+            model.load_checkpoint(path)
+            continue
+        with pytest.raises(results.FormatError, match="parameter list"):
+            model.load_checkpoint(path)
 
 
 def test_checkpoint_truncated_or_trailing_rejected(tmp_path):

@@ -1,5 +1,7 @@
 """Linearization exactness, condensation, trust-region loop, episodes."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -35,13 +37,18 @@ def tiny_mpc_params(system="cartpole", kind="bilinear", seed=3, dz=3):
     return mdl.init_params(hyper, np.zeros(n), np.ones(n), np.ones(m), seed=seed)
 
 
-def solve_constants(cfg, params, bundle):
+#: plan length of the solves built here directly, the models' default
+#: horizon
+HORIZON = 30
+
+
+def solve_constants(cfg, params, bundle, horizon):
     """(w, dec_scaled, diff): the constants of a solve that ``scp_solve``
-    hands ``condense``, for a ``cfg.horizon``-step plan."""
+    hands ``condense``, for a ``horizon``-step plan."""
     return (
-        mpc.cost_weights(cfg, cfg.horizon),
+        mpc.cost_weights(cfg, horizon),
         params.state_std[:, None] * bundle.decoder,
-        mpc._increment_difference(bundle.control_std, cfg.horizon),
+        mpc._increment_difference(bundle.control_std, horizon),
     )
 
 
@@ -55,12 +62,12 @@ def test_linearize_zero_coupling_exact():
     b = make_bundle(4, 2, 3, rng)
     u = rng.standard_normal((6, 2))
     z = mpc.plan_rollout(b, None, rng.standard_normal(4), u, 1.0)
-    a_t, b_t = mpc.linearize(mdl.held_step(b), None, u, z, 1.0)
+    a_t, b_t = mpc.linearize(b.held, None, u, z, 1.0)
     e_d = np.exp(b.a_act * b.delta)
     for k in range(6):
         assert np.array_equal(a_t[k], np.diag(e_d))
     # with an explicitly zero coupling tensor the result is identical
-    a_t0, b_t0 = mpc.linearize(mdl.held_step(b), np.zeros((2, 4, 4)), u, z, 1.0)
+    a_t0, b_t0 = mpc.linearize(b.held, np.zeros((2, 4, 4)), u, z, 1.0)
     assert np.array_equal(a_t, a_t0) and np.array_equal(b_t, b_t0)
 
 
@@ -72,7 +79,7 @@ def test_linearize_matches_finite_differences():
         u_plan = 0.5 * rng.standard_normal((4, m))
         z0 = rng.standard_normal(dz)
         z_nom = mpc.plan_rollout(b, G, z0, u_plan, 1.0)
-        a_t, b_t = mpc.linearize(mdl.held_step(b), G, u_plan, z_nom, 1.0)
+        a_t, b_t = mpc.linearize(b.held, G, u_plan, z_nom, 1.0)
         h = 1e-6
         for k in range(4):
             zk, uk = z_nom[k], u_plan[k]
@@ -114,7 +121,7 @@ def test_linearize_scalar_closed_form():
     G = np.array([[[g]]])
     u, z, T = 0.7, 1.1, 0.8
     z_nom = mpc.plan_rollout(b, G, np.array([z]), np.array([[u]]), T)
-    a_t, b_t = mpc.linearize(mdl.held_step(b), G, np.array([[u]]), z_nom, T)
+    a_t, b_t = mpc.linearize(b.held, G, np.array([[u]]), z_nom, T)
     ed = np.exp(a * d)
     ep = np.exp(g * u * T)
     bphi = (np.exp(a * d) - 1) / a * bc
@@ -142,9 +149,60 @@ def test_mpc_presets():
 def test_episode_rejects_an_unknown_controller_and_a_negative_lead():
     params = tiny_mpc_params("cartpole", seed=7)
     with pytest.raises(KeyError, match="unknown controller"):
-        mpc.check_controller(params, "scp3")
+        mpc.check_controller(params, "scp3", 0)
     with pytest.raises(ValueError, match="lead"):
         mpc.run_episode(sim.preset("cartpole-ti"), params, default_cfg(), lead=-1)
+
+
+def test_episode_rejects_a_lead_whose_window_overruns_the_plan():
+    # a commitment window holds lead + 1 planned controls, so it must fit
+    # in the model's horizon: on a 5-step horizon lead 4 re-plans every 5
+    # steps, and a lead of 5 or more is refused before the first step
+    hyper = mdl.hyper_for(
+        "cartpole", "bilinear", latent_dim=3, rank=3, conv_kernel=5, hidden=8,
+        horizon=5,
+    )
+    params = mdl.init_params(hyper, np.zeros(4), np.ones(4), np.ones(1), seed=7)
+    cfg_sim = sim.preset("cartpole-ti")
+    log = mpc.run_episode(
+        cfg_sim, params, default_cfg(episode_len=12), controller="scp1", lead=4,
+        seed=11,
+    )
+    assert log.steps > 5
+    assert np.flatnonzero(log.scp_iters > 0).tolist() == list(range(0, log.steps, 5))
+    for lead in (5, 9):
+        with pytest.raises(ValueError, match=f"horizon 5, got {lead}"):
+            mpc.run_episode(
+                cfg_sim, params, default_cfg(episode_len=12), controller="scp1",
+                lead=lead, seed=11,
+            )
+
+
+def test_a_solve_forms_the_held_step_once(monkeypatch):
+    # the frozen bundle keeps its held step: a 5-iteration solve (six
+    # rollouts, linearizations) and then every step's discretize in the
+    # closed loop read it, so phi1 runs once per solve
+    calls = []
+    real = ad.phi1
+
+    def phi1(a, delta):
+        calls.append(1)
+        return real(a, delta)
+
+    monkeypatch.setattr(ad, "phi1", phi1)
+    rng = np.random.default_rng(37)
+    b = make_bundle(3, 1, 4, rng)
+    _, info, _ = mpc.scp_solve(
+        default_cfg(), tiny_mpc_params(dz=3), b, make_coupling(3, 1, rng),
+        rng.standard_normal(3), np.zeros((HORIZON, 1)), np.zeros(1),
+        np.array([-20.0]), np.array([20.0]), iterations=5,
+    )
+    assert len(info.accepted) == 5
+    assert len(calls) == 1
+    calls.clear()
+    log = run_smoke_episode("bilinear", "scp5", lead=1, steps=8)
+    assert log.solves > 1
+    assert len(calls) == log.solves
 
 
 def test_condense_scalar_closed_form():
@@ -163,7 +221,6 @@ def test_condense_scalar_closed_form():
     params.state_std = np.ones(4)
     qw, rw, ref, uprev = 2.0, 0.7, 0.3, -0.2
     cfg = mpc.MpcConfig(
-        horizon=1,
         q_weights=(0.0,) * 4,
         p_weights=(qw, 0, 0, 0),
         r_weights=(rw,),
@@ -171,15 +228,15 @@ def test_condense_scalar_closed_form():
     )
     dec = np.zeros((4, 1))
     dec[0, 0] = 1.4
-    b.decoder = dec
+    b = dataclasses.replace(b, decoder=dec)
     u0 = np.array([[0.25]])
     z0 = np.array([0.8])
     z_nom = mpc.plan_rollout(b, None, z0, u0, 1.0)
-    a_t, b_t = mpc.linearize(mdl.held_step(b), None, u0, z_nom, 1.0)
+    a_t, b_t = mpc.linearize(b.held, None, u0, z_nom, 1.0)
     qp = mpc.condense(
         cfg, params, b, a_t, b_t, z_nom, u0, np.array([uprev]),
         mpc.control_box(b, np.array([-10.0]), np.array([10.0])),
-        *solve_constants(cfg, params, b), trust=10.0,
+        *solve_constants(cfg, params, b, 1), trust=10.0,
     )
     # hand-derived quadratic: minimize q(c(z1 + bphi du) - ref)^2
     #                       + r(u0 + du - uprev)^2
@@ -210,7 +267,6 @@ def test_condense_is_exact_quadratic_model_of_plan_cost():
     params.state_std = rng.uniform(0.5, 2.0, n)
     b = make_bundle(4, m, n, rng)
     cfg = mpc.MpcConfig(
-        horizon=Hz,
         q_weights=tuple(rng.uniform(0.5, 2.0, n)),
         p_weights=tuple(rng.uniform(2.0, 5.0, n)),
         r_weights=tuple(rng.uniform(0.5, 2.0, m)),
@@ -220,11 +276,11 @@ def test_condense_is_exact_quadratic_model_of_plan_cost():
     u = rng.standard_normal((Hz, m))
     u_prev = rng.standard_normal(m)
     z_nom = mpc.plan_rollout(b, None, z0, u, 1.0)
-    a_t, b_t = mpc.linearize(mdl.held_step(b), None, u, z_nom, 1.0)
+    a_t, b_t = mpc.linearize(b.held, None, u, z_nom, 1.0)
     qp = mpc.condense(
         cfg, params, b, a_t, b_t, z_nom, u, u_prev,
         mpc.control_box(b, np.full(m, -1e3), np.full(m, 1e3)),
-        *solve_constants(cfg, params, b), trust=1e3,
+        *solve_constants(cfg, params, b, Hz), trust=1e3,
     )
     w = mpc.cost_weights(cfg, Hz)
     J0 = mpc.plan_cost(cfg, params, b, w, z_nom, u, u_prev)
@@ -252,13 +308,13 @@ def test_condense_trust_zero_forces_no_change():
     b = make_bundle(3, 1, 4, rng)
     params = tiny_mpc_params(dz=3)
     cfg = default_cfg()
-    u = 0.1 * rng.standard_normal((cfg.horizon, 1))
+    u = 0.1 * rng.standard_normal((HORIZON, 1))
     z_nom = mpc.plan_rollout(b, None, rng.standard_normal(3), u, 1.0)
-    a_t, b_t = mpc.linearize(mdl.held_step(b), None, u, z_nom, 1.0)
+    a_t, b_t = mpc.linearize(b.held, None, u, z_nom, 1.0)
     qp = mpc.condense(
         cfg, params, b, a_t, b_t, z_nom, u, np.zeros(1),
         mpc.control_box(b, np.array([-20.0]), np.array([20.0])),
-        *solve_constants(cfg, params, b), trust=0.0,
+        *solve_constants(cfg, params, b, HORIZON), trust=0.0,
     )
     assert np.all(qp.lb == 0.0) and np.all(qp.ub == 0.0)
 
@@ -273,13 +329,13 @@ def test_condense_tracking_scales_with_weights():
         p_weights=tuple(2 * np.asarray(cfg.p_weights)),
         r_weights=(0.0,),
     )
-    u = 0.1 * rng.standard_normal((cfg.horizon, 1))
+    u = 0.1 * rng.standard_normal((HORIZON, 1))
     z_nom = mpc.plan_rollout(b, None, rng.standard_normal(3), u, 1.0)
-    a_t, b_t = mpc.linearize(mdl.held_step(b), None, u, z_nom, 1.0)
+    a_t, b_t = mpc.linearize(b.held, None, u, z_nom, 1.0)
     box = mpc.control_box(b, np.array([-20.0]), np.array([20.0]))
     args = (b, a_t, b_t, z_nom, u, np.zeros(1), box)
-    qp1 = mpc.condense(cfg, params, *args, *solve_constants(cfg, params, b), trust=1.0)
-    qp2 = mpc.condense(cfg2, params, *args, *solve_constants(cfg2, params, b), trust=1.0)
+    qp1 = mpc.condense(cfg, params, *args, *solve_constants(cfg, params, b, HORIZON), trust=1.0)
+    qp2 = mpc.condense(cfg2, params, *args, *solve_constants(cfg2, params, b, HORIZON), trust=1.0)
     assert np.allclose(qp2.H, 2 * qp1.H, rtol=1e-12)
     assert np.allclose(qp2.g, 2 * qp1.g, rtol=1e-12)
 
@@ -289,14 +345,14 @@ def test_condense_empty_box_contract():
     b = make_bundle(3, 1, 4, rng)
     params = tiny_mpc_params(dz=3)
     cfg = default_cfg()
-    u = np.full((cfg.horizon, 1), 50.0)  # nominal far outside bounds
+    u = np.full((HORIZON, 1), 50.0)  # nominal far outside bounds
     z_nom = mpc.plan_rollout(b, None, rng.standard_normal(3), u, 1.0)
-    a_t, b_t = mpc.linearize(mdl.held_step(b), None, u, z_nom, 1.0)
+    a_t, b_t = mpc.linearize(b.held, None, u, z_nom, 1.0)
     with pytest.raises(ContractViolation):
         mpc.condense(
             cfg, params, b, a_t, b_t, z_nom, u, np.zeros(1),
             mpc.control_box(b, np.array([-20.0]), np.array([20.0])),
-            *solve_constants(cfg, params, b), trust=0.5,
+            *solve_constants(cfg, params, b, HORIZON), trust=0.5,
         )
 
 
@@ -306,34 +362,34 @@ def test_scp_solve_clips_an_out_of_box_nominal():
     rng = np.random.default_rng(19)
     b = make_bundle(3, 1, 4, rng)
     params = tiny_mpc_params(dz=3)
-    cfg = default_cfg(n_scp=2)
+    cfg = default_cfg()
     low, high = np.array([-20.0]), np.array([20.0])
     lo, hi = ((bound - b.control_mean) / b.control_std for bound in (low, high))
-    nominal = np.full((cfg.horizon, 1), 50.0)
+    nominal = np.full((HORIZON, 1), 50.0)
     nominal[::2] = -50.0
     z0 = rng.standard_normal(3)
     plan, info, _ = mpc.scp_solve(
-        cfg, params, b, None, z0, nominal, np.zeros(1), low, high
+        cfg, params, b, None, z0, nominal, np.zeros(1), low, high, iterations=2
     )
     start = np.clip(nominal, lo, hi)
     z_start = mpc.plan_rollout(b, None, z0, start, 1.0)
-    w = mpc.cost_weights(cfg, cfg.horizon)
+    w = mpc.cost_weights(cfg, HORIZON)
     assert info.objectives[0] == mpc.plan_cost(cfg, params, b, w, z_start, start, np.zeros(1))
     assert np.all(plan.u_norm >= lo - 1e-12) and np.all(plan.u_norm <= hi + 1e-12)
 
 
-def test_scp_converges_first_iteration_for_linear_dynamics():
+def test_scp_converges_first_iteration_for_linear_dynamics(monkeypatch):
     # convex problem, exact linearization, optimum interior to both the
     # bounds and the trust region: iteration 1 solves it and the
     # remaining iterations change (essentially) nothing
     rng = np.random.default_rng(23)
     b = make_bundle(3, 1, 4, rng)
     params = tiny_mpc_params(dz=3)
-    cfg = default_cfg(n_scp=4, trust_init=100.0)
+    monkeypatch.setattr(mpc, "_TRUST_INIT", 100.0)
     z0 = rng.standard_normal(3)
     plan, info, _ = mpc.scp_solve(
-        cfg, params, b, None, z0, np.zeros((cfg.horizon, 1)), np.zeros(1),
-        np.array([-200.0]), np.array([200.0]),
+        default_cfg(), params, b, None, z0, np.zeros((HORIZON, 1)), np.zeros(1),
+        np.array([-200.0]), np.array([200.0]), iterations=4,
     )
     assert info.accepted[0]
     seq = info.objectives
@@ -350,8 +406,6 @@ def test_scp_monotone_descent_random_bilinear():
         b = make_bundle(2, 1, 4, rng)
         G = make_coupling(2, 1, rng, scale=0.5)
         cfg = mpc.MpcConfig(
-            horizon=5,
-            n_scp=5,
             q_weights=(1.0, 0.2, 0.5, 0.1),
             r_weights=(0.3,),
             p_weights=(2.0, 0, 0, 0),
@@ -360,7 +414,7 @@ def test_scp_monotone_descent_random_bilinear():
         plan, info, _ = mpc.scp_solve(
             cfg, params, b, G, rng.standard_normal(2),
             0.2 * rng.standard_normal((5, 1)), np.zeros(1),
-            np.array([-5.0]), np.array([5.0]),
+            np.array([-5.0]), np.array([5.0]), iterations=5,
         )
         seq = info.objectives
         assert all(b2 <= a2 + 1e-12 for a2, b2 in zip(seq, seq[1:]))
@@ -373,7 +427,7 @@ def test_step_outside_trust_region_raises(monkeypatch):
     rng = np.random.default_rng(23)
     b = make_bundle(3, 1, 4, rng)
     params = tiny_mpc_params(dz=3)
-    cfg = default_cfg(n_scp=1, trust_init=0.01)
+    monkeypatch.setattr(mpc, "_TRUST_INIT", 0.01)
     real = mpc.solve_box_qp
 
     def unboxed(qp, **kw):
@@ -383,9 +437,9 @@ def test_step_outside_trust_region_raises(monkeypatch):
     monkeypatch.setattr(mpc, "solve_box_qp", unboxed)
     with pytest.raises(mpc.SolverInvariantError, match="trust radius"):
         mpc.scp_solve(
-            cfg, params, b, None, rng.standard_normal(3),
-            np.zeros((cfg.horizon, 1)), np.zeros(1),
-            np.array([-200.0]), np.array([200.0]),
+            default_cfg(), params, b, None, rng.standard_normal(3),
+            np.zeros((HORIZON, 1)), np.zeros(1),
+            np.array([-200.0]), np.array([200.0]), iterations=1,
         )
 
 
@@ -395,13 +449,13 @@ def test_plan_invariant_rollout_consistency():
     b = make_bundle(2, 1, 4, rng)
     G = make_coupling(2, 1, rng)
     cfg = mpc.MpcConfig(
-        horizon=4, n_scp=3, q_weights=(1, 0, 0, 0), r_weights=(0.1,),
-        p_weights=(1, 0, 0, 0), x_ref=(0,) * 4,
+        q_weights=(1, 0, 0, 0), r_weights=(0.1,), p_weights=(1, 0, 0, 0),
+        x_ref=(0,) * 4,
     )
     z0 = rng.standard_normal(2)
     plan, _, _ = mpc.scp_solve(
         cfg, params, b, G, z0, np.zeros((4, 1)), np.zeros(1),
-        np.array([-5.0]), np.array([5.0]),
+        np.array([-5.0]), np.array([5.0]), iterations=3,
     )
     again = mpc.plan_rollout(b, G, z0, plan.u_norm, params.hyper.coupling_period)
     assert np.array_equal(plan.z_nom, again)
@@ -436,7 +490,7 @@ def test_rejected_step_reuses_the_linearization(monkeypatch):
     monkeypatch.setattr(mpc, "scp_solve", scp_solve)
     monkeypatch.setattr(mpc, "solve_box_qp", solve_box_qp)
     mpc.run_episode(
-        sim.preset("cartpole-ti"), params, default_cfg(episode_len=12, n_scp=5),
+        sim.preset("cartpole-ti"), params, default_cfg(episode_len=12),
         controller="scp5", seed=11,
     )
     rejected = sum(a.count(False) for a in accepted)
@@ -445,25 +499,26 @@ def test_rejected_step_reuses_the_linearization(monkeypatch):
     assert calls[0] < sum(map(len, accepted))
 
     # one solve with rejections: rebuild each of its QPs from scratch
-    cfg = default_cfg(n_scp=5)
+    cfg = default_cfg()
     b = make_bundle(3, 1, 4, rng)
     cpl = mdl.coupling(params.arrays)
     z0, low, high = rng.standard_normal(3), np.array([-20.0]), np.array([20.0])
     fresh.clear()
     monkeypatch.setattr(mpc, "linearize", real_linearize)
     _, info, _ = real_scp(
-        cfg, params, b, cpl, z0, np.zeros((cfg.horizon, 1)), np.zeros(1), low, high
+        cfg, params, b, cpl, z0, np.zeros((HORIZON, 1)), np.zeros(1), low, high,
+        iterations=5,
     )
     assert False in info.accepted[:-1]
-    u = np.zeros((cfg.horizon, 1))
-    trust = cfg.trust_init
+    u = np.zeros((HORIZON, 1))
+    trust = mpc._TRUST_INIT
     for (qp, sol), ok in zip(fresh, info.accepted):
         z_nom = mpc.plan_rollout(b, cpl, z0, u, 1.0)
-        a_t, b_t = real_linearize(mdl.held_step(b), cpl, u, z_nom, 1.0)
+        a_t, b_t = real_linearize(b.held, cpl, u, z_nom, 1.0)
         box = mpc.control_box(b, low, high)
         ref = mpc.condense(
             cfg, params, b, a_t, b_t, z_nom, u, np.zeros(1), box,
-            *solve_constants(cfg, params, b), trust,
+            *solve_constants(cfg, params, b, HORIZON), trust,
         )
         for name in ("H", "g", "lb", "ub"):
             assert np.array_equal(getattr(qp, name), getattr(ref, name)), name
@@ -485,7 +540,7 @@ def test_stability_diagnostics():
 def run_smoke_episode(kind, controller, lead=0, steps=40, seed=11):
     cfg_sim = sim.preset("cartpole-ti")
     params = tiny_mpc_params("cartpole", kind=kind, seed=7)
-    cfg = default_cfg(episode_len=steps, n_scp=5)
+    cfg = default_cfg(episode_len=steps)
     return mpc.run_episode(
         cfg_sim, params, cfg, controller=controller, lead=lead, seed=seed
     )

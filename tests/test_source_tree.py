@@ -208,6 +208,51 @@ def test_encoder_has_one_caller():
     assert found == {"bkmpc/model.py:encode_history"}
 
 
+def test_held_step_is_formed_only_by_the_bundle():
+    # exp(a .* delta) and phi1(a, delta) are formed once per bundle, by
+    # OperatorBundle.held, which the recurrence, discretize and the
+    # closed loop's linearization read; the other phi1 call is the
+    # kernel's own partials
+    found = set()
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        parent = {c: p for p in ast.walk(tree) for c in ast.iter_child_nodes(p)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
+                names = {ast.unparse(x).split(".")[-1] for x in (node.left, node.right)}
+                if names != {"a_act", "delta"}:
+                    continue
+            elif not (isinstance(node, ast.Call)
+                      and ast.unparse(node.func).split(".")[-1] == "phi1"):
+                continue
+            owners, at = [], node
+            while at in parent:
+                at = parent[at]
+                if isinstance(at, (ast.FunctionDef, ast.ClassDef)):
+                    owners.insert(0, at.name)
+            found.add(f"{path.relative_to(SRC).as_posix()}:{'.'.join(owners)}")
+    assert found == {
+        "bkmpc/model.py:OperatorBundle.held",
+        "bkmpc/numerics/dense.py:phi1_partials",
+    }
+
+
+def test_mpc_config_holds_only_the_cost_and_the_episode_length():
+    # the plan length is the model's horizon, the SCP iterations come from
+    # the controller kind and the initial trust radius is a constant, so
+    # none of them is a second, settable source of truth
+    path = SRC / "bkmpc" / "scp_mpc.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    (cls,) = [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef) and node.name == "MpcConfig"
+    ]
+    fields = [
+        node.target.id for node in cls.body if isinstance(node, ast.AnnAssign)
+    ]
+    assert fields == ["q_weights", "r_weights", "p_weights", "x_ref", "episode_len"]
+
+
 def test_only_datagen_constructs_a_philox():
     # every episode stream, the closed loop's too, is keyed by
     # datagen.episode_key, so a second key formula cannot grow back
