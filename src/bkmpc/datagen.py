@@ -187,7 +187,7 @@ def _grown(a, axis, size):
     return out
 
 
-def _run_episode_batch(cfg, seed, wants, budget):
+def _run_episode_batch(cfg, seed, wants):
     """Lockstep episode runner over lane arrays, for both splits at once.
 
     Returns, for the training pool and then the test split, ``[(states
@@ -210,9 +210,10 @@ def _run_episode_batch(cfg, seed, wants, budget):
     last step), and one ``step_euler`` call for all lanes.
 
     Admission, per split: episode ``i`` starts only while ``i < head +
-    lanes``, ``head`` being its first unfinished episode. ``lanes`` starts
-    at 1 and doubles, up to half of ``_MAX_LANES`` (at least 1), in every
-    step in which one of the split's episodes ends short of its request.
+    lanes`` and ``i < _EPISODE_BUDGET``, ``head`` being its first
+    unfinished episode. ``lanes`` starts at 1 and doubles, up to half of
+    ``_MAX_LANES`` (at least 1), in every step in which one of the
+    split's episodes ends short of its request.
     The head episode is cut where its windows complete the request, and a
     met request ends the split's other lanes; see the module docstring.
     """
@@ -269,7 +270,7 @@ def _run_episode_batch(cfg, seed, wants, budget):
         for k in (0, 1):
             if need[k] <= 0:
                 continue
-            for i in range(nxt[k], min(head[k] + lanes[k], budget)):
+            for i in range(nxt[k], min(head[k] + lanes[k], _EPISODE_BUDGET)):
                 s = free.pop()
                 rng = _restart(rngs[s], seed, i, ("train", "test")[k])
                 new_x.append(sample_initial_state(cfg, rng))
@@ -322,11 +323,11 @@ def _run_episode_batch(cfg, seed, wants, budget):
     return [[finished[k][i] for i in range(h)] for k, h in enumerate(head)]
 
 
-def _collect(cfg, seed, wants, budget):
+def _collect(cfg, seed, wants):
     """Both splits' windows as (states, controls, start times, episode
     ids), the training pool first, each split in episode order whatever
     the runner's interleaving."""
-    runs = _run_episode_batch(cfg, seed, wants, budget)
+    runs = _run_episode_batch(cfg, seed, wants)
     parts = [
         _episode_windows(cfg, states, controls, index + offset)
         for offset, episodes in zip((0, _TEST_EPISODE_OFFSET), runs)
@@ -341,9 +342,7 @@ def generate_dataset(cfg, train_pool=39_900, test_windows=4_000, seed=1):
     for arg, value in (("train_pool", train_pool), ("test_windows", test_windows)):
         if value < 1:
             raise ValueError(f"{arg} must be at least 1 window, got {value}")
-    states, controls, start_time, episode_id = _collect(
-        cfg, seed, (train_pool, test_windows), _EPISODE_BUDGET
-    )
+    states, controls, start_time, episode_id = _collect(cfg, seed, (train_pool, test_windows))
 
     perm = split_permutation(SPLIT_SEED, train_pool)
     n_train = int(round(0.8 * train_pool))

@@ -626,13 +626,19 @@ def save_checkpoint(params, path, meta=None):
 
 def _checked_layout(header):
     """The payload layout of a checkpoint header, whose parameter list
-    must be the ``_param_spec`` of its kind and hyperparameters."""
-    spec = _param_spec(ModelHyper(kind=header["kind"], **header["hyper"]))
+    must be the ``_param_spec`` of its kind and hyperparameters and whose
+    statistics must have their dimensions' lengths."""
+    h = ModelHyper(kind=header["kind"], **header["hyper"])
+    spec = _param_spec(h)
     if header["params"] != [[name, list(shape)] for name, shape in spec]:
         raise results.FormatError(
             f"checkpoint parameter list is not that of a {header['kind']} "
             "model of its hyperparameters"
         )
+    for key, dim in (("state_mean", h.state_dim), ("state_std", h.state_dim),
+                     ("control_floor", h.control_dim)):
+        if (got := len(header[key])) != dim:
+            raise results.FormatError(f"checkpoint {key} has {got} entries, not {dim}")
     return [(name, "<f8", shape) for name, shape in spec]
 
 

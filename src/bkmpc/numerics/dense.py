@@ -3,7 +3,8 @@
 Provides the matrix exponential (scaling and squaring with the degree-16
 Taylor polynomial T16, evaluated by Paterson--Stockmeyer in A^4 with
 matrix products only, no linear solve), its directional (Frechet)
-derivative by the product rule on that same polynomial, and the
+derivative L(M, E) on that same polynomial, as a matrix for the tape's
+adjoint or as its action L(M, E) v for the SCP linearization, and the
 stabilized hold integral ``phi1(a, d) = (exp(a*d) - 1)/a``.
 
 All routines operate on float64 ndarrays and accept an arbitrary number
@@ -11,11 +12,11 @@ of leading batch axes on the matrix arguments. Each matrix of a batch
 gets its own scaling exponent, the smallest s with ||M||_1 / 2**s <=
 theta (Higham 2005), so a result never depends on the other matrices of
 its stack: every matrix of a batched call equals its solo call bit for
-bit. So both exponentials can walk a stack in blocks, keeping their
-largest temporary under ``_BLOCK_BYTES`` whatever the stack's size, and
-still return exactly the one-block result: a block is a stack of its own.
+bit. So the kernels can walk a stack in blocks, keeping their largest
+temporaries under ``_BLOCK_BYTES`` whatever the stack's size, and still
+return exactly the one-block result: a block is a stack of its own.
 M's finiteness is read from its 1-norms, with no mask of the stack: a
-non-finite norm raises ``DomainError``. The direction E is checked entry by entry.
+non-finite norm raises ``DomainError``. E and v are checked entry by entry.
 """
 
 import math
@@ -36,8 +37,8 @@ class DomainError(ValueError):
 # tail sum_{k>16} theta^k / k! is below 2**-53 up to 0.82.
 _THETA = 0.78
 
-# byte budget of a kernel's largest temporary: the power stack P of
-# ``_taylor16``, or the derivative stack dP of ``matrix_exp_frechet``
+# byte budget of a kernel's largest temporaries: a block's powers P of
+# ``_taylor16`` and its derivative matrices dP or Krylov rows K and F
 _BLOCK_BYTES = 1 << 20
 
 # T16(A) = B0 + A4 (B1 + A4 (B2 + A4 (B3 + A4 / 16!))), B_j = sum_{i<4}
@@ -48,6 +49,10 @@ _C = np.array([
     [1.0 / math.factorial(4 * j + i) if i < 4 or j == 3 else 0.0 for i in range(5)]
     for j in range(4)
 ])
+
+# dT16(A)[E] = sum_a A^a E sum_b _HANKEL[a, b] A^b: 1/(a+b+1)! for a + b < 16
+_HANKEL = np.array([[1.0 / math.factorial(a + b + 1) if a + b < 16 else 0.0
+                     for b in range(16)] for a in range(16)])
 
 
 def _as_square(M, name):
@@ -106,7 +111,7 @@ def _square_back(X, s, L=None):
         i = np.flatnonzero(s >= j)
         Xi = X[i]
         if L is not None:
-            L[i] = Xi[:, None] @ L[i] + L[i] @ Xi[:, None]
+            L[i] = Xi @ L[i] + L[i] @ Xi
         X[i] = Xi @ Xi
 
 
@@ -137,48 +142,40 @@ def matrix_exp(M):
 def matrix_exp_frechet(M, E):
     """Return (exp(M), L(M, E)) with L the directional derivative of exp.
 
-    E has M's shape, or M's shape with one direction axis inserted before
-    the matrix axes, ``(..., k, n, n)``; L has E's shape. The derivative
-    is that of the same scaled polynomial that gives exp(M), by the
-    product rule on its products: dA^2 = A D + D A, dA^3 = dA^2 A + A^2 D,
-    dA^4 = dA^2 A^2 + A^2 dA^2, the blocks' derivatives from one
-    coefficient product over [D, dA^2, dA^3, dA^4], and dY_j = dB_j +
-    dA^4 Y_{j+1} + A^4 dY_{j+1} along Horner: 12 products per direction
-    and no solve. The k directions share every power and iterate of A.
-    Squaring back takes L <- X L + L X along with X <- X X.
+    E has M's shape. The derivative is that of the same scaled polynomial
+    that gives exp(M), by the product rule on its products: dA^2 = A D +
+    D A, dA^3 = dA^2 A + A^2 D, dA^4 = dA^2 A^2 + A^2 dA^2, the blocks'
+    derivatives from one coefficient product over [D, dA^2, dA^3, dA^4],
+    and dY_j = dB_j + dA^4 Y_{j+1} + A^4 dY_{j+1} along Horner: 12
+    products and no solve. Squaring back takes L <- X L + L X along with
+    X <- X X.
     """
     M = _as_square(M, "matrix_exp_frechet M")
     E = _as_square(E, "matrix_exp_frechet E")
     if not np.isfinite(E).all():
         raise DomainError("matrix_exp_frechet E contains non-finite entries")
-    batch, n = M.shape[:-2], M.shape[-1]
-    if E.shape != M.shape and E.shape[:-3] + E.shape[-2:] != M.shape:
-        raise DimensionError(
-            f"direction shape {E.shape} is neither the matrix shape {M.shape} "
-            "nor that shape with one direction axis before the matrix axes"
-        )
-    B = math.prod(batch)
-    k = E.shape[-3] if E.ndim > M.ndim else 1
+    if E.shape != M.shape:
+        raise DimensionError(f"direction shape {E.shape} is not the matrix shape {M.shape}")
+    n = M.shape[-1]
     s = _squarings(_norms(M, "matrix_exp_frechet M"))
-    Mf, Ef = M.reshape(B, n, n), E.reshape(B, k, n, n)
+    Mf, Ef = M.reshape(s.size, n, n), E.reshape(s.size, n, n)
     X, L = np.empty(Mf.shape), np.empty(Ef.shape)
-    for b in _blocks(B, max(5, 4 * k) * 8 * n * n):
+    for b in _blocks(s.size, 5 * 8 * n * n):
         _frechet_block(Mf[b], Ef[b], s[b], X[b], L[b])
         _square_back(X[b], s[b], L[b])
     return X.reshape(M.shape), L.reshape(E.shape)
 
 
 def _frechet_block(M, E, s, X, L):
-    """X, L of (B, n, n) M and (B, k, n, n) E halved s[i] times, unsquared."""
+    """X, L of (B, n, n) M and E halved s[i] times, unsquared."""
     P, Y = _taylor16(M, s, X)
-    # a new axis 1 on the shared parts broadcasts them over the k directions
-    A, A2, A4, Y = P[1, :, None], P[2, :, None], P[4, :, None], Y[:, :, None]
+    A, A2, A4 = P[1], P[2], P[4]
     # dP = [D, dA^2, dA^3, dA^4] of the halved directions; L is scratch
     # until the last Horner step
     dP = np.empty((4,) + E.shape)
     D = dP[0]
     if s.any():
-        np.multiply(E, np.ldexp(1.0, -s)[:, None, None, None], out=D)
+        np.multiply(E, np.ldexp(1.0, -s)[:, None, None], out=D)
     else:
         D[...] = E
     np.matmul(A, D, out=dP[1])
@@ -194,6 +191,67 @@ def _frechet_block(M, E, s, X, L):
     dY[0] += np.matmul(dP[3], Y[1], out=L)
     np.matmul(A4, dY[1], out=L)
     L += dY[0]
+
+
+def matrix_exp_frechet_action(M, E, v):
+    """(exp(M), Lv), Lv[..., :, j] = L(M, E[j]) v, for a stack M (..., n, n),
+    k directions E (k, n, n) that it shares and vectors v (..., n).
+
+    exp(M) is ``matrix_exp(M)``'s bit for bit. With A = M / 2**s, X =
+    T16(A) and N = 2**s, L(M, E) v = sum_q X^q dX X^(N-1-q) v, where dX =
+    sum_a A^a E sum_b A^b / (a+b+1)! / N, by matrix-vector products only:
+    the X^q v by doubling with the squaring-back iterates X^(2^j), their
+    Krylov rows A^b X^q v by doubling with A, A^2, A^4, A^8, one product
+    with those Hankel weights and one with E, then Horner by halves in A
+    and in X. The matrices of one squaring count go together, so each
+    equals its solo call bit for bit.
+    """
+    M, E = _as_square(M, "frechet action M"), _as_square(E, "frechet action E")
+    v = np.asarray(v, dtype=float)
+    n, k = M.shape[-1], E.shape[0]
+    if E.shape != (k, n, n) or v.shape != M.shape[:-1]:
+        raise DimensionError(f"E {E.shape} and v {v.shape} do not fit M {M.shape}")
+    if not (np.isfinite(E).all() and np.isfinite(v).all()):
+        raise DomainError("frechet action E or v has a non-finite entry")
+    s = _squarings(_norms(M, "frechet action M"))
+    Mf, vf = M.reshape(s.size, n, n), v.reshape(s.size, 1, n)
+    X, Lv = np.empty(Mf.shape), np.empty((s.size, k, n))
+    Et = E.transpose(2, 0, 1).reshape(n, k * n)  # a row w times Et: [(E_j w)^T]_j
+    for b in _blocks(s.size, 8 * n * max(5 * n, (16 << s.max(initial=0)) * (k + 1))):
+        Xb, Lb, sb = X[b], Lv[b], s[b]
+        P, _ = _taylor16(Mf[b], sb, Xb)
+        counts = np.unique(sb)
+        for si in counts:
+            i = np.flatnonzero(sb == si) if counts.size > 1 else slice(None)
+            Xb[i], Lb[i] = _action_group(P[:, i], Xb[i], vf[b][i], Et, si)
+    return X.reshape(M.shape), np.swapaxes(Lv, 1, 2).reshape(M.shape[:-1] + (k,))
+
+
+def _action_group(P, X, v, Et, s):
+    """(X^(2^s), rows L(M, E_j) v) of the matrices of one squaring count s
+    from their ``_taylor16`` powers P and polynomial X, for rows v."""
+    B, _, n = v.shape
+    N, k = 1 << s, Et.shape[1] // n
+    Xp = [X]  # the squaring-back iterates X^(2^j), j <= s
+    for _ in range(s):
+        Xp.append(Xp[-1] @ Xp[-1])
+    Xt = [np.swapaxes(Y, 1, 2) for Y in Xp[:s]]
+    At = np.swapaxes(P[[1, 2, 4, 4]], 2, 3).copy()  # A, A^2, A^4, A^8, transposed
+    np.matmul(At[2], At[2], out=At[3])
+    # row b N + p of K is A^b X^(N-1-p) v / N, filled by doubling
+    K = np.empty((B, 16 * N, n))
+    np.ldexp(v, -s, out=K[:, N - 1 : N])
+    for j in range(s):
+        np.matmul(K[:, N - (1 << j) : N], Xt[j], out=K[:, N - (2 << j) : N - (1 << j)])
+    for j in range(4):
+        np.matmul(K[:, : N << j], At[j], out=K[:, N << j : N << j + 1])
+    # rows (a, p, j) of F: E_j sum_b A^b X^(N-1-p) v / (a+b+1)! / N
+    F = ((_HANKEL @ K.reshape(B, 16, N * n)).reshape(B, 16 * N, n) @ Et).reshape(B, -1, n)
+    # Horner by halves: sum_a A^a F_a, then sum_p X^p of the rows p left
+    levels = [(N * k << j, At[j]) for j in (3, 2, 1, 0)]
+    for c, Wt in levels + [(k << j, Xt[j]) for j in reversed(range(s))]:
+        F[:, :c] += F[:, c : 2 * c] @ Wt
+    return Xp[-1], F[:, :k]
 
 
 # Below |a*d| < _PHI1_SMALL the series for phi1 and its a-partial is exact

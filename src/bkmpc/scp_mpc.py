@@ -6,8 +6,9 @@ from the current history:
 1. roll the nominal control plan through the latent step map;
 2. linearize the step exactly: the state Jacobian is the coupling factor
    times the diagonal hold step (the map is affine in the latent), and
-   the control Jacobian combines the directional derivative of the
-   coupling exponential with the held input map;
+   the control Jacobian is the coupling exponential's derivative toward
+   each channel, applied to the held drift by matrix-vector work alone,
+   plus the coupling factor times the held input map;
 3. eliminate the linearized dynamics: each residual of the objective
    (``cost_residuals``: decoded tracking errors, then control
    increments) becomes affine in the stacked control increments du,
@@ -130,11 +131,12 @@ class SolveInfo:
 def linearize(held, coupling, plan_u_norm, z_nom, period):
     """Exact step Jacobians along the nominal: (A_tilde, B_tilde).
 
-    A_k is the coupling factor at u_k times the diagonal hold step (the
-    step map is affine in the latent state). Column j of B_k is the
-    directional derivative of the coupling exponential toward channel j,
-    applied to the held drift, plus the coupling factor times the held
-    input column; ``held`` is the bundle's ``OperatorBundle.held``.
+    The step is z_{k+1} = exp(P_k) d_k, P_k = T sum_j u_kj G_j, with held
+    drift d_k = e_d .* z_k + B_phi u_k (``held`` is the bundle's
+    ``OperatorBundle.held``): A_k = exp(P_k) diag(e_d), and column j of
+    B_k is T L(P_k, G_j) d_k + exp(P_k) B_phi[:, j], every step's
+    exponential and derivative actions from one
+    ``dense.matrix_exp_frechet_action`` call, with no derivative matrix.
     """
     H, m = plan_u_norm.shape
     dz = z_nom.shape[1]
@@ -147,11 +149,9 @@ def linearize(held, coupling, plan_u_norm, z_nom, period):
 
     P = mdl.generator(coupling, plan_u_norm, period)  # (H, dz, dz)
     drift = z_nom[:H] * e_d[None, :] + plan_u_norm @ b_diag.T  # (H, dz)
-    # one Frechet call: each step's exponential and its m channel
-    # directions, which share that step's powers and Horner iterates
-    e_p, L = dense.matrix_exp_frechet(P, np.broadcast_to(coupling, (H, m, dz, dz)))
+    e_p, l_drift = dense.matrix_exp_frechet_action(P, coupling, drift)
     a_t = e_p * e_d[None, None, :]
-    b_t = period * np.einsum("kjab,kb->kaj", L, drift) + e_p @ b_diag
+    b_t = period * l_drift + e_p @ b_diag
     return a_t, b_t
 
 

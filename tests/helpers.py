@@ -3,8 +3,10 @@
 Oracles here are deliberately independent of the code paths they check:
 the exponential oracle is a plain Taylor sum in extended precision, the
 Frechet-derivative oracle is the block-augmented exponential by scaling,
-squaring and that same extended-precision sum, the
-determinant oracle is a tiny partial-pivot LU, the box-QP oracle
+squaring and that same extended-precision sum, the SCP linearization
+with every derivative formed as a matrix and then contracted is the
+oracle for its matrix-free action, the determinant oracle is a tiny
+partial-pivot LU, the box-QP oracle
 enumerates every active set, and gradient checks are central finite
 differences over tape leaves. The sequential excitation episode is the
 oracle for the lockstep data-generation runner, the size-weighted
@@ -25,6 +27,7 @@ from bkmpc import model
 from bkmpc import simulators as sim
 from bkmpc.numerics import Tape, backward
 from bkmpc.numerics import autodiff as ad
+from bkmpc.numerics import dense
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "bench" / "fixtures"
 #: the benchmark's committed bilinear checkpoints
@@ -69,6 +72,23 @@ def block_frechet(M, E):
         W = W @ W
     W = W.astype(float)
     return W[..., :n, :n], W[..., :n, n:]
+
+
+def linearize_by_matrices(held, coupling, plan_u_norm, z_nom, period):
+    """(A_tilde, B_tilde) of ``scp_mpc.linearize`` with every L(P_k, G_j)
+    formed as a dz x dz matrix by ``dense.matrix_exp_frechet`` and then
+    contracted with the step's held drift."""
+    e_d, b_diag = held
+    H = len(plan_u_norm)
+    P = model.generator(coupling, plan_u_norm, period)
+    drift = z_nom[:H] * e_d + plan_u_norm @ b_diag.T
+    e_p = dense.matrix_exp(P)
+    L = np.stack(
+        [dense.matrix_exp_frechet(P, np.broadcast_to(G_j, P.shape))[1] for G_j in coupling],
+        axis=1,
+    )
+    b_t = period * np.einsum("kjab,kb->kaj", L, drift) + e_p @ b_diag
+    return e_p * e_d, b_t
 
 
 def spectral_penalty(a_disc, margin):

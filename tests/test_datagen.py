@@ -177,7 +177,7 @@ def test_generation_deterministic_and_batch_independent(monkeypatch):
         runs = []
         for cap in (1, 3, 64, 512):
             monkeypatch.setattr(dg, "_MAX_LANES", cap)
-            runs.append(dg._run_episode_batch(cfg, seed, wants, 10_000))
+            runs.append(dg._run_episode_batch(cfg, seed, wants))
         for test, want in enumerate(wants):
             ref = _rolls(cfg, seed, bool(test), len(runs[0][test]))
             windows = [max(len(c) - dg.WINDOW_LEN + 1, 0) for _, c in ref]
@@ -198,10 +198,10 @@ def test_generation_deterministic_and_batch_independent(monkeypatch):
 
 def test_one_runner_returns_each_split_as_run_alone():
     for cfg, seed, (train, test) in RUNNER_CASES:
-        both = dg._run_episode_batch(cfg, seed, (train, test), 10_000)
+        both = dg._run_episode_batch(cfg, seed, (train, test))
         alone = (
-            dg._run_episode_batch(cfg, seed, (train, 0), 10_000)[0],
-            dg._run_episode_batch(cfg, seed, (0, test), 10_000)[1],
+            dg._run_episode_batch(cfg, seed, (train, 0))[0],
+            dg._run_episode_batch(cfg, seed, (0, test))[1],
         )
         for eps, ref in zip(both, alone):
             assert len(eps) == len(ref)
@@ -242,7 +242,7 @@ RSCP_BENCH = dict(train_horizon=500, test_horizon=300)
 def test_rscp_starts_one_episode_per_split(monkeypatch):
     cfg = sim.preset("rscp-ti", **RSCP_BENCH)
     started = _count_episodes(monkeypatch)
-    states, _, _, _ = dg._collect(cfg, 101, (320, 96), 500_000)
+    states, _, _, _ = dg._collect(cfg, 101, (320, 96))
     assert states.shape[0] == 320 + 96
     assert len(started) == 2
 
@@ -280,7 +280,7 @@ def test_met_request_ends_the_run_ahead_rows_of_its_split(monkeypatch):
     # 90 steps. The test episode is cut at 400 + 59 = 459 steps
     cfg = sim.preset("rscp-tv", train_horizon=150, test_horizon=1_000)
     rows = _count_rows(monkeypatch)
-    train, test = dg._run_episode_batch(cfg, 3, (3 * 91 + 30, 400), 10_000)
+    train, test = dg._run_episode_batch(cfg, 3, (3 * 91 + 30, 400))
     assert [len(c) for _, c in train] == [150, 150, 150, 89]
     assert [len(c) for _, c in test] == [459]
     assert len(rows) == 459
@@ -312,7 +312,7 @@ def test_cartpole_run_ahead_bounded_by_lane_cap(monkeypatch):
         for counts in (started, rows, slots, built):
             counts.clear()
         monkeypatch.setattr(dg, "_MAX_LANES", cap)
-        train, test = dg._run_episode_batch(cfg, 7, (16, 64), 500_000)
+        train, test = dg._run_episode_batch(cfg, 7, (16, 64))
         prefix = len(train) + len(test)
         assert prefix <= len(started) <= prefix + max(cap, 2)
         assert max(rows) <= max(slots) <= max(cap, 2)

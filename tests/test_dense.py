@@ -18,6 +18,8 @@ from bkmpc.numerics import (
 from bkmpc.numerics.dense import _THETA
 from helpers import block_frechet, taylor_expm
 
+action = dense.matrix_exp_frechet_action
+
 
 def test_exp_zero_is_identity_exactly():
     assert np.array_equal(matrix_exp(np.zeros((3, 3))), np.eye(3))
@@ -30,6 +32,14 @@ def test_exp_zero_is_identity_exactly():
     E = rng.standard_normal((2, 3, 3))
     X, L = matrix_exp_frechet(Ms, E)
     assert np.array_equal(X[0], np.eye(3)) and np.array_equal(L[0], E[0])
+    # L(0, E) v = E v: integer entries make E v exact in any order
+    Ek = rng.integers(-9, 10, (2, 3, 3)).astype(float)
+    v = rng.integers(-9, 10, (2, 3)).astype(float)
+    X, Lv = action(Ms, Ek, v)
+    assert np.array_equal(X[0], np.eye(3))
+    assert np.array_equal(Lv[0], (Ek @ v[0]).T)
+    X, Lv = action(np.zeros((4, 4)), np.ones((1, 4, 4)), np.arange(4.0))
+    assert np.array_equal(X, np.eye(4)) and np.array_equal(Lv[:, 0], np.full(4, 6.0))
 
 
 def test_exp_diagonal_closed_form():
@@ -168,20 +178,74 @@ def test_exp_and_frechet_match_mpmath():
             assert _rel1(matrix_exp(M), X_ref) <= 1e-14
             X, L = matrix_exp_frechet(M, E[0])
             assert _rel1(X, X_ref) <= 1e-14 and _rel1(L, refs[0][1]) <= 1e-14
-            _, L = matrix_exp_frechet(M, E)
+            v = rng.standard_normal(n)
+            _, Lv = action(M, E, v)
             for j in range(3):
-                assert _rel1(L[j], refs[j][1]) <= 1e-14
+                assert _rel_action(Lv[:, j], refs[j][1], v) <= 1e-14
 
 
 def test_frechet_direction_stack_equals_separate_calls():
+    # k shared directions in one action call: each direction's column is
+    # its one-direction call's up to roundoff (BLAS may order the sums of
+    # wider products differently), and the exponential is the same
     rng = np.random.default_rng(31)
     M = np.stack([_with_norm(rng, 5, v) for v in (0.3, 2.0, 9.0)])
-    E = rng.standard_normal((3, 4, 5, 5))
-    X, L = matrix_exp_frechet(M, E)
-    assert L.shape == E.shape
+    E = rng.standard_normal((4, 5, 5))
+    v = rng.standard_normal((3, 5))
+    X, Lv = action(M, E, v)
+    assert Lv.shape == (3, 5, 4)
     for j in range(4):
-        X_j, L_j = matrix_exp_frechet(M, E[:, j])
-        assert np.array_equal(X, X_j) and np.array_equal(L[:, j], L_j)
+        X_j, Lv_j = action(M, E[j : j + 1], v)
+        assert np.array_equal(X, X_j)
+        err = np.abs(Lv[..., j] - Lv_j[..., 0]).sum(axis=-1)
+        assert np.all(err <= 1e-14 * np.abs(Lv_j[..., 0]).sum(axis=-1))
+
+
+def _rel_action(Lv, L_ref, v):
+    """1-norm error of Lv against L_ref v, relative to ||L_ref||_1 ||v||_1."""
+    return np.abs(Lv - L_ref @ v).sum() / (
+        np.abs(L_ref).sum(axis=-2).max() * np.abs(v).sum()
+    )
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_frechet_action_matches_block_oracle(k):
+    # norms giving squaring counts 0, 1, 2, 4 and 6, against the
+    # extended-precision block exponential; exp(M) is matrix_exp's
+    rng = np.random.default_rng(61 + k)
+    for n in (4, 15):
+        for norm1, s in ((0.0, 0), (0.5, 0), (1.2, 1), (3.0, 2), (12.0, 4), (40.0, 6)):
+            assert dense._squarings(np.array([norm1]))[0] == s
+            for _ in range(2):
+                M = _with_norm(rng, n, norm1)
+                E = rng.standard_normal((k, n, n))
+                v = rng.standard_normal(n)
+                X, Lv = action(M, E, v)
+                assert np.array_equal(X, matrix_exp(M))
+                for j in range(k):
+                    _, L_ref = block_frechet(M, E[j])
+                    assert _rel_action(Lv[:, j], L_ref, v) <= 1e-13, (n, norm1, j)
+                    ref = L_ref @ v
+                    assert np.abs(Lv[:, j] - ref).sum() <= 1e-13 * np.abs(ref).sum()
+
+
+def test_frechet_action_stack_members_equal_solo_calls():
+    # squaring counts 0 to 6 in one stack, shuffled: the matrices of
+    # each count are grouped, and each member equals its solo call
+    rng = np.random.default_rng(67)
+    norms = (0.0, 0.5, 40.0, 0.99 * _THETA, 1.01 * _THETA, 3.0, 12.0, 0.3, 3.0)
+    Ms = np.stack([_with_norm(rng, 6, v) for v in norms])
+    E = rng.standard_normal((3, 6, 6))
+    v = rng.standard_normal((len(norms), 6))
+    X, Lv = action(Ms, E, v)
+    assert np.array_equal(X, matrix_exp(Ms))
+    for i in range(len(norms)):
+        X_i, Lv_i = action(Ms[i], E, v[i])
+        assert np.array_equal(X[i], X_i) and np.array_equal(Lv[i], Lv_i)
+    # leading batch axes are flattened and restored
+    X2, Lv2 = action(Ms[:8].reshape(2, 4, 6, 6), E, v[:8].reshape(2, 4, 6))
+    assert np.array_equal(X2.reshape(8, 6, 6), X[:8])
+    assert np.array_equal(Lv2.reshape(8, 6, 3), Lv[:8])
 
 
 def test_stack_members_equal_solo_calls():
@@ -207,25 +271,28 @@ def _mixed_stack(rng, shape):
     return M * (target / norm1)[..., None, None]
 
 
-def _kernel_outputs(M, E, Ek):
-    return [matrix_exp(M), *matrix_exp_frechet(M, E), *matrix_exp_frechet(M, Ek)]
+def _kernel_outputs(M, E, Ek, v):
+    # the action's cost grows with 2**s, so it takes M / 4 (at most four
+    # squarings) to keep the test short; its groups still mix
+    return [matrix_exp(M), *matrix_exp_frechet(M, E), *action(M / 4, Ek, v)]
 
 
 @pytest.mark.parametrize("shape", [(256, 15, 15), (30, 3, 15, 15), (300, 1, 8, 8)])
 def test_blocked_kernels_equal_the_one_block_result(shape, monkeypatch):
     # each matrix is scaled on its own, so walking the stack in blocks
     # (one matrix each, or uneven blocks of a few) changes no bit; the
-    # directions come one per matrix and three per matrix
+    # directions come one per matrix, or three shared by the stack with
+    # one vector per matrix
     rng = np.random.default_rng(43)
     M = _mixed_stack(rng, shape)
     E = rng.standard_normal(shape)
-    Ek = rng.standard_normal(shape[:-2] + (3,) + shape[-2:])
-    monkeypatch.setattr(dense, "_BLOCK_BYTES", 1 << 40)
-    whole = _kernel_outputs(M, E, Ek)
     n = shape[-1]
+    Ek, v = rng.standard_normal((3, n, n)), rng.standard_normal(shape[:-1])
+    monkeypatch.setattr(dense, "_BLOCK_BYTES", 1 << 40)
+    whole = _kernel_outputs(M, E, Ek, v)
     for budget in (1, 7 * 40 * n * n):
         monkeypatch.setattr(dense, "_BLOCK_BYTES", budget)
-        for got, want in zip(_kernel_outputs(M, E, Ek), whole, strict=True):
+        for got, want in zip(_kernel_outputs(M, E, Ek, v), whole, strict=True):
             assert np.array_equal(got, want), budget
 
 
@@ -234,12 +301,18 @@ def test_blocked_kernels_equal_the_one_block_result(shape, monkeypatch):
 def test_kernel_temporaries_stay_within_the_block_budget(shape, k):
     # a stack of several budgets: each call's traced peak is its output
     # plus a few budgets (the powers, Horner iterates and their
-    # derivatives of one block), not a multiple of the stack
+    # derivatives of one block), not a multiple of the stack; k shared
+    # directions go through the action kernel
     rng = np.random.default_rng(47)
     M = _mixed_stack(rng, shape)
-    E = rng.standard_normal(shape[:-2] + ((k,) if k else ()) + shape[-2:])
+    n = shape[-1]
+    if k:
+        # M / 16 needs at most two squarings, which keeps the test short
+        deriv = action, (M / 16, rng.standard_normal((k, n, n)), rng.standard_normal(shape[:-1]))
+    else:
+        deriv = matrix_exp_frechet, (M, rng.standard_normal(shape))
     assert M.nbytes > dense._BLOCK_BYTES
-    for fn, args in ((matrix_exp, (M,)), (matrix_exp_frechet, (M, E))):
+    for fn, args in ((matrix_exp, (M,)), deriv):
         tracemalloc.start()
         try:
             out = fn(*args)
@@ -277,9 +350,15 @@ def test_kernels_reject_a_non_finite_exponent(bad):
         matrix_exp(M)
     with pytest.raises(DomainError):
         matrix_exp_frechet(M, E)
-    # the direction keeps its own entrywise check
+    with pytest.raises(DomainError):
+        action(M, E[:2], np.ones(M.shape[:-1]))
+    # the directions and vectors keep their own entrywise check
     with pytest.raises(DomainError):
         matrix_exp_frechet(E, np.where(M == 0.0, 0.0, np.nan))
+    with pytest.raises(DomainError):
+        action(E, np.where(M == 0.0, 0.0, np.nan), np.ones(M.shape[:-1]))
+    with pytest.raises(DomainError):
+        action(E, E, np.full(M.shape[:-1], np.nan))
 
 
 def test_unscaled_blocks_equal_the_scaled_path():
@@ -290,9 +369,9 @@ def test_unscaled_blocks_equal_the_scaled_path():
     small = np.stack([_with_norm(rng, 6, v) for v in (0.0, 0.1, 0.5, 0.99 * _THETA)])
     mixed = np.concatenate([small, _with_norm(rng, 6, 12.0)[None]])
     E = rng.standard_normal(mixed.shape)
-    Ek = rng.standard_normal((5, 2, 6, 6))
-    got = _kernel_outputs(small, E[:4], Ek[:4])
-    want = _kernel_outputs(mixed, E, Ek)
+    Ek, v = rng.standard_normal((2, 6, 6)), rng.standard_normal((5, 6))
+    got = _kernel_outputs(small, E[:4], Ek, v[:4])
+    want = _kernel_outputs(mixed, E, Ek, v)
     for g, w in zip(got, want, strict=True):
         assert g.tobytes() == w[:4].tobytes()
 
@@ -308,6 +387,17 @@ def test_frechet_shape_mismatch():
     for m_shape, e_shape in cases:
         with pytest.raises(DimensionError):
             matrix_exp_frechet(np.zeros(m_shape), np.zeros(e_shape))
+    # the action takes (k, n, n) shared directions and one vector per matrix
+    cases = [
+        ((4, 3, 3), (3, 3), (4, 3)),  # no direction axis
+        ((4, 3, 3), (4, 2, 3, 3), (4, 3)),  # directions per matrix
+        ((4, 3, 3), (2, 2, 2), (4, 3)),
+        ((4, 3, 3), (2, 3, 3), (3,)),
+        ((4, 3, 3), (2, 3, 3), (4, 2)),
+    ]
+    for m_shape, e_shape, v_shape in cases:
+        with pytest.raises(DimensionError):
+            action(np.zeros(m_shape), np.zeros(e_shape), np.zeros(v_shape))
 
 
 def test_phi1_limit_and_closed_form():

@@ -1,5 +1,6 @@
 """Encoder, operator generation, discretization, rollout, loss."""
 
+import dataclasses
 import hashlib
 import json
 
@@ -972,6 +973,23 @@ def test_checkpoint_rejects_a_parameter_list_its_header_does_not_declare(tmp_pat
             model.load_checkpoint(path)
             continue
         with pytest.raises(results.FormatError, match="parameter list"):
+            model.load_checkpoint(path)
+
+
+def test_checkpoint_rejects_statistics_of_the_wrong_length(tmp_path):
+    # the normalization statistics must have state_dim (control_dim)
+    # entries; otherwise a 3-entry state_mean loads and the first
+    # bundle fails with a numpy broadcast error
+    p = model.load_checkpoint(FIXTURES / "cartpole-ti-bilinear.bkcp")
+    cases = {
+        "state_mean": p.state_mean[:3],
+        "state_std": np.append(p.state_std, 1.0),
+        "control_floor": np.zeros(0),
+    }
+    for key, value in cases.items():
+        path = tmp_path / f"{key}.bkcp"
+        model.save_checkpoint(dataclasses.replace(p, **{key: value}), path)
+        with pytest.raises(results.FormatError, match=key):
             model.load_checkpoint(path)
 
 

@@ -12,6 +12,8 @@ from bkmpc import scp_mpc as mpc
 from bkmpc import simulators as sim
 from bkmpc.model import ContractViolation
 from bkmpc.numerics import autodiff as ad
+from bkmpc.numerics import dense
+from helpers import FIXTURE_CHECKPOINTS, FIXTURES, linearize_by_matrices
 
 
 def make_bundle(dz, m, n, rng):
@@ -73,10 +75,14 @@ def test_linearize_zero_coupling_exact():
 
 def test_linearize_matches_finite_differences():
     rng = np.random.default_rng(7)
-    for dz, m in [(2, 1), (4, 3), (8, 1)]:
+    for dz, m, reach in [(2, 1, 1.0), (4, 3, 1.0), (8, 1, 1.0), (4, 2, 8.0)]:
         b = make_bundle(dz, m, 3, rng)
         G = make_coupling(dz, m, rng)
-        u_plan = 0.5 * rng.standard_normal((4, m))
+        # control sizes from 1/reach**2 to reach times the base draw; the
+        # steps need up to 2 squarings at reach 1 and 3 at reach 8
+        u_plan = 0.5 * rng.standard_normal((4, m)) * np.geomspace(reach**-2, reach, 4)[:, None]
+        squarings = dense._squarings(dense._norms(mdl.generator(G, u_plan, 1.0), "P"))
+        assert reach == 1.0 or (squarings.min() == 0 and squarings.max() >= 2)
         z0 = rng.standard_normal(dz)
         z_nom = mpc.plan_rollout(b, G, z0, u_plan, 1.0)
         a_t, b_t = mpc.linearize(b.held, G, u_plan, z_nom, 1.0)
@@ -103,6 +109,30 @@ def test_linearize_matches_finite_differences():
             assert np.linalg.norm(b_t[k] - fd_b) <= 1e-5 * max(
                 np.linalg.norm(fd_b), 1e-9
             )
+
+
+@pytest.mark.parametrize("ckpt", FIXTURE_CHECKPOINTS)
+def test_linearize_matches_the_matrix_oracle_on_fixtures(ckpt):
+    # the committed bench models at a held initial history, along the
+    # zero plan and a random one: A_tilde is the matrix exponential's bit
+    # for bit, B_tilde the contraction of the full derivative matrices
+    params = mdl.load_checkpoint(FIXTURES / ckpt)
+    h = params.hyper
+    cfg = sim.preset(ckpt.removesuffix("-bilinear.bkcp"))
+    rng = np.random.default_rng(73)
+    x0 = dg.sample_initial_state(cfg, rng)
+    bundle, z0 = mdl.bundle_for_history(
+        params, np.tile(x0, (h.lookback, 1)),
+        np.tile(sim.neutral_control(cfg), (h.lookback, 1)),
+    )
+    G = mdl.coupling(params.arrays)
+    for u in (np.zeros((h.horizon, h.control_dim)),
+              rng.standard_normal((h.horizon, h.control_dim))):
+        z_nom = mpc.plan_rollout(bundle, G, z0, u, h.coupling_period)
+        a_t, b_t = mpc.linearize(bundle.held, G, u, z_nom, h.coupling_period)
+        a_ref, b_ref = linearize_by_matrices(bundle.held, G, u, z_nom, h.coupling_period)
+        assert np.array_equal(a_t, a_ref)
+        assert np.abs(b_t - b_ref).max() <= 1e-13 * np.abs(b_ref).max()
 
 
 def test_linearize_scalar_closed_form():

@@ -113,9 +113,10 @@ def test_exponential_kernels_have_pinned_callers():
     # under src/ goes through model.rollout (the rank path's through
     # LowRank.phi_half), the closed loop's one-step discretize and
     # linearize, or the tape's expm op and its adjoint, so a second
-    # recurrence cannot grow back unseen
-    kernels = {"expm", "matrix_exp", "matrix_exp_frechet"}
-    found = set()
+    # recurrence cannot grow back unseen; the two derivative kernels have
+    # one caller each, the adjoint (matrices) and linearize (actions)
+    kernels = {"expm", "matrix_exp", "matrix_exp_frechet", "matrix_exp_frechet_action"}
+    found, derivative_callers = set(), set()
     for path in sorted(SRC.rglob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         parent = {c: p for p in ast.walk(tree) for c in ast.iter_child_nodes(p)}
@@ -131,7 +132,15 @@ def test_exponential_kernels_have_pinned_callers():
                 at = parent[at]
                 if isinstance(at, (ast.FunctionDef, ast.ClassDef)):
                     owners.insert(0, at.name)
-            found.add(f"{path.relative_to(SRC).as_posix()}:{'.'.join(owners)}")
+            caller = f"{path.relative_to(SRC).as_posix()}:{'.'.join(owners)}"
+            found.add(caller)
+            kernel = ast.unparse(node.func).split(".")[-1]
+            if kernel.startswith("matrix_exp_frechet"):
+                derivative_callers.add(f"{kernel} <- {caller}")
+    assert derivative_callers == {
+        "matrix_exp_frechet <- bkmpc/numerics/autodiff.py:_adj_expm",
+        "matrix_exp_frechet_action <- bkmpc/scp_mpc.py:linearize",
+    }
     assert found == {
         "bkmpc/model.py:rollout",
         "bkmpc/model.py:LowRank.phi_half",
