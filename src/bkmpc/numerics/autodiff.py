@@ -437,8 +437,7 @@ def _adj_concat(n, vals, g):
 
 def _adj_expm(n, vals, g):
     MT = np.swapaxes(vals[0], -1, -2)
-    _, L = dense.matrix_exp_frechet(MT, g)
-    return (L,)
+    return (dense.matrix_exp_frechet(MT, g),)
 
 
 def _adj_eig_penalty(n, vals, g):

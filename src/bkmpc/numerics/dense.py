@@ -140,7 +140,7 @@ def matrix_exp(M):
 
 
 def matrix_exp_frechet(M, E):
-    """Return (exp(M), L(M, E)) with L the directional derivative of exp.
+    """L(M, E), the directional derivative of exp at M toward E.
 
     E has M's shape. The derivative is that of the same scaled polynomial
     that gives exp(M), by the product rule on its products: dA^2 = A D +
@@ -148,7 +148,7 @@ def matrix_exp_frechet(M, E):
     derivatives from one coefficient product over [D, dA^2, dA^3, dA^4],
     and dY_j = dB_j + dA^4 Y_{j+1} + A^4 dY_{j+1} along Horner: 12
     products and no solve. Squaring back takes L <- X L + L X along with
-    X <- X X.
+    X <- X X; X, the exponential, is each block's scratch.
     """
     M = _as_square(M, "matrix_exp_frechet M")
     E = _as_square(E, "matrix_exp_frechet E")
@@ -159,11 +159,12 @@ def matrix_exp_frechet(M, E):
     n = M.shape[-1]
     s = _squarings(_norms(M, "matrix_exp_frechet M"))
     Mf, Ef = M.reshape(s.size, n, n), E.reshape(s.size, n, n)
-    X, L = np.empty(Mf.shape), np.empty(Ef.shape)
+    L = np.empty(Ef.shape)
     for b in _blocks(s.size, 5 * 8 * n * n):
-        _frechet_block(Mf[b], Ef[b], s[b], X[b], L[b])
-        _square_back(X[b], s[b], L[b])
-    return X.reshape(M.shape), L.reshape(E.shape)
+        X = np.empty(Mf[b].shape)
+        _frechet_block(Mf[b], Ef[b], s[b], X, L[b])
+        _square_back(X, s[b], L[b])
+    return L.reshape(E.shape)
 
 
 def _frechet_block(M, E, s, X, L):

@@ -11,18 +11,18 @@ from the current history:
    plus the coupling factor times the held input map;
 3. eliminate the linearized dynamics: each residual of the objective
    (``cost_residuals``: decoded tracking errors, then control
-   increments) becomes affine in the stacked control increments du,
-   res + J du, so the condensed QP is the weighted least-squares problem
-   min sum w (res + J du)^2 over the intersection of the feasible box and
-   an infinity-norm trust region; solve it to a KKT point by projected
-   Newton (``qpsolver``), warm-started from the previous QP's solution;
-   the episode log counts, per solve, the QPs that did not end
-   ``solved``;
-4. accept the increment if the true (frozen-bundle) objective does not
-   increase, otherwise halve the trust radius; the plan is then
-   unchanged, so the next iteration re-solves the same QP on the smaller
-   box (``increment_box``: the control box, formed once per solve by
-   ``control_box``, minus the plan) without linearizing again.
+   increments), evaluated once per iterate, becomes affine in the
+   stacked control increments du, res + J du, so the condensed QP is the
+   weighted least-squares problem min sum w (res + J du)^2 over the box
+   of ``increment_box``: the control box (``control_box``, once per
+   solve) minus the plan, within an infinity-norm trust radius. Solve it
+   to a KKT point by projected Newton (``qpsolver``), warm-started from
+   the previous QP's solution; the episode log counts, per solve, the
+   QPs that did not end ``solved``;
+4. accept the increment if the true (frozen-bundle) objective, from the
+   candidate's residuals, does not increase, otherwise halve the trust
+   radius; the plan and its condensed model are then unchanged, so the
+   next iteration only shrinks the box.
 
 The plan covers the model's prediction horizon (``ModelHyper.horizon``),
 the horizon its bundle was trained to predict over. It is optimized in
@@ -32,10 +32,10 @@ denormalized controls are clipped to the simulator's action box before
 application. The trust region starts at ``_TRUST_INIT``.
 
 ``CONTROLLERS`` is the one table of controller kinds, giving each its
-SCP iterations per solve and whether the solve applies the coupling:
-``scp5`` runs 5 and ``scp1`` one, both coupled; ``linear`` is the
-``scp1`` solve with the coupling disabled, which for a coupling-free
-model is bit-identical arithmetic, and it drives only such a model.
+SCP iterations per solve: ``scp5`` runs 5, ``scp1`` and ``linear`` one.
+Every kind applies the model's coupling (None for a linear model);
+``linear`` drives only a coupling-free model, whose zero coupling gives
+the same bits as none.
 
 Lead-time execution commits the first ``d + 1`` planned controls to a
 queue and re-plans only when the queue empties; neither the plan nor the
@@ -45,7 +45,7 @@ plan, so ``0 <= d < horizon`` (``check_controller``).
 """
 
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -61,8 +61,8 @@ from .qpsolver import QpProblem, solve_box_qp
 _TRUST_INIT = 1.0
 #: the trust-region loop stops once the radius falls below this
 _TRUST_MIN = 1e-9
-#: controller kind -> (SCP iterations per solve, whether it is coupled)
-CONTROLLERS = {"linear": (1, False), "scp1": (1, True), "scp5": (5, True)}
+#: controller kind -> SCP iterations per solve
+CONTROLLERS = {"linear": 1, "scp1": 1, "scp5": 5}
 CONTROLLER_KINDS = tuple(CONTROLLERS)
 
 
@@ -184,9 +184,8 @@ def cost_residuals(cfg, params, bundle, z_nom, u_norm, u_prev_raw):
     return np.concatenate([err.ravel(), du.ravel()])
 
 
-def plan_cost(cfg, params, bundle, w, z_nom, u_norm, u_prev_raw):
-    """True frozen-bundle objective of a plan, raw-space weights ``w``."""
-    res = cost_residuals(cfg, params, bundle, z_nom, u_norm, u_prev_raw)
+def plan_cost(w, res):
+    """True frozen-bundle objective sum(w * res**2) of a plan's residuals."""
     return float(w @ res**2)
 
 
@@ -223,25 +222,20 @@ def _increment_difference(control_std, horizon):
     return D.reshape(horizon * m, horizon * m)
 
 
-def condense(cfg, params, bundle, a_t, b_t, z_nom, u_norm, u_prev_raw, box,
-             w, dec_scaled, diff, trust):
-    """Eliminate the linearized dynamics into a dense box QP in du.
+def condense(a_t, b_t, res, w, dec_scaled, diff):
+    """Eliminate the linearized dynamics: (H, g) of the QP in du.
 
     The increment enters the latent perturbation as dz_{k+1} =
-    A_k dz_k + B_k du_k with dz_0 = 0, so every residual of
+    A_k dz_k + B_k du_k with dz_0 = 0, so every residual ``res`` of
     ``cost_residuals`` is affine in the stacked du with Jacobian J: the
     responses decoded by ``dec_scaled`` = state_std * decoder for steps
     1..H over the increment difference operator ``diff`` = kron(I - shift,
     diag(control_std)). The objective's quadratic model is then
     H = 2 J^T W J, g = 2 J^T W res (W = diag(``w``), constants dropped).
-    The box intersects feasibility (the control box ``box`` minus the
-    nominal) with the infinity-norm trust region. ``scp_solve`` forms
-    ``box``, ``w``, ``dec_scaled`` and ``diff`` once per solve.
+    ``scp_solve`` forms ``w``, ``dec_scaled`` and ``diff`` once per solve.
     """
-    H, m = u_norm.shape
-    dz = z_nom.shape[1]
+    H, dz, m = b_t.shape
     N = H * m
-    lo, hi = increment_box(u_norm, box, trust)
 
     # latent responses M_k = d z_k / d du for k = 1..H
     resp = np.empty((H, dz, N))
@@ -251,9 +245,8 @@ def condense(cfg, params, bundle, a_t, b_t, z_nom, u_norm, u_prev_raw, box,
         M[:, j * m : (j + 1) * m] += b_t[j]
         resp[j] = M
     J = np.vstack([(dec_scaled @ resp).reshape(-1, N), diff])
-    res = cost_residuals(cfg, params, bundle, z_nom, u_norm, u_prev_raw)
     WJ = w[:, None] * J
-    return QpProblem(2.0 * (J.T @ WJ), 2.0 * (WJ.T @ res), lo, hi)
+    return 2.0 * (J.T @ WJ), 2.0 * (WJ.T @ res)
 
 
 def scp_solve(cfg, params, bundle, coupling, z0, nominal_u_norm, u_prev_raw,
@@ -267,38 +260,34 @@ def scp_solve(cfg, params, bundle, coupling, z0, nominal_u_norm, u_prev_raw,
     diff = _increment_difference(bundle.control_std, len(nominal_u_norm))
     u = np.clip(nominal_u_norm, *box)
     z_nom = plan_rollout(bundle, coupling, z0, u, period)
-    J = plan_cost(cfg, params, bundle, w, z_nom, u, u_prev_raw)
+    res = cost_residuals(cfg, params, bundle, z_nom, u, u_prev_raw)
+    J = plan_cost(w, res)
     info = SolveInfo([J], [], 0, [], _TRUST_INIT)
 
     trust = _TRUST_INIT
     sol = qp_warm
-    qp = None
+    model = None
     for _ in range(iterations):
-        if qp is None:
+        # a rejected step leaves the plan, so its model: only the box shrinks
+        if model is None:
             a_t, b_t = linearize(bundle.held, coupling, u, z_nom, period)
-            qp = condense(
-                cfg, params, bundle, a_t, b_t, z_nom, u, u_prev_raw, box,
-                w, dec_scaled, diff, trust,
-            )
-        else:
-            # a rejected step left the plan as it was: only the box shrinks
-            lo, hi = increment_box(u, box, trust)
-            qp = replace(qp, lb=lo, ub=hi)
-        sol = solve_box_qp(qp, warm=sol)
+            model = condense(a_t, b_t, res, w, dec_scaled, diff)
+        sol = solve_box_qp(QpProblem(*model, *increment_box(u, box, trust)), warm=sol)
         info.qp_iterations += sol.iterations
         info.qp_status.append(sol.status)
         du = sol.x.reshape(u.shape)
         cand = u + du
         z_cand = plan_rollout(bundle, coupling, z0, cand, period)
-        J_cand = plan_cost(cfg, params, bundle, w, z_cand, cand, u_prev_raw)
+        res_cand = cost_residuals(cfg, params, bundle, z_cand, cand, u_prev_raw)
+        J_cand = plan_cost(w, res_cand)
         if J_cand <= J:
             step = float(np.max(np.abs(du)))
             if not step <= trust + 1e-9:
                 raise SolverInvariantError(
                     f"accepted step {step:.6g} exceeds the trust radius {trust:.6g}"
                 )
-            u, z_nom, J = cand, z_cand, J_cand
-            qp = None
+            u, z_nom, res, J = cand, z_cand, res_cand, J_cand
+            model = None
             info.accepted.append(True)
             info.objectives.append(J)
         else:
@@ -408,7 +397,7 @@ def check_controller(params, controller, lead):
     0 <= lead < the model's horizon."""
     if controller not in CONTROLLERS:
         raise KeyError(f"unknown controller '{controller}'")
-    if not CONTROLLERS[controller][1] and mdl.g_norm(params) != 0.0:
+    if controller == "linear" and mdl.g_norm(params) != 0.0:
         raise ValueError("the linear controller requires a coupling-free model")
     horizon = params.hyper.horizon
     if not 0 <= lead < horizon:
@@ -444,8 +433,8 @@ def run_episode(sim_cfg, params, mpc_cfg, controller="scp5", lead=0,
     xs[:H] = dg.sample_initial_state(sim_cfg, rng)
     us[:H] = sim.neutral_control(sim_cfg)
 
-    iterations, coupled = CONTROLLERS[controller]
-    coupling = mdl.coupling(params.arrays) if coupled else None
+    iterations = CONTROLLERS[controller]
+    coupling = mdl.coupling(params.arrays)
     q, r, ref = map(np.asarray, (mpc_cfg.q_weights, mpc_cfg.r_weights, mpc_cfg.x_ref))
 
     record = []  # one tuple per step: the per-step fields after the controls

@@ -84,7 +84,7 @@ def linearize_by_matrices(held, coupling, plan_u_norm, z_nom, period):
     drift = z_nom[:H] * e_d + plan_u_norm @ b_diag.T
     e_p = dense.matrix_exp(P)
     L = np.stack(
-        [dense.matrix_exp_frechet(P, np.broadcast_to(G_j, P.shape))[1] for G_j in coupling],
+        [dense.matrix_exp_frechet(P, np.broadcast_to(G_j, P.shape)) for G_j in coupling],
         axis=1,
     )
     b_t = period * np.einsum("kjab,kb->kaj", L, drift) + e_p @ b_diag

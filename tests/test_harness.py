@@ -208,12 +208,32 @@ def test_eval_forecast_best_reads_back_exactly(workdir, tmp_path):
     assert float(row["mse"]) == tr.evaluate_forecast(best, te_s, te_c)
 
 
-def test_eval_forecast_missing_checkpoint(tmp_path):
+def test_eval_forecast_missing_checkpoint(tmp_path, workdir, capsys):
+    # a readable dataset and a run directory without a best checkpoint:
+    # the run directory is what is refused, before anything is written
+    run = tmp_path / "empty-run"
+    run.mkdir()
+    out = tmp_path / "o"
     rc = main([
-        "eval-forecast", "--data", "nope.bkds", "--run", str(tmp_path),
-        "--out", str(tmp_path / "o"),
+        "eval-forecast", "--data", str(workdir / "cp.bkds"), "--run", str(run),
+        "--out", str(out),
     ])
     assert rc == 2
+    err = capsys.readouterr().err
+    assert f"no '*-best.bkcp' checkpoint in run directory: {run}" in err
+    assert not out.exists()
+
+
+def test_run_mpc_missing_checkpoint(tmp_path, capsys):
+    missing = tmp_path / "nope.bkcp"
+    out = tmp_path / "o"
+    rc = main([
+        "run-mpc", "--ckpt", str(missing), "--preset", "cartpole-ti",
+        "--controller", "scp1", "--out", str(out),
+    ])
+    assert rc == 2
+    assert f"checkpoint not found: {missing}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_eval_forecast_zero_coupling_twins(tmp_path, workdir):

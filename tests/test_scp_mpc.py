@@ -7,6 +7,7 @@ import pytest
 
 from bkmpc import datagen as dg
 from bkmpc import model as mdl
+from bkmpc import qpsolver
 from bkmpc import results
 from bkmpc import scp_mpc as mpc
 from bkmpc import simulators as sim
@@ -263,10 +264,11 @@ def test_condense_scalar_closed_form():
     z0 = np.array([0.8])
     z_nom = mpc.plan_rollout(b, None, z0, u0, 1.0)
     a_t, b_t = mpc.linearize(b.held, None, u0, z_nom, 1.0)
-    qp = mpc.condense(
-        cfg, params, b, a_t, b_t, z_nom, u0, np.array([uprev]),
-        mpc.control_box(b, np.array([-10.0]), np.array([10.0])),
-        *solve_constants(cfg, params, b, 1), trust=10.0,
+    res = mpc.cost_residuals(cfg, params, b, z_nom, u0, np.array([uprev]))
+    box = mpc.control_box(b, np.array([-10.0]), np.array([10.0]))
+    qp = mpc.QpProblem(
+        *mpc.condense(a_t, b_t, res, *solve_constants(cfg, params, b, 1)),
+        *mpc.increment_box(u0, box, 10.0),
     )
     # hand-derived quadratic: minimize q(c(z1 + bphi du) - ref)^2
     #                       + r(u0 + du - uprev)^2
@@ -307,19 +309,16 @@ def test_condense_is_exact_quadratic_model_of_plan_cost():
     u_prev = rng.standard_normal(m)
     z_nom = mpc.plan_rollout(b, None, z0, u, 1.0)
     a_t, b_t = mpc.linearize(b.held, None, u, z_nom, 1.0)
-    qp = mpc.condense(
-        cfg, params, b, a_t, b_t, z_nom, u, u_prev,
-        mpc.control_box(b, np.full(m, -1e3), np.full(m, 1e3)),
-        *solve_constants(cfg, params, b, Hz), trust=1e3,
-    )
-    w = mpc.cost_weights(cfg, Hz)
-    J0 = mpc.plan_cost(cfg, params, b, w, z_nom, u, u_prev)
+    w, dec_scaled, diff = solve_constants(cfg, params, b, Hz)
+    res = mpc.cost_residuals(cfg, params, b, z_nom, u, u_prev)
+    H, g = mpc.condense(a_t, b_t, res, w, dec_scaled, diff)
+    J0 = mpc.plan_cost(w, res)
     for _ in range(5):
         du = rng.standard_normal(Hz * m)
         cand = u + du.reshape(Hz, m)
         z_cand = mpc.plan_rollout(b, None, z0, cand, 1.0)
-        change = mpc.plan_cost(cfg, params, b, w, z_cand, cand, u_prev) - J0
-        lin, quad = qp.g @ du, 0.5 * du @ qp.H @ du
+        change = mpc.plan_cost(w, mpc.cost_residuals(cfg, params, b, z_cand, cand, u_prev)) - J0
+        lin, quad = g @ du, 0.5 * du @ H @ du
         assert change == pytest.approx(lin + quad, abs=1e-10 * (J0 + abs(lin) + quad))
 
 
@@ -333,20 +332,14 @@ def test_increment_difference_is_the_kron_operator():
         assert mpc._increment_difference(std, horizon).tobytes() == ref.tobytes()
 
 
-def test_condense_trust_zero_forces_no_change():
+def test_increment_box_trust_zero_forces_no_change():
     rng = np.random.default_rng(13)
     b = make_bundle(3, 1, 4, rng)
-    params = tiny_mpc_params(dz=3)
-    cfg = default_cfg()
     u = 0.1 * rng.standard_normal((HORIZON, 1))
-    z_nom = mpc.plan_rollout(b, None, rng.standard_normal(3), u, 1.0)
-    a_t, b_t = mpc.linearize(b.held, None, u, z_nom, 1.0)
-    qp = mpc.condense(
-        cfg, params, b, a_t, b_t, z_nom, u, np.zeros(1),
-        mpc.control_box(b, np.array([-20.0]), np.array([20.0])),
-        *solve_constants(cfg, params, b, HORIZON), trust=0.0,
-    )
-    assert np.all(qp.lb == 0.0) and np.all(qp.ub == 0.0)
+    box = mpc.control_box(b, np.array([-20.0]), np.array([20.0]))
+    lo, hi = mpc.increment_box(u, box, 0.0)
+    assert lo.shape == hi.shape == (HORIZON,)
+    assert np.all(lo == 0.0) and np.all(hi == 0.0)
 
 
 def test_condense_tracking_scales_with_weights():
@@ -362,28 +355,23 @@ def test_condense_tracking_scales_with_weights():
     u = 0.1 * rng.standard_normal((HORIZON, 1))
     z_nom = mpc.plan_rollout(b, None, rng.standard_normal(3), u, 1.0)
     a_t, b_t = mpc.linearize(b.held, None, u, z_nom, 1.0)
-    box = mpc.control_box(b, np.array([-20.0]), np.array([20.0]))
-    args = (b, a_t, b_t, z_nom, u, np.zeros(1), box)
-    qp1 = mpc.condense(cfg, params, *args, *solve_constants(cfg, params, b, HORIZON), trust=1.0)
-    qp2 = mpc.condense(cfg2, params, *args, *solve_constants(cfg2, params, b, HORIZON), trust=1.0)
-    assert np.allclose(qp2.H, 2 * qp1.H, rtol=1e-12)
-    assert np.allclose(qp2.g, 2 * qp1.g, rtol=1e-12)
+
+    def model(c):
+        res = mpc.cost_residuals(c, params, b, z_nom, u, np.zeros(1))
+        return mpc.condense(a_t, b_t, res, *solve_constants(c, params, b, HORIZON))
+
+    (H1, g1), (H2, g2) = model(cfg), model(cfg2)
+    assert np.allclose(H2, 2 * H1, rtol=1e-12)
+    assert np.allclose(g2, 2 * g1, rtol=1e-12)
 
 
-def test_condense_empty_box_contract():
+def test_increment_box_empty_box_contract():
     rng = np.random.default_rng(19)
     b = make_bundle(3, 1, 4, rng)
-    params = tiny_mpc_params(dz=3)
-    cfg = default_cfg()
     u = np.full((HORIZON, 1), 50.0)  # nominal far outside bounds
-    z_nom = mpc.plan_rollout(b, None, rng.standard_normal(3), u, 1.0)
-    a_t, b_t = mpc.linearize(b.held, None, u, z_nom, 1.0)
-    with pytest.raises(ContractViolation):
-        mpc.condense(
-            cfg, params, b, a_t, b_t, z_nom, u, np.zeros(1),
-            mpc.control_box(b, np.array([-20.0]), np.array([20.0])),
-            *solve_constants(cfg, params, b, HORIZON), trust=0.5,
-        )
+    box = mpc.control_box(b, np.array([-20.0]), np.array([20.0]))
+    with pytest.raises(ContractViolation, match="empty increment box"):
+        mpc.increment_box(u, box, 0.5)
 
 
 def test_scp_solve_clips_an_out_of_box_nominal():
@@ -404,7 +392,8 @@ def test_scp_solve_clips_an_out_of_box_nominal():
     start = np.clip(nominal, lo, hi)
     z_start = mpc.plan_rollout(b, None, z0, start, 1.0)
     w = mpc.cost_weights(cfg, HORIZON)
-    assert info.objectives[0] == mpc.plan_cost(cfg, params, b, w, z_start, start, np.zeros(1))
+    res = mpc.cost_residuals(cfg, params, b, z_start, start, np.zeros(1))
+    assert info.objectives[0] == mpc.plan_cost(w, res)
     assert np.all(plan.u_norm >= lo - 1e-12) and np.all(plan.u_norm <= hi + 1e-12)
 
 
@@ -473,6 +462,68 @@ def test_step_outside_trust_region_raises(monkeypatch):
         )
 
 
+def test_trust_region_collapse_ends_the_solve(monkeypatch):
+    # with every candidate rejected the radius halves from 1 until it
+    # falls below _TRUST_MIN, after 30 halvings, and the solve stops
+    # there, far short of its iterations, with the clipped nominal
+    rng = np.random.default_rng(41)
+    b = make_bundle(3, 1, 4, rng)
+    params = tiny_mpc_params(dz=3)
+    G = make_coupling(3, 1, rng)
+    costs = []
+    real = mpc.plan_cost
+
+    def plan_cost(w, res):
+        costs.append(real(w, res))
+        return costs[0] if len(costs) == 1 else np.inf
+
+    monkeypatch.setattr(mpc, "plan_cost", plan_cost)
+    low, high = np.array([-20.0]), np.array([20.0])
+    nominal = np.full((HORIZON, 1), 50.0)
+    nominal[::2] = -50.0
+    z0 = rng.standard_normal(3)
+    plan, info, _ = mpc.scp_solve(
+        default_cfg(), params, b, G, z0, nominal, np.zeros(1), low, high,
+        iterations=64,
+    )
+    assert info.accepted == [False] * 30
+    assert info.trust_final == 2.0**-30
+    start = np.clip(nominal, *mpc.control_box(b, low, high))
+    assert np.array_equal(plan.u_norm, start)
+    period = params.hyper.coupling_period
+    assert np.array_equal(plan.z_nom, mpc.plan_rollout(b, G, z0, start, period))
+    assert info.objectives == [plan.objective] == costs[:1]
+
+
+def test_an_unconverged_qp_is_logged(monkeypatch):
+    # a QP stopped at its iteration cap still returns its last iterate as
+    # the step, and the episode log counts it on its solve's step
+    params = tiny_mpc_params("cartpole", seed=7)
+    rng = np.random.default_rng(3)
+    for key in ("cpl_l", "cpl_r"):
+        params.arrays[key] = 0.5 * rng.standard_normal(params.arrays[key].shape)
+    statuses = []
+    real = mpc.scp_solve
+
+    def scp_solve(*args, **kw):
+        out = real(*args, **kw)
+        statuses.extend(out[1].qp_status)
+        return out
+
+    monkeypatch.setattr(qpsolver, "_MAX_ITER", 1)
+    monkeypatch.setattr(mpc, "scp_solve", scp_solve)
+    log = mpc.run_episode(
+        sim.preset("cartpole-ti"), params, default_cfg(episode_len=8),
+        controller="scp5", lead=1, seed=11,
+    )
+    solved = log.scp_iters > 0
+    assert solved.any() and not solved.all()
+    assert np.all(log.qp_unsolved[solved] > 0)
+    assert np.all(log.qp_unsolved[~solved] == 0)
+    assert "max-iter" in statuses
+    assert np.all(np.isfinite(log.states))
+
+
 def test_plan_invariant_rollout_consistency():
     rng = np.random.default_rng(31)
     params = tiny_mpc_params(dz=2)
@@ -494,18 +545,25 @@ def test_plan_invariant_rollout_consistency():
 def test_rejected_step_reuses_the_linearization(monkeypatch):
     # a rejected step leaves the plan as it was, so the next iteration
     # solves the same QP on the halved box: an SCP iteration linearizes
-    # only first in its solve or after an accepted step. Each QP equals
-    # the one a fresh linearization would condense, bit for bit
+    # only first in its solve or after an accepted step, and a solve
+    # evaluates the residuals once for its start and once per candidate.
+    # Each QP equals the one a fresh linearization would condense, bit
+    # for bit
     params = tiny_mpc_params("cartpole", seed=7)
     rng = np.random.default_rng(1)
     for key in ("cpl_l", "cpl_r"):
         params.arrays[key] = 0.5 * rng.standard_normal(params.arrays[key].shape)
-    calls, accepted, fresh = [0], [], []
+    calls, residuals, accepted, fresh = [0], [0], [], []
     real_linearize, real_scp, real_qp = mpc.linearize, mpc.scp_solve, mpc.solve_box_qp
+    real_residuals = mpc.cost_residuals
 
     def linearize(*args):
         calls[0] += 1
         return real_linearize(*args)
+
+    def cost_residuals(*args):
+        residuals[0] += 1
+        return real_residuals(*args)
 
     def scp_solve(*args, **kw):
         out = real_scp(*args, **kw)
@@ -517,6 +575,7 @@ def test_rejected_step_reuses_the_linearization(monkeypatch):
         return fresh[-1][1]
 
     monkeypatch.setattr(mpc, "linearize", linearize)
+    monkeypatch.setattr(mpc, "cost_residuals", cost_residuals)
     monkeypatch.setattr(mpc, "scp_solve", scp_solve)
     monkeypatch.setattr(mpc, "solve_box_qp", solve_box_qp)
     mpc.run_episode(
@@ -527,6 +586,7 @@ def test_rejected_step_reuses_the_linearization(monkeypatch):
     assert rejected > 0
     assert calls[0] == sum(1 + sum(a[:-1]) for a in accepted)
     assert calls[0] < sum(map(len, accepted))
+    assert residuals[0] == sum(1 + len(a) for a in accepted)
 
     # one solve with rejections: rebuild each of its QPs from scratch
     cfg = default_cfg()
@@ -545,10 +605,10 @@ def test_rejected_step_reuses_the_linearization(monkeypatch):
     for (qp, sol), ok in zip(fresh, info.accepted):
         z_nom = mpc.plan_rollout(b, cpl, z0, u, 1.0)
         a_t, b_t = real_linearize(b.held, cpl, u, z_nom, 1.0)
-        box = mpc.control_box(b, low, high)
-        ref = mpc.condense(
-            cfg, params, b, a_t, b_t, z_nom, u, np.zeros(1), box,
-            *solve_constants(cfg, params, b, HORIZON), trust,
+        res = real_residuals(cfg, params, b, z_nom, u, np.zeros(1))
+        ref = mpc.QpProblem(
+            *mpc.condense(a_t, b_t, res, *solve_constants(cfg, params, b, HORIZON)),
+            *mpc.increment_box(u, mpc.control_box(b, low, high), trust),
         )
         for name in ("H", "g", "lb", "ub"):
             assert np.array_equal(getattr(qp, name), getattr(ref, name)), name

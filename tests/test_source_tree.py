@@ -262,6 +262,34 @@ def test_mpc_config_holds_only_the_cost_and_the_episode_length():
     assert fields == ["q_weights", "r_weights", "p_weights", "x_ref", "episode_len"]
 
 
+def test_residuals_are_evaluated_once_per_iterate():
+    # scp_solve evaluates each iterate's residuals once and hands them to
+    # plan_cost and condense, so only it calls cost_residuals, and
+    # condense reads none of the inputs a second evaluation would need
+    found = set()
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        parent = {c: p for p in ast.walk(tree) for c in ast.iter_child_nodes(p)}
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Call)
+                    and ast.unparse(node.func).split(".")[-1] == "cost_residuals"):
+                continue
+            at = node
+            while at in parent and not isinstance(at, ast.FunctionDef):
+                at = parent[at]
+            found.add(f"{path.relative_to(SRC).as_posix()}:{getattr(at, 'name', '<module>')}")
+    assert found == {"bkmpc/scp_mpc.py:scp_solve"}
+    path = SRC / "bkmpc" / "scp_mpc.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    (fn,) = [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == "condense"
+    ]
+    read = {node.id for node in ast.walk(fn) if isinstance(node, ast.Name)}
+    read |= {node.arg for node in ast.walk(fn) if isinstance(node, ast.arg)}
+    assert read & {"cfg", "params", "bundle"} == set()
+
+
 def test_only_datagen_constructs_a_philox():
     # every episode stream, the closed loop's too, is keyed by
     # datagen.episode_key, so a second key formula cannot grow back
