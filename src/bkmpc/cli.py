@@ -48,6 +48,15 @@ def non_negative_int(text):
     return _int_at_least(text, 0)
 
 
+def lead_list(text):
+    """Option type of ``lead-sweep``'s leads: a comma list of distinct
+    integers >= 0, kept as its text."""
+    leads = [non_negative_int(v) for v in text.split(",")]
+    if len(set(leads)) < len(leads):
+        raise argparse.ArgumentTypeError(f"must list distinct leads, got {text}")
+    return text
+
+
 def build_parser():
     p = _Parser(prog="bkmpc", description=__doc__)
     p.add_argument("--config", help="JSON file with per-command defaults")
@@ -95,7 +104,8 @@ def build_parser():
     s.add_argument("--preset", required=True, choices=sim.PRESET_NAMES)
     s.add_argument("--linear-ckpt", required=True)
     s.add_argument("--bilinear-ckpt", required=True)
-    s.add_argument("--lead", default="0,1,3,5", help="comma list, default %(default)s")
+    s.add_argument("--lead", type=lead_list, default="0,1,3,5",
+                   help="comma list, default %(default)s")
     s.add_argument("--episodes", type=positive_int, default=10)
     s.add_argument("--seed", type=int, default=1)
     s.add_argument("--episode-len", type=positive_int, default=1_000)
@@ -118,8 +128,8 @@ def parse_args(argv=None):
     """
     parser = build_parser()
     args = parser.parse_args(argv)
-    command_parser = parser.commands.choices[args.command]
     if args.config:
+        command_parser = parser.commands.choices[args.command]
         with open(args.config, "r", encoding="utf-8") as fh:
             section = json.load(fh).get(args.command, {})
         types = {a.dest: a.type for a in command_parser._actions}
@@ -128,48 +138,29 @@ def parse_args(argv=None):
             if k in vars(args) and k not in ("command", "config")
         })
         args = parser.parse_args(argv)
-    if args.command == "lead-sweep":
-        try:
-            leads = _leads(args)
-        except ValueError:
-            leads = []
-        if not leads or min(leads) < 0 or len(set(leads)) < len(leads):
-            command_parser.error(
-                f"--lead must list distinct integers >= 0, got {args.lead!r}"
-            )
     return args
 
 
-def _leads(args):
-    """The commitment leads of ``lead-sweep``'s comma list."""
-    return [int(v) for v in str(args.lead).split(",") if v != ""]
-
-
-def _echo_config(args, outdir, rev, **derived):
+def _echo_config(args, rev, **derived):
     """Write the run's options, plus ``derived`` settings that no option
-    sets, to ``effective_config.json``."""
-    os.makedirs(outdir, exist_ok=True)
+    sets, to ``effective_config.json`` in the output directory."""
+    os.makedirs(args.out, exist_ok=True)
     effective = {
         k: v for k, v in vars(args).items() if k != "config" and v is not None
     }
     effective.update(derived)
     effective["git"] = rev
-    results.write_json(os.path.join(outdir, "effective_config.json"), effective)
+    results.write_json(os.path.join(args.out, "effective_config.json"), effective)
 
 
-def _load_checkpoint(path, preset=None):
-    """The checkpoint at ``path``; given a ``preset``, it must have been
-    trained on that preset's system."""
+def _load_checkpoint(path):
+    """The checkpoint at ``path``, with a hint if there is none."""
     if not os.path.exists(path):
         raise FileNotFoundError(
             f"checkpoint not found: {path} (run `bkmpc train` first or fix "
             "the path)"
         )
-    params = mdl.load_checkpoint(path)
-    system = preset.split("-")[0] if preset else None
-    if system and params.preset and not params.preset.startswith(system):
-        raise ValueError(f"checkpoint was trained on {params.preset}, not {preset}")
-    return params
+    return mdl.load_checkpoint(path)
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +202,7 @@ def cmd_train(args):
     rev = results.git_rev()
     # the coupling rank: the preset's, capped at the latent dim
     derived = {"rank": params.hyper.rank} if args.model == "bilinear" else {}
-    _echo_config(args, args.out, rev, **derived)
+    _echo_config(args, rev, **derived)
     final, best, log = tr.train(ds, params, cfg, log_test=not args.no_log_test)
     for tag, p in (("final", final), ("best", best)):
         meta = {
@@ -266,31 +257,52 @@ def cmd_eval_forecast(args):
                     results.FORECAST_SCHEMA, ds.preset, kind, params.seed,
                     rev, metric, value, te_s.shape[0],
                 ))
-    _echo_config(args, args.out, rev)
+    _echo_config(args, rev)
     path = os.path.join(args.out, "forecast.csv")
     results.write_csv(path, results.FORECAST_COLUMNS, rows)
     print(f"wrote {path} ({len(rows)} rows)")
     return 0
 
 
-def _episode_batch(preset, params, mpc_cfg, controller, lead, episodes, seed,
-                   outdir, rev):
-    """Run episodes, write per-episode CSVs, return logs + summary rows."""
-    cfg_sim = sim.preset(preset)
+def _closed_loop(args, lead, *runs):
+    """Set up a closed-loop command: load the checkpoint of each (path,
+    controller) run, which must have been trained on ``args.preset``'s
+    system and be drivable by its controller at commitment ``lead``, then
+    echo the configuration. Returns the simulator config, the cost preset,
+    the git revision and the models."""
+    cfg_sim = sim.preset(args.preset)
+    models = []
+    for path, controller in runs:
+        params = _load_checkpoint(path)
+        if params.preset and not params.preset.startswith(cfg_sim.system):
+            raise ValueError(
+                f"checkpoint was trained on {params.preset}, not {args.preset}"
+            )
+        mpc.check_controller(params, controller, lead)
+        models.append(params)
+    mpc_cfg = mpc.mpc_preset(cfg_sim.system, episode_len=args.episode_len)
+    rev = results.git_rev()
+    _echo_config(args, rev)
+    return cfg_sim, mpc_cfg, rev, models
+
+
+def _episode_batch(args, cfg_sim, mpc_cfg, rev, params, controller, lead):
+    """Run the episodes of one (controller, lead) cell, write their CSVs,
+    return their logs and summary rows."""
     logs = []
     rows = []
-    for ep in range(episodes):
+    for ep in range(args.episodes):
         log = mpc.run_episode(
             cfg_sim, params, mpc_cfg, controller=controller, lead=lead,
-            seed=seed, episode_index=ep,
+            seed=args.seed, episode_index=ep,
         )
         logs.append(log)
         fname = f"episode-{controller}-d{lead}-ep{ep}.csv"
-        log.to_csv(os.path.join(outdir, fname), git_rev=rev)
+        log.to_csv(os.path.join(args.out, fname), git_rev=rev)
         solves = log.solve_wall_s[log.solve_wall_s > 0]
         rows.append((
-            results.MPC_SUMMARY_SCHEMA, preset, params.hyper.kind,
-            seed, rev, controller, lead, ep, log.steps, log.final_log_cost(),
+            results.MPC_SUMMARY_SCHEMA, args.preset, params.hyper.kind,
+            args.seed, rev, controller, lead, ep, log.steps, log.final_log_cost(),
             np.mean(solves) if solves.size else 0.0, log.straddle_fraction(),
             log.termination,
         ))
@@ -298,15 +310,11 @@ def _episode_batch(preset, params, mpc_cfg, controller, lead, episodes, seed,
 
 
 def cmd_run_mpc(args):
-    params = _load_checkpoint(args.ckpt, args.preset)
-    mpc.check_controller(params, args.controller, args.lead)
-    system = args.preset.split("-")[0]
-    mpc_cfg = mpc.mpc_preset(system, episode_len=args.episode_len)
-    rev = results.git_rev()
-    _echo_config(args, args.out, rev)
+    cfg_sim, mpc_cfg, rev, (params,) = _closed_loop(
+        args, args.lead, (args.ckpt, args.controller)
+    )
     logs, rows = _episode_batch(
-        args.preset, params, mpc_cfg, args.controller, args.lead,
-        args.episodes, args.seed, args.out, rev,
+        args, cfg_sim, mpc_cfg, rev, params, args.controller, args.lead
     )
     results.write_csv(
         os.path.join(args.out, "mpc_summary.csv"),
@@ -333,92 +341,61 @@ def cmd_run_mpc(args):
     return 0
 
 
-def _band_rows_and_series(preset, model_kind, seed, rev, controller, lead,
-                          logs, dt):
-    max_len = max(log.steps for log in logs)
-    rows = []
-    xs, means, hws = [], [], []
-    for step in range(max_len):
-        alive = [log.running_avg[step] for log in logs if log.steps > step]
-        mean = float(np.mean(alive))
-        std = float(np.std(alive))
-        rows.append((
-            results.BAND_SCHEMA, preset, model_kind, seed, rev, controller,
-            lead, step, mean, 0.3 * std, len(alive),
-        ))
-        xs.append(step * dt)
-        means.append(mean)
-        hws.append(0.3 * std)
-    return rows, svgplot.Series(f"{controller} d={lead}", xs, means, hws)
+_SWEEP_TABLES = {
+    "mpc_summary": results.MPC_SUMMARY_COLUMNS,
+    "lead_table": results.LEAD_TABLE_COLUMNS,
+    "wall_table": results.WALL_TABLE_COLUMNS,
+    "cost_bands": results.BAND_COLUMNS,
+}
 
 
 def cmd_lead_sweep(args):
-    leads = _leads(args)
-    lin = _load_checkpoint(args.linear_ckpt, args.preset)
-    mpc.check_controller(lin, "linear", max(leads))
-    bil = _load_checkpoint(args.bilinear_ckpt, args.preset)
-    mpc.check_controller(bil, "scp5", max(leads))
-    system = args.preset.split("-")[0]
-    mpc_cfg = mpc.mpc_preset(system, episode_len=args.episode_len)
-    cfg_sim = sim.preset(args.preset)
-    rev = results.git_rev()
-    _echo_config(args, args.out, rev)
-
-    summary_rows, lead_rows, wall_rows, band_rows = [], [], [], []
+    leads = [int(v) for v in args.lead.split(",")]
+    cfg_sim, mpc_cfg, rev, models = _closed_loop(
+        args, max(leads), (args.linear_ckpt, "linear"), (args.bilinear_ckpt, "scp5")
+    )
+    tables = {name: [] for name in _SWEEP_TABLES}
     series_by_lead = {d: [] for d in leads}
-    for controller, params in (("linear", lin), ("scp5", bil)):
+    for controller, params in zip(("linear", "scp5"), models):
         for d in leads:
             logs, rows = _episode_batch(
-                args.preset, params, mpc_cfg, controller, d, args.episodes,
-                args.seed, args.out, rev,
+                args, cfg_sim, mpc_cfg, rev, params, controller, d
             )
-            summary_rows.extend(rows)
+            cell = (args.preset, params.hyper.kind, args.seed, rev, controller, d)
             finals = np.array([log.final_log_cost() for log in logs])
-            lead_rows.append((
-                results.LEAD_TABLE_SCHEMA, args.preset, params.hyper.kind,
-                args.seed, rev, controller, d, len(logs), finals.mean(),
-                finals.std(),
-            ))
             # total solve wall over total control steps
             step_walls = np.concatenate([log.solve_wall_s for log in logs])
-            wall_rows.append((
-                results.WALL_TABLE_SCHEMA, args.preset, params.hyper.kind,
-                args.seed, rev, controller, d, step_walls.mean(),
+            # per step: the mean running cost of the episodes still running,
+            # banded by 0.3 of its standard deviation, and their count
+            band = []
+            for step in range(max(log.steps for log in logs)):
+                alive = [log.running_avg[step] for log in logs if log.steps > step]
+                band.append((step, float(np.mean(alive)),
+                             0.3 * float(np.std(alive)), len(alive)))
+            tables["mpc_summary"] += rows
+            tables["lead_table"].append((
+                results.LEAD_TABLE_SCHEMA, *cell, len(logs), finals.mean(), finals.std()
             ))
-            rows_b, series = _band_rows_and_series(
-                args.preset, params.hyper.kind, args.seed, rev, controller,
-                d, logs, cfg_sim.dt,
+            tables["wall_table"].append(
+                (results.WALL_TABLE_SCHEMA, *cell, step_walls.mean())
             )
-            band_rows.extend(rows_b)
-            series_by_lead[d].append(series)
-
-    results.write_csv(
-        os.path.join(args.out, "mpc_summary.csv"),
-        results.MPC_SUMMARY_COLUMNS, summary_rows,
-    )
-    results.write_csv(
-        os.path.join(args.out, "lead_table.csv"),
-        results.LEAD_TABLE_COLUMNS, lead_rows,
-    )
-    results.write_csv(
-        os.path.join(args.out, "wall_table.csv"),
-        results.WALL_TABLE_COLUMNS, wall_rows,
-    )
-    results.write_csv(
-        os.path.join(args.out, "cost_bands.csv"),
-        results.BAND_COLUMNS, band_rows,
-    )
-    unit = "s" if system == "cartpole" else "h"
+            tables["cost_bands"] += [(results.BAND_SCHEMA, *cell, *b) for b in band]
+            series_by_lead[d].append(svgplot.Series(
+                f"{controller} d={d}", [b[0] * cfg_sim.dt for b in band],
+                [b[1] for b in band], [b[2] for b in band],
+            ))
+    for name, columns in _SWEEP_TABLES.items():
+        results.write_csv(os.path.join(args.out, f"{name}.csv"), columns, tables[name])
+    unit = "s" if cfg_sim.system == "cartpole" else "h"
     for d in leads:
         svgplot.emit_svg(
             series_by_lead[d],
             os.path.join(args.out, f"lead-d{d}.svg"),
-            title=f"{args.preset}: running-average cost, d={d}",
-            xlabel=f"time [{unit}]",
-            ylabel="log10 running-average cost",
-            logy=True,
+            f"{args.preset}: running-average cost, d={d}",
+            f"time [{unit}]",
+            "log10 running-average cost",
         )
-    print(f"lead sweep done: {len(lead_rows)} (controller, d) cells")
+    print(f"lead sweep done: {len(tables['lead_table'])} (controller, d) cells")
     return 0
 
 
@@ -441,7 +418,7 @@ def cmd_diagnose(args):
             "gershgorin_straddle_fraction", np.mean(flags) if flags else 0.0,
             os.path.basename(path),
         ))
-    _echo_config(args, args.out, rev)
+    _echo_config(args, rev)
     path = os.path.join(args.out, "diagnose.csv")
     results.write_csv(path, results.DIAG_COLUMNS, rows)
     print(f"wrote {path} ({len(rows)} rows)")

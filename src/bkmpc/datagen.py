@@ -394,6 +394,12 @@ def write_dataset(ds, path):
 
 
 def _dataset_layout(header):
+    """The payload layout of a dataset header, whose statistics must have
+    their dimensions' lengths."""
+    for key, dim in (("state_mean", "state_dim"), ("state_std", "state_dim"),
+                     ("control_mean", "control_dim"), ("control_std", "control_dim")):
+        if (got := len(header[key])) != header[dim]:
+            raise FormatError(f"dataset {key} has {got} entries, not {header[dim]}")
     n, wl = header["windows"], header["window_len"]
     return [
         ("states", "<f8", (n, wl, header["state_dim"])),

@@ -5,7 +5,10 @@ Taylor polynomial T16, evaluated by Paterson--Stockmeyer in A^4 with
 matrix products only, no linear solve), its directional (Frechet)
 derivative L(M, E) on that same polynomial, as a matrix for the tape's
 adjoint or as its action L(M, E) v for the SCP linearization, and the
-stabilized hold integral ``phi1(a, d) = (exp(a*d) - 1)/a``.
+stabilized hold integral ``phi1(a, d) = (exp(a*d) - 1)/a``. The action
+takes two routes: a matrix that needs no squaring by matrix-vector
+products alone, one that needs squarings through its derivative
+matrices, squared back with the exponential and then applied.
 
 All routines operate on float64 ndarrays and accept an arbitrary number
 of leading batch axes on the matrix arguments. Each matrix of a batch
@@ -105,12 +108,13 @@ def _taylor16(M, s, X):
     return P, Y
 
 
-def _square_back(X, s, L=None):
-    """Square each matrix of X back s[i] times, carrying L <- X L + L X."""
+def _square_back(X, s, *Ls):
+    """Square each matrix of X back s[i] times, carrying each L of ``Ls``
+    by L <- X L + L X."""
     for j in range(1, s.max(initial=0) + 1):
         i = np.flatnonzero(s >= j)
         Xi = X[i]
-        if L is not None:
+        for L in Ls:
             L[i] = Xi @ L[i] + L[i] @ Xi
         X[i] = Xi @ Xi
 
@@ -162,18 +166,19 @@ def matrix_exp_frechet(M, E):
     L = np.empty(Ef.shape)
     for b in _blocks(s.size, 5 * 8 * n * n):
         X = np.empty(Mf[b].shape)
-        _frechet_block(Mf[b], Ef[b], s[b], X, L[b])
+        P, Y = _taylor16(Mf[b], s[b], X)
+        _frechet_block(P, Y, Ef[b], s[b], L[b])
         _square_back(X, s[b], L[b])
     return L.reshape(E.shape)
 
 
-def _frechet_block(M, E, s, X, L):
-    """X, L of (B, n, n) M and E halved s[i] times, unsquared."""
-    P, Y = _taylor16(M, s, X)
+def _frechet_block(P, Y, E, s, L):
+    """L of the (B, n, n) directions E halved s[i] times, unsquared, at
+    the powers P and Horner iterates Y of a ``_taylor16``."""
     A, A2, A4 = P[1], P[2], P[4]
     # dP = [D, dA^2, dA^3, dA^4] of the halved directions; L is scratch
     # until the last Horner step
-    dP = np.empty((4,) + E.shape)
+    dP = np.empty((4,) + L.shape)
     D = dP[0]
     if s.any():
         np.multiply(E, np.ldexp(1.0, -s)[:, None, None], out=D)
@@ -198,14 +203,15 @@ def matrix_exp_frechet_action(M, E, v):
     """(exp(M), Lv), Lv[..., :, j] = L(M, E[j]) v, for a stack M (..., n, n),
     k directions E (k, n, n) that it shares and vectors v (..., n).
 
-    exp(M) is ``matrix_exp(M)``'s bit for bit. With A = M / 2**s, X =
-    T16(A) and N = 2**s, L(M, E) v = sum_q X^q dX X^(N-1-q) v, where dX =
-    sum_a A^a E sum_b A^b / (a+b+1)! / N, by matrix-vector products only:
-    the X^q v by doubling with the squaring-back iterates X^(2^j), their
-    Krylov rows A^b X^q v by doubling with A, A^2, A^4, A^8, one product
-    with those Hankel weights and one with E, then Horner by halves in A
-    and in X. The matrices of one squaring count go together, so each
-    equals its solo call bit for bit.
+    exp(M) is ``matrix_exp(M)``'s bit for bit. A matrix that needs no
+    squaring (X = T16(M)) takes matrix-vector products only: L(M, E) v =
+    sum_a M^a E sum_b M^b v / (a+b+1)!, from the Krylov rows M^b v by
+    doubling with M, M^2, M^4, M^8, one product with those Hankel weights
+    and one with E, then Horner in M. A matrix that needs squarings takes,
+    within its block, the derivative matrices of ``matrix_exp_frechet``,
+    L(M, E_j) for one direction after another, squares them back with X
+    and applies them to v, so its work and temporaries grow with k, not
+    with its norm. Each matrix equals its solo call bit for bit.
     """
     M, E = _as_square(M, "frechet action M"), _as_square(E, "frechet action E")
     v = np.asarray(v, dtype=float)
@@ -218,41 +224,46 @@ def matrix_exp_frechet_action(M, E, v):
     Mf, vf = M.reshape(s.size, n, n), v.reshape(s.size, 1, n)
     X, Lv = np.empty(Mf.shape), np.empty((s.size, k, n))
     Et = E.transpose(2, 0, 1).reshape(n, k * n)  # a row w times Et: [(E_j w)^T]_j
-    for b in _blocks(s.size, 8 * n * max(5 * n, (16 << s.max(initial=0)) * (k + 1))):
-        Xb, Lb, sb = X[b], Lv[b], s[b]
-        P, _ = _taylor16(Mf[b], sb, Xb)
-        counts = np.unique(sb)
-        for si in counts:
-            i = np.flatnonzero(sb == si) if counts.size > 1 else slice(None)
-            Xb[i], Lb[i] = _action_group(P[:, i], Xb[i], vf[b][i], Et, si)
+    # per matrix: the squaring route's copied powers and iterates and its k
+    # derivative matrices, or the Krylov and derivative rows
+    for b in _blocks(s.size, 8 * n * max(8 * n, 16 * (k + 1))):
+        Xb, Lb, sb, vb = X[b], Lv[b], s[b], vf[b]
+        P, Y = _taylor16(Mf[b], sb, Xb)
+        if not sb.any():
+            Lb[...] = _unscaled_action(P, vb, Et)
+            continue
+        i = np.flatnonzero(sb == 0)
+        Lb[i] = _unscaled_action(P[:, i], vb[i], Et)
+        i = np.flatnonzero(sb)
+        # keep the parts of the matrices that need squarings, freeing the rest
+        P, Y, Xi, si = P[:, i], Y[:, i], Xb[i], sb[i]
+        Ls = [np.empty(Xi.shape) for _ in range(k)]
+        for Ej, L in zip(E, Ls):
+            _frechet_block(P, Y, Ej, si, L)
+        _square_back(Xi, si, *Ls)
+        Xb[i] = Xi
+        for j, L in enumerate(Ls):
+            Lb[i, j] = (vb[i] @ np.swapaxes(L, 1, 2))[:, 0]
     return X.reshape(M.shape), np.swapaxes(Lv, 1, 2).reshape(M.shape[:-1] + (k,))
 
 
-def _action_group(P, X, v, Et, s):
-    """(X^(2^s), rows L(M, E_j) v) of the matrices of one squaring count s
-    from their ``_taylor16`` powers P and polynomial X, for rows v."""
+def _unscaled_action(P, v, Et):
+    """Rows L(A, E_j) v of the matrices A = P[1] of a ``_taylor16`` with no
+    squaring, for rows v."""
     B, _, n = v.shape
-    N, k = 1 << s, Et.shape[1] // n
-    Xp = [X]  # the squaring-back iterates X^(2^j), j <= s
-    for _ in range(s):
-        Xp.append(Xp[-1] @ Xp[-1])
-    Xt = [np.swapaxes(Y, 1, 2) for Y in Xp[:s]]
+    k = Et.shape[1] // n
     At = np.swapaxes(P[[1, 2, 4, 4]], 2, 3).copy()  # A, A^2, A^4, A^8, transposed
     np.matmul(At[2], At[2], out=At[3])
-    # row b N + p of K is A^b X^(N-1-p) v / N, filled by doubling
-    K = np.empty((B, 16 * N, n))
-    np.ldexp(v, -s, out=K[:, N - 1 : N])
-    for j in range(s):
-        np.matmul(K[:, N - (1 << j) : N], Xt[j], out=K[:, N - (2 << j) : N - (1 << j)])
+    # row b of K is A^b v, filled by doubling
+    K = np.empty((B, 16, n))
+    K[:, :1] = v
     for j in range(4):
-        np.matmul(K[:, : N << j], At[j], out=K[:, N << j : N << j + 1])
-    # rows (a, p, j) of F: E_j sum_b A^b X^(N-1-p) v / (a+b+1)! / N
-    F = ((_HANKEL @ K.reshape(B, 16, N * n)).reshape(B, 16 * N, n) @ Et).reshape(B, -1, n)
-    # Horner by halves: sum_a A^a F_a, then sum_p X^p of the rows p left
-    levels = [(N * k << j, At[j]) for j in (3, 2, 1, 0)]
-    for c, Wt in levels + [(k << j, Xt[j]) for j in reversed(range(s))]:
-        F[:, :c] += F[:, c : 2 * c] @ Wt
-    return Xp[-1], F[:, :k]
+        np.matmul(K[:, : 1 << j], At[j], out=K[:, 1 << j : 2 << j])
+    # rows (a, j) of F: E_j sum_b A^b v / (a+b+1)!, then Horner sum_a A^a F_a
+    F = ((_HANKEL @ K) @ Et).reshape(B, 16 * k, n)
+    for j in (3, 2, 1, 0):
+        F[:, : k << j] += F[:, k << j : 2 * k << j] @ At[j]
+    return F[:, :k]
 
 
 # Below |a*d| < _PHI1_SMALL the series for phi1 and its a-partial is exact

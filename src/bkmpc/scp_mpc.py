@@ -39,9 +39,11 @@ the same bits as none.
 
 Lead-time execution commits the first ``d + 1`` planned controls to a
 queue and re-plans only when the queue empties; neither the plan nor the
-operator bundle is re-evaluated inside a commitment window. ``d = 0``
-recovers standard receding-horizon control. The window must fit in the
-plan, so ``0 <= d < horizon`` (``check_controller``).
+operator bundle is re-evaluated inside a commitment window. The next
+solve warm-starts from the plan shifted past those d + 1 controls, its
+last control held. ``d = 0`` recovers standard receding-horizon control.
+The window must fit in the plan, so ``0 <= d < horizon``
+(``check_controller``).
 """
 
 import time
@@ -420,8 +422,9 @@ def run_episode(sim_cfg, params, mpc_cfg, controller="scp5", lead=0,
     control increment is taken from that row's provisional control, and
     the log's states and controls are the rows after the pad.
 
-    Between solves the runner keeps the previous plan (shifted into the
-    next nominal) and the last QP solution (the next warm start).
+    Between solves the runner keeps the previous plan (shifted past the
+    committed controls into the next nominal) and the last QP solution
+    (the next warm start).
     """
     check_controller(params, controller, lead)
 
@@ -460,10 +463,10 @@ def run_episode(sim_cfg, params, mpc_cfg, controller="scp5", lead=0,
             if plan is None:
                 nominal = np.zeros((h.horizon, h.control_dim))
             else:
-                # shift-and-hold the previous plan, re-expressed in the
-                # new bundle's normalized units
+                # the previous plan past its lead + 1 applied controls,
+                # its last control held, in the new bundle's units
                 raw = plan.u_raw()
-                raw = np.vstack([raw[1:], raw[-1]])
+                raw = np.vstack([raw[lead + 1 :], np.repeat(raw[-1:], lead + 1, axis=0)])
                 nominal = (raw - bundle.control_mean) / bundle.control_std
             plan, info, qp_warm = scp_solve(
                 mpc_cfg, params, bundle, coupling, z0, nominal, us[i],

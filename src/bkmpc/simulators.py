@@ -29,7 +29,9 @@ sub-stepping:
 
 Nominal heat duties solve the temperature balances exactly at the
 published operating point, and a Newton refinement of the full balance
-gives the fixed point used to center initial-state sampling.
+gives the fixed point used to center initial-state sampling. Both are
+derived from the config at first use (``RscpConfig.q_nominal`` and
+``x_fixed``); neither is a field that can be set.
 
 Every function here works on rows: ``states`` is (E, n), ``controls``
 (E, m) and ``ts`` (E,), one entry per independent item, so E = 1 is a
@@ -126,9 +128,6 @@ class RscpConfig:
     train_horizon: int = 20_040
     test_horizon: int = 1_000
     x_set: tuple = tuple(RSCP_X_SET)
-    # filled in by the preset factory
-    q_nominal: tuple = (0.0, 0.0, 0.0)
-    x_fixed: tuple = tuple(RSCP_X_SET)
 
     system = "rscp"
     state_dim = 9
@@ -144,6 +143,16 @@ class RscpConfig:
     @property
     def control_high(self):
         return np.asarray(self.q_nominal) + self.duty_halfwidth
+
+    @cached_property
+    def q_nominal(self):
+        """The operating point's heat duties (``rscp_nominal_duties``)."""
+        return tuple(rscp_nominal_duties(self))
+
+    @cached_property
+    def x_fixed(self):
+        """The steady state at the nominal duties (``rscp_fixed_point``)."""
+        return tuple(rscp_fixed_point(self, self.q_nominal))
 
     @cached_property
     def _balance(self):
@@ -389,12 +398,6 @@ def preset(name, **overrides):
         cfg = RscpConfig(variant="ti" if name.endswith("ti") else "tv")
     if overrides:
         cfg = dataclasses.replace(cfg, **overrides)
-    if cfg.system == "rscp":
-        duties = rscp_nominal_duties(cfg)
-        fixed = rscp_fixed_point(cfg, duties)
-        cfg = dataclasses.replace(
-            cfg, q_nominal=tuple(duties), x_fixed=tuple(fixed)
-        )
     try:
         _CACHE[key] = cfg
     except TypeError:

@@ -1,9 +1,10 @@
 """Deterministic SVG line plots.
 
 Hand-rolled so that identical inputs produce byte-identical files: no
-timestamps, no generated ids, fixed float formatting. Supports an
-optional log10 y-axis and shaded uncertainty bands (filled polygon
-between mean - hw and mean + hw).
+timestamps, no generated ids, fixed float formatting. It draws the one
+figure the CLI asks for: titled and labelled series of positive values on
+a log10 y-axis, each with its shaded band (a filled polygon between
+y - hw and y + hw, clamped at 1e-300).
 """
 
 import math
@@ -37,14 +38,14 @@ def _ticks(lo, hi, count=6):
 
 
 class Series:
-    def __init__(self, name, x, y, band_halfwidth=None):
+    def __init__(self, name, x, y, band_halfwidth):
         self.name = name
         self.x = list(map(float, x))
         self.y = list(map(float, y))
-        self.band = None if band_halfwidth is None else list(map(float, band_halfwidth))
+        self.band = list(map(float, band_halfwidth))
 
 
-def emit_svg(series, path, title="", xlabel="", ylabel="", logy=False):
+def emit_svg(series, path, title, xlabel, ylabel):
     """Write the figure; returns False (with a warning) on empty input."""
     series = [s for s in series if len(s.x) and len(s.y)]
     if not series:
@@ -52,17 +53,10 @@ def emit_svg(series, path, title="", xlabel="", ylabel="", logy=False):
         return False
 
     def ty(v):
-        if logy:
-            return math.log10(max(v, 1e-300))
-        return v
+        return math.log10(max(v, 1e-300))
 
     xs = [v for s in series for v in s.x]
-    ys = []
-    for s in series:
-        for i, v in enumerate(s.y):
-            hw = s.band[i] if s.band else 0.0
-            ys.append(ty(v - hw) if not logy else ty(max(v - hw, 1e-300)))
-            ys.append(ty(v + hw))
+    ys = [ty(y + d) for s in series for y, hw in zip(s.y, s.band) for d in (-hw, hw)]
     x_lo, x_hi = min(xs), max(xs)
     y_lo, y_hi = min(ys), max(ys)
     if x_hi == x_lo:
@@ -85,11 +79,10 @@ def emit_svg(series, path, title="", xlabel="", ylabel="", logy=False):
         f'viewBox="0 0 {_W} {_H}">'
     )
     out.append(f'<rect width="{_W}" height="{_H}" fill="white"/>')
-    if title:
-        out.append(
-            f'<text x="{_W // 2}" y="24" text-anchor="middle" '
-            f'font-size="16" font-family="sans-serif">{title}</text>'
-        )
+    out.append(
+        f'<text x="{_W // 2}" y="24" text-anchor="middle" '
+        f'font-size="16" font-family="sans-serif">{title}</text>'
+    )
     # axes box
     out.append(
         f'<rect x="{_ML}" y="{_MT}" width="{_W - _ML - _MR}" '
@@ -107,42 +100,37 @@ def emit_svg(series, path, title="", xlabel="", ylabel="", logy=False):
         )
     for t in _ticks(y_lo, y_hi):
         Y = _H - _MB - (t - y_lo) / (y_hi - y_lo) * (_H - _MT - _MB)
-        label = f"1e{_fmt(t)}" if logy else _fmt(t)
         out.append(
             f'<line x1="{_ML - 5}" y1="{_fmt(Y)}" x2="{_ML}" y2="{_fmt(Y)}" '
             f'stroke="#333"/>'
         )
         out.append(
             f'<text x="{_ML - 8}" y="{_fmt(Y + 4)}" text-anchor="end" '
-            f'font-size="11" font-family="sans-serif">{label}</text>'
+            f'font-size="11" font-family="sans-serif">1e{_fmt(t)}</text>'
         )
-    if xlabel:
-        out.append(
-            f'<text x="{_W // 2}" y="{_H - 12}" text-anchor="middle" '
-            f'font-size="13" font-family="sans-serif">{xlabel}</text>'
-        )
-    if ylabel:
-        out.append(
-            f'<text x="18" y="{_H // 2}" text-anchor="middle" font-size="13" '
-            f'font-family="sans-serif" transform="rotate(-90 18 {_H // 2})">'
-            f"{ylabel}</text>"
-        )
+    out.append(
+        f'<text x="{_W // 2}" y="{_H - 12}" text-anchor="middle" '
+        f'font-size="13" font-family="sans-serif">{xlabel}</text>'
+    )
+    out.append(
+        f'<text x="18" y="{_H // 2}" text-anchor="middle" font-size="13" '
+        f'font-family="sans-serif" transform="rotate(-90 18 {_H // 2})">'
+        f"{ylabel}</text>"
+    )
 
     for i, s in enumerate(series):
         color = _PALETTE[i % len(_PALETTE)]
-        if s.band:
-            upper = [
-                f"{_fmt(px(x))},{_fmt(py(y + b))}"
-                for x, y, b in zip(s.x, s.y, s.band)
-            ]
-            lower = [
-                f"{_fmt(px(x))},{_fmt(py(max(y - b, 1e-300) if logy else y - b))}"
-                for x, y, b in zip(reversed(s.x), reversed(s.y), reversed(s.band))
-            ]
-            out.append(
-                f'<polygon points="{" ".join(upper + lower)}" fill="{color}" '
-                f'fill-opacity="0.15" stroke="none"/>'
-            )
+        upper = [
+            f"{_fmt(px(x))},{_fmt(py(y + b))}" for x, y, b in zip(s.x, s.y, s.band)
+        ]
+        lower = [
+            f"{_fmt(px(x))},{_fmt(py(y - b))}"
+            for x, y, b in zip(reversed(s.x), reversed(s.y), reversed(s.band))
+        ]
+        out.append(
+            f'<polygon points="{" ".join(upper + lower)}" fill="{color}" '
+            f'fill-opacity="0.15" stroke="none"/>'
+        )
         pts = " ".join(f"{_fmt(px(x))},{_fmt(py(y))}" for x, y in zip(s.x, s.y))
         out.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" '

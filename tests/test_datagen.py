@@ -1,5 +1,7 @@
 """Excitation sampling, windowing, splits, container round trips."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -368,6 +370,24 @@ def test_corrupt_header_rejected(tmp_path):
     p.write_bytes(bytes(raw))
     with pytest.raises(dg.FormatError):
         dg.read_dataset(p)
+
+
+def test_dataset_rejects_statistics_of_the_wrong_length(tmp_path):
+    # the normalization statistics must have state_dim (control_dim)
+    # entries; otherwise a 3-entry state_mean loads and training fails
+    # with a numpy broadcast error
+    ds = small_dataset(train=70, test=30)
+    cases = {
+        "state_mean": ds.state_mean[:3],
+        "state_std": np.append(ds.state_std, 1.0),
+        "control_mean": np.zeros(0),
+        "control_std": np.ones(2),
+    }
+    for key, value in cases.items():
+        path = tmp_path / f"{key}.bkds"
+        dg.write_dataset(dataclasses.replace(ds, **{key: value}), path)
+        with pytest.raises(dg.FormatError, match=key):
+            dg.read_dataset(path)
 
 
 def test_truncation_rejected(tmp_path):

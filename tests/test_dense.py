@@ -266,8 +266,8 @@ def _mixed_stack(rng, shape):
 
 
 def _kernel_outputs(M, E, Ek, v):
-    # the action's cost grows with 2**s, so it takes M / 4 (at most four
-    # squarings) to keep the test short; its groups still mix
+    # the action takes M / 4 (at most four squarings), so its blocks still
+    # mix matrices with and without squarings
     return [matrix_exp(M), matrix_exp_frechet(M, E), *action(M / 4, Ek, v)]
 
 
@@ -301,7 +301,7 @@ def test_kernel_temporaries_stay_within_the_block_budget(shape, k):
     M = _mixed_stack(rng, shape)
     n = shape[-1]
     if k:
-        # M / 16 needs at most two squarings, which keeps the test short
+        # M / 16 needs at most two squarings
         deriv = action, (M / 16, rng.standard_normal((k, n, n)), rng.standard_normal(shape[:-1]))
     else:
         deriv = matrix_exp_frechet, (M, rng.standard_normal(shape))
@@ -315,6 +315,32 @@ def test_kernel_temporaries_stay_within_the_block_budget(shape, k):
             tracemalloc.stop()
         out_bytes = sum(x.nbytes for x in (out if isinstance(out, tuple) else (out,)))
         assert peak <= out_bytes + 4 * dense._BLOCK_BYTES, fn.__name__
+
+
+def test_frechet_action_at_sixteen_squarings_stays_within_the_block_budget():
+    # nilpotent matrices at a 1-norm that needs 16 squarings, a stack of
+    # several budgets: the action's traced peak is its output plus a few
+    # budgets, as for the other kernels, not a multiple of 2**s, and its
+    # members match the extended-precision block exponential
+    rng = np.random.default_rng(71)
+    M = np.triu(rng.standard_normal((1024, 15, 15)), 1)
+    M *= (0.9 * _THETA * 2**16 / np.abs(M).sum(axis=-2).max(axis=-1))[:, None, None]
+    assert np.all(dense._squarings(np.abs(M).sum(axis=-2).max(axis=-1)) == 16)
+    E, v = rng.standard_normal((3, 15, 15)), rng.standard_normal((1024, 15))
+    tracemalloc.start()
+    try:
+        X, Lv = action(M, E, v)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= X.nbytes + Lv.nbytes + 4 * dense._BLOCK_BYTES
+    for i in (0, 517, 1023):
+        assert np.array_equal(X[i], matrix_exp(M[i]))
+        for j in range(3):
+            _, L_ref = block_frechet(M[i], E[j])
+            assert _rel_action(Lv[i, :, j], L_ref, v[i]) <= 1e-13, (i, j)
+            ref = L_ref @ v[i]
+            assert np.abs(Lv[i, :, j] - ref).sum() <= 1e-13 * np.abs(ref).sum()
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 7, 8, 15, 16, 31, 32, 64])

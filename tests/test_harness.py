@@ -465,6 +465,37 @@ def test_lead_sweep_d0_summary_rows_match_run_mpc(workdir, tmp_path):
     )
 
 
+def test_equal_inputs_give_equal_closed_loop_artifacts(workdir, tmp_path):
+    # run-mpc and lead-sweep, each run twice on the same inputs: the lead
+    # table, the cost bands and every figure are byte-identical, and the
+    # episode and summary tables equal once their wall-time cells are
+    # masked
+    lin = str(workdir / "run-linear" / "linear-best.bkcp")
+    bil = str(workdir / "run-bilinear" / "bilinear-best.bkcp")
+    common = ["--preset", "cartpole-ti", "--episodes", "2", "--episode-len", "12",
+              "--seed", "4"]
+    walls = {"solve_wall_s", "mean_wall_per_solve_s", "mean_wall_per_control_step_s"}
+    runs = [tmp_path / "a", tmp_path / "b"]
+    for out in runs:
+        assert main(["run-mpc", "--ckpt", bil, "--controller", "scp5", "--lead", "1",
+                     *common, "--out", str(out / "mpc")]) == 0
+        assert main(["lead-sweep", "--linear-ckpt", lin, "--bilinear-ckpt", bil,
+                     "--lead", "0,2", *common, "--out", str(out / "sweep")]) == 0
+    a, b = runs
+    names = sorted(p.relative_to(a) for p in a.rglob("*") if p.is_file())
+    assert names == sorted(p.relative_to(b) for p in b.rglob("*") if p.is_file())
+    assert {"lead-d0.svg", "lead-d2.svg"} <= {name.name for name in names}
+    for name in names:
+        if name.name in ("lead_table.csv", "cost_bands.csv") or name.suffix == ".svg":
+            assert (a / name).read_bytes() == (b / name).read_bytes(), name
+        elif name.suffix == ".csv":
+            x, y = ([{k: v for k, v in row.items() if k not in walls}
+                     for row in results.read_csv(root / name)] for root in runs)
+            assert x == y, name
+        elif name.name == "summary.json":
+            assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+
 def test_write_csv_cell_text(tmp_path):
     # write_csv alone turns values into cell text: floats of either kind
     # round-trip, booleans of either kind are 0/1, the rest is str()
@@ -577,7 +608,8 @@ def test_usage_errors_exit_one():
 
 def test_svg_constant_series(tmp_path):
     path = tmp_path / "c.svg"
-    assert emit_svg([Series("flat", [0, 1, 2], [1.0, 1.0, 1.0])], path)
+    assert emit_svg([Series("flat", [0, 1, 2], [1.0, 1.0, 1.0], [0.0] * 3)],
+                    path, "t", "x", "y")
     text = path.read_text()
     assert "<polyline" in text and "flat" in text
 
@@ -585,19 +617,19 @@ def test_svg_constant_series(tmp_path):
 def test_svg_byte_identical(tmp_path):
     s = [Series("a", [0, 1, 2], [1.0, 2.0, 1.5], [0.1, 0.2, 0.1])]
     p1, p2 = tmp_path / "a.svg", tmp_path / "b.svg"
-    emit_svg(s, p1, title="t", logy=True)
-    emit_svg(s, p2, title="t", logy=True)
+    emit_svg(s, p1, "t", "x", "y")
+    emit_svg(s, p2, "t", "x", "y")
     assert p1.read_bytes() == p2.read_bytes()
 
 
 def test_svg_band_polygon(tmp_path):
     path = tmp_path / "band.svg"
-    emit_svg([Series("b", [0, 1], [1.0, 2.0], [0.3, 0.3])], path)
+    emit_svg([Series("b", [0, 1], [1.0, 2.0], [0.3, 0.3])], path, "t", "x", "y")
     assert "<polygon" in path.read_text()
 
 
 def test_svg_empty_warns(tmp_path):
     path = tmp_path / "none.svg"
     with pytest.warns(UserWarning):
-        assert not emit_svg([], path)
+        assert not emit_svg([], path, "t", "x", "y")
     assert not path.exists()

@@ -662,6 +662,29 @@ def test_lead_queue_arithmetic_and_frozen_bundle():
         assert len(boundaries) == expect
 
 
+def test_lead_warm_start_skips_the_committed_controls(monkeypatch):
+    # at lead d each solve after the first starts from the previous plan
+    # past the d + 1 controls applied since, its last control held d + 1
+    # times, in the new bundle's normalized units
+    seen = []
+    real = mpc.scp_solve
+
+    def scp_solve(cfg, params, bundle, coupling, z0, nominal, *rest):
+        plan, info, warm = real(cfg, params, bundle, coupling, z0, nominal, *rest)
+        seen.append((bundle, np.array(nominal), plan.u_raw()))
+        return plan, info, warm
+
+    monkeypatch.setattr(mpc, "scp_solve", scp_solve)
+    lead = 2
+    log = run_smoke_episode("bilinear", "scp1", lead=lead, steps=24)
+    assert len(seen) == log.solves > 2
+    assert not seen[0][1].any()
+    for (_, _, prev), (bundle, nominal, _) in zip(seen, seen[1:]):
+        raw = np.vstack([prev[lead + 1 :], np.repeat(prev[-1:], lead + 1, axis=0)])
+        assert np.array_equal(nominal, (raw - bundle.control_mean) / bundle.control_std)
+        assert np.array_equal(nominal[-lead - 1 :], np.repeat(nominal[-1:], lead + 1, axis=0))
+
+
 def test_solve_history_is_the_padded_log(monkeypatch):
     # each solve sees the last H logged states, padded before step 0 with
     # the initial state, and the controls applied at them, padded with

@@ -296,6 +296,19 @@ def test_rscp_operating_point_pinned():
         assert np.asarray(cfg.q_nominal).tobytes() == duties
 
 
+def test_rscp_operating_point_is_derived_not_set():
+    # a config built directly has the preset's operating point and duty
+    # box, and an override of the derived point is refused rather than
+    # silently replaced
+    cfg = sim.preset("rscp-ti")
+    direct = sim.RscpConfig(variant="ti")
+    for name in ("q_nominal", "x_fixed", "control_low", "control_high"):
+        got, want = getattr(direct, name), getattr(cfg, name)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), name
+    with pytest.raises(TypeError):
+        sim.preset("rscp-ti", x_fixed=cfg.x_set)
+
+
 def test_neutral_control_is_box_center():
     cp = sim.preset("cartpole-ti")
     assert np.allclose(sim.neutral_control(cp), [0.0])
