@@ -31,21 +31,27 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: usage error: {message}\n")
 
 
-def _int_at_least(text, low):
-    value = int(text)
-    if value < low:
-        raise argparse.ArgumentTypeError(f"must be an integer >= {low}, got {text}")
+def _checked(text, convert, ok, rule):
+    """``convert(text)``, refused unless ``ok`` holds for it."""
+    value = convert(text)
+    if not ok(value):
+        raise argparse.ArgumentTypeError(f"must be {rule}, got {text}")
     return value
 
 
 def positive_int(text):
     """Option type of a count: an integer >= 1."""
-    return _int_at_least(text, 1)
+    return _checked(text, int, lambda v: v >= 1, "an integer >= 1")
 
 
 def non_negative_int(text):
-    """Option type of a commitment lead: an integer >= 0."""
-    return _int_at_least(text, 0)
+    """Option type of a commitment lead or a seed: an integer >= 0."""
+    return _checked(text, int, lambda v: v >= 0, "an integer >= 0")
+
+
+def positive_float(text):
+    """Option type of a learning rate: a finite number > 0."""
+    return _checked(text, float, lambda v: 0.0 < v < np.inf, "a finite number > 0")
 
 
 def lead_list(text):
@@ -68,16 +74,16 @@ def build_parser():
     g.add_argument("--out", required=True)
     g.add_argument("--train-windows", type=positive_int, default=39_900)
     g.add_argument("--test-windows", type=positive_int, default=4_000)
-    g.add_argument("--seed", type=int, default=1)
+    g.add_argument("--seed", type=non_negative_int, default=1)
 
     t = sub.add_parser("train", help="train a model on a dataset")
     t.add_argument("--data", required=True)
     t.add_argument("--model", required=True, choices=("linear", "bilinear"))
     t.add_argument("--out", required=True)
     t.add_argument("--epochs", type=positive_int, default=401)
-    t.add_argument("--seed", type=int, default=1)
+    t.add_argument("--seed", type=non_negative_int, default=1)
     t.add_argument("--batch-size", type=positive_int, default=256)
-    t.add_argument("--lr", type=float, default=1e-3)
+    t.add_argument("--lr", type=positive_float, default=1e-3)
     t.add_argument("--latent-dim", type=positive_int)
     t.add_argument("--hidden", type=positive_int)
     t.add_argument("--no-log-test", action="store_true")
@@ -96,7 +102,7 @@ def build_parser():
                    choices=mpc.CONTROLLER_KINDS)
     r.add_argument("--episodes", type=positive_int, default=10)
     r.add_argument("--lead", type=non_negative_int, default=0)
-    r.add_argument("--seed", type=int, default=1)
+    r.add_argument("--seed", type=non_negative_int, default=1)
     r.add_argument("--episode-len", type=positive_int, default=1_000)
     r.add_argument("--out", required=True)
 
@@ -107,7 +113,7 @@ def build_parser():
     s.add_argument("--lead", type=lead_list, default="0,1,3,5",
                    help="comma list, default %(default)s")
     s.add_argument("--episodes", type=positive_int, default=10)
-    s.add_argument("--seed", type=int, default=1)
+    s.add_argument("--seed", type=non_negative_int, default=1)
     s.add_argument("--episode-len", type=positive_int, default=1_000)
     s.add_argument("--out", required=True)
 

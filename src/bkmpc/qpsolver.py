@@ -10,11 +10,12 @@ box, and free otherwise. The solve ends ``solved`` when the largest free
 gradient entry is within the stationarity tolerance; the box multiplier
 is then -grad on the clamped entries and 0 on the free ones, so a
 ``solved`` status certifies the KKT residual of :func:`kkt_residual`.
-Otherwise a Newton step on the free block, by Cholesky, is searched along
-the projection arc ``clip(x + a d)``, a = 1, 1/2, 1/4, ..., until the
-Armijo condition holds. While the free block is singular (positive
-semidefinite H), a diagonal shift growing tenfold from roundoff level is
-added before factoring. When no Newton trial passes, a projected-gradient
+Otherwise a Newton step on the free block, by one LU solve, is searched
+along the projection arc ``clip(x + a d)``, a = 1, 1/2, 1/4, ..., until
+the Armijo condition holds. A step that is not finite or not downhill (a
+singular block of a positive semidefinite H) is solved again with the
+least diagonal shift, growing tenfold from roundoff level, that passes a
+Cholesky factorization. When no Newton trial passes, a projected-gradient
 step is searched the same way. An accepted step always lowers the
 objective; when neither search finds a lower point, the objective cannot
 fall further in floating point and the solve ends ``stalled``.
@@ -22,6 +23,7 @@ fall further in floating point and the solve ends ``stalled``.
 Warm starting clips the previous solution into the new box.
 """
 
+from contextlib import suppress
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,9 +83,14 @@ def kkt_residual(p, x, dual):
 
 def _newton_direction(H, grad, free):
     """Newton step on the free block, zero on the clamped entries; None
-    when no shift up to the block's largest diagonal entry makes the block
-    factor (H not positive semidefinite, or not finite)."""
-    block = H[free][:, free]
+    when neither the LU step nor any shift up to the block's largest
+    diagonal entry serves (H not positive semidefinite, or not finite)."""
+    d = np.zeros_like(grad)
+    block, g = (H, grad) if free.all() else (H[free][:, free], grad[free])
+    with suppress(np.linalg.LinAlgError):
+        d[free] = -np.linalg.solve(block, g)
+    if -np.inf < float(grad @ d) < 0.0:  # false for a zero or non-finite d
+        return d
     scale = float(np.max(np.diag(block)))
     for shift in (0.0, *(_EPS * scale * 10.0 ** np.arange(17))):
         shifted = block if shift == 0.0 else block + shift * np.eye(len(block))
@@ -91,10 +98,7 @@ def _newton_direction(H, grad, free):
             np.linalg.cholesky(shifted)
         except np.linalg.LinAlgError:
             continue
-        # numpy has no triangular solve: with the block certified positive
-        # definite, one LU solve costs less than two solves with the factor
-        d = np.zeros_like(grad)
-        d[free] = -np.linalg.solve(shifted, grad[free])
+        d[free] = -np.linalg.solve(shifted, g)
         return d
     return None
 
@@ -131,7 +135,8 @@ def solve_box_qp(p, warm=None):
     g_max = float(np.max(np.abs(p.g), initial=0.0))
     # a projected-gradient step of 1 / (largest row sum of |H|) passes
     # Armijo without halving: that sum bounds the curvature
-    pg_scale = 1.0 / max(float(np.max(abs_h.sum(axis=1), initial=0.0)), np.finfo(float).tiny)
+    row_max = float(np.max(abs_h.sum(axis=1), initial=0.0))
+    pg_scale = 1.0 / max(row_max, np.finfo(float).tiny)
     it = 0
     while True:
         it += 1
@@ -140,10 +145,12 @@ def solve_box_qp(p, warm=None):
         free = ~clamped
         stationarity = float(np.max(np.abs(grad[free]), initial=0.0))
         # the certified bound stays absolute so that "solved" implies a
-        # 1e-6 KKT residual on O(1)-scaled problems; the second term only
-        # matters when the objective is so large that 1e-6 sits below
-        # evaluation roundoff
-        eval_noise = float(np.max(abs_h @ np.abs(x), initial=0.0)) + g_max
+        # 1e-6 KKT residual on O(1)-scaled problems; the noise term only
+        # matters below evaluation roundoff, and its |H| @ |x| is formed only
+        # when the bound row_max * max|x|, slackened for rounding, cannot refuse
+        eval_noise = row_max * float(np.max(np.abs(x), initial=0.0)) * (1.0 + 1e-12) + g_max
+        if stationarity <= 100.0 * p.n * _EPS * eval_noise:
+            eval_noise = float(np.max(abs_h @ np.abs(x), initial=0.0)) + g_max
         if stationarity <= max(_EPS_ABS, 100.0 * p.n * _EPS * eval_noise):
             status = "solved"
             break

@@ -297,9 +297,9 @@ def _config(tmp_path, command, **section):
 
 
 def test_closed_loop_rejects_bad_values_before_writing(workdir, tmp_path, capsys):
-    # no episodes, no steps, or no lead, a lead that is not an integer
-    # >= 0 or a repeated sweep lead, from a flag or from the config file,
-    # is a usage error (exit 1); a coupled checkpoint for the linear
+    # no episodes, no steps, or no lead, a lead or seed that is not an
+    # integer >= 0 or a repeated sweep lead, from a flag or from the config
+    # file, is a usage error (exit 1); a coupled checkpoint for the linear
     # controller, or a lead whose commitment window overruns the model's
     # 30-step plan, is refused (exit 2); neither writes any output
     bil = str(workdir / "run-bilinear" / "bilinear-best.bkcp")
@@ -327,6 +327,10 @@ def test_closed_loop_rejects_bad_values_before_writing(workdir, tmp_path, capsys
         (["lead-sweep", "--linear-ckpt", bil, "--bilinear-ckpt", bil], 2),
         (mpc + ["--lead", "30"], 2),
         (sweep + ["--lead", "0,30"], 2),
+        (mpc + ["--seed", "-2"], 1),
+        (_config(tmp_path, "run-mpc", seed=-2) + mpc, 1),
+        (sweep + ["--seed=-2"], 1),
+        (_config(tmp_path, "lead-sweep", seed=-1) + sweep, 1),
     ]
     for i, (argv, code) in enumerate(cases):
         out = tmp_path / f"out{i}"
@@ -338,8 +342,10 @@ def test_closed_loop_rejects_bad_values_before_writing(workdir, tmp_path, capsys
 
 
 def test_counts_reject_bad_values_before_writing(workdir, tmp_path, capsys):
-    # a gen-data or train count that is not an integer >= 1, from a flag or
-    # from the config file, is a usage error (exit 1) that writes nothing
+    # a gen-data or train count that is not an integer >= 1, a seed that is
+    # not an integer >= 0 or a learning rate that is not a finite number
+    # > 0, from a flag or from the config file, is a usage error (exit 1)
+    # that writes nothing
     gen = ["gen-data", "--preset", "cartpole-ti"]
     train = ["train", "--data", str(workdir / "cp.bkds"), "--model", "linear"]
     cases = [
@@ -353,6 +359,16 @@ def test_counts_reject_bad_values_before_writing(workdir, tmp_path, capsys):
         train + ["--latent-dim", "0"],
         train + ["--hidden", "0"],
         _config(tmp_path, "train", epochs=1.5) + train,
+        gen + ["--seed", "-3"],
+        _config(tmp_path, "gen-data", seed=-3) + gen,
+        train + ["--seed=-1"],
+        _config(tmp_path, "train", seed=-1) + train,
+        train + ["--lr", "nan"],
+        train + ["--lr", "inf"],
+        train + ["--lr=-1"],
+        train + ["--lr", "0"],
+        _config(tmp_path, "train", lr="nan") + train,
+        _config(tmp_path, "train", lr=-1e-3) + train,
     ]
     for i, argv in enumerate(cases):
         out = tmp_path / f"out{i}"

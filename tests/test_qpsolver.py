@@ -1,9 +1,13 @@
-"""Box QP solver against analytic optima and the active-set oracle."""
+"""Box QP solver against analytic optima and the active-set oracle, and
+the factorizations its Newton step makes."""
 
 import numpy as np
 import pytest
 
+from bkmpc import model as mdl
 from bkmpc import qpsolver
+from bkmpc import scp_mpc as mpc
+from bkmpc import simulators as sim
 from bkmpc.qpsolver import QpProblem, QpSolution, kkt_residual, solve_box_qp
 from helpers import enumerate_box_qp
 
@@ -232,3 +236,92 @@ def test_objective_not_above_clipped_warm_start():
         sol = solve_box_qp(p, warm=warm)
         assert sol.status == "solved"
         assert sol.objective <= objective(p, np.clip(start, p.lb, p.ub))
+
+
+def _counting(monkeypatch, name):
+    """Replace ``np.linalg.<name>`` by a wrapper; returns the list of the
+    first arguments of its calls."""
+    calls, real = [], getattr(np.linalg, name)
+
+    def wrapper(a, *args):
+        calls.append(a)
+        return real(a, *args)
+
+    monkeypatch.setattr(np.linalg, name, wrapper)
+    return calls
+
+
+def test_positive_definite_newton_direction_is_one_lu_solve(monkeypatch):
+    # on a positive definite block the direction is the LU solve of the
+    # free block, bit for bit, with no Cholesky check; with no entry
+    # clamped, the solve reads H itself, not a copy
+    rng = np.random.default_rng(109)
+    p = random_problem(rng, 8)
+    grad = rng.standard_normal(8)
+    masks = (np.ones(8, dtype=bool), np.array([1, 0, 1, 1, 0, 1, 1, 0], dtype=bool))
+    expected = [-np.linalg.solve(p.H[free][:, free], grad[free]) for free in masks]
+    solves = _counting(monkeypatch, "solve")
+    factors = _counting(monkeypatch, "cholesky")
+    for free, want in zip(masks, expected):
+        d = qpsolver._newton_direction(p.H, grad, free)
+        assert np.array_equal(d[free], want)
+        assert np.array_equal(d[~free], np.zeros((~free).sum()))
+    assert len(solves) == 2 and solves[0] is p.H
+    assert not factors
+
+
+def test_scp5_episode_never_needs_the_cholesky_fallback(monkeypatch):
+    # the condensed QPs of a coupled model's closed loop have positive
+    # definite free blocks, so every Newton step is one LU solve
+    hyper = mdl.hyper_for("cartpole", "bilinear", latent_dim=3, rank=3, conv_kernel=5, hidden=8)
+    n, m = hyper.state_dim, hyper.control_dim
+    params = mdl.init_params(hyper, np.zeros(n), np.ones(n), np.ones(m), seed=7)
+    rng = np.random.default_rng(3)
+    for key in ("cpl_l", "cpl_r"):
+        params.arrays[key] = 0.5 * rng.standard_normal(params.arrays[key].shape)
+    solves = _counting(monkeypatch, "solve")
+    factors = _counting(monkeypatch, "cholesky")
+    log = mpc.run_episode(
+        sim.preset("cartpole-ti"), params, mpc.mpc_preset("cartpole", episode_len=10),
+        controller="scp5", seed=11,
+    )
+    assert log.qp_iters.sum() > 0 and len(solves) > 0
+    assert not factors
+
+
+def test_singular_free_block_is_solved_through_the_shift_fallback(monkeypatch):
+    # H = [[1, 1], [1, 1]] is positive semidefinite and exactly singular:
+    # its LU solve fails, and a Cholesky-certified shift gives the step
+    factors = _counting(monkeypatch, "cholesky")
+    p = QpProblem(np.ones((2, 2)), np.array([-1.0, -2.0]), np.full(2, -2.0), np.full(2, 2.0))
+    sol = solve_box_qp(p)
+    assert sol.status == "solved"
+    assert np.allclose(sol.x, [-1.0, 2.0], atol=1e-8)
+    assert len(factors) >= 2  # shift 0 fails, a positive shift passes
+
+
+def test_noise_bound_decides_both_ways_at_a_large_objective_scale():
+    # at a curvature of 1e12 the stationarity tolerance is set by
+    # evaluation noise. Here only the |H| @ |x| term can certify the
+    # Newton step's result: its gradient roundoff, about 1.6e-4, is far
+    # above both 1e-6 and the g term, so a cheap bound that refused it
+    # would leave the solve unsolved
+    eps = np.finfo(float).eps
+    H = 1e12 * np.array([[1.0, 1e-4 - 1.0], [1e-4 - 1.0, 1.0]])
+    p = QpProblem(H, np.array([-1.3e8, -0.7e8]), np.full(2, -10.0), np.full(2, 10.0))
+    sol = solve_box_qp(p)
+    assert sol.status == "solved" and sol.iterations == 2
+    assert kkt_residual(p, sol.x, sol.dual)[1] > max(1e-6, 100.0 * 2 * eps * 1.3e8)
+
+    # where the bound row_max * max|x| cannot refuse but the product does,
+    # the solve goes on: a warm start one unit off the optimum of a badly
+    # scaled diagonal problem is refused, then solved by one Newton step
+    H = np.diag([1e15, 1.0])
+    g = np.array([-1e12 - 0.3, -1e6 + 0.7])
+    p = QpProblem(H, g, np.full(2, -1e9), np.full(2, 1e9))
+    start = np.linalg.solve(H, -g) + [0.0, 1.0]
+    noise = np.max(np.abs(H) @ np.abs(start)) + np.max(np.abs(g))
+    bound = np.max(np.abs(H).sum(axis=1)) * np.max(np.abs(start)) + np.max(np.abs(g))
+    assert 100.0 * 2 * eps * noise < 1.0 < 100.0 * 2 * eps * bound  # 1: the start's stationarity
+    sol = solve_box_qp(p, warm=QpSolution(start, np.zeros(2), 0.0, 0, "solved"))
+    assert sol.status == "solved" and sol.iterations == 2
