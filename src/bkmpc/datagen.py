@@ -21,13 +21,14 @@ windows reach its request. One lockstep runner simulates the episodes of
 both splits as rows of shared lane arrays, each split running at most
 half of one lane cap ahead of its prefix. Each lane slot holds one
 generator, re-keyed to ``episode_rng``'s stream whenever an episode is
-admitted to it, so starting an episode builds no new generator. A
-split's head episode (its first unfinished one) is cut where its windows
-complete the request, so the long RSCP episodes of both splits run side
-by side, only as far as needed. Admission and the cut only decide how
-much simulation runs: each episode draws from its own stream in a fixed
-order, and the cut drops only windows past the request, so data is a pure
-function of (seed, request).
+admitted to it, so starting an episode builds no new generator. Every
+running episode of a split is capped at the steps the split can still
+use and cut back to them as it joins the prefix, so the long RSCP
+episodes of both splits run side by side, only as far as needed.
+Admission and the caps only decide how much simulation runs: each
+episode draws from its own stream in a fixed order, and the cut drops
+only windows past the request, so data is a pure function of (seed,
+request).
 """
 
 from dataclasses import dataclass, field
@@ -36,7 +37,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import simulators as sim
-from .results import read_container, write_container
+from .results import check_header, read_container, write_container
 from .results import FormatError, IntegrityError  # noqa: F401  (re-exported)
 
 WINDOW_LEN = 60
@@ -213,9 +214,9 @@ def _run_episode_batch(cfg, seed, wants):
     lanes`` and ``i < _EPISODE_BUDGET``, ``head`` being its first
     unfinished episode. ``lanes`` starts at 1 and doubles, up to half of
     ``_MAX_LANES`` (at least 1), in every step in which one of the
-    split's episodes ends short of its request.
-    The head episode is cut where its windows complete the request, and a
-    met request ends the split's other lanes; see the module docstring.
+    split's episodes ends short of its request. Each live episode of a
+    split stops at its ``limit``, set at admission and again for all of
+    them whenever ``have`` grows; joining the prefix cuts what one ran past.
     """
     n, m = cfg.state_dim, cfg.control_dim
     low = np.asarray(cfg.control_low, dtype=float)
@@ -231,26 +232,23 @@ def _run_episode_batch(cfg, seed, wants):
     slot, step = np.zeros(0, dtype=int), np.zeros(0, dtype=int)
     x, t = np.zeros((0, n)), np.zeros(0)
 
-    def cut(k):
-        """The last step of split k's head episode; 0 once its request is met."""
+    def limit(k):
+        """The most steps an episode of split k can still use, the windows of
+        its finished prefix counted; 0 once the request is met."""
         d = wants[k] - have[k]
         return min(horizon[k], d + WINDOW_LEN - 1) if d > 0 else 0
 
     while True:
         for k in (0, 1):
-            first = head[k]
+            had = have[k]
             while head[k] in finished[k] and have[k] < wants[k]:
                 xs, us = finished[k][head[k]]
-                us = us[: wants[k] - have[k] + WINDOW_LEN - 1]  # ran past its cut
+                us = us[: wants[k] - have[k] + WINDOW_LEN - 1]  # ran past its limit
                 finished[k][head[k]] = xs[: len(us) + 1], us
                 have[k] += max(len(us) - WINDOW_LEN + 1, 0)
                 head[k] += 1
-            if head[k] == first:
-                continue
-            if have[k] >= wants[k]:  # a met request ends the split's lanes
-                last[list(live[k].values())] = 0
-            elif head[k] in live[k]:  # the new head stops at the cut
-                last[live[k][head[k]]] = cut(k)
+            if have[k] > had:
+                last[list(live[k].values())] = limit(k)
         need = [wants[0] - have[0], wants[1] - have[1]]
         if max(need) <= 0:
             break
@@ -277,7 +275,7 @@ def _run_episode_batch(cfg, seed, wants):
                 new_slot.append(s)
                 owner[s] = k, i
                 live[k][i] = s
-                last[s] = cut(k) if i == head[k] else horizon[k]
+                last[s] = limit(k)
                 nxt[k] = i + 1
         if new_slot:
             new_x = np.array(new_x)
@@ -394,12 +392,14 @@ def write_dataset(ds, path):
 
 
 def _dataset_layout(header):
-    """The payload layout of a dataset header, whose statistics must have
-    their dimensions' lengths."""
-    for key, dim in (("state_mean", "state_dim"), ("state_std", "state_dim"),
-                     ("control_mean", "control_dim"), ("control_std", "control_dim")):
-        if (got := len(header[key])) != header[dim]:
-            raise FormatError(f"dataset {key} has {got} entries, not {header[dim]}")
+    """The payload layout of a dataset header, which must hold every key
+    ``read_dataset`` reads, counts that are integers >= 0 and statistics
+    of their dimensions' lengths."""
+    check_header(header, "dataset", ("preset", "seed", "split_seed"),
+                 ("windows", "window_len", "state_dim", "control_dim"))
+    ns, nc = header["state_dim"], header["control_dim"]
+    check_header(header, "dataset", stats=(("state_mean", ns), ("state_std", ns),
+                                           ("control_mean", nc), ("control_std", nc)))
     n, wl = header["windows"], header["window_len"]
     return [
         ("states", "<f8", (n, wl, header["state_dim"])),

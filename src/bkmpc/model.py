@@ -625,20 +625,30 @@ def save_checkpoint(params, path, meta=None):
 
 
 def _checked_layout(header):
-    """The payload layout of a checkpoint header, whose parameter list
-    must be the ``_param_spec`` of its kind and hyperparameters and whose
-    statistics must have their dimensions' lengths."""
-    h = ModelHyper(kind=header["kind"], **header["hyper"])
+    """The payload layout of a checkpoint header, which must hold every key
+    ``load_checkpoint`` reads, a kind and hyperparameters ``ModelHyper``
+    takes (its int fields integers >= 0), statistics of their dimensions'
+    lengths and the ``_param_spec`` of that kind and hyperparameters."""
+    results.check_header(header, "checkpoint", ("kind", "preset", "seed", "hyper", "params"))
+    fields = dataclasses.fields(ModelHyper)
+    results.check_header(header["hyper"], "checkpoint hyper",
+                         [f.name for f in fields if f.name != "kind"],
+                         [f.name for f in fields if f.type is int])
+    if header["kind"] not in ("linear", "bilinear"):
+        raise results.FormatError(f"checkpoint kind {header['kind']!r} is not linear or bilinear")
+    try:
+        h = ModelHyper(kind=header["kind"], **header["hyper"])
+    except (TypeError, ValueError) as err:  # a key it does not take, a value it refuses
+        raise results.FormatError(f"checkpoint hyper refused: {err}") from err
     spec = _param_spec(h)
     if header["params"] != [[name, list(shape)] for name, shape in spec]:
         raise results.FormatError(
             f"checkpoint parameter list is not that of a {header['kind']} "
             "model of its hyperparameters"
         )
-    for key, dim in (("state_mean", h.state_dim), ("state_std", h.state_dim),
-                     ("control_floor", h.control_dim)):
-        if (got := len(header[key])) != dim:
-            raise results.FormatError(f"checkpoint {key} has {got} entries, not {dim}")
+    results.check_header(header, "checkpoint", stats=(
+        ("state_mean", h.state_dim), ("state_std", h.state_dim),
+        ("control_floor", h.control_dim)))
     return [(name, "<f8", shape) for name, shape in spec]
 
 

@@ -124,16 +124,13 @@ def matrix_exp(M):
 
     Scaling and squaring: halve each matrix until its 1-norm is below the
     switching radius, evaluate T16, then square back, block by block.
-    exp(0) is the identity exactly.
+    A zero matrix needs no squaring, and T16(0) is the identity exactly
+    (``_C``'s c0 = 1), which keeps the zero-coupling step bit-identical
+    to the plain diagonal hold step.
     """
     M = _as_square(M, "matrix_exp input")
     n = M.shape[-1]
-    norm1 = _norms(M, "matrix_exp input")
-    if not norm1.any():
-        # exp(0) is the identity exactly; keeps the zero-coupling step
-        # bit-identical to the plain diagonal hold step
-        return np.broadcast_to(np.eye(n), M.shape).copy()
-    s = _squarings(norm1)
+    s = _squarings(_norms(M, "matrix_exp input"))
     flat = M.reshape(s.size, n, n)
     X = np.empty(flat.shape)
     for b in _blocks(s.size, 5 * 8 * n * n):

@@ -13,12 +13,12 @@ is then -grad on the clamped entries and 0 on the free ones, so a
 Otherwise a Newton step on the free block, by one LU solve, is searched
 along the projection arc ``clip(x + a d)``, a = 1, 1/2, 1/4, ..., until
 the Armijo condition holds. A step that is not finite or not downhill (a
-singular block of a positive semidefinite H) is solved again with the
-least diagonal shift, growing tenfold from roundoff level, that passes a
-Cholesky factorization. When no Newton trial passes, a projected-gradient
-step is searched the same way. An accepted step always lowers the
-objective; when neither search finds a lower point, the objective cannot
-fall further in floating point and the solve ends ``stalled``.
+singular block of a positive semidefinite H) is LU-solved again with
+the block's diagonal raised by eps * max(diag) * 10**k, k = 0, 1, ...,
+16, until one is. When no Newton trial passes, a projected-gradient step
+is searched the same way. An accepted step always lowers the objective;
+when neither search finds a lower point, the objective cannot fall
+further in floating point and the solve ends ``stalled``.
 
 Warm starting clips the previous solution into the new box.
 """
@@ -82,24 +82,21 @@ def kkt_residual(p, x, dual):
 
 
 def _newton_direction(H, grad, free):
-    """Newton step on the free block, zero on the clamped entries; None
-    when neither the LU step nor any shift up to the block's largest
-    diagonal entry serves (H not positive semidefinite, or not finite)."""
+    """Newton step on the free block, zero on the clamped entries: the LU
+    solve of the block, or of the block shifted as the module docstring
+    says, that first gives a finite downhill step; None when none does (H
+    not positive semidefinite, or not finite)."""
     d = np.zeros_like(grad)
     block, g = (H, grad) if free.all() else (H[free][:, free], grad[free])
-    with suppress(np.linalg.LinAlgError):
-        d[free] = -np.linalg.solve(block, g)
-    if -np.inf < float(grad @ d) < 0.0:  # false for a zero or non-finite d
-        return d
-    scale = float(np.max(np.diag(block)))
-    for shift in (0.0, *(_EPS * scale * 10.0 ** np.arange(17))):
-        shifted = block if shift == 0.0 else block + shift * np.eye(len(block))
-        try:
-            np.linalg.cholesky(shifted)
-        except np.linalg.LinAlgError:
-            continue
-        d[free] = -np.linalg.solve(shifted, g)
-        return d
+    for k in range(-1, 17):
+        shifted = block
+        if k >= 0:  # the diagonal raised by eps * max(diag) * 10**k
+            shift = _EPS * float(np.max(np.diag(block))) * 10.0**k
+            shifted = block + shift * np.eye(len(block))
+        with suppress(np.linalg.LinAlgError):
+            d[free] = -np.linalg.solve(shifted, g)
+            if -np.inf < float(grad @ d) < 0.0:  # false for a zero or non-finite d
+                return d
     return None
 
 

@@ -25,14 +25,16 @@ import json
 import os
 import struct
 import subprocess
+import sys
 
 import numpy as np
 
 
 class FormatError(ValueError):
     """Container magic or version is wrong, or its header does not
-    describe the payload its reader expects (a checkpoint's parameter
-    list that is not its kind's and hyperparameters')."""
+    describe the payload its reader expects: a key it reads is missing, or
+    a value is one it refuses (a checkpoint's parameter list that is not
+    its kind's and hyperparameters')."""
 
 
 class IntegrityError(ValueError):
@@ -107,6 +109,28 @@ def _read_exact(fh, count, what):
     if len(buf) != count:
         raise IntegrityError(f"truncated container while reading {what}")
     return buf
+
+
+def check_header(header, what, keys=(), counts=(), stats=()):
+    """Raise FormatError unless ``header``, a ``what`` header, is a JSON
+    object that holds every key of ``keys`` and ``counts``, an integer >= 0
+    under each key of ``counts``, and under each (key, length) of ``stats``
+    a list of ``length`` finite numbers."""
+    if not isinstance(header, dict):
+        raise FormatError(f"{what} is not a JSON object")
+    stats = dict(stats)
+    if missing := [k for k in (*keys, *counts, *stats) if k not in header]:
+        raise FormatError(f"{what} lacks {', '.join(missing)}")
+    for key in counts:
+        if type(header[key]) is not int or header[key] < 0:
+            raise FormatError(f"{what} {key} {header[key]!r} is not an integer >= 0")
+    for key, length in stats.items():
+        v = header[key]
+        # abs(v) <= max float is false for NaN, an infinity and an int too
+        # large for a float
+        if not (isinstance(v, list) and len(v) == length and all(
+                type(e) in (int, float) and abs(e) <= sys.float_info.max for e in v)):
+            raise FormatError(f"{what} {key} is not a list of {length} finite numbers")
 
 
 def read_container(path, magic, version, layout):

@@ -55,7 +55,7 @@ results are bit for bit those of one operation per term.
 
 import dataclasses
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from types import SimpleNamespace
 
 import numpy as np
@@ -377,29 +377,18 @@ def rscp_fixed_point(cfg, duties):
 
 PRESET_NAMES = ("cartpole-ti", "cartpole-tv", "rscp-ti", "rscp-tv")
 
-_CACHE = {}
 
-
+@cache
 def preset(name, **overrides):
-    """Named benchmark configuration; keyword overrides replace fields."""
+    """Named benchmark configuration; keyword overrides replace fields.
+    A call repeated with the same arguments returns the same object; an
+    override value must be hashable (a config's array fields are tuples)."""
     if name not in PRESET_NAMES:
         raise KeyError(f"unknown preset '{name}' (choose from {PRESET_NAMES})")
-    key = (name, tuple(sorted(overrides.items())))
-    try:
-        return _CACHE[key]
-    except (KeyError, TypeError):
-        pass
-
     if name == "cartpole-ti":
         cfg = CartPoleConfig(variant="ti")
     elif name == "cartpole-tv":
         cfg = CartPoleConfig(variant="tv", mu_cart=5e-4, mu_pole=2e-6)
     else:
         cfg = RscpConfig(variant="ti" if name.endswith("ti") else "tv")
-    if overrides:
-        cfg = dataclasses.replace(cfg, **overrides)
-    try:
-        _CACHE[key] = cfg
-    except TypeError:
-        pass
-    return cfg
+    return dataclasses.replace(cfg, **overrides)

@@ -170,8 +170,11 @@ def train(ds, params, cfg, log_test=False):
 
     ``log_test`` evaluates test MSE according to the logging policy
     (every ``log_test_every`` epochs plus the final ``LOG_TEST_FINAL``).
+    An empty training split has no loss to fit and raises ValueError.
     """
     tr_states, tr_controls = ds.subset(dg.SPLIT_TRAIN)
+    if not tr_states.shape[0]:
+        raise ValueError("the train split holds no window")
     va_states, va_controls = ds.subset(dg.SPLIT_VAL)
     te_states, te_controls = ds.subset(dg.SPLIT_TEST)
 

@@ -7,6 +7,7 @@ import pytest
 
 from bkmpc import datagen as dg
 from bkmpc import simulators as sim
+from bkmpc.results import read_container, write_container
 from helpers import run_excitation_episode, sample_excitation
 
 
@@ -277,16 +278,17 @@ def test_rscp_bench_shapes_take_one_lockstep_step_per_needed_step(monkeypatch):
 def test_met_request_ends_the_run_ahead_rows_of_its_split(monkeypatch):
     # a full training episode lasts its 150-step horizon and gives 91
     # windows. Episode 0 runs alone, 1 and 2 together, then 3-6 together
-    # from step 300: 3 is cut 30 + 59 = 89 steps in, which meets the
-    # request, and 4 (the new head), 5 and 6 end at the next check, after
-    # 90 steps. The test episode is cut at 400 + 59 = 459 steps
+    # from step 300, each capped when admitted at the 30 + 59 = 89 steps
+    # the split still needs: 3 ends there and meets the request, and 4-6
+    # end beside it, where they once ran on to the check after step 90.
+    # The test episode is cut at 400 + 59 = 459 steps
     cfg = sim.preset("rscp-tv", train_horizon=150, test_horizon=1_000)
     rows = _count_rows(monkeypatch)
     train, test = dg._run_episode_batch(cfg, 3, (3 * 91 + 30, 400))
     assert [len(c) for _, c in train] == [150, 150, 150, 89]
     assert [len(c) for _, c in test] == [459]
     assert len(rows) == 459
-    assert sum(rows) == 3 * 150 + 89 + 3 * 90 + 459
+    assert sum(rows) == 3 * 150 + 4 * 89 + 459
 
 
 def test_cartpole_run_ahead_bounded_by_lane_cap(monkeypatch):
@@ -388,6 +390,40 @@ def test_dataset_rejects_statistics_of_the_wrong_length(tmp_path):
         dg.write_dataset(dataclasses.replace(ds, **{key: value}), path)
         with pytest.raises(dg.FormatError, match=key):
             dg.read_dataset(path)
+
+
+#: header faults a dataset is refused for, with a word of the refusal;
+#: unchecked, each raises KeyError or a numpy error, or loads
+DATASET_HEADER_FAULTS = {
+    "not-an-object": (lambda hd: [hd], "not a JSON object"),
+    "no-preset": (lambda hd: {k: v for k, v in hd.items() if k != "preset"}, "lacks preset"),
+    "no-split-seed": (lambda hd: {k: v for k, v in hd.items() if k != "split_seed"},
+                      "lacks split_seed"),
+    "text-windows": (lambda hd: {**hd, "windows": "40"}, "windows"),
+    "negative-window-len": (lambda hd: {**hd, "window_len": -1}, "window_len"),
+    "float-dim": (lambda hd: {**hd, "state_dim": 4.0}, "state_dim"),
+    "text-statistic": (lambda hd: {**hd, "control_std": "a"}, "control_std"),
+    "infinite-statistic": (lambda hd: {**hd, "state_mean": [0.0, float("inf"), 0.0, 0.0]},
+                           "state_mean"),
+    "no-statistic": (lambda hd: {k: v for k, v in hd.items() if k != "control_mean"},
+                     "control_mean"),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(DATASET_HEADER_FAULTS))
+def test_dataset_header_faults_are_refused_before_the_payload(fault, tmp_path):
+    # the containers hold no payload: the dataset's own header reads on
+    # into it and finds it truncated, a faulty one is refused first
+    path = tmp_path / "d.bkds"
+    dg.write_dataset(small_dataset(train=70, test=30), path)
+    header, _ = read_container(path, dg._MAGIC, dg._VERSION, dg._dataset_layout)
+    edit, match = DATASET_HEADER_FAULTS[fault]
+    write_container(path, dg._MAGIC, dg._VERSION, header, [])
+    with pytest.raises(dg.IntegrityError):
+        dg.read_dataset(path)
+    write_container(path, dg._MAGIC, dg._VERSION, edit(header), [])
+    with pytest.raises(dg.FormatError, match=match):
+        dg.read_dataset(path)
 
 
 def test_truncation_rejected(tmp_path):

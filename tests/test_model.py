@@ -255,7 +255,7 @@ def test_hyper_rejects_a_conv_kernel_outside_the_lookback(kernel, tmp_path):
     # refused when the hyperparameters are built
     with pytest.raises(model.ContractViolation, match="conv_kernel"):
         model.hyper_for("rscp", "bilinear", conv_kernel=kernel)
-    # a checkpoint carrying one is refused on load
+    # a checkpoint carrying one is refused on load, as a bad header
     p = model.load_checkpoint(FIXTURES / FIXTURE_CHECKPOINTS[1])
     path = tmp_path / "m.bkcp"
     model.save_checkpoint(p, path)
@@ -266,7 +266,7 @@ def test_hyper_rejects_a_conv_kernel_outside_the_lookback(kernel, tmp_path):
     header["hyper"]["conv_kernel"] = kernel
     payload = [(arrays[name], "<f8") for name, _ in header["params"]]
     results.write_container(path, model._MAGIC, model._VERSION, header, payload)
-    with pytest.raises(model.ContractViolation, match="conv_kernel"):
+    with pytest.raises(results.FormatError, match="conv_kernel"):
         model.load_checkpoint(path)
     for edge in (1, 30):
         assert model.hyper_for("rscp", "bilinear", conv_kernel=edge).conv_kernel == edge
@@ -991,6 +991,53 @@ def test_checkpoint_rejects_statistics_of_the_wrong_length(tmp_path):
         model.save_checkpoint(dataclasses.replace(p, **{key: value}), path)
         with pytest.raises(results.FormatError, match=key):
             model.load_checkpoint(path)
+
+
+def _hyper(**change):
+    """A header edit that updates the hyperparameters; None drops one."""
+    def edit(hd):
+        hyper = {**hd["hyper"], **change}
+        return {**hd, "hyper": {k: v for k, v in hyper.items() if v is not None}}
+    return edit
+
+
+#: header faults a checkpoint is refused for, with a word of the refusal;
+#: unchecked, each raises KeyError, TypeError or ContractViolation, or loads
+CHECKPOINT_HEADER_FAULTS = {
+    "no-kind": (lambda hd: {k: v for k, v in hd.items() if k != "kind"}, "lacks kind"),
+    "no-seed": (lambda hd: {k: v for k, v in hd.items() if k != "seed"}, "lacks seed"),
+    "hyper-list": (lambda hd: {**hd, "hyper": []}, "hyper is not a JSON object"),
+    "extra-hyper": (_hyper(dropout=0.1), "dropout"),
+    "missing-hyper": (_hyper(hidden=None), "lacks hidden"),
+    "conv-kernel-0": (_hyper(conv_kernel=0), "conv_kernel"),
+    "text-count": (_hyper(latent_dim="8"), "latent_dim"),
+    "negative-count": (_hyper(rank=-1), "rank"),
+    "trilinear": (lambda hd: {**hd, "kind": "trilinear", "params": [
+        e for e in hd["params"] if not e[0].startswith("cpl_")]}, "trilinear"),
+    "text-statistic": (lambda hd: {**hd, "state_mean": "abcd"}, "state_mean"),
+    "nan-statistic": (lambda hd: {**hd, "state_std": [1.0, float("nan"), 1.0, 1.0]},
+                      "state_std"),
+    "no-statistic": (lambda hd: {k: v for k, v in hd.items() if k != "control_floor"},
+                     "control_floor"),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(CHECKPOINT_HEADER_FAULTS))
+def test_checkpoint_header_faults_are_refused_before_the_payload(fault, tmp_path):
+    # the containers hold no payload: the fixture's own header reads on
+    # into it and finds it truncated, a faulty one is refused first
+    header, _ = results.read_container(
+        FIXTURES / "cartpole-ti-bilinear.bkcp", model._MAGIC, model._VERSION,
+        lambda hd: [(name, "<f8", shape) for name, shape in hd["params"]],
+    )
+    edit, match = CHECKPOINT_HEADER_FAULTS[fault]
+    path = tmp_path / "m.bkcp"
+    results.write_container(path, model._MAGIC, model._VERSION, header, [])
+    with pytest.raises(results.IntegrityError):
+        model.load_checkpoint(path)
+    results.write_container(path, model._MAGIC, model._VERSION, edit(header), [])
+    with pytest.raises(results.FormatError, match=match):
+        model.load_checkpoint(path)
 
 
 def test_checkpoint_truncated_or_trailing_rejected(tmp_path):

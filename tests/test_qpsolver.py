@@ -291,13 +291,15 @@ def test_scp5_episode_never_needs_the_cholesky_fallback(monkeypatch):
 
 def test_singular_free_block_is_solved_through_the_shift_fallback(monkeypatch):
     # H = [[1, 1], [1, 1]] is positive semidefinite and exactly singular:
-    # its LU solve fails, and a Cholesky-certified shift gives the step
-    factors = _counting(monkeypatch, "cholesky")
+    # its LU solve fails, and the LU solve of the block with its diagonal
+    # raised (above H's 1) gives the step
+    solves = _counting(monkeypatch, "solve")
     p = QpProblem(np.ones((2, 2)), np.array([-1.0, -2.0]), np.full(2, -2.0), np.full(2, 2.0))
     sol = solve_box_qp(p)
     assert sol.status == "solved"
     assert np.allclose(sol.x, [-1.0, 2.0], atol=1e-8)
-    assert len(factors) >= 2  # shift 0 fails, a positive shift passes
+    shifted = [a for a in solves if np.diag(a).max() > 1.0]
+    assert shifted and len(solves) > len(shifted)  # shift 0 fails, a positive shift passes
 
 
 def test_noise_bound_decides_both_ways_at_a_large_objective_scale():

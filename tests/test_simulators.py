@@ -29,6 +29,17 @@ def test_cartpole_full_force_derivative():
     assert abs(d[3] - (-29.268)) < 1e-3
 
 
+def test_preset_returns_the_same_object_for_equal_arguments():
+    # presets are cached frozen configs, so the rscp operating point each
+    # one derives is found once; an override value must be hashable
+    assert sim.preset("rscp-ti") is sim.preset("rscp-ti")
+    tv = sim.preset("cartpole-ti", mu_cart=5e-4, mu_pole=2e-6)
+    assert sim.preset("cartpole-ti", mu_cart=5e-4, mu_pole=2e-6) is tv
+    assert sim.preset("cartpole-ti") is not tv and tv.mu_cart == 5e-4
+    with pytest.raises(TypeError):
+        sim.preset("rscp-ti", volumes=[1.0, 0.5, 1.0])
+
+
 def test_cartpole_tv_matches_ti_when_modifier_vanishes():
     tv = sim.preset("cartpole-tv")
     ti = sim.preset("cartpole-ti", mu_cart=5e-4, mu_pole=2e-6)

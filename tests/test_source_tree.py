@@ -74,6 +74,22 @@ def test_lapack_eigen_calls_only_in_eig_module():
     assert found == []
 
 
+def test_no_cholesky_call_in_package():
+    # the QP's Newton step retries a singular free block by LU solves of
+    # the block with its diagonal raised; a Cholesky check beside them
+    # would factor the same block a second time
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [
+            f"{path.relative_to(SRC)}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and ast.unparse(node.func).split(".")[-1] == "cholesky"
+        ]
+    assert found == []
+
+
 def test_only_results_formats_floats():
     # results.write_csv formats every table cell; a writer elsewhere
     # passes raw values, so no other module names fmt_float

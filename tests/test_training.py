@@ -184,6 +184,20 @@ def test_evaluate_forecast_rejects_no_windows():
         tr.evaluate_forecast(p, states[:0], controls[:0])
 
 
+def test_train_rejects_an_empty_training_split(monkeypatch):
+    # with every training window moved to validation there is no batch
+    # to fit, and an epoch would log a train_loss of 0.0 from none; train
+    # refuses before the first epoch's validation pass
+    ds = tiny_dataset()
+    p = tiny_params(ds)
+    ds.split[ds.split == dg.SPLIT_TRAIN] = dg.SPLIT_VAL
+    passes = []
+    monkeypatch.setattr(tr, "batch_loss", lambda *args: passes.append(args))
+    with pytest.raises(ValueError, match="train split"):
+        tr.train(ds, p, tr.TrainConfig(epochs=2, batch_size=16))
+    assert passes == []
+
+
 def test_forecast_permutation_invariant():
     ds = tiny_dataset()
     p = tiny_params(ds)
