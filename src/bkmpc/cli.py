@@ -148,13 +148,15 @@ def parse_args(argv=None):
 
 
 def _echo_config(args, rev, **derived):
-    """Write the run's options, plus ``derived`` settings that no option
-    sets, to ``effective_config.json`` in the output directory."""
+    """Write the run's options, ``derived`` settings that no option sets and
+    the thread settings BLAS reads to ``effective_config.json`` in ``args.out``."""
     os.makedirs(args.out, exist_ok=True)
     effective = {
         k: v for k, v in vars(args).items() if k != "config" and v is not None
     }
     effective.update(derived)
+    names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    effective["threads"] = {k: os.environ.get(k) for k in names} | {"cpu_count": os.cpu_count()}
     effective["git"] = rev
     results.write_json(os.path.join(args.out, "effective_config.json"), effective)
 

@@ -15,10 +15,12 @@ from the current history:
    stacked control increments du, res + J du, so the condensed QP is the
    weighted least-squares problem min sum w (res + J du)^2 over the box
    of ``increment_box``: the control box (``control_box``, once per
-   solve) minus the plan, within an infinity-norm trust radius. Solve it
-   to a KKT point by projected Newton (``qpsolver``), warm-started from
-   the previous QP's solution; the episode log counts, per solve, the
-   QPs that did not end ``solved``;
+   solve) minus the plan, within an infinity-norm trust radius. J's
+   tracking rows are causal (no step responds to a later increment), and
+   its increment rows are fixed, so their penalty is formed once per
+   solve. Solve the QP to a KKT point by projected Newton (``qpsolver``),
+   warm-started from the previous QP's solution; the episode log counts,
+   per solve, the QPs that did not end ``solved``;
 4. accept the increment if the true (frozen-bundle) objective, from the
    candidate's residuals, does not increase, otherwise halve the trust
    radius; the plan and its condensed model are then unchanged, so the
@@ -224,31 +226,29 @@ def _increment_difference(control_std, horizon):
     return D.reshape(horizon * m, horizon * m)
 
 
-def condense(a_t, b_t, res, w, dec_scaled, diff):
+def condense(a_t, b_t, res, w, dec_scaled, penalty):
     """Eliminate the linearized dynamics: (H, g) of the QP in du.
 
     The increment enters the latent perturbation as dz_{k+1} =
-    A_k dz_k + B_k du_k with dz_0 = 0, so every residual ``res`` of
-    ``cost_residuals`` is affine in the stacked du with Jacobian J: the
-    responses decoded by ``dec_scaled`` = state_std * decoder for steps
-    1..H over the increment difference operator ``diff`` = kron(I - shift,
-    diag(control_std)). The objective's quadratic model is then
-    H = 2 J^T W J, g = 2 J^T W res (W = diag(``w``), constants dropped).
-    ``scp_solve`` forms ``w``, ``dec_scaled`` and ``diff`` once per solve.
+    A_k dz_k + B_k du_k with dz_0 = 0, so the responses M_k = d z_k / d du
+    are causal: B_k in step k's columns, A_k M_{k-1} in earlier ones and
+    zero in later ones, on which no product is spent. The tracking rows of
+    ``res`` (``cost_residuals``) have the Jacobian J of the responses
+    decoded by ``dec_scaled`` = state_std * decoder, so H = 2 J^T W J + P
+    and g = 2 J^T W res + p res_r (W = diag(``w``) on those rows, res_r the
+    increment rows, constants dropped), where ``penalty`` = (P, p) =
+    (2 D^T W_r D, 2 D^T W_r), D = kron(I - shift, diag(control_std)).
+    ``scp_solve`` forms ``w``, ``dec_scaled`` and ``penalty`` once per solve.
     """
     H, dz, m = b_t.shape
-    N = H * m
-
-    # latent responses M_k = d z_k / d du for k = 1..H
-    resp = np.empty((H, dz, N))
-    M = np.zeros((dz, N))
-    for j in range(H):
-        M = a_t[j] @ M
-        M[:, j * m : (j + 1) * m] += b_t[j]
-        resp[j] = M
-    J = np.vstack([(dec_scaled @ resp).reshape(-1, N), diff])
-    WJ = w[:, None] * J
-    return 2.0 * (J.T @ WJ), 2.0 * (WJ.T @ res)
+    N, T = H * m, H * dec_scaled.shape[0]
+    resp = np.zeros((H, dz, N))
+    resp.reshape(H, dz, H, m)[range(H), :, range(H)] = b_t
+    for j in range(1, H):
+        np.matmul(a_t[j], resp[j - 1, :, : j * m], out=resp[j, :, : j * m])
+    J = (dec_scaled @ resp).reshape(T, N)
+    WJ = 2.0 * w[:T, None] * J
+    return J.T @ WJ + penalty[0], WJ.T @ res[:T] + penalty[1] @ res[T:]
 
 
 def scp_solve(cfg, params, bundle, coupling, z0, nominal_u_norm, u_prev_raw,
@@ -259,7 +259,9 @@ def scp_solve(cfg, params, bundle, coupling, z0, nominal_u_norm, u_prev_raw,
     box = control_box(bundle, control_low, control_high)
     w = cost_weights(cfg, len(nominal_u_norm))
     dec_scaled = params.state_std[:, None] * bundle.decoder  # (n, dz)
-    diff = _increment_difference(bundle.control_std, len(nominal_u_norm))
+    D = _increment_difference(bundle.control_std, len(nominal_u_norm))
+    DtW = 2.0 * D.T * w[-len(D):]  # 2 D^T W_r
+    penalty = (DtW @ D, DtW)
     u = np.clip(nominal_u_norm, *box)
     z_nom = plan_rollout(bundle, coupling, z0, u, period)
     res = cost_residuals(cfg, params, bundle, z_nom, u, u_prev_raw)
@@ -273,7 +275,7 @@ def scp_solve(cfg, params, bundle, coupling, z0, nominal_u_norm, u_prev_raw,
         # a rejected step leaves the plan, so its model: only the box shrinks
         if model is None:
             a_t, b_t = linearize(bundle.held, coupling, u, z_nom, period)
-            model = condense(a_t, b_t, res, w, dec_scaled, diff)
+            model = condense(a_t, b_t, res, w, dec_scaled, penalty)
         sol = solve_box_qp(QpProblem(*model, *increment_box(u, box, trust)), warm=sol)
         info.qp_iterations += sol.iterations
         info.qp_status.append(sol.status)

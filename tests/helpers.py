@@ -5,7 +5,9 @@ the exponential oracle is a plain Taylor sum in extended precision, the
 Frechet-derivative oracle is the block-augmented exponential by scaling,
 squaring and that same extended-precision sum, the SCP linearization
 with every derivative formed as a matrix and then contracted is the
-oracle for its matrix-free action, the determinant oracle is a tiny
+oracle for its matrix-free action, the dense Jacobian of every
+residual, responses to every increment included, is the oracle for the
+causal condensation, the determinant oracle is a tiny
 partial-pivot LU, the box-QP oracle
 enumerates every active set, and gradient checks are central finite
 differences over tape leaves. The sequential excitation episode is the
@@ -89,6 +91,25 @@ def linearize_by_matrices(held, coupling, plan_u_norm, z_nom, period):
     )
     b_t = period * np.einsum("kjab,kb->kaj", L, drift) + e_p @ b_diag
     return e_p * e_d, b_t
+
+
+def condense_dense(a_t, b_t, res, w, dec_scaled, diff):
+    """(H, g) of ``scp_mpc.condense`` from the dense Jacobian J of every
+    residual: the full (dz, N) response of each step, zero columns
+    included, decoded by ``dec_scaled``, over the increment difference
+    rows ``diff``, then H = 2 J^T W J and g = 2 J^T W res in one product
+    each."""
+    H, dz, m = b_t.shape
+    N = H * m
+    resp = np.empty((H, dz, N))
+    M = np.zeros((dz, N))
+    for j in range(H):
+        M = a_t[j] @ M
+        M[:, j * m : (j + 1) * m] += b_t[j]
+        resp[j] = M
+    J = np.vstack([(dec_scaled @ resp).reshape(-1, N), diff])
+    WJ = w[:, None] * J
+    return 2.0 * (J.T @ WJ), 2.0 * (WJ.T @ res)
 
 
 def spectral_penalty(a_disc, margin):

@@ -597,6 +597,12 @@ def test_config_precedence_and_effective_config(workdir, tmp_path):
         assert rc == 0
         got = json.loads((out / "effective_config.json").read_text())
         assert got.pop("git") == results.git_rev()
+        # the thread settings that can change the closed loop's BLAS
+        # rounding, recorded as the run found them
+        names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+        assert got.pop("threads") == {
+            **{k: os.environ.get(k) for k in names}, "cpu_count": os.cpu_count(),
+        }
         return got
 
     base = {

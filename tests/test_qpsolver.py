@@ -251,42 +251,89 @@ def _counting(monkeypatch, name):
     return calls
 
 
+def _newton_solves(monkeypatch, fail_first=False):
+    """Wrap ``qpsolver._newton_direction`` and ``np.linalg.solve``; returns
+    one (unshifted free block, arguments of the direction's solve calls)
+    pair per direction. With ``fail_first`` each direction's first solve
+    raises ``LinAlgError``, which forces the shift ladder."""
+    steps, inside = [], []
+    real_solve, real_direction = np.linalg.solve, qpsolver._newton_direction
+
+    def solve(a, *args):
+        if inside:
+            calls = steps[-1][1]
+            calls.append(a)
+            if fail_first and len(calls) == 1:
+                raise np.linalg.LinAlgError("forced")
+        return real_solve(a, *args)
+
+    def direction(H, grad, free):
+        steps.append((H[free][:, free], []))
+        inside.append(True)
+        try:
+            return real_direction(H, grad, free)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(np.linalg, "solve", solve)
+    monkeypatch.setattr(qpsolver, "_newton_direction", direction)
+    return steps
+
+
+def _one_unshifted_solve_each(steps):
+    """Whether every direction made exactly one solve, on its unshifted block."""
+    return all(len(calls) == 1 and np.array_equal(calls[0], block) for block, calls in steps)
+
+
 def test_positive_definite_newton_direction_is_one_lu_solve(monkeypatch):
     # on a positive definite block the direction is the LU solve of the
-    # free block, bit for bit, with no Cholesky check; with no entry
-    # clamped, the solve reads H itself, not a copy
+    # free block, bit for bit, and the only solve, on the unshifted block;
+    # with no entry clamped, the solve reads H itself, not a copy
     rng = np.random.default_rng(109)
     p = random_problem(rng, 8)
     grad = rng.standard_normal(8)
     masks = (np.ones(8, dtype=bool), np.array([1, 0, 1, 1, 0, 1, 1, 0], dtype=bool))
     expected = [-np.linalg.solve(p.H[free][:, free], grad[free]) for free in masks]
-    solves = _counting(monkeypatch, "solve")
-    factors = _counting(monkeypatch, "cholesky")
+    steps = _newton_solves(monkeypatch)
     for free, want in zip(masks, expected):
         d = qpsolver._newton_direction(p.H, grad, free)
         assert np.array_equal(d[free], want)
         assert np.array_equal(d[~free], np.zeros((~free).sum()))
-    assert len(solves) == 2 and solves[0] is p.H
-    assert not factors
+    assert len(steps) == 2 and steps[0][1][0] is p.H
+    assert _one_unshifted_solve_each(steps)
 
 
-def test_scp5_episode_never_needs_the_cholesky_fallback(monkeypatch):
-    # the condensed QPs of a coupled model's closed loop have positive
-    # definite free blocks, so every Newton step is one LU solve
+def _coupled_scp5_episode():
     hyper = mdl.hyper_for("cartpole", "bilinear", latent_dim=3, rank=3, conv_kernel=5, hidden=8)
     n, m = hyper.state_dim, hyper.control_dim
     params = mdl.init_params(hyper, np.zeros(n), np.ones(n), np.ones(m), seed=7)
     rng = np.random.default_rng(3)
     for key in ("cpl_l", "cpl_r"):
         params.arrays[key] = 0.5 * rng.standard_normal(params.arrays[key].shape)
-    solves = _counting(monkeypatch, "solve")
-    factors = _counting(monkeypatch, "cholesky")
-    log = mpc.run_episode(
+    return mpc.run_episode(
         sim.preset("cartpole-ti"), params, mpc.mpc_preset("cartpole", episode_len=10),
         controller="scp5", seed=11,
     )
-    assert log.qp_iters.sum() > 0 and len(solves) > 0
-    assert not factors
+
+
+def test_scp5_episode_never_enters_the_shift_ladder(monkeypatch):
+    # the condensed QPs of a coupled model's closed loop have positive
+    # definite free blocks, so every Newton step is one LU solve of the
+    # unshifted block
+    steps = _newton_solves(monkeypatch)
+    log = _coupled_scp5_episode()
+    assert log.qp_iters.sum() > 0 and len(steps) > 0
+    assert _one_unshifted_solve_each(steps)
+
+
+def test_forced_shift_ladder_fails_the_one_solve_check(monkeypatch):
+    # the check above sees the ladder: with every shift-0 solve failing,
+    # the same episode still runs, through shifted solves, and fails it
+    steps = _newton_solves(monkeypatch, fail_first=True)
+    log = _coupled_scp5_episode()
+    assert log.qp_iters.sum() > 0 and len(steps) > 0
+    assert all(len(calls) >= 2 for _, calls in steps)
+    assert not _one_unshifted_solve_each(steps)
 
 
 def test_singular_free_block_is_solved_through_the_shift_fallback(monkeypatch):

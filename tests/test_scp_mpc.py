@@ -14,7 +14,7 @@ from bkmpc import simulators as sim
 from bkmpc.model import ContractViolation
 from bkmpc.numerics import autodiff as ad
 from bkmpc.numerics import dense
-from helpers import FIXTURE_CHECKPOINTS, FIXTURES, linearize_by_matrices
+from helpers import FIXTURE_CHECKPOINTS, FIXTURES, condense_dense, linearize_by_matrices
 
 
 def make_bundle(dz, m, n, rng):
@@ -46,13 +46,13 @@ HORIZON = 30
 
 
 def solve_constants(cfg, params, bundle, horizon):
-    """(w, dec_scaled, diff): the constants of a solve that ``scp_solve``
-    hands ``condense``, for a ``horizon``-step plan."""
-    return (
-        mpc.cost_weights(cfg, horizon),
-        params.state_std[:, None] * bundle.decoder,
-        mpc._increment_difference(bundle.control_std, horizon),
-    )
+    """(w, dec_scaled, penalty): the constants of a solve that
+    ``scp_solve`` hands ``condense``, for a ``horizon``-step plan, the
+    increment penalty (2 D^T W_r D, 2 D^T W_r) formed as it forms it."""
+    w = mpc.cost_weights(cfg, horizon)
+    D = mpc._increment_difference(bundle.control_std, horizon)
+    DtW = 2.0 * D.T * w[-len(D):]
+    return w, params.state_std[:, None] * bundle.decoder, (DtW @ D, DtW)
 
 
 def step_map(bundle, G, z, u, period):
@@ -309,9 +309,9 @@ def test_condense_is_exact_quadratic_model_of_plan_cost():
     u_prev = rng.standard_normal(m)
     z_nom = mpc.plan_rollout(b, None, z0, u, 1.0)
     a_t, b_t = mpc.linearize(b.held, None, u, z_nom, 1.0)
-    w, dec_scaled, diff = solve_constants(cfg, params, b, Hz)
+    w, dec_scaled, penalty = solve_constants(cfg, params, b, Hz)
     res = mpc.cost_residuals(cfg, params, b, z_nom, u, u_prev)
-    H, g = mpc.condense(a_t, b_t, res, w, dec_scaled, diff)
+    H, g = mpc.condense(a_t, b_t, res, w, dec_scaled, penalty)
     J0 = mpc.plan_cost(w, res)
     for _ in range(5):
         du = rng.standard_normal(Hz * m)
@@ -320,6 +320,80 @@ def test_condense_is_exact_quadratic_model_of_plan_cost():
         change = mpc.plan_cost(w, mpc.cost_residuals(cfg, params, b, z_cand, cand, u_prev)) - J0
         lin, quad = g @ du, 0.5 * du @ H @ du
         assert change == pytest.approx(lin + quad, abs=1e-10 * (J0 + abs(lin) + quad))
+
+
+def assert_condense_matches_the_dense_oracle(args, diff):
+    # normwise, relative: only the summation order of H and g differs.
+    # Toward a solve's optimum g cancels (at a converged cart-pole fixture
+    # iterate |g| is 3e-10, where the oracle's g on the absolute values
+    # has norm 1.7), so g's error is taken relative to that g, which
+    # bounds its terms
+    a_t, b_t, res, w, dec_scaled, _ = args
+    H, g = mpc.condense(*args)
+    H_ref, g_ref = condense_dense(a_t, b_t, res, w, dec_scaled, diff)
+    _, g_terms = condense_dense(*map(np.abs, (a_t, b_t, res, w, dec_scaled, diff)))
+    assert np.linalg.norm(H - H_ref) <= 1e-13 * np.linalg.norm(H_ref)
+    assert np.linalg.norm(g - g_ref) <= 1e-13 * np.linalg.norm(g_terms)
+
+
+@pytest.mark.parametrize("coupled", (False, True))
+@pytest.mark.parametrize("horizon", (1, 2, 30))
+@pytest.mark.parametrize("m", (1, 3))
+def test_condense_matches_the_dense_oracle(coupled, horizon, m):
+    # the causal responses and the per-solve increment penalty give the
+    # dense Jacobian's (H, g), with every weight nonzero so that the
+    # cross-step increment terms count
+    system, n, dz = ("cartpole", 4, 3) if m == 1 else ("rscp", 9, 4)
+    rng = np.random.default_rng(41 + 10 * horizon + m + 100 * coupled)
+    params = tiny_mpc_params(system=system, dz=dz)
+    params.state_mean = rng.standard_normal(n)
+    params.state_std = rng.uniform(0.5, 2.0, n)
+    b = make_bundle(dz, m, n, rng)
+    G = make_coupling(dz, m, rng) if coupled else None
+    cfg = mpc.MpcConfig(
+        q_weights=tuple(rng.uniform(0.5, 2.0, n)),
+        p_weights=tuple(rng.uniform(2.0, 5.0, n)),
+        r_weights=tuple(rng.uniform(0.5, 2.0, m)),
+        x_ref=tuple(rng.standard_normal(n)),
+    )
+    u = rng.standard_normal((horizon, m))
+    z_nom = mpc.plan_rollout(b, G, rng.standard_normal(dz), u, 1.0)
+    a_t, b_t = mpc.linearize(b.held, G, u, z_nom, 1.0)
+    assert coupled == (np.count_nonzero(a_t[0]) > dz)
+    res = mpc.cost_residuals(cfg, params, b, z_nom, u, rng.standard_normal(m))
+    assert_condense_matches_the_dense_oracle(
+        (a_t, b_t, res, *solve_constants(cfg, params, b, horizon)),
+        mpc._increment_difference(b.control_std, horizon),
+    )
+
+
+@pytest.mark.parametrize("ckpt", FIXTURE_CHECKPOINTS)
+def test_condense_matches_the_dense_oracle_on_fixture_solves(ckpt, monkeypatch):
+    # every linearization of a short scp5 episode of each committed bench
+    # model, each against its solve's increment difference operator
+    params = mdl.load_checkpoint(FIXTURES / ckpt)
+    cfg_sim = sim.preset(ckpt.removesuffix("-bilinear.bkcp"))
+    diffs, calls = [], []
+    real_diff, real_condense = mpc._increment_difference, mpc.condense
+
+    def increment_difference(*args):
+        diffs.append(real_diff(*args))
+        return diffs[-1]
+
+    def condense(*args):
+        calls.append((args, diffs[-1]))
+        return real_condense(*args)
+
+    monkeypatch.setattr(mpc, "_increment_difference", increment_difference)
+    monkeypatch.setattr(mpc, "condense", condense)
+    mpc.run_episode(
+        cfg_sim, params, mpc.mpc_preset(cfg_sim.system, episode_len=3),
+        controller="scp5", seed=1,
+    )
+    monkeypatch.undo()
+    assert len(diffs) == 3 and len(calls) >= 3
+    for args, diff in calls:
+        assert_condense_matches_the_dense_oracle(args, diff)
 
 
 def test_increment_difference_is_the_kron_operator():

@@ -306,6 +306,34 @@ def test_residuals_are_evaluated_once_per_iterate():
     assert read & {"cfg", "params", "bundle"} == set()
 
 
+def test_solve_constants_are_formed_once_per_solve():
+    # the cost weights and the increment penalty depend on the solve, not
+    # on the iterate: scp_solve forms them before its iteration loop, and
+    # only the condensation, which reads the iterate, runs inside it
+    per_solve = {"_increment_difference", "cost_weights", "condense"}
+    found = set()
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        parent = {c: p for p in ast.walk(tree) for c in ast.iter_child_nodes(p)}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            name = ast.unparse(node.func).split(".")[-1]
+            if name not in per_solve:
+                continue
+            at, in_loop = node, False
+            while at in parent and not isinstance(at, ast.FunctionDef):
+                at = parent[at]
+                in_loop |= isinstance(at, (ast.For, ast.While))
+            where = f"{path.relative_to(SRC).as_posix()}:{getattr(at, 'name', '<module>')}"
+            found.add((name, where, in_loop))
+    assert found == {
+        ("_increment_difference", "bkmpc/scp_mpc.py:scp_solve", False),
+        ("cost_weights", "bkmpc/scp_mpc.py:scp_solve", False),
+        ("condense", "bkmpc/scp_mpc.py:scp_solve", True),
+    }
+
+
 def test_only_datagen_constructs_a_philox():
     # every episode stream, the closed loop's too, is keyed by
     # datagen.episode_key, so a second key formula cannot grow back
